@@ -199,9 +199,11 @@ def _reconstruct_chain(levels, key):
     return chain
 
 
+@lru_cache(maxsize=None)
 def ly_witness(subst):
     """First (in alphabet order of targets) minimal witness for the
-    Li-Yorke existence criterion, or None."""
+    Li-Yorke existence criterion, or None.  The chain is a tuple, so the
+    memoised witness is shared read-only."""
     _require_ly_preconditions(subst)
     n = subst.size
     for i in range(n):
@@ -209,11 +211,10 @@ def ly_witness(subst):
             hit = _ly_engine(subst, (i, j))
             if hit is not None:
                 level, chain = hit
-                return (i, j), level, chain
+                return (i, j), level, tuple(chain)
     return None
 
 
-@lru_cache(maxsize=None)
 def has_ly_pairs(subst):
     """Existence of Li-Yorke pairs: some power of the substitution maps a
     letter pair onto aligned occurrences of itself followed by both a

@@ -6,16 +6,17 @@ elementary, the subshift is infinite exactly when some letter has two
 distinct one-letter right extensions in the language; otherwise it factors
 through a strictly smaller alphabet as ``g . f`` and the question is
 delegated to ``f . g`` on that alphabet.  The alphabet shrinks at every
-round, so the loop terminates.
+round, so the recursion terminates.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import PreconditionError, SearchBudgetError
+from .errors import InvariantError, PreconditionError, SearchBudgetError
 from .substitution import (
     Substitution,
     is_primitive,
@@ -128,7 +129,11 @@ def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
             g = tuple(dictionary)
             for a in range(n):
                 rebuilt = "".join(dictionary[idx] for idx in segmentations[a])
-                assert rebuilt == images[a]
+                if rebuilt != images[a]:
+                    raise InvariantError(
+                        "simplification does not rebuild the image of letter "
+                        f"{subst.alphabet[a]}"
+                    )
             return Simplification(target, f, g)
     return None
 
@@ -185,55 +190,55 @@ def _composed(simp, subst):
     return Substitution(simp.target_alphabet, tuple(images))
 
 
-def decide_infinite_trace(subst, budget=SIMPLIFIABILITY_BUDGET):
+def decide_infinite_trace(subst):
     """Exact finiteness decision with the step-by-step trace.
 
     Returns ``(infinite, trace)`` where the trace lists one record per
-    round of the simplification loop.
+    round of the simplification loop.  The trace is a fresh copy: callers
+    may change it without touching the memoised decision.
     """
-    if not is_primitive(subst):
-        raise PreconditionError("finiteness decision requires a primitive substitution")
-    trace = []
-    current = subst
-    while True:
-        if current.size == 1:
-            trace.append({"alphabet_size": 1, "action": "singleton", "infinite": False})
-            return False, trace
-        simp = is_simplifiable(current, budget)
-        if simp is None:
-            bip = biprolongeable_letters(current)
-            trace.append(
-                {
-                    "alphabet_size": current.size,
-                    "action": "elementary",
-                    "biprolongeable": list(bip),
-                    "infinite": bool(bip),
-                }
-            )
-            return bool(bip), trace
-        nxt = _composed(simp, current)
-        if not is_primitive(nxt):
-            raise PreconditionError(
-                "simplification produced a non-primitive substitution"
-            )
-        trace.append(
-            {
-                "alphabet_size": current.size,
-                "action": "simplified",
-                "target_alphabet_size": len(simp.target_alphabet),
-                "dictionary": [
-                    current.decode(w) if isinstance(current.decode(w), str) else list(current.decode(w))
-                    for w in simp.g
-                ],
-            }
-        )
-        current = nxt
+    infinite, trace = _decision(subst)
+    return infinite, [copy.deepcopy(record) for record in trace]
+
+
+def decide_infinite(subst):
+    """True exactly when the generated subshift is infinite."""
+    return _decision(subst)[0]
 
 
 @lru_cache(maxsize=None)
-def decide_infinite(subst):
-    """True exactly when the generated subshift is infinite."""
-    return decide_infinite_trace(subst)[0]
+def _decision(subst):
+    """The verdict and the trace records of one substitution, memoised so
+    that each substitution is searched at most once.  A simplified round
+    delegates to ``f . g``, whose decision is memoised in turn."""
+    if not is_primitive(subst):
+        raise PreconditionError("finiteness decision requires a primitive substitution")
+    if subst.size == 1:
+        return False, ({"alphabet_size": 1, "action": "singleton", "infinite": False},)
+    simp = is_simplifiable(subst)
+    if simp is None:
+        bip = biprolongeable_letters(subst)
+        record = {
+            "alphabet_size": subst.size,
+            "action": "elementary",
+            "biprolongeable": list(bip),
+            "infinite": bool(bip),
+        }
+        return bool(bip), (record,)
+    nxt = _composed(simp, subst)
+    if not is_primitive(nxt):
+        raise PreconditionError("simplification produced a non-primitive substitution")
+    record = {
+        "alphabet_size": subst.size,
+        "action": "simplified",
+        "target_alphabet_size": len(simp.target_alphabet),
+        "dictionary": [
+            subst.decode(w) if isinstance(subst.decode(w), str) else list(subst.decode(w))
+            for w in simp.g
+        ],
+    }
+    infinite, rest = _decision(nxt)
+    return infinite, (record,) + rest
 
 
 class ComplexityVerdict(Enum):

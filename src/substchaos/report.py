@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .pairs import (
     Coincidence,
     STRONG_EQUIVALENCE_CHAIN,
@@ -17,7 +17,7 @@ from .pairs import (
     has_uncountable_ly,
     li_yorke_certificate,
 )
-from .reduction import decide_infinite_trace, is_simplifiable, one_to_one_reduction
+from .reduction import decide_infinite_trace, one_to_one_reduction
 from .streams import fiber_bound
 from .substitution import is_primitive, zip_pair_word
 
@@ -146,6 +146,8 @@ def analyze(subst, include_orbits=True, brute_bound=None):
         raise PreconditionError("analysis requires a primitive substitution")
     if subst.constant_length is None:
         raise PreconditionError("analysis requires a constant-length substitution")
+    if subst.constant_length < 2:
+        raise PreconditionError("analysis requires a constant length of at least 2")
     data = {}
     data["tool_version"] = __version__
     data["input"] = {
@@ -157,7 +159,7 @@ def analyze(subst, include_orbits=True, brute_bound=None):
     infinite, trace = decide_infinite_trace(subst)
     data["x_tau_infinite"] = infinite
     data["decision_trace"] = trace
-    data["is_elementary"] = is_simplifiable(subst) is None
+    data["is_elementary"] = trace[0]["action"] != "simplified"
     red = one_to_one_reduction(subst)
     data["one_to_one_reduction"] = {
         "alphabet": list(red.reduced.alphabet),
@@ -188,6 +190,6 @@ def analyze(subst, include_orbits=True, brute_bound=None):
         engine_ly = data["has_li_yorke"]
         engine_unc = data["uncountable_li_yorke"]
         if (ly and not engine_ly) or (unc and not engine_unc):
-            raise AssertionError("engine contradicts the brute-force scan")
+            raise InvariantError("engine contradicts the brute-force scan")
         data["brute_check"] = "agree"
     return AnalysisReport(data)

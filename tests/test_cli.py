@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from substchaos import REPORT_SCHEMA
+from substchaos import REPORT_SCHEMA, cli, report
 
 from conftest import FIXTURE_SOURCES, LY_TWO, MORSE
 
@@ -87,6 +87,30 @@ def test_precondition_exit_code(tmp_path):
     path.write_text("0 -> 01\n1 -> 0\n")
     res = run_cli("analyze", str(path))
     assert res.returncode == 2
+
+
+def test_constant_length_one_exit_code(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("a -> a\n")
+    res = run_cli("analyze", str(path), "--json")
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "PreconditionError"
+
+
+def test_brute_check_contradiction_is_an_error_line(
+    morse_file, monkeypatch, capsys
+):
+    # a scan that reports pairs the engines rule out must surface as the
+    # JSON error contract, not as a traceback
+    monkeypatch.setattr(report, "_brute_scan", lambda subst, bound: (True, True))
+    code = cli.main(["analyze", morse_file, "--json", "--brute-bound", "8"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvariantError"
 
 
 def test_nonprimitive_exit_code(tmp_path):

@@ -1,0 +1,36 @@
+"""Source checks: runtime invariants on the decision path must survive
+``python -O`` and reach the CLI's JSON error contract, so these modules
+use no ``assert`` statement and never raise ``AssertionError``."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import substchaos
+
+PACKAGE_DIR = Path(substchaos.__file__).parent
+CHECKED_MODULES = ("reduction.py", "report.py")
+
+
+def _assertion_sites(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            yield node.lineno, "assert statement"
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                yield node.lineno, "raise AssertionError"
+
+
+@pytest.mark.parametrize("module", CHECKED_MODULES)
+def test_no_assertions_on_the_decision_path(module):
+    path = PACKAGE_DIR / module
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{module}:{line}: {what}" for line, what in _assertion_sites(tree)]
+    assert found == []
+
+
+def test_lint_sees_both_forms():
+    tree = ast.parse("assert x\nraise AssertionError\nraise AssertionError('m')\n")
+    assert [line for line, _ in _assertion_sites(tree)] == [1, 2, 3]

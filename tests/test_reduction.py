@@ -1,5 +1,7 @@
 """One-to-one reduction, simplifiability, and the finiteness decision."""
 
+import copy
+
 import pytest
 
 from substchaos import (
@@ -110,6 +112,16 @@ def test_decision_trace_shows_simplification():
     assert trace[0]["action"] == "simplified"
     assert trace[0]["dictionary"] == ["01"]
     assert trace[-1]["infinite"] is False
+
+
+def test_returned_trace_is_fresh():
+    s = parse_substitution("0 -> 01\n1 -> 01")
+    infinite, trace = decide_infinite_trace(s)
+    before = copy.deepcopy(trace)
+    trace[0]["dictionary"].append("10")
+    trace[0]["action"] = "elementary"
+    trace.append({"action": "singleton"})
+    assert decide_infinite_trace(s) == (infinite, before)
 
 
 def test_oracle_examples(fixtures):
