@@ -42,8 +42,9 @@ class SearchBudgetError(BudgetExceededError):
 
 
 class SeparationBoundError(BudgetExceededError):
-    """Fiber enumeration could not separate candidate points at the
-    requested radius; carries the number found so far as a lower bound."""
+    """Points could not be separated at a window radius; carries the number
+    found as a lower bound.  Kept for callers that catch it: fiber
+    enumeration separates points by their streams and never raises it."""
 
     def __init__(self, message, lower_bound):
         self.lower_bound = lower_bound

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError
 
 
 def _primitive_root(seq):
@@ -114,14 +114,3 @@ def successor_of_digit_list(digits, base):
         out[i] = 0
     return out
 
-
-def parse_digits(doc):
-    """JSON form ``{"base": p, "preperiod": [...], "period": [...]}``."""
-    try:
-        return OdometerDigits(
-            int(doc["base"]),
-            tuple(int(d) for d in doc.get("preperiod", [])),
-            tuple(int(d) for d in doc["period"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"invalid digit literal: {exc}")

@@ -15,23 +15,24 @@ the iteration stops at the first repeat.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .errors import BudgetExceededError, PreconditionError
-from .reduction import decide_infinite
+from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .streams import (
     DesubstitutionStream,
     RepresentedPoint,
     StreamEntry,
     _entry_from_block,
+    _require_recognizable,
+    _seed_choices,
 )
 from .substitution import (
     Substitution,
     cycle_length,
-    is_primitive,
     iterate_chr,
     language_chr,
     last_letter_map,
@@ -91,19 +92,6 @@ def coincidence_class(subst):
 # the flagged fixpoint engines
 
 
-def _require_ly_preconditions(subst):
-    if subst.constant_length is None:
-        raise PreconditionError("Li-Yorke analysis needs constant length")
-    if not subst.is_injective():
-        raise PreconditionError(
-            "Li-Yorke analysis needs a one-to-one substitution (reduce first)"
-        )
-    if not is_primitive(subst):
-        raise PreconditionError("Li-Yorke analysis needs a primitive substitution")
-    if not decide_infinite(subst):
-        raise PreconditionError("Li-Yorke analysis needs an infinite subshift")
-
-
 @lru_cache(maxsize=None)
 def _pair_tables(subst):
     """Static tables on letter pairs: images of the pair substitution and,
@@ -133,85 +121,68 @@ def _coin_diff_step(image, pairs, coin, diff):
     return new_coin, new_diff
 
 
-def _ly_engine(subst, target):
-    """Minimal level at which the target pair occurs inside its own
-    iterated pair image with both a coincidence and a difference after it;
-    returns (level, chain bottom-up [(parent, position), ...]) or None."""
+def _ly_levels(subst, target):
+    """The levels of the existence fixpoint started at the target pair.
+
+    Level 0 is ``{(target, False, False): None}``; every later level maps
+    each reached ``(pair, coincidence flag, difference flag)`` state to its
+    back pointer ``(state one level down, position)``, the first found in
+    sorted order.  Stops after the first level whose global state repeats.
+    """
     pairs, image, occurrences = _pair_tables(subst)
     coin, diff = _coin_diff_start(pairs)
     state = {(target, False, False): None}
-    seen = {}
-    for level in range(1, ENGINE_LEVEL_CAP + 1):
+    yield state
+    seen = set()
+    for _ in range(ENGINE_LEVEL_CAP):
         new_state = {}
-        for (q, fc, fd) in sorted(state):
+        for key in sorted(state):
+            q, fc, fd = key
             for parent, t in occurrences[q]:
                 local = image[parent][t + 1 :]
                 nfc = fc or any(r in coin for r in local)
                 nfd = fd or any(r in diff for r in local)
-                key = (parent, nfc, nfd)
-                if key not in new_state:
-                    new_state[key] = (q, fc, fd, t)
+                new_state.setdefault((parent, nfc, nfd), (key, t))
         coin, diff = _coin_diff_step(image, pairs, coin, diff)
-        if (target, True, True) in new_state:
-            levels = _engine_backptrs(subst, target, level)
-            return level, _reconstruct_chain(levels, (target, True, True))
+        yield new_state
         sig = (frozenset(new_state), coin, diff)
         if sig in seen:
-            return None
-        seen[sig] = level
+            return
+        seen.add(sig)
         state = new_state
     raise BudgetExceededError("pair fixpoint failed to cycle within the level cap")
 
 
-def _engine_backptrs(subst, target, upto):
-    """Re-run the engine storing per-level back pointers (kept separate so
-    the fast path does not hold every level in memory)."""
-    pairs, image, occurrences = _pair_tables(subst)
-    coin, diff = _coin_diff_start(pairs)
-    state = {(target, False, False): None}
-    levels = [dict(state)]
-    for _ in range(upto):
-        new_state = {}
-        for (q, fc, fd) in sorted(state):
-            for parent, t in occurrences[q]:
-                local = image[parent][t + 1 :]
-                nfc = fc or any(r in coin for r in local)
-                nfd = fd or any(r in diff for r in local)
-                key = (parent, nfc, nfd)
-                if key not in new_state:
-                    new_state[key] = ((q, fc, fd), t)
-        coin, diff = _coin_diff_step(image, pairs, coin, diff)
-        levels.append(new_state)
-        state = new_state
-    return levels
-
-
 def _reconstruct_chain(levels, key):
     """Walk back pointers from the realized key at the top level down to
-    the seeded bottom; returns [(parent pair, position)] per level,
+    the seeded bottom; returns ((parent pair, position), ...) per level,
     bottom transition first."""
     chain = []
     for level in range(len(levels) - 1, 0, -1):
         prev, t = levels[level][key]
         chain.append((key[0], t))
         key = prev
-    chain.reverse()
-    return chain
+    return tuple(reversed(chain))
 
 
 @lru_cache(maxsize=None)
 def ly_witness(subst):
     """First (in alphabet order of targets) minimal witness for the
-    Li-Yorke existence criterion, or None.  The chain is a tuple, so the
-    memoised witness is shared read-only."""
-    _require_ly_preconditions(subst)
+    Li-Yorke existence criterion, or None: the target pair, the minimal
+    level at which it occurs inside its own iterated pair image with both
+    a coincidence and a difference after it, and the chain of that
+    occurrence, read from the back pointers of the one fixpoint pass.  The
+    chain is a tuple, so the memoised witness is shared read-only."""
+    _require_recognizable(subst)
     n = subst.size
     for i in range(n):
         for j in range(i + 1, n):
-            hit = _ly_engine(subst, (i, j))
-            if hit is not None:
-                level, chain = hit
-                return (i, j), level, tuple(chain)
+            hit = ((i, j), True, True)
+            levels = []
+            for state in _ly_levels(subst, (i, j)):
+                levels.append(state)
+                if hit in state:
+                    return (i, j), len(levels) - 1, _reconstruct_chain(levels, hit)
     return None
 
 
@@ -256,7 +227,7 @@ def _double_engine(subst, target):
 
 
 def uncountable_witness(subst):
-    _require_ly_preconditions(subst)
+    _require_recognizable(subst)
     n = subst.size
     for i in range(n):
         for j in range(i + 1, n):
@@ -384,7 +355,7 @@ def uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
                 first=first,
                 second=hits[idx + 1],
             )
-    raise AssertionError("double-occurrence engine and word scan disagree")
+    raise InvariantError("double-occurrence engine and word scan disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -427,42 +398,39 @@ def _aligned_entries(x, y):
     return k, L, ex, ey
 
 
-def _k_plus(stream):
-    """Number of forward steps after which the finite right side of an
-    eventually-(p-1)-digit point is exhausted."""
+def _past_finite_forward_data(x, y):
+    """The pair itself, or, on the fiber of the eventually-(p-1)-digit
+    points, both points shifted forward until their finite right sides are
+    exhausted."""
+    stream = x.stream
     p = stream.subst.constant_length
-    k = len(stream.preperiod)
-    return 1 + sum(
-        (p - 1 - stream.digit(i)) * p**i for i in range(k)
+    if not x.odometer_digits().is_constant(p - 1):
+        return x, y
+    steps = 1 + sum(
+        (p - 1 - stream.digit(i)) * p**i for i in range(len(stream.preperiod))
     )
+    return x.shift_by(steps), y.shift_by(steps)
 
 
-def classify_pair(x, y, evidence_horizon=6561, evidence_window=16):
-    """Exact classification of a represented pair.
+def _exact_verdict(x, y):
+    """The exact classification of a represented pair, or None when no
+    rule applies.
 
     Points over different fibers are distal.  Within a fiber the suffix
     data decides: eventual suffix agreement means asymptotic; with overall
     coincidences a recurrent suffix difference means Li-Yorke; with no
-    coincidences a difference at a valid coordinate means distal.  Pairs
-    of a partial-coincidence substitution outside these rules are reported
-    unresolved, with simulator evidence attached, never guessed.
+    coincidences a difference at a valid coordinate means distal.  Points
+    are compared by their canonical streams (see ``_require_recognizable``).
     """
-    from .simulate import empirical_class  # local import to avoid a cycle
-
     if x.subst != y.subst:
         raise PreconditionError("points live over different substitutions")
     s = x.subst
-    _require_ly_preconditions(s)
+    _require_recognizable(s)
     if x.odometer_digits() != y.odometer_digits():
         return PairVerdict(PairClass.DISTAL, "distinct-odometer-digits")
     if x == y:
         return PairVerdict(PairClass.ASYMPTOTIC, "identical-representation")
-    p = s.constant_length
-    if x.odometer_digits().is_constant(p - 1):
-        # finite forward data: advance both points past it first
-        steps = _k_plus(x.stream)
-        x = x.shift_by(steps)
-        y = y.shift_by(steps)
+    x, y = _past_finite_forward_data(x, y)
     k, L, ex, ey = _aligned_entries(x, y)
     period_same_suffix = all(
         ex[k + j].suffix == ey[k + j].suffix for j in range(L)
@@ -481,6 +449,20 @@ def classify_pair(x, y, evidence_horizon=6561, evidence_window=16):
             if any(a != b for a, b in zipped):
                 return PairVerdict(PairClass.DISTAL, "no-coincidence-separation")
         return PairVerdict(PairClass.ASYMPTOTIC, "no-coincidence-agreement")
+    return None
+
+
+def classify_pair(x, y, evidence_horizon=6561, evidence_window=16):
+    """Exact classification of a represented pair (``_exact_verdict``).
+    Pairs of a partial-coincidence substitution outside its rules are
+    reported unresolved, with simulator evidence attached, never guessed.
+    """
+    from .simulate import empirical_class  # local import to avoid a cycle
+
+    verdict = _exact_verdict(x, y)
+    if verdict is not None:
+        return verdict
+    x, y = _past_finite_forward_data(x, y)
     evidence = empirical_class(x, y, evidence_horizon, evidence_window)
     return PairVerdict(
         PairClass.UNRESOLVED, "partial-coincidence-undecided", evidence=evidence
@@ -495,16 +477,12 @@ def classify_pair_two_letter(x, y):
     s = x.subst
     if s.size != 2:
         raise PreconditionError("shortcut only applies to two-letter alphabets")
-    _require_ly_preconditions(s)
+    _require_recognizable(s)
     if x.odometer_digits() != y.odometer_digits():
         return PairVerdict(PairClass.DISTAL, "two-letter-distinct-digits")
     if x == y:
         return PairVerdict(PairClass.ASYMPTOTIC, "two-letter-identical")
-    p = s.constant_length
-    if x.odometer_digits().is_constant(p - 1):
-        steps = _k_plus(x.stream)
-        x = x.shift_by(steps)
-        y = y.shift_by(steps)
+    x, y = _past_finite_forward_data(x, y)
     k, L, ex, ey = _aligned_entries(x, y)
     infinitely_many_diffs = any(ex[k + j].suffix != ey[k + j].suffix for j in range(L))
     has_coin = coincidence_class(s).kind is not Coincidence.NO_COINCIDENCE
@@ -533,8 +511,8 @@ class ConstructedPair:
 
 def _chain_entries(subst, top_letters, positions):
     """Entries of the level chain of an occurrence: walk the digit list of
-    the position down from ``top_letters``; returns (entries low..high for
-    each side, bottom letters)."""
+    the position down from ``top_letters``, which the walk must reach
+    again at the bottom; returns the entries low..high for each side."""
     s = subst
     ex, ey = [], []
     ca, cb = top_letters
@@ -544,9 +522,11 @@ def _chain_entries(subst, top_letters, positions):
         ex.append(_entry_from_block(block_a, t))
         ey.append(_entry_from_block(block_b, t))
         ca, cb = block_a[t], block_b[t]
+    if (ca, cb) != tuple(top_letters):
+        raise InvariantError("occurrence chain does not return to its letters")
     ex.reverse()
     ey.reverse()
-    return ex, ey, (ca, cb)
+    return tuple(ex), tuple(ey)
 
 
 def _lambda_periodic_predecessor(subst, letter_chr, power):
@@ -562,11 +542,12 @@ def _lambda_periodic_predecessor(subst, letter_chr, power):
     c = preds[0]
     for _ in range(2 * s.size):
         if cycle_length(lam, ord(c)) is not None:
-            assert c + letter_chr in lang2
+            if c + letter_chr not in lang2:
+                raise InvariantError("periodic predecessor left the language")
             return c
         for _ in range(power):
             c = chr(lam[ord(c)])
-    raise AssertionError("no periodic predecessor found")
+    raise InvariantError("no periodic predecessor found")
 
 
 def construct_ly_pair(subst):
@@ -581,18 +562,14 @@ def construct_ly_pair(subst):
     s = subst
     a, b = chr(ai), chr(bi)
     cert = li_yorke_certificate(s)
+    ex, ey = _chain_entries(s, (a, b), positions)
     if any(positions):
-        ex, ey, bottom = _chain_entries(s, (a, b), positions)
-        assert bottom == (a, b)
-        x = RepresentedPoint(DesubstitutionStream(s, (), tuple(ex), None, None))
-        y = RepresentedPoint(DesubstitutionStream(s, (), tuple(ey), None, None))
+        cseed = dseed = None
     else:
-        ex, ey, bottom = _chain_entries(s, (a, b), positions)
-        assert bottom == (a, b)
         cseed = _lambda_periodic_predecessor(s, a, level)
         dseed = _lambda_periodic_predecessor(s, b, level)
-        x = RepresentedPoint(DesubstitutionStream(s, (), tuple(ex), cseed, None))
-        y = RepresentedPoint(DesubstitutionStream(s, (), tuple(ey), dseed, None))
+    x = RepresentedPoint(DesubstitutionStream(s, (), ex, cseed, None))
+    y = RepresentedPoint(DesubstitutionStream(s, (), ey, dseed, None))
     return ConstructedPair(x, y, (s.alphabet[ai], s.alphabet[bi]), cert)
 
 
@@ -618,12 +595,10 @@ def construct_recurrent_ly_pair(subst):
         m, j1, j2 = 2 * m, j1 * p**cert.power + j2, j2 * p**cert.power + j1
     digits1 = [(j1 // p**i) % p for i in range(m)]
     digits2 = [(j2 // p**i) % p for i in range(m)]
-    ex1, ey1, bottom1 = _chain_entries(s, (a, b), digits1)
-    assert bottom1 == (a, b)
-    ex2, ey2, bottom2 = _chain_entries(s, (a, b), digits2)
-    assert bottom2 == (a, b)
-    x = RepresentedPoint(DesubstitutionStream(s, (), tuple(ex1 + ex2), None, None))
-    y = RepresentedPoint(DesubstitutionStream(s, (), tuple(ey1 + ey2), None, None))
+    ex1, ey1 = _chain_entries(s, (a, b), digits1)
+    ex2, ey2 = _chain_entries(s, (a, b), digits2)
+    x = RepresentedPoint(DesubstitutionStream(s, (), ex1 + ex2, None, None))
+    y = RepresentedPoint(DesubstitutionStream(s, (), ey1 + ey2, None, None))
     return ConstructedPair(x, y, (cert.a, cert.b), cert)
 
 
@@ -637,10 +612,12 @@ def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
 
     Every such pair is in the orbit of one whose joint level data is
     purely periodic with period at most ``|A|^2 + 1``, so closed chains of
-    letter pairs up to that length enumerate all candidates; classified
-    pairs are deduplicated by their expansion windows.
+    letter pairs up to that length enumerate all candidates.  Candidates
+    are kept when the exact classification says Li-Yorke, and pairs are
+    deduplicated by point identity, which is exact on this domain (see
+    ``_require_recognizable``).
     """
-    _require_ly_preconditions(subst)
+    _require_recognizable(subst)
     if has_uncountable_ly(subst):
         if require_countable:
             raise PreconditionError(
@@ -651,7 +628,6 @@ def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
         return []
     s = subst
     n = s.size
-    p = s.constant_length
     bound = period_bound if period_bound is not None else n * n + 1
     pairs, image, occurrences = _pair_tables(s)
 
@@ -675,52 +651,23 @@ def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
             walk(q, q, [])
 
     results = []
-    seen_windows = set()
-    dedup_radius = min(2 * p**bound, 1 << 22)
+    seen = set()
     for cyc in sorted(cycles):
         positions = [t for _, t in cyc]
         top = cyc[-1][0]
-        ex, ey, bottom = _chain_entries(s, (chr(top[0]), chr(top[1])), positions)
-        assert (ord(bottom[0]), ord(bottom[1])) == top
-        digits = positions
-        if all(d == 0 for d in digits):
-            anchor_x, anchor_y = ex[0].center, ey[0].center
-            from .streams import _admissible_left_seeds
-
-            seed_combos = [
-                (cx, cy, None, None)
-                for cx in _admissible_left_seeds(s, anchor_x)
-                for cy in _admissible_left_seeds(s, anchor_y)
-            ]
-        elif all(d == p - 1 for d in digits):
-            anchor_x, anchor_y = ex[0].center, ey[0].center
-            from .streams import _admissible_right_seeds
-
-            seed_combos = [
-                (None, None, dx, dy)
-                for dx in _admissible_right_seeds(s, anchor_x)
-                for dy in _admissible_right_seeds(s, anchor_y)
-            ]
-        else:
-            seed_combos = [(None, None, None, None)]
-        for lx, ly_, rx, ry in seed_combos:
-            try:
-                x = RepresentedPoint(DesubstitutionStream(s, (), tuple(ex), lx, rx))
-                y = RepresentedPoint(DesubstitutionStream(s, (), tuple(ey), ly_, ry))
-            except Exception:
+        ex, ey = _chain_entries(s, (chr(top[0]), chr(top[1])), positions)
+        seeds_x = _seed_choices(s, positions, ex[0].center)
+        seeds_y = _seed_choices(s, positions, ey[0].center)
+        for (lx, rx), (ly_, ry) in itertools.product(seeds_x, seeds_y):
+            x = RepresentedPoint(DesubstitutionStream(s, (), ex, lx, rx))
+            y = RepresentedPoint(DesubstitutionStream(s, (), ey, ly_, ry))
+            verdict = _exact_verdict(x, y)
+            if verdict is None or verdict.kind is not PairClass.LI_YORKE:
                 continue
-            if x == y:
-                continue
-            verdict = classify_pair(x, y)
-            if verdict.kind is not PairClass.LI_YORKE:
-                continue
-            wx = x.expand(dedup_radius)
-            wy = y.expand(dedup_radius)
-            key = frozenset((wx, wy))
-            if key in seen_windows:
-                continue
-            seen_windows.add(key)
-            results.append((x, y))
+            key = frozenset((x, y))
+            if key not in seen:
+                seen.add(key)
+                results.append((x, y))
     return results
 
 

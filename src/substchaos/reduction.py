@@ -207,15 +207,30 @@ def decide_infinite(subst):
 
 
 @lru_cache(maxsize=None)
+def _simplification(subst):
+    """``(is_simplifiable(subst), None)``, or ``(None, message)`` when the
+    search runs out of budget.  ``lru_cache`` keeps no exceptions, so the
+    budget outcome is memoised as a value and raised afresh by the caller
+    (a stored exception object would grow its traceback on every raise)."""
+    try:
+        return is_simplifiable(subst), None
+    except SearchBudgetError as exc:
+        return None, str(exc)
+
+
+@lru_cache(maxsize=None)
 def _decision(subst):
     """The verdict and the trace records of one substitution, memoised so
-    that each substitution is searched at most once.  A simplified round
-    delegates to ``f . g``, whose decision is memoised in turn."""
+    that each substitution is searched at most once, a search that runs
+    out of budget included.  A simplified round delegates to ``f . g``,
+    whose decision is memoised in turn."""
     if not is_primitive(subst):
         raise PreconditionError("finiteness decision requires a primitive substitution")
     if subst.size == 1:
         return False, ({"alphabet_size": 1, "action": "singleton", "infinite": False},)
-    simp = is_simplifiable(subst)
+    simp, budget_message = _simplification(subst)
+    if budget_message is not None:
+        raise SearchBudgetError(budget_message)
     if simp is None:
         bip = biprolongeable_letters(subst)
         record = {

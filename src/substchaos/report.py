@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from . import __version__
 from .errors import InvariantError, PreconditionError
 from .pairs import (
-    Coincidence,
     STRONG_EQUIVALENCE_CHAIN,
     coincidence_class,
     enumerate_ly_orbits,

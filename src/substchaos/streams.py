@@ -26,7 +26,6 @@ from .errors import (
     BudgetExceededError,
     InvariantError,
     PreconditionError,
-    SeparationBoundError,
     StreamChainError,
 )
 from .odometer import OdometerDigits
@@ -163,19 +162,57 @@ def _normalize(stream):
     return DesubstitutionStream(s, tuple(pre), tuple(per), left, right)
 
 
+def _require_recognizable(subst):
+    """Check the domain on which canonical streams identify points:
+    constant length, one-to-one, primitive, infinite subshift.
+
+    On this domain two points are equal exactly when their canonical keys
+    are:
+
+    1. Equal keys give equal expansions: the expansion reads nothing else.
+    2. Primitive with an infinite subshift means aperiodic, hence
+       bilaterally recognizable (Mosse 1992; a computable constant in
+       Durand-Leroy 2017): a point is ``S^d image(y)`` for exactly one cut
+       ``0 <= d < p`` and, the images being pairwise distinct, exactly one
+       point ``y``.  Level by level, every digit and center letter is a
+       function of the point, and so is every entry (the image of the next
+       center, cut at the digit).
+    3. With equal entries, a left seed is present in both streams or in
+       neither (exactly when every period prefix is empty).  A left seed
+       ``c`` at anchor level ``k`` puts ``lambda^k(c)`` (``lambda`` the
+       last-letter map) at position ``-1 - sum(digit_i * p^i, i < k)``,
+       the same for both streams; seeds lie on cycles of ``lambda``, where
+       ``lambda^k`` is injective, so the seeds agree.  Right seeds follow
+       with the first-letter map.
+    4. ``_normalize`` gives an eventually periodic entry sequence its
+       unique form with the shortest preperiod and a primitive period, so
+       equal entries give equal preperiods, periods and anchor levels.
+    """
+    if subst.constant_length is None:
+        raise PreconditionError("Li-Yorke analysis needs constant length")
+    if not subst.is_injective():
+        raise PreconditionError(
+            "Li-Yorke analysis needs a one-to-one substitution (reduce first)"
+        )
+    if not is_primitive(subst):
+        raise PreconditionError("Li-Yorke analysis needs a primitive substitution")
+    if not decide_infinite(subst):
+        raise PreconditionError("Li-Yorke analysis needs an infinite subshift")
+
+
 class RepresentedPoint:
     """A subshift point given by a validated stream.
 
-    Immutable apart from an internal expansion memo; the memo fill is
-    idempotent (same input, same window), so concurrent readers are safe.
+    Immutable apart from an internal expansion memo, one ``(radius,
+    window)`` tuple replaced whole; the fill is idempotent (same input,
+    same window), so concurrent readers are safe.
     """
 
-    __slots__ = ("stream", "_window", "_radius")
+    __slots__ = ("stream", "_memo")
 
     def __init__(self, stream):
         self.stream = _normalize(stream)
-        self._window = ""
-        self._radius = -1
+        self._memo = (-1, "")
 
     @property
     def subst(self):
@@ -214,16 +251,15 @@ class RepresentedPoint:
         chr-coded string of length ``2*radius + 1``."""
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
-        if radius <= self._radius:
-            mid = self._radius
-            return self._window[mid - radius : mid + radius + 1]
+        mid, window = self._memo
+        if radius <= mid:
+            return window[mid - radius : mid + radius + 1]
         if 2 * radius + 1 > budget:
             raise BudgetExceededError("expansion exceeds the word budget")
         window = _expand_left(self.stream, radius, budget) + _expand_right(
             self.stream, radius + 1, budget
         )
-        self._window = window
-        self._radius = radius
+        self._memo = (radius, window)
         return window
 
     def window(self, radius):
@@ -367,6 +403,23 @@ def _expand_left(stream, need, budget):
 # the odometer carry on streams
 
 
+def _first_letter_period(subst, d):
+    """The all-zero-digit period along the first-letter cycle of ``d``: its
+    right side is the limit of the iterated images of ``d``, with ``d`` at
+    the origin."""
+    s = subst
+    cyc = cycle_length(first_letter_map(s), ord(d))
+    centers = [""] * (cyc + 1)
+    centers[cyc] = d
+    for i in range(cyc - 1, -1, -1):
+        centers[i] = s.images[ord(centers[i + 1])][0]
+    if centers[0] != d:
+        raise InvariantError("first-letter cycle does not close")
+    return tuple(
+        _entry_from_block(s.images[ord(centers[i + 1])], 0) for i in range(cyc)
+    )
+
+
 def _shifted_stream(stream):
     s = stream.subst
     p = s.constant_length
@@ -384,17 +437,7 @@ def _shifted_stream(stream):
         anchor_center = stream.period[0].center
         d_new = iterate_prefix(s, d, k, 1)
         c_new = iterate_suffix(s, anchor_center, k, 1)
-        first = first_letter_map(s)
-        cyc = cycle_length(first, ord(d_new))
-        centers = [""] * (cyc + 1)
-        centers[cyc] = d_new
-        for i in range(cyc - 1, -1, -1):
-            centers[i] = s.images[ord(centers[i + 1])][0]
-        assert centers[0] == d_new
-        period = tuple(
-            _entry_from_block(s.images[ord(centers[i + 1])], 0) for i in range(cyc)
-        )
-        return DesubstitutionStream(s, (), period, c_new, None)
+        return DesubstitutionStream(s, (), _first_letter_period(s, d_new), c_new, None)
 
     new_entries = list(entries[: istar + 1])
     old = entries[istar]
@@ -419,10 +462,12 @@ def _shifted_stream(stream):
         # only reachable with j == 0 (an all-zero period makes the first
         # period digit the carry target); the anchor moved one level up,
         # so the seed letter steps backwards along its last-letter cycle
-        assert j == 0
+        if j != 0:
+            raise InvariantError("left seed with a carry past the first period level")
         cyc = cycle_length(last_letter_map(s), ord(left))
         left = iterate_suffix(s, left, cyc - 1, 1)
-    assert stream.right_seed is None
+    if stream.right_seed is not None:
+        raise InvariantError("right seed with a digit below p-1 in the period")
     return DesubstitutionStream(s, preperiod, period, left, None)
 
 
@@ -464,21 +509,13 @@ def stream_from_fixed_point(subst, left, right):
         raise PreconditionError(
             f"no power up to the alphabet size fixes the last letter for {left!r}"
         )
-    r_right = cycle_length(first_letter_map(s), ord(rc))
-    if r_right is None:
+    if cycle_length(first_letter_map(s), ord(rc)) is None:
         raise PreconditionError(
             f"no power up to the alphabet size fixes the first letter for {right!r}"
         )
-    first = first_letter_map(s)
-    centers = [""] * (r_right + 1)
-    centers[r_right] = rc
-    for i in range(r_right - 1, -1, -1):
-        centers[i] = chr(first[ord(centers[i + 1])])
-    assert centers[0] == rc
-    period = tuple(
-        _entry_from_block(s.images[ord(centers[i + 1])], 0) for i in range(r_right)
+    return RepresentedPoint(
+        DesubstitutionStream(s, (), _first_letter_period(s, rc), lc, None)
     )
-    return RepresentedPoint(DesubstitutionStream(s, (), period, lc, None))
 
 
 def point_from_literal(subst, doc):
@@ -515,33 +552,27 @@ def fiber_bound(subst):
     return len(language_chr(subst, 3))
 
 
-def _admissible_left_seeds(subst, anchor):
+def _seed_choices(subst, period_digits, anchor):
+    """The admissible ``(left seed, right seed)`` choices for a stream with
+    these period digits whose period starts at the center ``anchor``: a
+    left seed when every digit is 0, a right seed when every digit is p-1,
+    no seed otherwise."""
     lang2 = language_chr(subst, 2)
-    lam = last_letter_map(subst)
-    return [
-        chr(c)
-        for c in range(subst.size)
-        if cycle_length(lam, c) is not None and chr(c) + anchor in lang2
-    ]
-
-
-def _admissible_right_seeds(subst, anchor):
-    lang2 = language_chr(subst, 2)
-    first = first_letter_map(subst)
-    return [
-        chr(c)
-        for c in range(subst.size)
-        if cycle_length(first, c) is not None and anchor + chr(c) in lang2
-    ]
-
-
-def _cycle_of(fn, start, bound):
-    cur = start
-    for i in range(1, bound + 1):
-        cur = fn(cur)
-        if cur == start:
-            return i
-    return None
+    if all(d == 0 for d in period_digits):
+        lam = last_letter_map(subst)
+        return [
+            (chr(c), None)
+            for c in range(subst.size)
+            if cycle_length(lam, c) is not None and chr(c) + anchor in lang2
+        ]
+    if all(d == subst.constant_length - 1 for d in period_digits):
+        first = first_letter_map(subst)
+        return [
+            (None, chr(c))
+            for c in range(subst.size)
+            if cycle_length(first, c) is not None and anchor + chr(c) in lang2
+        ]
+    return [(None, None)]
 
 
 def enumerate_fiber(subst, digits, radius=64):
@@ -550,12 +581,13 @@ def enumerate_fiber(subst, digits, radius=64):
     The digit sequence forces the whole level chain once the letter at one
     level is chosen, so walking one digit period downwards is a map on
     letters and eventually periodic points correspond to its cycles (plus
-    a choice of seed when one side of the data collapses).
+    a choice of seed when one side of the data collapses).  Points are
+    told apart by their canonical streams (see ``_require_recognizable``);
+    ``radius`` is unused and kept for callers that pass it.
     """
+    _require_recognizable(subst)
     s = subst
     p = s.constant_length
-    if p is None:
-        raise PreconditionError("fibers require constant length")
     if digits.base != p:
         raise PreconditionError("digit base does not match the substitution length")
     pre_digits = digits.preperiod
@@ -572,13 +604,11 @@ def enumerate_fiber(subst, digits, radius=64):
             passed.append(cur)
         return cur, passed
 
-    def g(letter):
-        return down_one_period(letter)[0]
-
+    down = tuple(ord(down_one_period(chr(ci))[0]) for ci in range(s.size))
     points = []
     for ci in range(s.size):
         c = chr(ci)
-        cyc = _cycle_of(g, c, s.size)
+        cyc = cycle_length(down, ci)
         if cyc is None:
             continue
         # center letters at levels k .. k + cyc*L, walked down from the
@@ -589,7 +619,8 @@ def enumerate_fiber(subst, digits, radius=64):
             cur, passed = down_one_period(cur)
             descending.extend(passed)
         chain = descending[::-1]
-        assert chain[0] == chain[-1] == c
+        if chain[0] != c:
+            raise InvariantError("digit-period walk does not return to its letter")
         period_entries = tuple(
             _entry_from_block(s.images[ord(chain[j + 1])], per_digits[j % L])
             for j in range(cyc * L)
@@ -604,14 +635,7 @@ def enumerate_fiber(subst, digits, radius=64):
             cur = block[d]
         pre_entries.reverse()
         pre_entries = tuple(pre_entries)
-
-        if all(d == 0 for d in per_digits):
-            seeds = [(seed, None) for seed in _admissible_left_seeds(s, anchor)]
-        elif all(d == p - 1 for d in per_digits):
-            seeds = [(None, seed) for seed in _admissible_right_seeds(s, anchor)]
-        else:
-            seeds = [(None, None)]
-        for ls, rs in seeds:
+        for ls, rs in _seed_choices(s, per_digits, anchor):
             points.append(
                 RepresentedPoint(
                     DesubstitutionStream(s, pre_entries, period_entries, ls, rs)
@@ -621,7 +645,7 @@ def enumerate_fiber(subst, digits, radius=64):
     unique = {}
     for pt in points:
         unique.setdefault(pt.canonical_key(), pt)
-    points = sorted(
+    return sorted(
         unique.values(),
         key=lambda pt: (
             pt.stream.preperiod,
@@ -630,10 +654,3 @@ def enumerate_fiber(subst, digits, radius=64):
             pt.stream.right_seed or "",
         ),
     )
-    windows = [pt.expand(radius) for pt in points]
-    if len(set(windows)) != len(windows):
-        raise SeparationBoundError(
-            f"radius {radius} does not separate the fiber candidates",
-            lower_bound=len(set(windows)),
-        )
-    return points

@@ -59,7 +59,6 @@ def rho(n, word):
 
 
 def rho_chr(n, chrword):
-    top = n + 1
     return "".join(chr(min(ord(ch), n)) for ch in chrword)
 
 

@@ -10,7 +10,7 @@ import pytest
 import substchaos
 
 PACKAGE_DIR = Path(substchaos.__file__).parent
-CHECKED_MODULES = ("reduction.py", "report.py")
+CHECKED_MODULES = ("pairs.py", "reduction.py", "report.py", "streams.py")
 
 
 def _assertion_sites(tree):

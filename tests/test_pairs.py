@@ -1,6 +1,8 @@
 """Coincidence structure, the Li-Yorke decision engines, pair
 classification, constructions, and orbit enumeration."""
 
+import itertools
+
 import pytest
 
 from substchaos import (
@@ -26,7 +28,7 @@ from substchaos import (
 )
 from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
-from substchaos.pairs import _engine_backptrs, _pair_tables, ly_witness
+from substchaos.pairs import _ly_levels, _pair_tables, ly_witness
 from substchaos.substitution import is_primitive, iterate_chr, zip_pair_word
 
 from conftest import brute_ly_decisions, fixed_points
@@ -154,7 +156,7 @@ def test_flag_joins_monotone(fixtures):
         pairs, _, _ = _pair_tables(s)
         targets = [q for q in pairs if q[0] < q[1]]
         for target in targets[:3]:
-            levels = _engine_backptrs(s, target, 10)
+            levels = list(itertools.islice(_ly_levels(s, target), 11))
             for prev, nxt in zip(levels[1:], levels[2:]):
                 best_prev = {}
                 for q, fc, fd in prev:
@@ -343,6 +345,49 @@ def test_enumerate_orbits_contains_constructed_pair(fixtures):
     for x, y in pairs:
         keys.add(frozenset((x.canonical_key(), y.canonical_key())))
     assert frozenset((cp.x.canonical_key(), cp.y.canonical_key())) in keys
+
+
+# two overall-coincidence classes of bench/countable.json
+COUNTABLE_OVERALL = ("a -> bac\nb -> cac\nc -> baa", "a -> aab\nb -> cab\nc -> cac")
+
+
+def test_orbit_pairs_differ_on_windows(fixtures):
+    # window oracle: the pairs kept by stream identity are also pairwise
+    # distinct as windows at the radius that used to deduplicate them
+    cases = [
+        enumerate_ly_orbits(fixtures["aba"]),
+        enumerate_ly_orbits(fixtures["ly_two"], require_countable=False),
+    ] + [enumerate_ly_orbits(parse_substitution(src)) for src in COUNTABLE_OVERALL]
+    for pairs in cases:
+        assert pairs
+        s = pairs[0][0].subst
+        radius = min(2 * s.constant_length ** (s.size**2 + 1), 1 << 22)
+        keys = []
+        for x, y in pairs:
+            wx, wy = x.expand(radius), y.expand(radius)
+            assert wx != wy, s.rules()
+            keys.append(frozenset((wx, wy)))
+        assert len(set(keys)) == len(keys), s.rules()
+
+
+def test_orbit_enumeration_needs_no_windows_or_simulator(fixtures, monkeypatch):
+    import substchaos.simulate
+    from substchaos.streams import RepresentedPoint
+
+    expected = enumerate_ly_orbits(fixtures["aba"])
+    partial = parse_substitution("a -> aba\nb -> aac\nc -> cba")
+    assert coincidence_class(partial).kind is Coincidence.PARTIAL
+    assert has_ly_pairs(partial) and not has_uncountable_ly(partial)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("orbit enumeration must not call this")
+
+    monkeypatch.setattr(substchaos.simulate, "empirical_class", refuse)
+    monkeypatch.setattr(RepresentedPoint, "expand", refuse)
+    orbits = enumerate_ly_orbits(fixtures["aba"])
+    assert len(orbits) == 2
+    assert orbits == expected
+    assert enumerate_ly_orbits(partial) == []
 
 
 # -- scrambled sets ----------------------------------------------------------

@@ -79,6 +79,41 @@ def test_simplifiability_budget():
         is_simplifiable(s, budget=3)
 
 
+def test_budget_outcome_is_memoised(monkeypatch):
+    # lru_cache keeps no exceptions, so the budget outcome is kept as a
+    # value: a second decision raises afresh without a second search
+    import traceback
+
+    from substchaos import reduction
+
+    searched = []
+
+    def out_of_budget(subst, *args, **kwargs):
+        searched.append(subst)
+        raise SearchBudgetError("simplifiability search exceeded its candidate budget")
+
+    s = parse_substitution("a -> abcb\nb -> bcab\nc -> cabc")
+    monkeypatch.setattr(reduction, "is_simplifiable", out_of_budget)
+    reduction._decision.cache_clear()
+    reduction._simplification.cache_clear()
+    errors = []
+    try:
+        for _ in range(2):
+            with pytest.raises(SearchBudgetError) as err:
+                decide_infinite(s)
+            errors.append(err.value)
+    finally:
+        reduction._decision.cache_clear()
+        reduction._simplification.cache_clear()
+    assert searched == [s]
+    first, second = errors
+    assert first is not second
+    assert str(second) == str(first)
+    assert len(traceback.extract_tb(second.__traceback__)) == len(
+        traceback.extract_tb(first.__traceback__)
+    )
+
+
 @pytest.mark.parametrize(
     "source, expected",
     [

@@ -190,12 +190,36 @@ def test_cross_fiber_pairs_stay_separated(fixtures):
 
 
 def test_fiber_separation_bound_error(fixtures):
-    from substchaos.errors import SeparationBoundError
+    # points are told apart by their canonical streams, so radius zero
+    # still returns both seed variants of each zero-fiber center
+    pts = enumerate_fiber(fixtures["morse"], OdometerDigits(2, (), (0,)), radius=0)
+    assert len(set(pts)) == len(pts) == 4
+    for center in ("0", "1"):
+        seeds = {p.stream.left_seed for p in pts if p.window(0) == center}
+        assert seeds == {chr(0), chr(1)}
 
-    # radius zero cannot tell the seed variants of the zero fiber apart
-    with pytest.raises(SeparationBoundError) as err:
-        enumerate_fiber(fixtures["morse"], OdometerDigits(2, (), (0,)), radius=0)
-    assert err.value.lower_bound >= 1
+
+def test_fiber_keeps_points_a_small_window_cannot_separate(fixtures):
+    # the two right seeds first show at position 729, far outside the
+    # default radius of 64
+    digits = OdometerDigits(3, (0,) * 6, (2,))
+    pts = enumerate_fiber(fixtures["ly_two"], digits)
+    assert len(pts) == 2
+    assert {p.stream.right_seed for p in pts} == {chr(0), chr(1)}
+    assert pts[0].expand(728) == pts[1].expand(728)
+    assert pts[0].expand(729) != pts[1].expand(729)
+
+
+def test_fiber_points_differ_on_windows(fixtures):
+    # window oracle: distinct canonical streams in a fiber are distinct
+    # points, seen at radius p^(k+L+1) for preperiod k and period L
+    for s in fixtures.values():
+        p = s.constant_length
+        for digits in sample_digit_sequences(p):
+            radius = p ** (len(digits.preperiod) + len(digits.period) + 1)
+            pts = enumerate_fiber(s, digits)
+            windows = {pt.expand(radius) for pt in pts}
+            assert len(windows) == len(pts), (s.rules(), digits)
 
 
 def test_shift_by_budget(fixtures):
