@@ -43,19 +43,23 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 
 
-def _load_substitution(path):
+def _read_text(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
-    return parse_substitution(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
+
+
+def _load_substitution(path):
+    return parse_substitution(_read_text(path))
 
 
 def _load_point(subst, literal):
     if literal.startswith("@"):
-        with open(literal[1:], "r", encoding="utf-8") as fh:
-            literal = fh.read()
+        literal = _read_text(literal[1:])
     try:
         doc = json.loads(literal)
     except json.JSONDecodeError as exc:

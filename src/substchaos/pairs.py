@@ -626,6 +626,10 @@ def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
             )
     elif not has_ly_pairs(subst):
         return []
+    if coincidence_class(subst).kind is not Coincidence.OVERALL:
+        # _exact_verdict decides Li-Yorke only under overall coincidences,
+        # so no candidate of another class could be kept
+        return []
     s = subst
     n = s.size
     bound = period_bound if period_bound is not None else n * n + 1

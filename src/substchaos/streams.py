@@ -36,6 +36,7 @@ from .substitution import (
     cycle_length,
     first_letter_map,
     is_primitive,
+    is_public_word,
     iterate_chr,
     iterate_prefix,
     iterate_suffix,
@@ -481,16 +482,27 @@ def _encode_letter(subst, token):
     raise PreconditionError(f"expected a single alphabet letter, got {token!r}")
 
 
+def _encode_entries(subst, triples):
+    if not isinstance(triples, (list, tuple)):
+        raise PreconditionError("stream levels must be a list of [prefix, center, suffix] triples")
+    entries = []
+    for triple in triples:
+        if not (
+            isinstance(triple, (list, tuple))
+            and len(triple) == 3
+            and all(is_public_word(part) for part in triple)
+        ):
+            raise PreconditionError(
+                f"expected a [prefix, center, suffix] triple of words, got {triple!r}"
+            )
+        entries.append(StreamEntry(*(subst.encode(part) for part in triple)))
+    return tuple(entries)
+
+
 def stream_from_entries(subst, preperiod, period, left_seed=None, right_seed=None):
     """Build a point from public triples ``[prefix, center, suffix]``."""
-    pre = tuple(
-        StreamEntry(subst.encode(a), subst.encode(b), subst.encode(c))
-        for a, b, c in preperiod
-    )
-    per = tuple(
-        StreamEntry(subst.encode(a), subst.encode(b), subst.encode(c))
-        for a, b, c in period
-    )
+    pre = _encode_entries(subst, preperiod)
+    per = _encode_entries(subst, period)
     ls = None if left_seed is None else _encode_letter(subst, left_seed)
     rs = None if right_seed is None else _encode_letter(subst, right_seed)
     return RepresentedPoint(DesubstitutionStream(subst, pre, per, ls, rs))
@@ -522,7 +534,13 @@ def point_from_literal(subst, doc):
     """Point literal: ``{"kind": "fixed_point", "left": ..., "right": ...}``
     or ``{"kind": "stream", "preperiod": [...], "period": [...], ...}``
     with ``[prefix, center, suffix]`` triples."""
+    if not isinstance(doc, dict):
+        raise PreconditionError("a point literal must be a JSON object")
     kind = doc.get("kind")
+    required = {"fixed_point": ("left", "right"), "stream": ("period",)}.get(kind, ())
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise PreconditionError(f"{kind} point literal lacks {', '.join(missing)}")
     if kind == "fixed_point":
         return stream_from_fixed_point(subst, doc["left"], doc["right"])
     if kind == "stream":

@@ -6,6 +6,13 @@ Words are handled internally as strings over ``chr(0) .. chr(k-1)`` where
 (a plain string when every token is one character, a token tuple
 otherwise).  All values are immutable after construction, so everything
 here is safe to share between threads.
+
+The language is listed in one pass: for N >= 3, L_N is the set of
+length-N factors of σ^m(L_2), where m is the least power with
+|σ^m(a)| >= N - 1 for every letter a, and every shorter L_k is the set of
+length-k prefixes of L_N (proof in ``language_chr``).  The work is
+O(|L_2| · max_a |σ^m(a)|) slices of length N, so language listings and
+complexity counts need no word budget.
 """
 
 from __future__ import annotations
@@ -230,11 +237,23 @@ def _parse_json(text):
     if not isinstance(doc, dict) or "rules" not in doc:
         raise ParseError("JSON document must contain a 'rules' object", 1, 1)
     rules = doc["rules"]
+    if not isinstance(rules, dict) or not all(is_public_word(img) for img in rules.values()):
+        raise ParseError("'rules' must map each letter to a string or a list of letters", 1, 1)
     alphabet = doc.get("alphabet") or list(rules.keys())
+    if not is_public_word(alphabet):
+        raise ParseError("'alphabet' must be a list of letters", 1, 1)
     try:
         return Substitution.from_rules(rules, tuple(alphabet))
     except InvariantError as exc:
         raise ParseError(str(exc), 1, 1)
+
+
+def is_public_word(value):
+    """True for a word in public form: a string of one-character tokens or
+    a list or tuple of tokens."""
+    return isinstance(value, str) or (
+        isinstance(value, (list, tuple)) and all(isinstance(t, str) for t in value)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +336,33 @@ def is_primitive(subst):
 @lru_cache(maxsize=None)
 def language_chr(subst, length):
     """All internal length-``length`` subwords of the subshift, as a
-    frozenset.  Requires a primitive substitution."""
+    frozenset.  Requires a primitive substitution.
+
+    One pass, no fixpoint per length.  Let ``m`` be the least power with
+    ``|σ^m(a)| >= N - 1`` for every letter ``a``, N = ``length`` >= 3.
+    Then L_N is the set of length-N factors of the words ``σ^m(cd)``,
+    ``cd`` in L_2, that start inside ``σ^m(c)``:
+
+    - Each of them is in the language, since ``cd`` is and the language
+      is closed under σ and under taking factors.
+    - Each ``w`` in L_N occurs in ``σ^m(v)`` for a word ``v`` of the
+      language: by primitivity ``w`` is a factor of ``σ^j(a)`` for every
+      large ``j`` and every letter ``a``; take ``v = σ^(j-m)(a)``.  Let
+      ``w`` start inside ``σ^m(c)``, ``c`` a letter of ``v``, and let
+      ``d`` follow ``c`` in ``v`` (any ``d`` with ``cd`` in L_2 when ``c``
+      is last; then ``w`` lies inside ``σ^m(c)``).  A factor of length N
+      that touches three images contains the whole middle one, of length
+      >= N - 1, plus a letter on each side, so it is longer than N.
+      Hence ``w`` lies in ``σ^m(c)σ^m(d)``, where it fits because
+      ``|σ^m(d)| >= N - 1``.
+
+    The bound is on the letter images, not on the images of two-letter
+    words, because the rules of a variable-length input can differ in
+    length.  L_2 comes from closing a seed set of at most |A|^2 words
+    under σ, and L_1 is the set of first letters of L_2.  The work is
+    ``|L_2| · max_a |σ^m(a)|`` slices of length N, and at constant
+    length p, ``p^m < p (N - 1)``; no word budget applies.
+    """
     if length < 1:
         raise PreconditionError("word length must be >= 1")
     if not is_primitive(subst):
@@ -325,24 +370,48 @@ def language_chr(subst, length):
     n = subst.size
     if n == 1:
         return frozenset({chr(0) * length})
-    # Grow letter images until every one is long enough to contain a
-    # length-`length` factor, seed with those factors, then close under
-    # one application of the substitution; the set is monotone and
-    # bounded, so the loop terminates at the full factor set.
-    words = [chr(i) for i in range(n)]
-    while min(len(w) for w in words) < length:
+    if length == 1:
+        return frozenset(w[0] for w in language_chr(subst, 2))
+    if length == 2:
+        return _two_letter_words(subst)
+    images = [chr(i) for i in range(n)]
+    while min(len(w) for w in images) < length - 1:
+        images = [subst.apply(w) for w in images]
+    words = set()
+    for c, d in language_chr(subst, 2):
+        left = images[ord(c)]
+        w = left + images[ord(d)]
+        words.update(w[i : i + length] for i in range(len(left)))
+    return frozenset(words)
+
+
+def _two_letter_words(subst):
+    """L_2 of a primitive substitution on at least two letters: the
+    two-letter factors of letter images of length >= 2, closed under one
+    application of σ.  The set is monotone and bounded, so the loop ends
+    at the full factor set."""
+    words = [chr(i) for i in range(subst.size)]
+    while min(len(w) for w in words) < 2:
         words = [subst.apply(w) for w in words]
-    current = set()
-    for w in words:
-        current.update(w[i : i + length] for i in range(len(w) - length + 1))
+    current = {w[i : i + 2] for w in words for i in range(len(w) - 1)}
     while True:
         fresh = set()
         for w in current:
             img = subst.apply(w)
-            fresh.update(img[i : i + length] for i in range(len(img) - length + 1))
+            fresh.update(img[i : i + 2] for i in range(len(img) - 1))
         if fresh <= current:
             return frozenset(current)
         current |= fresh
+
+
+def _languages_up_to(subst, length):
+    """``{k: L_k}`` for ``k = 1 .. length`` from one listing: L_k is the
+    set of length-k prefixes of L_length, because every word of the
+    language of a subshift extends to the right."""
+    if length < 1:
+        return {}
+    top = language_chr(subst, length)
+    return {k: frozenset(w[:k] for w in top) for k in range(1, length + 1)}
 
 
 def language(subst, length):
@@ -357,14 +426,14 @@ def sorted_language(subst, length):
 
 def complexity(subst, max_length):
     """Factor counts ``p(1) .. p(max_length)``."""
-    return [len(language_chr(subst, k)) for k in range(1, max_length + 1)]
+    return [len(words) for words in _languages_up_to(subst, max_length).values()]
 
 
 @lru_cache(maxsize=None)
 def _membership_base(subst):
     p = subst.constant_length
     limit = max(2 * p + 2, 4)
-    return limit, {k: language_chr(subst, k) for k in range(1, limit + 1)}
+    return limit, _languages_up_to(subst, limit)
 
 
 @lru_cache(maxsize=None)

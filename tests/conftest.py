@@ -16,6 +16,7 @@ from substchaos import (
     stream_from_entries,
     stream_from_fixed_point,
 )
+from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.substitution import cycle_length, first_letter_map, last_letter_map, language_chr
 
@@ -91,6 +92,41 @@ def point_corpus(fixtures):
 
 
 # ---------------------------------------------------------------------------
+# reference language: a fixpoint of one application of the substitution,
+# run separately for every length
+
+
+def closure_language_chr(subst, length):
+    """All internal length-``length`` subwords of the subshift, as a
+    frozenset.  Requires a primitive substitution."""
+    if length < 1:
+        raise PreconditionError("word length must be >= 1")
+    if not is_primitive(subst):
+        raise PreconditionError("language generation requires a primitive substitution")
+    n = subst.size
+    if n == 1:
+        return frozenset({chr(0) * length})
+    # Grow letter images until every one is long enough to contain a
+    # length-`length` factor, seed with those factors, then close under
+    # one application of the substitution; the set is monotone and
+    # bounded, so the loop terminates at the full factor set.
+    words = [chr(i) for i in range(n)]
+    while min(len(w) for w in words) < length:
+        words = [subst.apply(w) for w in words]
+    current = set()
+    for w in words:
+        current.update(w[i : i + length] for i in range(len(w) - length + 1))
+    while True:
+        fresh = set()
+        for w in current:
+            img = subst.apply(w)
+            fresh.update(img[i : i + length] for i in range(len(img) - length + 1))
+        if fresh <= current:
+            return frozenset(current)
+        current |= fresh
+
+
+# ---------------------------------------------------------------------------
 # seeded random substitution corpus
 
 CORPUS_SEED = 20260811
@@ -141,6 +177,24 @@ def random_corpus_any():
     return random_substitutions(
         200, seed=CORPUS_SEED + 1, one_to_one=False, require_infinite=False
     )
+
+
+@pytest.fixture(scope="session")
+def variable_corpus():
+    """40 primitive substitutions whose images differ in length (1 to 5),
+    |A| <= 5 (deterministic seed)."""
+    rng = random.Random(CORPUS_SEED + 2)
+    out = []
+    while len(out) < 40:
+        alphabet = tuple("abcde"[: rng.randint(2, 5)])
+        rules = {
+            tok: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 5)))
+            for tok in alphabet
+        }
+        s = Substitution.from_rules(rules, alphabet)
+        if s.constant_length is None and is_primitive(s):
+            out.append(s)
+    return out
 
 
 # ---------------------------------------------------------------------------

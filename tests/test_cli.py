@@ -200,3 +200,48 @@ def test_classify_fixed_point_literals_from_files(morse_file, tmp_path):
 def test_classify_invalid_literal_exit_code(morse_file):
     res = run_cli("classify", morse_file, "--x", "{broken", "--y", "{}")
     assert res.returncode == 1
+
+
+GOOD_POINT = json.dumps({"kind": "fixed_point", "left": "1", "right": "0"})
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(json.dumps({"rules": ["a"]}).encode(), id="rules-list"),
+        pytest.param(json.dumps({"rules": {"a": 5}}).encode(), id="image-number"),
+        pytest.param(b"\xff\xfe0 -> 01\n", id="not-utf8"),
+    ],
+)
+def test_malformed_substitution_document_is_a_parse_error(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    res = run_cli("analyze", str(path), "--json")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert json.loads(res.stderr)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize(
+    "literal, code, error",
+    [
+        pytest.param("[1]", 2, "PreconditionError", id="not-an-object"),
+        pytest.param(
+            json.dumps({"kind": "stream", "period": [["", "0"]], "left_seed": "0"}),
+            2,
+            "PreconditionError",
+            id="triple-of-two",
+        ),
+        pytest.param(
+            json.dumps({"kind": "fixed_point"}), 2, "PreconditionError", id="no-letters"
+        ),
+        pytest.param("@/nonexistent/point.json", 1, "ParseError", id="unreadable-file"),
+    ],
+)
+def test_malformed_point_literal_is_one_error_line(morse_file, literal, code, error):
+    res = run_cli("classify", morse_file, "--x", literal, "--y", GOOD_POINT)
+    assert res.returncode == code
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error

@@ -390,6 +390,27 @@ def test_orbit_enumeration_needs_no_windows_or_simulator(fixtures, monkeypatch):
     assert enumerate_ly_orbits(partial) == []
 
 
+def test_orbit_enumeration_skips_partial_coincidence_candidates(monkeypatch):
+    import substchaos.pairs
+
+    countable = parse_substitution("a -> aba\nb -> aac\nc -> cba")
+    uncountable = parse_substitution("a -> aca\nb -> bab\nc -> bbc")
+    for s in (countable, uncountable):
+        assert coincidence_class(s).kind is Coincidence.PARTIAL
+        assert has_ly_pairs(s) and decide_infinite(s)
+    assert has_uncountable_ly(uncountable) and not has_uncountable_ly(countable)
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("no candidate of a partial-coincidence input can be kept")
+
+    monkeypatch.setattr(substchaos.pairs, "_chain_entries", refuse)
+    assert enumerate_ly_orbits(countable) == []
+    # the refusal of uncountably many pairs still comes first
+    with pytest.raises(PreconditionError):
+        enumerate_ly_orbits(uncountable)
+    assert enumerate_ly_orbits(uncountable, require_countable=False) == []
+
+
 # -- scrambled sets ----------------------------------------------------------
 
 

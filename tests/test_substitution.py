@@ -18,6 +18,7 @@ from substchaos import (
 )
 from substchaos.errors import BudgetExceededError, InvariantError
 from substchaos.substitution import (
+    _membership_base,
     in_language,
     iterate_chr,
     iterate_prefix,
@@ -26,6 +27,8 @@ from substchaos.substitution import (
     project_pair_word,
     wielandt_bound,
 )
+
+from conftest import closure_language_chr
 
 
 def test_parse_morse():
@@ -159,6 +162,61 @@ def test_in_language_exact():
     assert in_language(s, s.encode(big[100:180]))
     assert not in_language(s, s.encode("000"))
     assert not in_language(s, s.encode("0" * 50))
+
+
+def test_in_language_matches_closure_oracle(fixtures):
+    # every word of the language and every one-letter change of it, up to
+    # a few letters past the enumerated base where de-substitution starts
+    for name, s in fixtures.items():
+        if not s.is_injective():
+            continue
+        limit, _ = _membership_base(s)
+        letters = [chr(i) for i in range(s.size)]
+        for n in range(1, limit + 4):
+            expected = closure_language_chr(s, n)
+            for w in expected:
+                assert in_language(s, w), (name, w)
+                for i in range(n):
+                    for c in letters:
+                        v = w[:i] + c + w[i + 1 :]
+                        assert in_language(s, v) == (v in expected), (name, v)
+
+
+# -- the one-pass language listing -------------------------------------------
+
+LENGTHS = range(1, 66)
+# The closure oracle at every length of the 240 corpus inputs takes about
+# three minutes; they are compared at these lengths, the fixtures at all.
+CORPUS_LENGTHS = (*range(1, 17), 33, 65)
+
+
+def test_language_matches_closure_oracle(fixtures, random_corpus_any, variable_corpus):
+    # the unmemoised listing, so every length of every input stays out of
+    # the cache
+    listing = language_chr.__wrapped__
+    for s in fixtures.values():
+        counts = []
+        for n in LENGTHS:
+            expected = closure_language_chr(s, n)
+            assert listing(s, n) == expected, (s.rules(), n)
+            counts.append(len(expected))
+        assert complexity(s, LENGTHS[-1]) == counts, s.rules()
+    for s in [*random_corpus_any, *variable_corpus]:
+        for n in CORPUS_LENGTHS:
+            assert listing(s, n) == closure_language_chr(s, n), (s.rules(), n)
+        counts = [len(listing(s, n)) for n in LENGTHS]
+        assert complexity(s, LENGTHS[-1]) == counts, s.rules()
+
+
+def test_language_words_extend_both_ways(fixtures, random_corpus_any, variable_corpus):
+    listing = language_chr.__wrapped__
+    for s in [*fixtures.values(), *random_corpus_any, *variable_corpus]:
+        shorter = listing(s, 1)
+        for n in LENGTHS[1:]:
+            longer = listing(s, n)
+            assert {w[:-1] for w in longer} == shorter, (s.rules(), n)
+            assert {w[1:] for w in longer} == shorter, (s.rules(), n)
+            shorter = longer
 
 
 def test_iterate_prefix_suffix_match_full():
