@@ -28,7 +28,6 @@ from .substitution import (
     sorted_language,
 )
 from .reduction import (
-    ComplexityVerdict,
     ReductionResult,
     Simplification,
     biprolongeable_letters,
@@ -36,7 +35,6 @@ from .reduction import (
     decide_infinite_trace,
     is_simplifiable,
     one_to_one_reduction,
-    oracle_infinite_via_complexity,
 )
 from .odometer import OdometerDigits
 from .streams import (
@@ -58,7 +56,6 @@ from .pairs import (
     PairVerdict,
     build_scrambled_set,
     classify_pair,
-    classify_pair_two_letter,
     coincidence_class,
     construct_ly_pair,
     construct_recurrent_ly_pair,

@@ -101,16 +101,3 @@ class OdometerDigits:
             "preperiod": list(self.preperiod),
             "period": list(self.period),
         }
-
-
-def successor_of_digit_list(digits, base):
-    """Plain +1 with carry on a finite digit list (used to cross-check the
-    factor-map property on truncated expansions)."""
-    out = list(digits)
-    for i, d in enumerate(out):
-        if d != base - 1:
-            out[i] = d + 1
-            return out
-        out[i] = 0
-    return out
-

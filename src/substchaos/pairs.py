@@ -469,34 +469,6 @@ def classify_pair(x, y, evidence_horizon=6561, evidence_window=16):
     )
 
 
-def classify_pair_two_letter(x, y):
-    """Two-letter shortcut: with a coincidence the pair is Li-Yorke exactly
-    when suffixes differ at infinitely many levels, otherwise asymptotic;
-    without coincidences a difference at a valid coordinate means distal.
-    Used as a cross-check against the general path."""
-    s = x.subst
-    if s.size != 2:
-        raise PreconditionError("shortcut only applies to two-letter alphabets")
-    _require_recognizable(s)
-    if x.odometer_digits() != y.odometer_digits():
-        return PairVerdict(PairClass.DISTAL, "two-letter-distinct-digits")
-    if x == y:
-        return PairVerdict(PairClass.ASYMPTOTIC, "two-letter-identical")
-    x, y = _past_finite_forward_data(x, y)
-    k, L, ex, ey = _aligned_entries(x, y)
-    infinitely_many_diffs = any(ex[k + j].suffix != ey[k + j].suffix for j in range(L))
-    has_coin = coincidence_class(s).kind is not Coincidence.NO_COINCIDENCE
-    if has_coin:
-        if infinitely_many_diffs:
-            return PairVerdict(PairClass.LI_YORKE, "two-letter-coincidence")
-        return PairVerdict(PairClass.ASYMPTOTIC, "two-letter-coincidence")
-    if infinitely_many_diffs or any(
-        e1.block != e2.block for e1, e2 in zip(ex, ey)
-    ):
-        return PairVerdict(PairClass.DISTAL, "two-letter-no-coincidence")
-    return PairVerdict(PairClass.ASYMPTOTIC, "two-letter-no-coincidence")
-
-
 # ---------------------------------------------------------------------------
 # constructions
 

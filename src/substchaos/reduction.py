@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from .errors import InvariantError, PreconditionError, SearchBudgetError
@@ -21,7 +20,6 @@ from .substitution import (
     Substitution,
     is_primitive,
     language_chr,
-    complexity,
 )
 
 SIMPLIFIABILITY_BUDGET = 10**6
@@ -254,24 +252,3 @@ def _decision(subst):
     }
     infinite, rest = _decision(nxt)
     return infinite, (record,) + rest
-
-
-class ComplexityVerdict(Enum):
-    FINITE = "finite"
-    INFINITE_EVIDENCE = "infinite_evidence"
-    INCONCLUSIVE = "inconclusive"
-
-
-def oracle_infinite_via_complexity(subst, max_length):
-    """Cross-check for the finiteness decision based on factor counts:
-    a stalled count proves a finite minimal subshift, strictly growing
-    counts up to the bound are evidence of infiniteness."""
-    if max_length < 1:
-        return ComplexityVerdict.INCONCLUSIVE
-    counts = complexity(subst, max_length + 1)
-    for k in range(max_length):
-        if counts[k + 1] == counts[k]:
-            return ComplexityVerdict.FINITE
-    if all(counts[k] >= k + 2 for k in range(max_length)):
-        return ComplexityVerdict.INFINITE_EVIDENCE
-    return ComplexityVerdict.INCONCLUSIVE

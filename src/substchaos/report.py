@@ -18,7 +18,7 @@ from .pairs import (
 )
 from .reduction import decide_infinite_trace, one_to_one_reduction
 from .streams import fiber_bound
-from .substitution import is_primitive, zip_pair_word
+from .substitution import is_primitive, pair_substitution
 
 
 REPORT_SCHEMA = {
@@ -99,37 +99,35 @@ class AnalysisReport:
 
 
 def _brute_scan(subst, word_bound):
-    """Direct word scans of the two Li-Yorke criteria up to the length
-    budget; used as an optional self-check of the fixpoint engines."""
-    p = subst.constant_length
-    n = subst.size
-    words = [chr(i) for i in range(n)]
-    ly = False
-    unc = False
-    m = 0
-    while p ** (m + 1) <= word_bound:
-        m += 1
-        words = [subst.apply(w) for w in words]
-        for a in range(n):
-            for b in range(a + 1, n):
-                zipped = zip_pair_word(subst, words[a], words[b])
-                target = chr(a * n + b)
-                hits = [t for t, ch in enumerate(zipped) if ch == target]
-                if not hits:
-                    continue
-                diag = [
-                    t for t, ch in enumerate(zipped) if ord(ch) // n == ord(ch) % n
-                ]
-                nondiag_after = [
-                    t
-                    for t, ch in enumerate(zipped)
-                    if ord(ch) // n != ord(ch) % n
-                ]
-                for j in hits:
-                    if any(t > j for t in diag) and any(t > j for t in nondiag_after):
-                        ly = True
-                    if any(t2 > j for t2 in hits) and any(t > j for t in diag):
-                        unc = True
+    """Direct word scans of the two Li-Yorke criteria, the reference that
+    the fixpoint engines are checked against (``analyze --brute-bound``
+    and the test suite); it shares no code with them.
+
+    For letters a < b and every length ``p^m <= word_bound``, the pair
+    word of σ^m(a) over σ^m(b) (the pair letter ``(a, b)`` iterated under
+    the pair substitution) is scanned for the first occurrence ``j`` of
+    ``(a, b)``: Li-Yorke when both a diagonal and an off-diagonal
+    position follow ``j``, uncountable when a diagonal position and a
+    second occurrence of ``(a, b)`` follow it.
+    """
+    n, p = subst.size, subst.constant_length
+    pairs = pair_substitution(subst)
+    diagonal = {c: "1" if c // n == c % n else "0" for c in range(n * n)}
+    targets = [chr(a * n + b) for a in range(n) for b in range(a + 1, n)]
+    words = targets
+    ly = unc = False
+    length = p
+    while length <= word_bound:
+        words = [pairs.apply(w) for w in words]
+        for target, word in zip(targets, words):
+            j = word.find(target)
+            if j < 0:
+                continue
+            flags = word.translate(diagonal)
+            if flags.rfind("1") > j:
+                ly = ly or flags.rfind("0") > j
+                unc = unc or word.find(target, j + 1) > j
+        length *= p
     return ly, unc
 
 

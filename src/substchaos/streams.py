@@ -28,7 +28,7 @@ from .errors import (
     PreconditionError,
     StreamChainError,
 )
-from .odometer import OdometerDigits
+from .odometer import OdometerDigits, _primitive_root
 from .reduction import decide_infinite
 from .substitution import (
     DEFAULT_WORD_BUDGET,
@@ -145,14 +145,9 @@ def _normalize(stream):
     the seed anchor one level down, so seed letters follow their letter
     maps forward to keep the represented tails unchanged."""
     s = stream.subst
-    per = list(stream.period)
+    per = _primitive_root(list(stream.period))
     pre = list(stream.preperiod)
     left, right = stream.left_seed, stream.right_seed
-    n = len(per)
-    for d in range(1, n + 1):
-        if n % d == 0 and per == per[:d] * (n // d):
-            per = per[:d]
-            break
     while pre and pre[-1] == per[-1]:
         pre.pop()
         per = [per[-1]] + per[:-1]

@@ -120,14 +120,11 @@ class Substitution:
 
     def encode(self, word):
         """Public word form (string of tokens or token iterable) to the
-        internal chr-coded string."""
-        if isinstance(word, str):
-            toks = list(word)
-        else:
-            toks = [self.alphabet[t] if isinstance(t, int) else t for t in word]
+        internal chr-coded string.  An int token is an alphabet index."""
         index = {tok: i for i, tok in enumerate(self.alphabet)}
+        index.update((i, i) for i in range(self.size))
         try:
-            return "".join(chr(index[t]) for t in toks)
+            return "".join(chr(index[t]) for t in word)
         except KeyError as exc:
             raise InvariantError(f"unknown letter {exc.args[0]!r}")
 
@@ -441,56 +438,57 @@ def _image_index(subst):
     return {img: i for i, img in enumerate(subst.images)}
 
 
+def desubstitute(subst, word):
+    """Read an internal word as a slice of the image of a parent word.
+
+    Yields ``(start, parent)`` with ``subst.apply(parent)[start : start +
+    len(word)] == word`` for every block alignment of ``word`` (``lead``
+    letters before the first whole block, ``start = (p - lead) % p``) and
+    every letter whose image ends with the partial head block and every
+    letter whose image starts with the partial tail block.  Whole blocks
+    are read back through the image index, so for an injective
+    substitution every parent of ``word`` is yielded.  Requires constant
+    length ``p`` and ``len(word) >= p``.
+    """
+    p = subst.constant_length
+    if p is None or len(word) < p:
+        raise PreconditionError("de-substitution needs constant length and a word of >= p letters")
+    img_index = _image_index(subst)
+    m = len(word)
+    for lead in range(p):
+        body_end = lead + ((m - lead) // p) * p
+        core = []
+        for i in range(lead, body_end, p):
+            letter = img_index.get(word[i : i + p])
+            if letter is None:
+                break
+            core.append(chr(letter))
+        else:
+            head, tail = word[:lead], word[body_end:]
+            lefts = [chr(c) for c, img in enumerate(subst.images) if img.endswith(head)]
+            rights = [chr(c) for c, img in enumerate(subst.images) if img.startswith(tail)]
+            core = "".join(core)
+            for lc in lefts if head else [""]:
+                for rc in rights if tail else [""]:
+                    yield (p - lead) % p, lc + core + rc
+
+
 def in_language(subst, chrword):
     """Exact membership of an internal word in the subshift language.
 
-    Works by de-substituting the word block by block (every alignment is
-    tried, boundary blocks may be partial) until it is short enough to
-    compare against an enumerated factor set.  Requires a primitive
-    injective constant-length substitution.
+    A word longer than the enumerated factor base is in the language
+    exactly when one of its parents (``desubstitute``) is, so the check
+    recurses on parents until they are short enough to look up.
+    Requires a primitive injective constant-length substitution.
     """
-    p = subst.constant_length
-    if p is None or not subst.is_injective():
+    if subst.constant_length is None or not subst.is_injective():
         raise PreconditionError("membership test needs an injective constant-length substitution")
-    limit, base = _membership_base(subst)
-    return _in_language_rec(subst, chrword, p, limit, base)
-
-
-def _in_language_rec(subst, w, p, limit, base):
-    if not w:
+    if not chrword:
         return True
-    if len(w) <= limit:
-        return w in base[len(w)]
-    img_index = _image_index(subst)
-    n = subst.size
-    for offset in range(p):
-        head = w[:offset]
-        body_end = offset + ((len(w) - offset) // p) * p
-        body = w[offset:body_end]
-        tail = w[body_end:]
-        letters = []
-        ok = True
-        for i in range(0, len(body), p):
-            block = body[i : i + p]
-            letter = img_index.get(block)
-            if letter is None:
-                ok = False
-                break
-            letters.append(chr(letter))
-        if not ok:
-            continue
-        core = "".join(letters)
-        head_choices = [""] if not head else [
-            chr(c) for c in range(n) if subst.images[c].endswith(head)
-        ]
-        tail_choices = [""] if not tail else [
-            chr(c) for c in range(n) if subst.images[c].startswith(tail)
-        ]
-        for hc in head_choices:
-            for tc in tail_choices:
-                if _in_language_rec(subst, hc + core + tc, p, limit, base):
-                    return True
-    return False
+    limit, base = _membership_base(subst)
+    if len(chrword) <= limit:
+        return chrword in base[len(chrword)]
+    return any(in_language(subst, parent) for _, parent in desubstitute(subst, chrword))
 
 
 # ---------------------------------------------------------------------------

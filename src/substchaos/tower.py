@@ -17,7 +17,7 @@ from .pairs import PairClass, classify_pair
 from .reduction import decide_infinite
 from .simulate import empirical_class
 from .streams import RepresentedPoint, DesubstitutionStream, StreamEntry
-from .substitution import Substitution, is_primitive, language_chr
+from .substitution import Substitution, desubstitute, is_primitive, language_chr
 
 
 @dataclass(frozen=True)
@@ -195,9 +195,7 @@ def _rho_preimage_windows(lower, upper, project, window):
     letters) a lower parent window whose upper preimages expand and slice
     back to the candidates.  The parent shrinks threefold per round.
     """
-    p = lower.constant_length
-    base_len = 3 * p
-    img_index = {img: i for i, img in enumerate(lower.images)}
+    base_len = 3 * lower.constant_length
     memo = {}
 
     def project_word(w):
@@ -214,42 +212,8 @@ def _rho_preimage_windows(lower, upper, project, window):
             memo[win] = out
             return out
         found = set()
-        for lead in range(p):
-            full = (m - lead) // p
-            trail = m - lead - full * p
-            core = []
-            ok = True
-            for t in range(full):
-                block = win[lead + t * p : lead + (t + 1) * p]
-                letter = img_index.get(block)
-                if letter is None:
-                    ok = False
-                    break
-                core.append(chr(letter))
-            if not ok:
-                continue
-            lefts = [""]
-            if lead:
-                lefts = [
-                    chr(c)
-                    for c in range(lower.size)
-                    if lower.images[c].endswith(win[:lead])
-                ]
-            rights = [""]
-            if trail:
-                rights = [
-                    chr(c)
-                    for c in range(lower.size)
-                    if lower.images[c].startswith(win[lead + full * p :])
-                ]
-            start = (p - lead) % p
-            for lc in lefts:
-                for rc in rights:
-                    parent = lc + "".join(core) + rc
-                    for up in solve(parent):
-                        w = upper.apply(up)[start : start + m]
-                        if len(w) == m:
-                            found.add(w)
+        for start, parent in desubstitute(lower, win):
+            found.update(upper.apply(up)[start : start + m] for up in solve(parent))
         out = sorted(found)
         memo[win] = out
         return out

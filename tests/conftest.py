@@ -1,12 +1,19 @@
-"""Shared fixture substitutions, the point corpus, and the seeded random
-corpus used by the oracle-agreement tests."""
+"""Shared fixture substitutions, the point corpus, the seeded random
+corpus used by the oracle-agreement tests, and the test-side
+cross-checks of library decisions."""
 
 import random
+from enum import Enum
 
 import pytest
 
 from substchaos import (
+    Coincidence,
+    PairClass,
+    PairVerdict,
     Substitution,
+    coincidence_class,
+    complexity,
     construct_ly_pair,
     construct_recurrent_ly_pair,
     decide_infinite,
@@ -18,6 +25,8 @@ from substchaos import (
 )
 from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
+from substchaos.pairs import _aligned_entries, _past_finite_forward_data
+from substchaos.streams import _require_recognizable
 from substchaos.substitution import cycle_length, first_letter_map, last_letter_map, language_chr
 
 MORSE = "0 -> 01\n1 -> 10"
@@ -198,39 +207,65 @@ def variable_corpus():
 
 
 # ---------------------------------------------------------------------------
-# independent brute-force oracle for the pair decisions
+# test-side cross-checks of library decisions
 
 
-def brute_ly_decisions(subst, word_bound=10**6):
-    """Direct scans of the iterated images for the two pair criteria, up
-    to image length ``word_bound``; numpy-backed so the full bound stays
-    desk-scale."""
-    import numpy as np
+class ComplexityVerdict(Enum):
+    FINITE = "finite"
+    INFINITE_EVIDENCE = "infinite_evidence"
+    INCONCLUSIVE = "inconclusive"
 
-    n = subst.size
-    p = subst.constant_length
-    words = list(subst.images)
-    ly = False
-    unc = False
-    while True:
-        arrays = [
-            np.frombuffer(w.encode("latin-1"), dtype=np.uint8) for w in words
-        ]
-        for a in range(n):
-            for b in range(a + 1, n):
-                wa, wb = arrays[a], arrays[b]
-                occ = np.nonzero((wa == a) & (wb == b))[0]
-                if occ.size == 0:
-                    continue
-                eq = np.nonzero(wa == wb)[0]
-                ne = np.nonzero(wa != wb)[0]
-                last_eq = eq[-1] if eq.size else -1
-                last_ne = ne[-1] if ne.size else -1
-                j = int(occ[0])
-                if last_eq > j and last_ne > j:
-                    ly = True
-                if occ.size >= 2 and last_eq > j:
-                    unc = True
-        if len(words[0]) * p > word_bound:
-            return ly, unc
-        words = [subst.apply(w) for w in words]
+
+def oracle_infinite_via_complexity(subst, max_length):
+    """Cross-check for the finiteness decision based on factor counts:
+    a stalled count proves a finite minimal subshift, strictly growing
+    counts up to the bound are evidence of infiniteness."""
+    if max_length < 1:
+        return ComplexityVerdict.INCONCLUSIVE
+    counts = complexity(subst, max_length + 1)
+    for k in range(max_length):
+        if counts[k + 1] == counts[k]:
+            return ComplexityVerdict.FINITE
+    if all(counts[k] >= k + 2 for k in range(max_length)):
+        return ComplexityVerdict.INFINITE_EVIDENCE
+    return ComplexityVerdict.INCONCLUSIVE
+
+
+def classify_pair_two_letter(x, y):
+    """Two-letter shortcut: with a coincidence the pair is Li-Yorke exactly
+    when suffixes differ at infinitely many levels, otherwise asymptotic;
+    without coincidences a difference at a valid coordinate means distal.
+    Used as a cross-check against the general path."""
+    s = x.subst
+    if s.size != 2:
+        raise PreconditionError("shortcut only applies to two-letter alphabets")
+    _require_recognizable(s)
+    if x.odometer_digits() != y.odometer_digits():
+        return PairVerdict(PairClass.DISTAL, "two-letter-distinct-digits")
+    if x == y:
+        return PairVerdict(PairClass.ASYMPTOTIC, "two-letter-identical")
+    x, y = _past_finite_forward_data(x, y)
+    k, L, ex, ey = _aligned_entries(x, y)
+    infinitely_many_diffs = any(ex[k + j].suffix != ey[k + j].suffix for j in range(L))
+    has_coin = coincidence_class(s).kind is not Coincidence.NO_COINCIDENCE
+    if has_coin:
+        if infinitely_many_diffs:
+            return PairVerdict(PairClass.LI_YORKE, "two-letter-coincidence")
+        return PairVerdict(PairClass.ASYMPTOTIC, "two-letter-coincidence")
+    if infinitely_many_diffs or any(
+        e1.block != e2.block for e1, e2 in zip(ex, ey)
+    ):
+        return PairVerdict(PairClass.DISTAL, "two-letter-no-coincidence")
+    return PairVerdict(PairClass.ASYMPTOTIC, "two-letter-no-coincidence")
+
+
+def successor_of_digit_list(digits, base):
+    """Plain +1 with carry on a finite digit list (used to cross-check the
+    factor-map property on truncated expansions)."""
+    out = list(digits)
+    for i, d in enumerate(out):
+        if d != base - 1:
+            out[i] = d + 1
+            return out
+        out[i] = 0
+    return out

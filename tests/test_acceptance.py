@@ -34,13 +34,13 @@ from substchaos import (
     tower_substitution,
     verify_scrambled_S,
 )
-from substchaos.odometer import successor_of_digit_list
 from substchaos.pairs import ly_witness
+from substchaos.report import _brute_scan
 from substchaos.simulate import count_occurrences
 from substchaos.substitution import iterate_chr, zip_pair_word
 from substchaos.tower import preimage_candidates, tower_point_x, tower_point_y
 
-from conftest import FIXTURE_SOURCES, brute_ly_decisions, fixed_points
+from conftest import FIXTURE_SOURCES, fixed_points, successor_of_digit_list
 from test_streams import sample_digit_sequences
 
 HORIZON = 3**10
@@ -122,7 +122,7 @@ def test_criterion_2_oracle_equivalence(fixtures, random_corpus):
         candidates = list(fixtures.values()) + random_corpus
         assert len(random_corpus) == 200
         for s in candidates:
-            brute_ly, brute_unc = brute_ly_decisions(s, 10**6)
+            brute_ly, brute_unc = _brute_scan(s, 10**6)
             engine_ly = has_ly_pairs(s)
             engine_unc = has_uncountable_ly(s)
             assert engine_ly or not brute_ly, s.rules()

@@ -1,8 +1,10 @@
 """Source checks: runtime invariants must survive ``python -O`` and reach
 the CLI's JSON error contract, so no module of the package uses an
-``assert`` statement or raises ``AssertionError``."""
+``assert`` statement or raises ``AssertionError``; and the runtime needs
+the standard library only."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,27 @@ def test_lint_sees_both_forms():
 
 def test_lint_checks_every_module():
     assert {"cli.py", "substitution.py", "tower.py"} <= set(CHECKED_MODULES)
+
+
+def _foreign_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in sys.stdlib_module_names:
+                yield node.lineno, name
+
+
+def test_package_imports_only_stdlib():
+    found = []
+    for module in CHECKED_MODULES:
+        path = PACKAGE_DIR / module
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{module}:{line}: {name}" for line, name in _foreign_imports(tree)]
+    assert found == []
+    probe = ast.parse("import json, numpy.linalg\nfrom . import x\nfrom scipy import y\n")
+    assert [name for _, name in _foreign_imports(probe)] == ["numpy.linalg", "scipy"]

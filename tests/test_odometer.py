@@ -4,7 +4,8 @@ import pytest
 
 from substchaos import OdometerDigits
 from substchaos.errors import InvariantError
-from substchaos.odometer import successor_of_digit_list
+
+from conftest import successor_of_digit_list
 
 
 def test_canonical_form_minimal_period():

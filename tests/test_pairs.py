@@ -10,7 +10,6 @@ from substchaos import (
     PairClass,
     build_scrambled_set,
     classify_pair,
-    classify_pair_two_letter,
     coincidence_class,
     construct_ly_pair,
     construct_recurrent_ly_pair,
@@ -29,9 +28,10 @@ from substchaos import (
 from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import _ly_levels, _pair_tables, ly_witness
+from substchaos.report import _brute_scan
 from substchaos.substitution import is_primitive, iterate_chr, zip_pair_word
 
-from conftest import brute_ly_decisions, fixed_points
+from conftest import classify_pair_two_letter, fixed_points
 
 
 def test_coincidence_classes(fixtures):
@@ -115,7 +115,7 @@ def test_engine_agrees_with_brute_force(fixtures, random_corpus):
         fixtures[name] for name in ("morse", "toeplitz", "ly_two", "aba", "baacd", "four")
     ] + random_corpus
     for s in candidates:
-        brute_ly, brute_unc = brute_ly_decisions(s)
+        brute_ly, brute_unc = _brute_scan(s, 10**6)
         engine_ly = has_ly_pairs(s)
         engine_unc = has_uncountable_ly(s)
         if brute_ly:

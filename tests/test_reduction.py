@@ -5,12 +5,10 @@ import copy
 import pytest
 
 from substchaos import (
-    ComplexityVerdict,
     decide_infinite,
     decide_infinite_trace,
     is_simplifiable,
     one_to_one_reduction,
-    oracle_infinite_via_complexity,
     parse_substitution,
     stream_from_fixed_point,
 )
@@ -18,7 +16,7 @@ from substchaos.errors import PreconditionError, SearchBudgetError
 from substchaos.reduction import biprolongeable_letters
 from substchaos.substitution import is_primitive, iterate_chr
 
-from conftest import random_substitutions
+from conftest import ComplexityVerdict, oracle_infinite_via_complexity
 
 
 def test_reduction_merges_equal_images():

@@ -17,8 +17,9 @@ from substchaos.errors import (
     PreconditionError,
     StreamChainError,
 )
-from substchaos.odometer import successor_of_digit_list
 from substchaos.simulate import empirical_class
+
+from conftest import successor_of_digit_list
 
 
 def test_fixed_point_morse(fixtures):

@@ -16,9 +16,10 @@ from substchaos import (
     parse_substitution,
     sorted_language,
 )
-from substchaos.errors import BudgetExceededError, InvariantError
+from substchaos.errors import BudgetExceededError, InvariantError, PreconditionError
 from substchaos.substitution import (
     _membership_base,
+    desubstitute,
     in_language,
     iterate_chr,
     iterate_prefix,
@@ -86,6 +87,15 @@ def test_iterate_morse():
 def test_iterate_three_letter_images():
     s = parse_substitution("0 -> 010\n1 -> 100")
     assert iterate(s, "0", 2) == "010100010"
+
+
+def test_iterate_rejects_out_of_range_letter_indices():
+    s = parse_substitution("0 -> 01\n1 -> 10")
+    assert iterate(s, [1, 0], 1) == "1001"
+    with pytest.raises(InvariantError):
+        iterate(s, [5], 1)
+    with pytest.raises(InvariantError):
+        iterate(s, [-1], 1)
 
 
 def test_iterate_budget():
@@ -162,6 +172,32 @@ def test_in_language_exact():
     assert in_language(s, s.encode(big[100:180]))
     assert not in_language(s, s.encode("000"))
     assert not in_language(s, s.encode("0" * 50))
+
+
+def test_desubstitute_yields_true_parents(fixtures):
+    # a factor u[i : i + m] of u = σ(v) came from the slice of v covering
+    # blocks i // p .. (i + m - 1) // p, read from position i % p
+    for name, s in fixtures.items():
+        p = s.constant_length
+        v = chr(0)
+        while len(v) * p < 400:
+            v = s.apply(v)
+        u = s.apply(v)
+        for m in range(10, 41):
+            for i in range(len(u) - m):
+                w = u[i : i + m]
+                yields = list(desubstitute(s, w))
+                for start, parent in yields:
+                    assert s.apply(parent)[start : start + m] == w, (name, w, parent)
+                true_parent = v[i // p : -(-(i + m) // p)]
+                assert (i % p, true_parent) in yields, (name, i, m)
+
+
+def test_desubstitute_preconditions(fixtures):
+    with pytest.raises(PreconditionError):
+        list(desubstitute(fixtures["aba"], chr(0) * 2))
+    with pytest.raises(PreconditionError):
+        list(desubstitute(parse_substitution("0 -> 01\n1 -> 0"), chr(0) * 4))
 
 
 def test_in_language_matches_closure_oracle(fixtures):
