@@ -5,12 +5,21 @@ shift, and reports proximality/separation/recurrence evidence.
 Everything here is evidence, never a decision: reports carry their
 horizon and window so claims read "at horizon H".  The metric is
 ``2^(-agreement radius)`` with the radius capped at the report window.
+
+The evidence and the CSV radii are read from one string of difference
+flags (one byte per coordinate of the expanded windows) with byte-string
+counts, searches and regular-expression runs, in time linear in the
+window and without visiting the times one by one.  The reports are the
+ones a per-step scan gives; the test suite keeps that scan as its
+reference (``tests/conftest.py:stepwise_empirical_class``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import operator
+import re
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from .errors import PreconditionError
 from .substitution import DEFAULT_WORD_BUDGET, iterate_chr, zip_pair_word
@@ -18,6 +27,9 @@ from .substitution import DEFAULT_WORD_BUDGET, iterate_chr, zip_pair_word
 EVENT_CAP = 512
 
 DEFAULT_WINDOW = 16
+
+_DIFFERENCE = re.compile(b"\x01")
+_AGREEMENT = re.compile(b"\x00+")
 
 
 def default_horizon(subst):
@@ -77,44 +89,62 @@ def agreement_radius(x_window, y_window, time, window_cap, center=None):
     return window_cap
 
 
-def empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
-    """Scan forward times 0..horizon and report the observed metric
-    behavior of the pair; makes no exact claim."""
+def _difference_flags(x, y, horizon, window, budget):
+    """Expand both points to radius ``horizon + window`` and return one
+    byte per coordinate: 1 where the windows differ, 0 where they agree.
+    Time 0 sits at index ``horizon + window``."""
     if horizon < 0 or window < 1:
         raise PreconditionError("horizon must be >= 0 and window >= 1")
     radius = horizon + window
-    xw = x.expand(radius, budget)
-    yw = y.expand(radius, budget)
-    mid = radius
-    diffs = [i - mid for i in range(len(xw)) if xw[i] != yw[i]]
+    return bytes(map(operator.ne, x.expand(radius, budget), y.expand(radius, budget)))
+
+
+def empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
+    """Report the observed metric behavior of the pair at forward times
+    0..horizon; makes no exact claim.
+
+    The radius at time n is the distance from n to the nearest difference,
+    capped at the window, so every field is read off the difference flags
+    without visiting the times one by one: a separation is a 1 at a time,
+    and time n is proximal (radius >= window) exactly when the ``2*window
+    - 1`` flags centred on it are all 0."""
+    flags = _difference_flags(x, y, horizon, window, budget)
+    mid = horizon + window
+    end = mid + horizon + 1
+    sep_count = flags.count(1, mid, end)
+    seps = [m.start() - mid for m in islice(_DIFFERENCE.finditer(flags, mid, end), EVENT_CAP)]
+    # Each zero run of 2*window - 1 or more flags among times
+    # 1 - window .. horizon + window - 1 makes proximal every time whose
+    # 2*window - 1 flags it holds.
     prox = []
     prox_count = 0
-    seps = []
-    sep_count = 0
-    min_radius = window
-    max_radius = 0
-    for n in range(horizon + 1):
-        pos = bisect_left(diffs, n)
-        nearest = window
-        if pos < len(diffs):
-            nearest = min(nearest, abs(diffs[pos] - n))
-        if pos > 0:
-            nearest = min(nearest, abs(diffs[pos - 1] - n))
-        r = nearest
-        min_radius = min(min_radius, r)
-        max_radius = max(max_radius, r)
-        if r >= window:
-            prox_count += 1
-            if len(prox) < EVENT_CAP:
-                prox.append(n)
-        if r == 0:
-            sep_count += 1
-            if len(seps) < EVENT_CAP:
-                seps.append(n)
-    last_sep = None
-    if sep_count:
-        sep_positions = [d for d in diffs if 0 <= d <= horizon]
-        last_sep = sep_positions[-1] if sep_positions else None
+    zero_runs = re.compile(b"\x00{%d,}" % (2 * window - 1))
+    for run in zero_runs.finditer(flags, mid - window + 1, end + window - 1):
+        first = run.start() + window - 1 - mid
+        last = run.end() - window - mid
+        prox_count += last - first + 1
+        prox.extend(range(first, min(last + 1, first + EVENT_CAP - len(prox))))
+    # Smallest radius: 0 at a separation; otherwise the nearest difference
+    # lies before time 0 or after the horizon and is nearest to that end.
+    min_radius = 0
+    if not sep_count:
+        before = flags.rfind(1, 0, mid)
+        after = flags.find(1, end)
+        min_radius = min(
+            window,
+            mid - before if before >= 0 else window,
+            after - end + 1 if after >= 0 else window,
+        )
+    # Largest radius: some time reaches radius k exactly when a zero run
+    # of length 2k - 1 is centred in 0..horizon, which is monotone in k.
+    max_radius, too_wide = 0, window + 1
+    while too_wide - max_radius > 1:
+        k = (max_radius + too_wide) // 2
+        if flags.find(b"\x00" * (2 * k - 1), mid - k + 1, end + k - 1) >= 0:
+            max_radius = k
+        else:
+            too_wide = k
+    last_diff = flags.rfind(1)
     return EvidenceReport(
         horizon=horizon,
         window=window,
@@ -122,8 +152,8 @@ def empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BU
         proximality_count=prox_count,
         separation_events=tuple(seps),
         separation_count=sep_count,
-        last_separation=last_sep,
-        max_last_difference=diffs[-1] if diffs else None,
+        last_separation=flags.rfind(1, mid, end) - mid if sep_count else None,
+        max_last_difference=last_diff - mid if last_diff >= 0 else None,
         min_distance=2.0 ** (-max_radius),
         max_distance=2.0 ** (-min_radius),
     )
@@ -146,14 +176,24 @@ def scan_until_events(x, y, base_horizon, window=DEFAULT_WINDOW, wanted=3,
 
 
 def radius_samples(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
-    """(time, agreement radius) samples for CSV export."""
-    radius = horizon + window
-    xw = x.expand(radius, budget)
-    yw = y.expand(radius, budget)
-    return [
-        (n, agreement_radius(xw, yw, n, window))
-        for n in range(horizon + 1)
-    ]
+    """(time, agreement radius) samples for CSV export.
+
+    Read off the zero runs of the difference flags from time ``-window``
+    on: inside a run the radius rises by one from each end up to the
+    window.  A difference just outside that stretch is more than the
+    window away from every time, so the ends may be treated as
+    differences."""
+    stretch = _difference_flags(x, y, horizon, window, budget)[horizon:]
+    radii = [0] * len(stretch)
+    for run in _AGREEMENT.finditer(stretch):
+        start, stop = run.span()
+        size = stop - start
+        up = min(window, (size + 1) // 2)
+        down = min(window, size // 2)
+        radii[start:stop] = chain(
+            range(1, up + 1), repeat(window, size - up - down), range(down, 0, -1)
+        )
+    return list(enumerate(radii[window : window + horizon + 1]))
 
 
 def count_occurrences(haystack, needle):

@@ -3,6 +3,7 @@ corpus used by the oracle-agreement tests, and the test-side
 cross-checks of library decisions."""
 
 import random
+from bisect import bisect_left
 from enum import Enum
 
 import pytest
@@ -26,8 +27,15 @@ from substchaos import (
 from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import _aligned_entries, _past_finite_forward_data
+from substchaos.simulate import DEFAULT_WINDOW, EVENT_CAP, EvidenceReport
 from substchaos.streams import _require_recognizable
-from substchaos.substitution import cycle_length, first_letter_map, last_letter_map, language_chr
+from substchaos.substitution import (
+    DEFAULT_WORD_BUDGET,
+    cycle_length,
+    first_letter_map,
+    last_letter_map,
+    language_chr,
+)
 
 MORSE = "0 -> 01\n1 -> 10"
 TOEPLITZ = "0 -> 01\n1 -> 00"
@@ -269,3 +277,60 @@ def successor_of_digit_list(digits, base):
             return out
         out[i] = 0
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-step reference for the simulator
+
+
+def stepwise_empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
+    """Reference for ``simulate.empirical_class``: scan forward times
+    0..horizon one by one and report the observed metric behavior of the
+    pair."""
+    if horizon < 0 or window < 1:
+        raise PreconditionError("horizon must be >= 0 and window >= 1")
+    radius = horizon + window
+    xw = x.expand(radius, budget)
+    yw = y.expand(radius, budget)
+    mid = radius
+    diffs = [i - mid for i in range(len(xw)) if xw[i] != yw[i]]
+    prox = []
+    prox_count = 0
+    seps = []
+    sep_count = 0
+    min_radius = window
+    max_radius = 0
+    for n in range(horizon + 1):
+        pos = bisect_left(diffs, n)
+        nearest = window
+        if pos < len(diffs):
+            nearest = min(nearest, abs(diffs[pos] - n))
+        if pos > 0:
+            nearest = min(nearest, abs(diffs[pos - 1] - n))
+        r = nearest
+        min_radius = min(min_radius, r)
+        max_radius = max(max_radius, r)
+        if r >= window:
+            prox_count += 1
+            if len(prox) < EVENT_CAP:
+                prox.append(n)
+        if r == 0:
+            sep_count += 1
+            if len(seps) < EVENT_CAP:
+                seps.append(n)
+    last_sep = None
+    if sep_count:
+        sep_positions = [d for d in diffs if 0 <= d <= horizon]
+        last_sep = sep_positions[-1] if sep_positions else None
+    return EvidenceReport(
+        horizon=horizon,
+        window=window,
+        proximality_events=tuple(prox),
+        proximality_count=prox_count,
+        separation_events=tuple(seps),
+        separation_count=sep_count,
+        last_separation=last_sep,
+        max_last_difference=diffs[-1] if diffs else None,
+        min_distance=2.0 ** (-max_radius),
+        max_distance=2.0 ** (-min_radius),
+    )

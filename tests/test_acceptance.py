@@ -2,11 +2,8 @@
 line.  Tolerances are exact (decision procedures) or stated inline
 (event counts at fixed horizons)."""
 
-import json
 import subprocess
 import sys
-
-import pytest
 
 from substchaos import (
     Coincidence,
@@ -30,7 +27,6 @@ from substchaos import (
     recurrence_check,
     rho,
     stream_from_entries,
-    stream_from_fixed_point,
     tower_substitution,
     verify_scrambled_S,
 )

@@ -1,7 +1,8 @@
 """Source checks: runtime invariants must survive ``python -O`` and reach
 the CLI's JSON error contract, so no module of the package uses an
-``assert`` statement or raises ``AssertionError``; and the runtime needs
-the standard library only."""
+``assert`` statement or raises ``AssertionError``; the runtime needs
+the standard library only; and no module of the package or of the test
+suite imports a name it never reads."""
 
 import ast
 import sys
@@ -13,6 +14,11 @@ import substchaos
 
 PACKAGE_DIR = Path(substchaos.__file__).parent
 CHECKED_MODULES = sorted(path.name for path in PACKAGE_DIR.glob("*.py"))
+TESTS_DIR = Path(__file__).parent
+
+
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _assertion_sites(tree):
@@ -27,8 +33,7 @@ def _assertion_sites(tree):
 
 @pytest.mark.parametrize("module", CHECKED_MODULES)
 def test_no_assertions_on_the_decision_path(module):
-    path = PACKAGE_DIR / module
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _tree(PACKAGE_DIR / module)
     found = [f"{module}:{line}: {what}" for line, what in _assertion_sites(tree)]
     assert found == []
 
@@ -58,9 +63,46 @@ def _foreign_imports(tree):
 def test_package_imports_only_stdlib():
     found = []
     for module in CHECKED_MODULES:
-        path = PACKAGE_DIR / module
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        tree = _tree(PACKAGE_DIR / module)
         found += [f"{module}:{line}: {name}" for line, name in _foreign_imports(tree)]
     assert found == []
     probe = ast.parse("import json, numpy.linalg\nfrom . import x\nfrom scipy import y\n")
     assert [name for _, name in _foreign_imports(probe)] == ["numpy.linalg", "scipy"]
+
+
+def _unused_imports(tree):
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    bound[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports only to re-export
+    paths = [PACKAGE_DIR / module for module in CHECKED_MODULES if module != "__init__.py"]
+    paths += sorted(TESTS_DIR.glob("*.py"))
+    found = []
+    for path in paths:
+        found += [
+            f"{path.parent.name}/{path.name}:{line}: {name}"
+            for line, name in _unused_imports(_tree(path))
+        ]
+    assert found == []
+    probe = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, json, xml.dom\n"
+        "from pathlib import Path, PurePath as P\n"
+        "def f():\n    import re\n    return json.dumps(P), xml\n"
+    )
+    assert [name for _, name in _unused_imports(probe)] == ["os", "Path", "re"]

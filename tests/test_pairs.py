@@ -21,7 +21,6 @@ from substchaos import (
     has_uncountable_ly,
     li_yorke_certificate,
     parse_substitution,
-    stream_from_entries,
     stream_from_fixed_point,
     uncountable_certificate,
 )
@@ -29,7 +28,7 @@ from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import _ly_levels, _pair_tables, ly_witness
 from substchaos.report import _brute_scan
-from substchaos.substitution import is_primitive, iterate_chr, zip_pair_word
+from substchaos.substitution import is_primitive, iterate_chr
 
 from conftest import classify_pair_two_letter, fixed_points
 

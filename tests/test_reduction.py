@@ -14,7 +14,7 @@ from substchaos import (
 )
 from substchaos.errors import PreconditionError, SearchBudgetError
 from substchaos.reduction import biprolongeable_letters
-from substchaos.substitution import is_primitive, iterate_chr
+from substchaos.substitution import is_primitive
 
 from conftest import ComplexityVerdict, oracle_infinite_via_complexity
 

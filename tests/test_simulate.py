@@ -1,6 +1,10 @@
 """Finite-horizon orbit evidence and its consistency with the exact
 verdicts."""
 
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from substchaos import (
@@ -16,8 +20,10 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos.errors import PreconditionError
-from substchaos.simulate import count_occurrences, radius_samples
+from substchaos.simulate import EVENT_CAP, count_occurrences, radius_samples
 from substchaos.substitution import iterate_chr, zip_pair_word
+
+from conftest import stepwise_empirical_class
 
 
 def test_agreement_radius_identical_windows():
@@ -151,3 +157,110 @@ def test_scan_until_events_reports_budget_exhaustion(fixtures):
     report = scan_until_events(x, y, 64, wanted=3, budget=4096)
     assert report.separation_count == 0
     assert report.horizon >= 64
+
+
+class WindowPoint:
+    """Stand-in point whose expansion is a slice of a fixed window."""
+
+    def __init__(self, window):
+        self.window = window
+
+    def expand(self, radius, budget=None):
+        mid = (len(self.window) - 1) // 2
+        return self.window[mid - radius : mid + radius + 1]
+
+
+def _synthetic_pairs():
+    """Seeded window pairs over two letters, with their horizon and window,
+    covering the edge cases of the flag reading."""
+    rng = random.Random(6)
+    cases = []
+    for horizon, window in [(0, 1), (0, 16), (1, 1), (5, 2), (40, 3), (300, 16), (1500, 1), (2000, 2)]:
+        size = 2 * (horizon + window) + 1
+        x = "".join(rng.choice("ab") for _ in range(size))
+        flipped = x.translate(str.maketrans("ab", "ba"))
+        cases.append((x, x, horizon, window))  # no differences
+        cases.append((x, flipped, horizon, window))  # every position different
+        mid = horizon + window
+        # differences only before time 0 and after the horizon
+        outside = "".join(
+            f if not 0 <= i - mid <= horizon and rng.random() < 0.3 else c
+            for i, (c, f) in enumerate(zip(x, flipped))
+        )
+        cases.append((x, outside, horizon, window))
+        for density in (0.002, 0.05, 0.5):
+            y = "".join(f if rng.random() < density else c for c, f in zip(x, flipped))
+            cases.append((x, y, horizon, window))
+    return cases
+
+
+def test_evidence_matches_stepwise_on_fixture_pairs(fixtures, point_corpus):
+    for name, points in point_corpus.items():
+        p = fixtures[name].constant_length
+        horizons = [p**k for k in range(8) if p**k <= 729]
+        for i, x in enumerate(points):
+            for y in points[i + 1 :]:
+                for horizon in horizons:
+                    for window in (1, 2, 16):
+                        assert empirical_class(x, y, horizon, window) == stepwise_empirical_class(
+                            x, y, horizon, window
+                        ), (name, i, horizon, window)
+
+
+def test_evidence_matches_stepwise_on_synthetic_windows():
+    reports = []
+    for x, y, horizon, window in _synthetic_pairs():
+        px, py = WindowPoint(x), WindowPoint(y)
+        reports.append(empirical_class(px, py, horizon, window))
+        assert reports[-1] == stepwise_empirical_class(px, py, horizon, window), (horizon, window)
+    assert any(report.proximality_count > EVENT_CAP for report in reports)
+    assert any(report.separation_count > EVENT_CAP for report in reports)
+
+
+def test_radius_samples_read_the_report_radii():
+    for x, y, horizon, window in _synthetic_pairs():
+        samples = radius_samples(WindowPoint(x), WindowPoint(y), horizon, window)
+        mid = horizon + window
+        assert samples == [
+            (n, agreement_radius(x, y, n, window, center=mid)) for n in range(horizon + 1)
+        ]
+        report = empirical_class(WindowPoint(x), WindowPoint(y), horizon, window)
+        radii = [r for _, r in samples]
+        assert report.max_distance == 2.0 ** -min(radii)
+        assert report.min_distance == 2.0 ** -max(radii)
+
+
+def test_points_shared_across_threads(fixtures):
+    # README: points are shared read-only across threads and memoise
+    # idempotently, so concurrent expansions and reports match the ones
+    # computed on one thread
+    def pairs():
+        cp = construct_ly_pair(fixtures["ly_two"])
+        rp = construct_recurrent_ly_pair(fixtures["baacd"])
+        morse = fixtures["morse"]
+        return [
+            (cp.x, cp.y),
+            (rp.x, rp.y),
+            (stream_from_fixed_point(morse, "0", "0"), stream_from_fixed_point(morse, "1", "0")),
+        ]
+
+    rng = random.Random(8)
+    jobs = [(rng.randrange(3), rng.choice((1, 7, 40, 200, 729)), rng.choice((1, 2, 16)))
+            for _ in range(800)]
+
+    def run(shared, job):
+        k, horizon, window = job
+        x, y = shared[k]
+        return x.expand(horizon + window), y.expand(horizon), empirical_class(x, y, horizon, window)
+
+    single = pairs()
+    expected = [run(single, job) for job in jobs]
+    shared = pairs()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(lambda job: run(shared, job), jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected

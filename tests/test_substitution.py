@@ -318,8 +318,6 @@ def test_language_monotone_and_extendable(s):
 @settings(max_examples=25, deadline=None)
 @given(small_substitutions(), st.integers(min_value=1, max_value=4))
 def test_incidence_matrix_powers(s, m):
-    import itertools
-
     n = s.size
     base = incidence_matrix(s)
 

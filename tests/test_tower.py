@@ -5,7 +5,6 @@ import pytest
 
 from substchaos import (
     PairClass,
-    classify_pair,
     decide_infinite,
     is_primitive,
     iterate,
