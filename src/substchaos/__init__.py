@@ -68,7 +68,6 @@ from .pairs import (
 )
 from .simulate import (
     EvidenceReport,
-    agreement_radius,
     empirical_class,
     recurrence_check,
     scan_until_events,

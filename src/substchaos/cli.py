@@ -25,9 +25,9 @@ from .report import analyze
 from .reduction import decide_infinite_trace, one_to_one_reduction
 from .simulate import (
     DEFAULT_WINDOW,
+    _evidence_and_radii,
     default_horizon,
     empirical_class,
-    radius_samples,
 )
 from .streams import point_from_literal
 from .substitution import (
@@ -127,12 +127,14 @@ def cmd_simulate(args):
     x = _load_point(subst, args.x)
     y = _load_point(subst, args.y)
     horizon = args.horizon if args.horizon is not None else default_horizon(subst)
-    report = empirical_class(x, y, horizon, args.window, args.max_word)
     if args.csv:
+        report, samples = _evidence_and_radii(x, y, horizon, args.window, args.max_word)
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("n,radius\n")
-            for n, r in radius_samples(x, y, horizon, args.window, args.max_word):
+            for n, r in samples:
                 fh.write(f"{n},{r}\n")
+    else:
+        report = empirical_class(x, y, horizon, args.window, args.max_word)
     _emit(report.to_json())
     return EXIT_OK
 

@@ -366,7 +366,6 @@ class PairClass(Enum):
     DISTAL = "Distal"
     ASYMPTOTIC = "Asymptotic"
     LI_YORKE = "LiYorke"
-    PROXIMAL_NOT_CLASSIFIED = "ProximalNotClassified"
     UNRESOLVED = "Unresolved"
 
 

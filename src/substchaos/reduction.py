@@ -112,6 +112,12 @@ def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
     search walks factorizations depth-first, introducing dictionary words
     in order of first use, so the reported simplification is
     deterministic.  Returns None for an elementary substitution.
+
+    Deciding elementariness is co-NP-complete in general, so the search
+    keeps its candidate budget; ``_cover`` only skips subtrees that a
+    lower bound on the dictionary size proves empty.  The walk order is
+    unchanged, so the result is the one the unpruned walk finds wherever
+    that walk finishes, and no more candidates are spent.
     """
     n = subst.size
     images = list(subst.images)
@@ -137,33 +143,108 @@ def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
 
 
 def _cover(images, size, counter):
-    """Depth-first search for a dictionary of exactly <= ``size`` words
-    segmenting every image; returns (dictionary, segmentations)."""
+    """Depth-first search for a dictionary of at most ``size`` words
+    segmenting every image; returns (dictionary, segmentations) or None.
 
-    def walk(img_idx, pos, dictionary, segs, seg):
+    A node is a partial segmentation: images before ``img_idx`` are
+    segmented, the current one up to ``pos``, with the dictionary ``D``.
+    The dictionary only grows along a path, so any dictionary below the
+    node is some ``D' >= D``, and it must hold:
+
+    - a first word for every later image, which is a prefix of it; an
+      image no word of ``D`` starts needs a new one, and images with
+      different first letters need different words;
+    - a next word for the current rest ``image[pos:]``, new unless a word
+      of ``D`` starts the rest, beginning with the rest's first letter;
+    - a last word for the current and every later image, which is a
+      suffix of it; an image no word of ``D`` ends needs a new one, and
+      different last letters need different words.
+
+    So ``|D'| >= |D| + max(new prefix words, new suffix words)``, counting
+    distinct first letters (the rest's included) and distinct last
+    letters.  When that exceeds ``size`` the subtree holds no dictionary
+    and is skipped; the node itself is still charged to the budget, so
+    the walk visits a subsequence of the unpruned walk's candidates in the
+    same order and finds the same first dictionary.
+
+    Every image before the current one is started and ended by words of
+    ``D`` (its first and last segments), and the current one is started
+    once ``pos > 0``, so the letters may be collected over all images that
+    no word of ``D`` starts or ends.  They depend on ``D`` alone and are
+    kept per dictionary size on the current path, with the sets of images
+    that words of ``D`` start and end as bit masks; the masks of each word
+    are computed once, and the letters are collected again only when a
+    pushed word starts or ends an image no earlier word did.
+    """
+    n = len(images)
+    dictionary = []
+    segs = [[] for _ in images]
+    marks = {}  # word -> (mask of images it starts, mask of images it ends)
+    # per dictionary size on the current path: the images words start and
+    # end, the first letters of the images no word starts, and the number
+    # of distinct last letters of the images no word ends
+    unmet = [(0, 0, {image[0] for image in images}, len({image[-1] for image in images}))]
+
+    def push(w):
+        dictionary.append(w)
+        if w not in marks:
+            marks[w] = (
+                sum(1 << j for j, image in enumerate(images) if image.startswith(w)),
+                sum(1 << j for j, image in enumerate(images) if image.endswith(w)),
+            )
+        started, ended, firsts, lasts = unmet[-1]
+        w_starts, w_ends = marks[w]
+        if w_starts & ~started:
+            started |= w_starts
+            firsts = {image[0] for j, image in enumerate(images) if not started >> j & 1}
+        if w_ends & ~ended:
+            ended |= w_ends
+            lasts = len({image[-1] for j, image in enumerate(images) if not ended >> j & 1})
+        unmet.append((started, ended, firsts, lasts))
+
+    def pop():
+        dictionary.pop()
+        unmet.pop()
+
+    def walk(img_idx, pos):
         counter.spend()
-        if img_idx == len(images):
-            return dictionary, segs
+        if img_idx == n:
+            return True
         image = images[img_idx]
         if pos == len(image):
-            return walk(img_idx + 1, 0, dictionary, segs + [seg], [])
-        rest = image[pos:]
-        for widx, w in enumerate(dictionary):
-            if rest.startswith(w):
-                hit = walk(img_idx, pos + len(w), dictionary, segs, seg + [widx])
-                if hit is not None:
-                    return hit
+            return walk(img_idx + 1, 0)
+        _, _, firsts, lasts = unmet[-1]
+        spare = size - len(dictionary)
+        if max(len(firsts), lasts) > spare or (
+            len(firsts) == spare
+            and image[pos] not in firsts
+            and not any(image.startswith(w, pos) for w in dictionary)
+        ):
+            return False
+        seg = segs[img_idx]
+        for widx in range(len(dictionary)):
+            w = dictionary[widx]
+            if image.startswith(w, pos):
+                seg.append(widx)
+                if walk(img_idx, pos + len(w)):
+                    return True
+                seg.pop()
         if len(dictionary) < size:
-            for ln in range(1, len(rest) + 1):
-                w = rest[:ln]
+            for stop in range(pos + 1, len(image) + 1):
+                w = image[pos:stop]
                 if w in dictionary:
                     continue
-                hit = walk(img_idx, pos + ln, dictionary + [w], segs, seg + [len(dictionary)])
-                if hit is not None:
-                    return hit
-        return None
+                seg.append(len(dictionary))
+                push(w)
+                if walk(img_idx, stop):
+                    return True
+                pop()
+                seg.pop()
+        return False
 
-    return walk(0, 0, [], [], [])
+    if walk(0, 0):
+        return dictionary, segs
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -65,30 +65,6 @@ class EvidenceReport:
         }
 
 
-def agreement_radius(x_window, y_window, time, window_cap, center=None):
-    """Smallest |i| <= cap with the windows differing at ``time + i``;
-    the cap itself when they agree on the whole stretch.  Both windows
-    must cover ``time - cap .. time + cap`` around their center index."""
-    if len(x_window) != len(y_window):
-        raise PreconditionError("windows must have equal length")
-    mid = (len(x_window) - 1) // 2 if center is None else center
-    lo = mid + time - window_cap
-    hi = mid + time + window_cap
-    if lo < 0 or hi >= len(x_window):
-        raise PreconditionError("windows do not cover the requested time")
-    if x_window[lo : hi + 1] == y_window[lo : hi + 1]:
-        return window_cap
-    if x_window[mid + time] != y_window[mid + time]:
-        return 0
-    for r in range(1, window_cap + 1):
-        if (
-            x_window[mid + time - r] != y_window[mid + time - r]
-            or x_window[mid + time + r] != y_window[mid + time + r]
-        ):
-            return r
-    return window_cap
-
-
 def _difference_flags(x, y, horizon, window, budget):
     """Expand both points to radius ``horizon + window`` and return one
     byte per coordinate: 1 where the windows differ, 0 where they agree.
@@ -101,14 +77,18 @@ def _difference_flags(x, y, horizon, window, budget):
 
 def empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
     """Report the observed metric behavior of the pair at forward times
-    0..horizon; makes no exact claim.
+    0..horizon; makes no exact claim."""
+    return _evidence(_difference_flags(x, y, horizon, window, budget), horizon, window)
+
+
+def _evidence(flags, horizon, window):
+    """The report of ``empirical_class`` read off the difference flags.
 
     The radius at time n is the distance from n to the nearest difference,
-    capped at the window, so every field is read off the difference flags
-    without visiting the times one by one: a separation is a 1 at a time,
-    and time n is proximal (radius >= window) exactly when the ``2*window
-    - 1`` flags centred on it are all 0."""
-    flags = _difference_flags(x, y, horizon, window, budget)
+    capped at the window, so every field is read without visiting the
+    times one by one: a separation is a 1 at a time, and time n is
+    proximal (radius >= window) exactly when the ``2*window - 1`` flags
+    centred on it are all 0."""
     mid = horizon + window
     end = mid + horizon + 1
     sep_count = flags.count(1, mid, end)
@@ -176,14 +156,24 @@ def scan_until_events(x, y, base_horizon, window=DEFAULT_WINDOW, wanted=3,
 
 
 def radius_samples(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
-    """(time, agreement radius) samples for CSV export.
+    """(time, agreement radius) samples for CSV export."""
+    return _radii(_difference_flags(x, y, horizon, window, budget), horizon, window)
 
-    Read off the zero runs of the difference flags from time ``-window``
-    on: inside a run the radius rises by one from each end up to the
-    window.  A difference just outside that stretch is more than the
-    window away from every time, so the ends may be treated as
-    differences."""
-    stretch = _difference_flags(x, y, horizon, window, budget)[horizon:]
+
+def _evidence_and_radii(x, y, horizon, window, budget):
+    """``empirical_class`` and ``radius_samples`` of the pair from one
+    expansion and comparison of the two windows."""
+    flags = _difference_flags(x, y, horizon, window, budget)
+    return _evidence(flags, horizon, window), _radii(flags, horizon, window)
+
+
+def _radii(flags, horizon, window):
+    """The samples of ``radius_samples`` read off the zero runs of the
+    difference flags from time ``-window`` on: inside a run the radius
+    rises by one from each end up to the window.  A difference just
+    outside that stretch is more than the window away from every time,
+    so the ends may be treated as differences."""
+    stretch = flags[horizon:]
     radii = [0] * len(stretch)
     for run in _AGREEMENT.finditer(stretch):
         start, stop = run.span()

@@ -24,6 +24,7 @@ from substchaos import (
     stream_from_entries,
     stream_from_fixed_point,
 )
+from substchaos import reduction
 from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import _aligned_entries, _past_finite_forward_data
@@ -334,3 +335,107 @@ def stepwise_empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAUL
         min_distance=2.0 ** (-max_radius),
         max_distance=2.0 ** (-min_radius),
     )
+
+
+def agreement_radius(x_window, y_window, time, window_cap, center=None):
+    """Smallest |i| <= cap with the windows differing at ``time + i``;
+    the cap itself when they agree on the whole stretch.  Both windows
+    must cover ``time - cap .. time + cap`` around their center index."""
+    if len(x_window) != len(y_window):
+        raise PreconditionError("windows must have equal length")
+    mid = (len(x_window) - 1) // 2 if center is None else center
+    lo = mid + time - window_cap
+    hi = mid + time + window_cap
+    if lo < 0 or hi >= len(x_window):
+        raise PreconditionError("windows do not cover the requested time")
+    if x_window[lo : hi + 1] == y_window[lo : hi + 1]:
+        return window_cap
+    if x_window[mid + time] != y_window[mid + time]:
+        return 0
+    for r in range(1, window_cap + 1):
+        if (
+            x_window[mid + time - r] != y_window[mid + time - r]
+            or x_window[mid + time + r] != y_window[mid + time + r]
+        ):
+            return r
+    return window_cap
+
+
+# ---------------------------------------------------------------------------
+# reference simplifiability search: the depth-first walk without the
+# lower-bound pruning of reduction._cover
+
+
+def unpruned_cover(images, size, counter):
+    """Depth-first search for a dictionary of exactly <= ``size`` words
+    segmenting every image; returns (dictionary, segmentations)."""
+
+    def walk(img_idx, pos, dictionary, segs, seg):
+        counter.spend()
+        if img_idx == len(images):
+            return dictionary, segs
+        image = images[img_idx]
+        if pos == len(image):
+            return walk(img_idx + 1, 0, dictionary, segs + [seg], [])
+        rest = image[pos:]
+        for widx, w in enumerate(dictionary):
+            if rest.startswith(w):
+                hit = walk(img_idx, pos + len(w), dictionary, segs, seg + [widx])
+                if hit is not None:
+                    return hit
+        if len(dictionary) < size:
+            for ln in range(1, len(rest) + 1):
+                w = rest[:ln]
+                if w in dictionary:
+                    continue
+                hit = walk(img_idx, pos + ln, dictionary + [w], segs, seg + [len(dictionary)])
+                if hit is not None:
+                    return hit
+        return None
+
+    return walk(0, 0, [], [], [])
+
+
+def counted_simplification(subst, cover=reduction._cover, budget=reduction.SIMPLIFIABILITY_BUDGET):
+    """``is_simplifiable(subst, budget)`` searched with ``cover`` in place
+    of ``reduction._cover``, and the number of candidates it spent."""
+    budgets = []
+
+    class CountingBudget(reduction._Budget):
+        __slots__ = ("spent",)
+
+        def __init__(self, left):
+            super().__init__(left)
+            self.spent = 0
+            budgets.append(self)
+
+        def spend(self):
+            self.spent += 1
+            super().spend()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_Budget", CountingBudget)
+        mp.setattr(reduction, "_cover", cover)
+        result = reduction.is_simplifiable(subst, budget)
+    (counter,) = budgets
+    return result, counter.spent
+
+
+def composed_substitutions(count, seed=CORPUS_SEED + 3):
+    """``count`` substitutions ``g . f`` through an alphabet of 1 to
+    |A| - 1 letters, simplifiable by construction: ``f`` sends each of
+    |A| <= 6 letters to 1-3 letters, ``g`` each target letter to 1-3
+    letters of A (deterministic seed)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        alphabet = tuple("abcdef"[: rng.randint(2, 6)])
+        g = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, len(alphabet) - 1))
+        ]
+        rules = {
+            tok: "".join(rng.choice(g) for _ in range(rng.randint(1, 3))) for tok in alphabet
+        }
+        out.append(Substitution.from_rules(rules, alphabet))
+    return out

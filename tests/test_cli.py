@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from substchaos import REPORT_SCHEMA, cli, report
+from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_literal, report, simulate
 
 from conftest import FIXTURE_SOURCES, LY_TWO, MORSE
 
@@ -169,6 +169,35 @@ def test_simulate_command_with_csv(ly_file, tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "n,radius"
     assert len(lines) == 202
+
+
+def test_simulate_csv_compares_the_windows_once(ly_file, tmp_path, monkeypatch, capsys):
+    # the report and the CSV radii are read off one difference-flag string,
+    # and match the separate empirical_class and radius_samples outputs
+    x = {"kind": "stream", "period": [["", "0", "10"]], "left_seed": "0"}
+    y = {"kind": "stream", "period": [["", "1", "00"]], "left_seed": "0"}
+    calls = []
+    flags = simulate._difference_flags
+
+    def counted(*args):
+        calls.append(args)
+        return flags(*args)
+
+    monkeypatch.setattr(simulate, "_difference_flags", counted)
+    csv_path = tmp_path / "samples.csv"
+    code = cli.main(
+        ["simulate", ly_file, "--x", json.dumps(x), "--y", json.dumps(y),
+         "--horizon", "243", "--window", "4", "--csv", str(csv_path)]
+    )
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert len(calls) == 1
+    s = parse_substitution(LY_TWO)
+    px, py = point_from_literal(s, x), point_from_literal(s, y)
+    report_doc = simulate.empirical_class(px, py, 243, 4).to_json()
+    assert out == json.dumps(report_doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    rows = "".join(f"{n},{r}\n" for n, r in simulate.radius_samples(px, py, 243, 4))
+    assert csv_path.read_bytes() == ("n,radius\n" + rows).encode()
 
 
 def test_tower_command():

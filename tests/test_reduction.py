@@ -16,7 +16,20 @@ from substchaos.errors import PreconditionError, SearchBudgetError
 from substchaos.reduction import biprolongeable_letters
 from substchaos.substitution import is_primitive
 
-from conftest import ComplexityVerdict, oracle_infinite_via_complexity
+from conftest import (
+    ComplexityVerdict,
+    composed_substitutions,
+    counted_simplification,
+    oracle_infinite_via_complexity,
+    unpruned_cover,
+)
+
+# The (10,8) input of the benchmark's analyze-tiers corpus, which the
+# unpruned search left undecided after its 10^6 candidates.
+TIER_TEN_EIGHT = (
+    "a -> cajbhfab\nb -> ddfehjde\nc -> djejagce\nd -> eghffgid\ne -> diafifig\n"
+    "f -> bagfefjf\ng -> hfcfiafb\nh -> agfbdcha\ni -> behiagfg\nj -> cdfdcgec"
+)
 
 
 def test_reduction_merges_equal_images():
@@ -75,6 +88,52 @@ def test_simplifiability_budget():
     s = parse_substitution("a -> baacd\nb -> bbbcd\nc -> bcaba\nd -> bdabd")
     with pytest.raises(SearchBudgetError):
         is_simplifiable(s, budget=3)
+
+
+def test_pruned_search_matches_unpruned(fixtures, random_corpus_any):
+    # the lower bound only skips subtrees without a dictionary: the same
+    # simplification (dictionary and segmentations) as the unpruned walk,
+    # for no more candidates
+    corpus = [(s, False) for s in list(fixtures.values()) + random_corpus_any]
+    corpus += [(s, True) for s in composed_substitutions(1000)]
+    sizes = {}
+    for s, composed in corpus:
+        found, spent = counted_simplification(s)
+        expected, oracle_spent = counted_simplification(s, cover=unpruned_cover)
+        assert found == expected, s.rules()
+        assert spent <= oracle_spent, s.rules()
+        assert found is not None or not composed, s.rules()
+        if found is not None:
+            sizes.setdefault(s.size, set()).add(len(found.g))
+    assert sorted(sizes) == [2, 3, 4, 5, 6]
+    for n, seen in sizes.items():
+        assert seen == set(range(1, n)), n
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "a -> ab\nb -> ac\nc -> ad\nd -> aa",  # four last letters
+        "a -> ba\nb -> ca\nc -> da\nd -> aa",  # four first letters
+    ],
+)
+def test_bound_prunes_at_the_root(source):
+    # four images with distinct last (first) letters need four suffix
+    # (prefix) words, more than any dictionary of 1-3 words: each size is
+    # refused at its root candidate
+    s = parse_substitution(source)
+    assert counted_simplification(s) == (None, 3)
+    assert counted_simplification(s, cover=unpruned_cover)[1] > 3
+
+
+def test_budget_tier_input_is_decided():
+    s = parse_substitution(TIER_TEN_EIGHT)
+    found, spent = counted_simplification(s)
+    assert found is None
+    assert spent < 10**5
+    infinite, trace = decide_infinite_trace(s)
+    assert infinite is True
+    assert [record["action"] for record in trace] == ["elementary"]
 
 
 def test_budget_outcome_is_memoised(monkeypatch):

@@ -9,7 +9,6 @@ import pytest
 
 from substchaos import (
     PairClass,
-    agreement_radius,
     classify_pair,
     construct_ly_pair,
     construct_recurrent_ly_pair,
@@ -23,7 +22,7 @@ from substchaos.errors import PreconditionError
 from substchaos.simulate import EVENT_CAP, count_occurrences, radius_samples
 from substchaos.substitution import iterate_chr, zip_pair_word
 
-from conftest import stepwise_empirical_class
+from conftest import agreement_radius, stepwise_empirical_class
 
 
 def test_agreement_radius_identical_windows():
