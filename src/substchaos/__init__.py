@@ -61,7 +61,6 @@ from .pairs import (
     construct_recurrent_ly_pair,
     enumerate_ly_orbits,
     has_ly_pairs,
-    has_strong_ly,
     has_uncountable_ly,
     li_yorke_certificate,
     uncountable_certificate,

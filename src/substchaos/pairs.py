@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .streams import (
@@ -36,6 +35,7 @@ from .substitution import (
     iterate_chr,
     language_chr,
     last_letter_map,
+    memoised,
 )
 
 ENGINE_LEVEL_CAP = 4096
@@ -92,7 +92,7 @@ def coincidence_class(subst):
 # the flagged fixpoint engines
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _pair_tables(subst):
     """Static tables on letter pairs: images of the pair substitution and,
     per pair, the list of (parent pair, position) occurrences."""
@@ -165,7 +165,7 @@ def _reconstruct_chain(levels, key):
     return tuple(reversed(chain))
 
 
-@lru_cache(maxsize=None)
+@memoised
 def ly_witness(subst):
     """First (in alphabet order of targets) minimal witness for the
     Li-Yorke existence criterion, or None: the target pair, the minimal
@@ -226,7 +226,11 @@ def _double_engine(subst, target):
     raise BudgetExceededError("double-occurrence fixpoint failed to cycle")
 
 
+@memoised
 def uncountable_witness(subst):
+    """First (in alphabet order of targets) witness for the uncountability
+    condition, or None: the target pair and the minimal level of the
+    double-occurrence engine."""
     _require_recognizable(subst)
     n = subst.size
     for i in range(n):
@@ -237,17 +241,12 @@ def uncountable_witness(subst):
     return None
 
 
-@lru_cache(maxsize=None)
 def has_uncountable_ly(subst):
     """Uncountably many Li-Yorke pairs: some power maps a letter pair onto
-    two aligned occurrences of itself with a coincidence after the first."""
+    two aligned occurrences of itself with a coincidence after the first.
+    Equivalently, a recurrent (strong) Li-Yorke pair exists
+    (``STRONG_EQUIVALENCE_CHAIN``)."""
     return uncountable_witness(subst) is not None
-
-
-def has_strong_ly(subst):
-    """Existence of a recurrent (strong) Li-Yorke pair; equivalent to the
-    uncountability condition."""
-    return has_uncountable_ly(subst)
 
 
 STRONG_EQUIVALENCE_CHAIN = (

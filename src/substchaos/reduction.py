@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvariantError, PreconditionError, SearchBudgetError
 from .substitution import (
     Substitution,
     is_primitive,
     language_chr,
+    memoised,
 )
 
 SIMPLIFIABILITY_BUDGET = 10**6
@@ -285,19 +285,20 @@ def decide_infinite(subst):
     return _decision(subst)[0]
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _simplification(subst):
     """``(is_simplifiable(subst), None)``, or ``(None, message)`` when the
-    search runs out of budget.  ``lru_cache`` keeps no exceptions, so the
-    budget outcome is memoised as a value and raised afresh by the caller
-    (a stored exception object would grow its traceback on every raise)."""
+    search runs out of budget.  The table cache keeps no exceptions, so
+    the budget outcome is memoised as a value and raised afresh by the
+    caller (a stored exception object would grow its traceback on every
+    raise)."""
     try:
         return is_simplifiable(subst), None
     except SearchBudgetError as exc:
         return None, str(exc)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _decision(subst):
     """The verdict and the trace records of one substitution, memoised so
     that each substitution is searched at most once, a search that runs

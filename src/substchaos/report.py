@@ -12,7 +12,6 @@ from .pairs import (
     coincidence_class,
     enumerate_ly_orbits,
     has_ly_pairs,
-    has_strong_ly,
     has_uncountable_ly,
     li_yorke_certificate,
 )
@@ -173,7 +172,7 @@ def analyze(subst, include_orbits=True, brute_bound=None):
     cert = li_yorke_certificate(reduced) if data["has_li_yorke"] else None
     data["li_yorke_certificate"] = None if cert is None else cert.to_json()
     data["uncountable_li_yorke"] = has_uncountable_ly(reduced)
-    data["strong_li_yorke"] = has_strong_ly(reduced)
+    data["strong_li_yorke"] = data["uncountable_li_yorke"]
     if data["strong_li_yorke"]:
         data["strong_equivalence_chain"] = list(STRONG_EQUIVALENCE_CHAIN)
     data["fiber_bound"] = fiber_bound(reduced)

@@ -155,24 +155,21 @@ def scan_until_events(x, y, base_horizon, window=DEFAULT_WINDOW, wanted=3,
         horizon *= 2
 
 
-def radius_samples(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
-    """(time, agreement radius) samples for CSV export."""
-    return _radii(_difference_flags(x, y, horizon, window, budget), horizon, window)
-
-
 def _evidence_and_radii(x, y, horizon, window, budget):
-    """``empirical_class`` and ``radius_samples`` of the pair from one
-    expansion and comparison of the two windows."""
+    """``empirical_class`` of the pair and its ``(time, agreement
+    radius)`` samples for CSV export, from one expansion and comparison of
+    the two windows."""
     flags = _difference_flags(x, y, horizon, window, budget)
     return _evidence(flags, horizon, window), _radii(flags, horizon, window)
 
 
 def _radii(flags, horizon, window):
-    """The samples of ``radius_samples`` read off the zero runs of the
-    difference flags from time ``-window`` on: inside a run the radius
-    rises by one from each end up to the window.  A difference just
-    outside that stretch is more than the window away from every time,
-    so the ends may be treated as differences."""
+    """The ``(time, agreement radius)`` samples for times 0..horizon,
+    read off the zero runs of the difference flags from time ``-window``
+    on: inside a run the radius rises by one from each end up to the
+    window.  A difference just outside that stretch is more than the
+    window away from every time, so the ends may be treated as
+    differences."""
     stretch = flags[horizon:]
     radii = [0] * len(stretch)
     for run in _AGREEMENT.finditer(stretch):

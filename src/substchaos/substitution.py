@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import ParseError, InvariantError, PreconditionError, BudgetExceededError
 
 DEFAULT_WORD_BUDGET = 1 << 24
+# Substitutions whose derived tables (and language listings) stay cached.
+TABLE_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -136,18 +138,44 @@ class Substitution:
 
     # -- application -------------------------------------------------
 
-    @property
-    def _table(self):
-        return _translate_table(self)
-
     def apply(self, chrword):
-        """One application of the substitution to an internal word."""
-        return chrword.translate(self._table)
+        """One application of the substitution to an internal word.  The
+        images tuple is the translate table: ``str.translate`` looks up
+        each letter's ordinal in it by index."""
+        return chrword.translate(self.images)
 
 
-@lru_cache(maxsize=None)
-def _translate_table(subst):
-    return {i: img for i, img in enumerate(subst.images)}
+# ---------------------------------------------------------------------------
+# the table cache
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _tables(subst):
+    """The derived tables of one substitution, keyed by the function that
+    built them (see ``memoised``).  Only the tables of the
+    ``TABLE_CACHE_SIZE`` substitutions used last are kept, so memory stays
+    bounded in a long-lived process; an evicted table is built again on
+    its next use."""
+    return {}
+
+
+def memoised(fn):
+    """Memoise ``fn(subst)`` in the table of ``subst`` while it stays in
+    the table cache; exceptions are not kept.  Threads that race on a
+    missing value each compute and store an equal one."""
+
+    @wraps(fn)
+    def cached(subst):
+        tables = _tables(subst)
+        try:
+            return tables[fn]
+        except KeyError:
+            pass
+        # outside the handler, so an exception of fn carries no KeyError
+        value = tables[fn] = fn(subst)
+        return value
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +339,7 @@ def wielandt_bound(n):
     return (n - 1) * (n - 1) + 1
 
 
-@lru_cache(maxsize=None)
+@memoised
 def is_primitive(subst):
     """True when some power maps every letter to a word containing every
     letter.  Powers are searched up to the Wielandt bound (n-1)^2 + 1."""
@@ -330,7 +358,7 @@ def is_primitive(subst):
 # language of the generated subshift
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def language_chr(subst, length):
     """All internal length-``length`` subwords of the subshift, as a
     frozenset.  Requires a primitive substitution.
@@ -426,14 +454,14 @@ def complexity(subst, max_length):
     return [len(words) for words in _languages_up_to(subst, max_length).values()]
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _membership_base(subst):
     p = subst.constant_length
     limit = max(2 * p + 2, 4)
     return limit, _languages_up_to(subst, limit)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def _image_index(subst):
     return {img: i for i, img in enumerate(subst.images)}
 
@@ -536,13 +564,13 @@ def project_pair_word(subst, pairword, side):
 # letter maps used by seed handling
 
 
-@lru_cache(maxsize=None)
+@memoised
 def first_letter_map(subst):
     """letter -> first letter of its image."""
     return tuple(ord(img[0]) for img in subst.images)
 
 
-@lru_cache(maxsize=None)
+@memoised
 def last_letter_map(subst):
     """letter -> last letter of its image."""
     return tuple(ord(img[-1]) for img in subst.images)

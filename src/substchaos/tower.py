@@ -10,7 +10,6 @@ evidence because the product topology is determined coordinatewise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import PreconditionError
 from .pairs import PairClass, classify_pair
@@ -26,7 +25,6 @@ class TowerLevel:
     substitution: Substitution
 
 
-@lru_cache(maxsize=None)
 def tower_substitution(n):
     """Level ``n``: alphabet 0..n, each letter maps to itself, zero, then
     its successor (capped at the top letter)."""

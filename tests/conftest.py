@@ -28,7 +28,13 @@ from substchaos import reduction
 from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import _aligned_entries, _past_finite_forward_data
-from substchaos.simulate import DEFAULT_WINDOW, EVENT_CAP, EvidenceReport
+from substchaos.simulate import (
+    DEFAULT_WINDOW,
+    EVENT_CAP,
+    EvidenceReport,
+    _difference_flags,
+    _radii,
+)
 from substchaos.streams import _require_recognizable
 from substchaos.substitution import (
     DEFAULT_WORD_BUDGET,
@@ -359,6 +365,11 @@ def agreement_radius(x_window, y_window, time, window_cap, center=None):
         ):
             return r
     return window_cap
+
+
+def radius_samples(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
+    """(time, agreement radius) samples for CSV export."""
+    return _radii(_difference_flags(x, y, horizon, window, budget), horizon, window)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 from substchaos import (
     Coincidence,
     PairClass,
+    analyze,
     build_scrambled_set,
     classify_pair,
     coincidence_class,
@@ -19,7 +20,6 @@ from substchaos import (
     enumerate_ly_orbits,
     fiber_bound,
     has_ly_pairs,
-    has_strong_ly,
     has_uncountable_ly,
     is_primitive,
     one_to_one_reduction,
@@ -67,13 +67,15 @@ def test_criterion_1_fixture_decisions(fixtures):
         aba = fixtures["aba"]
         assert has_ly_pairs(aba) is True
         assert has_uncountable_ly(aba) is False
-        assert has_strong_ly(aba) is False
+        data = analyze(aba, include_orbits=False).data
+        assert data["strong_li_yorke"] is data["uncountable_li_yorke"] is False
         orbits = enumerate_ly_orbits(aba)
         assert orbits and len(orbits) < 10**4
 
         baacd = fixtures["baacd"]
         assert has_uncountable_ly(baacd) is True
-        assert has_strong_ly(baacd) is True
+        data = analyze(baacd, include_orbits=False).data
+        assert data["strong_li_yorke"] is data["uncountable_li_yorke"] is True
         rp = construct_recurrent_ly_pair(baacd)
         assert recurrence_check(rp.x, rp.y, rp.letters, 4) is True
         x = stream_from_entries(baacd, [], [["b", "c", "aba"]])

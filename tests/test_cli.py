@@ -10,7 +10,7 @@ import pytest
 
 from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_literal, report, simulate
 
-from conftest import FIXTURE_SOURCES, LY_TWO, MORSE
+from conftest import FIXTURE_SOURCES, LY_TWO, MORSE, radius_samples
 
 
 def run_cli(*args):
@@ -196,7 +196,7 @@ def test_simulate_csv_compares_the_windows_once(ly_file, tmp_path, monkeypatch, 
     px, py = point_from_literal(s, x), point_from_literal(s, y)
     report_doc = simulate.empirical_class(px, py, 243, 4).to_json()
     assert out == json.dumps(report_doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    rows = "".join(f"{n},{r}\n" for n, r in simulate.radius_samples(px, py, 243, 4))
+    rows = "".join(f"{n},{r}\n" for n, r in radius_samples(px, py, 243, 4))
     assert csv_path.read_bytes() == ("n,radius\n" + rows).encode()
 
 

@@ -1,8 +1,9 @@
 """Source checks: runtime invariants must survive ``python -O`` and reach
 the CLI's JSON error contract, so no module of the package uses an
 ``assert`` statement or raises ``AssertionError``; the runtime needs
-the standard library only; and no module of the package or of the test
-suite imports a name it never reads."""
+the standard library only; every cache of the package is bounded; and no
+module of the package or of the test suite imports a name it never
+reads."""
 
 import ast
 import sys
@@ -106,3 +107,70 @@ def test_no_unused_imports():
         "def f():\n    import re\n    return json.dumps(P), xml\n"
     )
     assert [name for _, name in _unused_imports(probe)] == ["os", "Path", "re"]
+
+
+# Decorators the package may use: ``memoised`` (the table cache) and a
+# bounded ``lru_cache`` are its only memos.
+ALLOWED_DECORATORS = {
+    "classmethod", "dataclass", "lru_cache", "memoised", "property", "staticmethod", "wraps",
+}
+UNBOUNDED_MEMOS = {"cache", "cached_property"}
+
+
+def _tail(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _unbounded_caches(tree):
+    """(line, what) for every memo that may grow without bound and every
+    decorator outside ``ALLOWED_DECORATORS``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _tail(node.func) == "lru_cache":
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if not sizes or (isinstance(sizes[0], ast.Constant) and sizes[0].value is None):
+                yield node.lineno, "lru_cache without a bound"
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            for dec in node.decorator_list:
+                called = isinstance(dec, ast.Call)
+                name = _tail(dec.func if called else dec)
+                if name == "lru_cache" and not called:
+                    yield dec.lineno, "lru_cache without a bound"
+                elif name not in ALLOWED_DECORATORS:
+                    yield dec.lineno, f"decorator {name}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            for alias in node.names:
+                if alias.name in UNBOUNDED_MEMOS:
+                    yield node.lineno, f"functools.{alias.name}"
+        elif isinstance(node, ast.Attribute) and _tail(node.value) == "functools":
+            if node.attr in UNBOUNDED_MEMOS:
+                yield node.lineno, f"functools.{node.attr}"
+
+
+def test_caches_are_bounded():
+    found = []
+    for module in CHECKED_MODULES:
+        tree = _tree(PACKAGE_DIR / module)
+        found += [f"{module}:{line}: {what}" for line, what in _unbounded_caches(tree)]
+    assert found == []
+    probe = ast.parse(
+        "import functools\n"
+        "from functools import cache, lru_cache, wraps\n"
+        "@lru_cache(maxsize=SIZE)\ndef a(s): pass\n"
+        "@memoised\ndef b(s): pass\n"
+        "@lru_cache(maxsize=None)\ndef c(s): pass\n"
+        "@functools.lru_cache(None)\ndef d(s): pass\n"
+        "@lru_cache\ndef e(s): pass\n"
+        "@functools.cached_property\ndef f(s): pass\n"
+        "@remember\ndef g(s): pass\n"
+        "h = lru_cache(maxsize=None)(a)\n"
+    )
+    assert sorted(_unbounded_caches(probe)) == [
+        (2, "functools.cache"),
+        (7, "lru_cache without a bound"),
+        (9, "lru_cache without a bound"),
+        (11, "lru_cache without a bound"),
+        (13, "decorator cached_property"),
+        (13, "functools.cached_property"),
+        (15, "decorator remember"),
+        (17, "lru_cache without a bound"),
+    ]

@@ -8,6 +8,7 @@ import pytest
 from substchaos import (
     Coincidence,
     PairClass,
+    analyze,
     build_scrambled_set,
     classify_pair,
     coincidence_class,
@@ -17,7 +18,6 @@ from substchaos import (
     enumerate_fiber,
     enumerate_ly_orbits,
     has_ly_pairs,
-    has_strong_ly,
     has_uncountable_ly,
     li_yorke_certificate,
     parse_substitution,
@@ -76,7 +76,8 @@ def test_has_ly_pairs_fixtures(fixtures, name, expected):
 )
 def test_has_uncountable_fixtures(fixtures, name, expected):
     assert has_uncountable_ly(fixtures[name]) is expected
-    assert has_strong_ly(fixtures[name]) is expected
+    data = analyze(fixtures[name], include_orbits=False).data
+    assert data["strong_li_yorke"] is data["uncountable_li_yorke"] is expected
 
 
 def test_engines_require_one_to_one():

@@ -137,11 +137,11 @@ def test_budget_tier_input_is_decided():
 
 
 def test_budget_outcome_is_memoised(monkeypatch):
-    # lru_cache keeps no exceptions, so the budget outcome is kept as a
-    # value: a second decision raises afresh without a second search
+    # the table cache keeps no exceptions, so the budget outcome is kept as
+    # a value: a second decision raises afresh without a second search
     import traceback
 
-    from substchaos import reduction
+    from substchaos import reduction, substitution
 
     searched = []
 
@@ -151,8 +151,7 @@ def test_budget_outcome_is_memoised(monkeypatch):
 
     s = parse_substitution("a -> abcb\nb -> bcab\nc -> cabc")
     monkeypatch.setattr(reduction, "is_simplifiable", out_of_budget)
-    reduction._decision.cache_clear()
-    reduction._simplification.cache_clear()
+    substitution._tables.cache_clear()
     errors = []
     try:
         for _ in range(2):
@@ -160,11 +159,12 @@ def test_budget_outcome_is_memoised(monkeypatch):
                 decide_infinite(s)
             errors.append(err.value)
     finally:
-        reduction._decision.cache_clear()
-        reduction._simplification.cache_clear()
+        substitution._tables.cache_clear()
     assert searched == [s]
     first, second = errors
     assert first is not second
+    # raised outside the cache's miss handler: no KeyError in the chain
+    assert first.__context__ is None and second.__context__ is None
     assert str(second) == str(first)
     assert len(traceback.extract_tb(second.__traceback__)) == len(
         traceback.extract_tb(first.__traceback__)

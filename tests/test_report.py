@@ -1,20 +1,11 @@
 """The analysis bundle: how often ``analyze`` runs the finiteness search
 and how it derives ``is_elementary`` from the decision trace."""
 
-import sys
 from collections import Counter
 
-from substchaos import analyze, is_simplifiable, parse_substitution, reduction
+from substchaos import analyze, is_simplifiable, parse_substitution, reduction, substitution
 
 NON_INJECTIVE = "0 -> 021\n1 -> 021\n2 -> 201"
-
-
-def _clear_package_caches():
-    for name, module in list(sys.modules.items()):
-        if name == "substchaos" or name.startswith("substchaos."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
 
 
 def test_analyze_searches_each_substitution_once(fixtures, monkeypatch):
@@ -26,7 +17,7 @@ def test_analyze_searches_each_substitution_once(fixtures, monkeypatch):
         return original(subst, *args, **kwargs)
 
     monkeypatch.setattr(reduction, "is_simplifiable", counting)
-    _clear_package_caches()
+    substitution._tables.cache_clear()
     inputs = list(fixtures.values()) + [parse_substitution(NON_INJECTIVE)]
     for s in inputs:
         analyze(s)

@@ -19,10 +19,10 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos.errors import PreconditionError
-from substchaos.simulate import EVENT_CAP, count_occurrences, radius_samples
+from substchaos.simulate import EVENT_CAP, count_occurrences
 from substchaos.substitution import iterate_chr, zip_pair_word
 
-from conftest import agreement_radius, stepwise_empirical_class
+from conftest import agreement_radius, radius_samples, stepwise_empirical_class
 
 
 def test_agreement_radius_identical_windows():
