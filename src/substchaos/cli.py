@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__
 from .errors import (
@@ -148,8 +149,18 @@ def cmd_tower(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are ``ParseError``s, so malformed argv
+    meets the JSON error contract (exit 1) like any other malformed input.
+    Subparsers are built from the same class.  ``--help`` and ``--version``
+    still print and exit 0."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="substchaos",
         description="Li-Yorke pair analysis for constant-length substitutions",
     )
@@ -205,10 +216,20 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser of ``main``, built on first use rather than at import and
+    then shared by every call in the process.  Only a process that calls
+    ``main`` more than once (a test suite, a benchmark) saves anything: the
+    ``substchaos`` command runs one call per process and builds the parser
+    once either way.  Sharing is safe, also across threads: ``parse_args``
+    only reads the parser."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         _error(exc)

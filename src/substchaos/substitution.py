@@ -34,7 +34,10 @@ class Substitution:
 
     ``alphabet`` fixes the letter order used for every tie-break in the
     package; ``images`` holds the image of letter ``i`` as an internal
-    chr-coded string.
+    chr-coded string.  ``constant_length`` is the common image length
+    ``p``, or None for variable length.  It and the hash are computed
+    once, at construction, since every table-cache and language lookup
+    hashes the substitution; the hash stays ``hash((alphabet, images))``.
     """
 
     alphabet: tuple[str, ...]
@@ -54,6 +57,15 @@ class Substitution:
             for ch in img:
                 if ord(ch) >= n:
                     raise InvariantError(f"image of {tok!r} uses an unknown letter")
+        # plain instance attributes, not fields, so eq and repr are unchanged
+        lengths = set(map(len, self.images))
+        p = lengths.pop() if len(lengths) == 1 else None
+        object.__setattr__(self, "constant_length", p)
+        object.__setattr__(self, "_hash", hash((self.alphabet, self.images)))
+        object.__setattr__(self, "_one_char_tokens", all(len(t) == 1 for t in self.alphabet))
+
+    def __hash__(self):
+        return self._hash
 
     # -- construction ------------------------------------------------
 
@@ -87,14 +99,6 @@ class Substitution:
     @property
     def size(self):
         return len(self.alphabet)
-
-    @property
-    def constant_length(self):
-        """The common image length ``p`` or None for variable length."""
-        lengths = {len(img) for img in self.images}
-        if len(lengths) == 1:
-            return lengths.pop()
-        return None
 
     @property
     def is_constant(self):
@@ -131,10 +135,15 @@ class Substitution:
             raise InvariantError(f"unknown letter {exc.args[0]!r}")
 
     def decode(self, chrword):
-        """Internal chr-coded word back to public form."""
-        if all(len(tok) == 1 for tok in self.alphabet):
-            return "".join(self.alphabet[ord(ch)] for ch in chrword)
-        return tuple(self.alphabet[ord(ch)] for ch in chrword)
+        """Internal chr-coded word back to public form.  With one-character
+        tokens the alphabet is the translate table, as the images are in
+        ``apply``; ``translate`` leaves a code past its end unmapped, so
+        such codes are refused first."""
+        if chrword and ord(max(chrword)) >= self.size:
+            raise InvariantError(f"word uses a letter code >= {self.size}")
+        if self._one_char_tokens:
+            return chrword.translate(self.alphabet)
+        return tuple(map(self.alphabet.__getitem__, map(ord, chrword)))
 
     # -- application -------------------------------------------------
 

@@ -1,12 +1,18 @@
 """Command-line surface: subcommands, exit codes, JSON shape,
-determinism."""
+determinism, and the one parser a process shares between calls."""
 
+import argparse
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_literal, report, simulate
 
@@ -274,3 +280,233 @@ def test_malformed_point_literal_is_one_error_line(morse_file, literal, code, er
     lines = res.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+
+
+def run_main(argv):
+    """``cli.main(argv)`` in this process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(err, error=None):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert sorted(doc) == ["error", "message"]
+    assert error is None or doc["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="no-command"),
+        pytest.param(["bogus"], id="unknown-command"),
+        pytest.param(["language"], id="missing-arguments"),
+        pytest.param(["language", "MORSE", "notint"], id="length-not-int"),
+        pytest.param(["analyze", "MORSE", "--bogus"], id="unknown-option"),
+        pytest.param(["tower", "--depth"], id="option-without-value"),
+    ],
+)
+def test_usage_error_is_one_json_line(morse_file, argv):
+    code, out, err = run_main([morse_file if a == "MORSE" else a for a in argv])
+    assert code == 1
+    assert out == ""
+    assert_one_error_line(err, "ParseError")
+
+
+def test_usage_error_exit_code_from_the_command_line():
+    res = run_cli("language")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert_one_error_line(res.stderr, "ParseError")
+
+
+def test_help_and_version_still_print_and_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"{cli.__version__}\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["language", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: substchaos language")
+
+
+def test_main_builds_the_parser_once_per_process(morse_file, ly_file, monkeypatch):
+    # one build is the top-level parser and its seven subparsers; a change
+    # that rebuilt the parser per call would count 8 per call
+    x = json.dumps({"kind": "stream", "period": [["", "0", "10"]], "left_seed": "0"})
+    y = json.dumps({"kind": "stream", "period": [["", "1", "00"]], "left_seed": "0"})
+    argvs = [
+        ["analyze", morse_file, "--json"],
+        ["reduce", morse_file],
+        ["decide", morse_file],
+        ["language", morse_file, "4"],
+        ["classify", ly_file, "--x", x, "--y", y],
+        ["simulate", ly_file, "--x", x, "--y", y, "--horizon", "27", "--window", "2"],
+        ["tower", "--depth", "2", "--horizon", "27", "--json"],
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    codes = [run_main(argvs[i % len(argvs)])[0] for i in range(20)]
+    assert codes == [0] * 20
+    assert len(built) == 1 + len(argvs)
+
+
+def test_shared_parser_across_threads(morse_file):
+    # parse_args only reads the parser: eight threads parsing distinct argv
+    # on the shared one get what freshly built parsers give
+    argvs = [
+        ["analyze", morse_file, "--json", "--brute-bound", str(n)] for n in range(4)
+    ] + [
+        ["language", morse_file, str(n)] for n in range(4)
+    ] + [
+        ["simulate", morse_file, "--x", "{}", "--y", str(n), "--window", str(n + 1)]
+        for n in range(4)
+    ] + [
+        ["tower", "--depth", str(n), "--horizon", str(3 * n)] for n in range(4)
+    ]
+    jobs = argvs * 25
+    expected = [cli.build_parser().parse_args(argv) for argv in jobs]
+    parser = cli._parser()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(parser.parse_args, jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert cli._parser() is parser
+
+
+# -- generated command lines -------------------------------------------------
+
+LETTER_SETS = (("a", "b", "c"), ("`x1`", "`y2`", "`z3`"))
+NOISE_LINES = ("", "# comment", "not a rule", "a -> ", "q -> a")
+
+
+def rule_text(draw, letters):
+    """A rule file over ``letters``: mostly primitive (the image of each
+    letter holds it and the next letter) and of constant length, sometimes
+    neither, occasionally with an unknown letter, a noise line or in the
+    JSON form."""
+    p = draw(st.sampled_from([2, 3, 1]))
+    primitive = draw(st.sampled_from([True, True, True, False]))
+    variable = draw(st.sampled_from([False, False, False, True]))
+    rules = {}
+    for i, a in enumerate(letters):
+        length = draw(st.integers(1, 3)) if variable else p
+        pool = letters + ("`w`",) if draw(st.integers(0, 9)) == 0 else letters
+        image = [draw(st.sampled_from(pool)) for _ in range(length)]
+        if primitive and length >= 2:
+            image[:2] = a, letters[(i + 1) % len(letters)]
+            image = draw(st.permutations(image))
+        rules[a] = image
+    if draw(st.integers(0, 5)) == 0:
+        doc = {"rules": {a.strip("`"): [t.strip("`") for t in img] for a, img in rules.items()}}
+        return json.dumps(doc)
+    lines = [f"{a} -> {' '.join(img)}" for a, img in rules.items()]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+def point_literal(draw, letters):
+    """A point literal: mostly a fixed point over ``letters``, sometimes a
+    stream with arbitrary triples (one unknown letter among them) or
+    malformed JSON."""
+    letters = tuple(a.strip("`") for a in letters)
+    kind = draw(st.sampled_from(["fixed", "fixed", "fixed", "stream", "malformed"]))
+    if kind == "fixed":
+        left, right = (draw(st.sampled_from(letters)) for _ in range(2))
+        return json.dumps({"kind": "fixed_point", "left": left, "right": right})
+    letters += ("w",)
+    if kind == "stream":
+        word = st.lists(st.sampled_from(letters), max_size=3)
+        triple = st.tuples(word, word, word).map(list)
+        doc = {
+            "kind": "stream",
+            "preperiod": draw(st.lists(triple, max_size=1)),
+            "period": draw(st.lists(triple, min_size=1, max_size=2)),
+            "left_seed": draw(st.sampled_from(letters + (None,))),
+            "right_seed": draw(st.sampled_from(letters + (None,))),
+        }
+        return json.dumps(doc)
+    return draw(st.sampled_from(["{broken", "[1]", "{}", '{"kind": "fixed_point"}', "@/nonexistent"]))
+
+
+SMALL_INTS = ("-1", "0", "2", "5", "notint")
+ARGV_WORDS = (
+    "analyze", "reduce", "decide", "language", "classify", "simulate", "tower", "PATH",
+    "--json", "--x", "--y", "--depth", "--horizon", "--window", "--brute-bound", "--bogus",
+    "-q", "{}", "{broken",
+) + SMALL_INTS
+
+
+@st.composite
+def cli_cases(draw):
+    """A rule file and one argv, with ``PATH`` standing for the file: a
+    well-formed call of a subcommand or a random list of argv words."""
+    letters = draw(st.sampled_from(LETTER_SETS))[: draw(st.sampled_from([1, 2, 2, 3, 3]))]
+    text = rule_text(draw, letters)
+    command = draw(st.sampled_from(["analyze", "reduce", "decide", "language", "classify",
+                                    "simulate", "tower", "malformed"]))
+    if command == "analyze":
+        extra = draw(st.sampled_from([[], ["--json"], ["--json", "--brute-bound", "9"]]))
+        return text, ["analyze", "PATH", *extra]
+    if command in ("reduce", "decide"):
+        return text, [command, "PATH"]
+    if command == "language":
+        return text, ["language", "PATH", draw(st.sampled_from(("1", "3", "8") + SMALL_INTS))]
+    if command in ("classify", "simulate"):
+        x, y = point_literal(draw, letters), point_literal(draw, letters)
+        argv = [command, "PATH", "--x", x, "--y", y]
+        if command == "simulate":
+            argv += ["--horizon", draw(st.sampled_from(["0", "9", "40", "-1"]))]
+            argv += ["--window", draw(st.sampled_from(["1", "3", "0"]))]
+            argv += draw(st.sampled_from([[], ["--max-word", "20"]]))
+        return text, argv
+    if command == "tower":
+        return text, [
+            "tower", "--depth", draw(st.sampled_from(["0", "2", "3"])),
+            "--horizon", draw(st.sampled_from(["0", "27", "81"])),
+            *draw(st.sampled_from([[], ["--json"]])),
+        ]
+    return text, draw(st.lists(st.sampled_from(ARGV_WORDS), max_size=5))
+
+
+@pytest.fixture(scope="module")
+def rule_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("rules")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=cli_cases())
+def test_main_keeps_the_contract_on_generated_input(rule_dir, case):
+    # many calls in one process share the parser and the caches: each keeps
+    # the exit-code and JSON-error contract and repeats byte for byte
+    text, argv = case
+    path = rule_dir / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [str(path) if a == "PATH" else a for a in argv]
+    first = run_main(argv)
+    code, out, err = first
+    assert code in {0, 1, 2, 3}
+    if code:
+        assert out == ""
+        assert_one_error_line(err)
+    else:
+        assert err == ""
+        if argv[:1] == ["analyze"] and "--json" in argv:
+            jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+    assert run_main(argv) == first

@@ -1,6 +1,8 @@
 """Core substitution operations: parsing, iteration, primitivity,
 language generation, the pair substitution."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -272,6 +274,54 @@ def test_substitution_invariants_rejected():
         Substitution(("0",), ("",))
     with pytest.raises(InvariantError):
         Substitution(("0",), ("\x01",))
+
+
+def test_derived_attributes_are_computed_once():
+    # constant_length, the hash and the one-character-token flag are plain
+    # attributes set at construction; fields, eq, repr and the hash value
+    # are those of the dataclass over (alphabet, images)
+    s = parse_substitution("a -> aba\nb -> bca\nc -> cca")
+    assert {"constant_length", "_hash", "_one_char_tokens"} <= set(vars(s))
+    assert [f.name for f in fields(s)] == ["alphabet", "images"]
+    assert s.constant_length == 3
+    assert parse_substitution("0 -> 01\n1 -> 0").constant_length is None
+    assert hash(s) == hash((s.alphabet, s.images))
+    twin = Substitution.from_rules(s.rules(), s.alphabet)
+    assert twin == s and hash(twin) == hash(s) and twin is not s
+    assert repr(s) == f"Substitution(alphabet={s.alphabet!r}, images={s.images!r})"
+    assert s._one_char_tokens
+    assert not parse_substitution("`zero` -> `zero` x\nx -> x `zero`")._one_char_tokens
+
+
+@pytest.mark.parametrize(
+    "text", ["0 -> 01\n1 -> 10", "`zero` -> `zero` x\nx -> x `zero`"], ids=["one-char", "tokens"]
+)
+def test_decode_refuses_unknown_letter_codes(text):
+    s = parse_substitution(text)
+    for bad in ("\x02", "\x00\x01\x02\x00", chr(0x10FFFF)):
+        with pytest.raises(InvariantError):
+            s.decode(bad)
+    assert s.decode("") == ("" if s._one_char_tokens else ())
+
+
+@st.composite
+def alphabets_and_words(draw):
+    """An alphabet of one-character or longer tokens and a word over it in
+    public form (a string for one-character tokens, a tuple otherwise)."""
+    max_size = draw(st.sampled_from([1, 4]))
+    alphabet = tuple(
+        draw(st.lists(st.text(min_size=1, max_size=max_size), min_size=1, max_size=5, unique=True))
+    )
+    word = draw(st.lists(st.sampled_from(alphabet), max_size=20))
+    return alphabet, "".join(word) if all(len(t) == 1 for t in alphabet) else tuple(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alphabets_and_words())
+def test_decode_inverts_encode(case):
+    alphabet, word = case
+    s = Substitution(alphabet, tuple(map(chr, range(len(alphabet)))))
+    assert s.decode(s.encode(word)) == word
 
 
 @st.composite
