@@ -7,6 +7,16 @@ distinct one-letter right extensions in the language; otherwise it factors
 through a strictly smaller alphabet as ``g . f`` and the question is
 delegated to ``f . g`` on that alphabet.  The alphabet shrinks at every
 round, so the recursion terminates.
+
+The simplification search is bounded by linear algebra.  Write ``M_s``
+for the incidence matrix of a morphism (column ``a`` counts the letters
+of the image of ``a``).  If ``s = g . f`` through an alphabet ``B`` then
+``M_s = M_g . M_f``, so ``rank M_s <= |B|``: a dictionary needs at least
+``rank M_s`` words, and a substitution of full rank is elementary.  The
+rank is taken over GF(q), q = 2^61 - 1 (``_RANK_PRIME``), so the
+entries of the elimination stay below q; a minor that is nonzero modulo q
+is nonzero, so this rank never exceeds the rational one and every bound
+drawn from it is exact.
 """
 
 from __future__ import annotations
@@ -23,6 +33,8 @@ from .substitution import (
 )
 
 SIMPLIFIABILITY_BUDGET = 10**6
+# The prime modulus of the rank arithmetic (see the module docstring).
+_RANK_PRIME = (1 << 61) - 1
 
 
 @dataclass(frozen=True)
@@ -114,16 +126,22 @@ def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
     deterministic.  Returns None for an elementary substitution.
 
     Deciding elementariness is co-NP-complete in general, so the search
-    keeps its candidate budget; ``_cover`` only skips subtrees that a
-    lower bound on the dictionary size proves empty.  The walk order is
+    keeps its candidate budget; it only skips what a lower bound on the
+    dictionary size proves empty.  The rank ``r`` of the images' count
+    vectors over GF(q) is at most their rational rank, which is at most
+    the size of any dictionary (``M_s = M_g . M_f``, module docstring), so
+    the sizes below ``r`` hold no dictionary and the search starts at
+    ``max(1, r)``; at full rank it spends no candidate.  Within a size,
+    ``_cover`` skips only subtrees without a dictionary.  The walk order is
     unchanged, so the result is the one the unpruned walk finds wherever
     that walk finishes, and no more candidates are spent.
     """
     n = subst.size
     images = list(subst.images)
+    basis = _echelon(_counts(image, n) for image in images)
     counter = _Budget(budget)
-    for size in range(1, n):
-        found = _cover(images, size, counter)
+    for size in range(max(1, len(basis)), n):
+        found = _cover(images, size, counter, basis)
         if found is not None:
             dictionary, segmentations = found
             target = tuple(str(i) for i in range(len(dictionary)))
@@ -142,7 +160,36 @@ def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
     return None
 
 
-def _cover(images, size, counter):
+def _counts(word, n):
+    """The count vector of a chr-coded word over ``n`` letters."""
+    return [word.count(chr(i)) for i in range(n)]
+
+
+def _residue(basis, vector):
+    """``vector`` reduced over GF(q) by an echelon ``basis`` of
+    ``(pivot, row)`` pairs, each row 1 at its pivot and 0 at the pivots
+    before it; all zero exactly when ``vector`` lies in the span."""
+    for pivot, row in basis:
+        c = vector[pivot]
+        if c:
+            vector = [(x - c * y) % _RANK_PRIME for x, y in zip(vector, row)]
+    return vector
+
+
+def _echelon(vectors):
+    """An echelon basis over GF(q) of the span of ``vectors``; its length
+    is their rank."""
+    basis = []
+    for vector in vectors:
+        residue = _residue(basis, vector)
+        pivot = next((i for i, x in enumerate(residue) if x), None)
+        if pivot is not None:
+            inverse = pow(residue[pivot], -1, _RANK_PRIME)
+            basis.append((pivot, [x * inverse % _RANK_PRIME for x in residue]))
+    return basis
+
+
+def _cover(images, size, counter, basis):
     """Depth-first search for a dictionary of at most ``size`` words
     segmenting every image; returns (dictionary, segmentations) or None.
 
@@ -163,9 +210,19 @@ def _cover(images, size, counter):
     So ``|D'| >= |D| + max(new prefix words, new suffix words)``, counting
     distinct first letters (the rest's included) and distinct last
     letters.  When that exceeds ``size`` the subtree holds no dictionary
-    and is skipped; the node itself is still charged to the budget, so
-    the walk visits a subsequence of the unpruned walk's candidates in the
-    same order and finds the same first dictionary.
+    and is skipped.
+
+    ``basis`` is an echelon basis over GF(q) of the images' count vectors,
+    of rank ``r``.  Every image and every word of ``D'`` lies in ``D'*``,
+    so the count vectors of the images and of ``D`` lie in the span of the
+    ``|D'|`` count vectors of ``D'``, and their GF(q) rank is at most their
+    rational rank, at most ``|D'|``.  A word of ``D`` outside the span of
+    the images raises that rank to ``r + 1``, so when ``r + 1 > size`` the
+    subtree is skipped as well.
+
+    A skipped node is still charged to the budget, so the walk visits a
+    subsequence of the unpruned walk's candidates in the same order and
+    finds the same first dictionary.
 
     Every image before the current one is started and ended by words of
     ``D`` (its first and last segments), and the current one is started
@@ -174,16 +231,24 @@ def _cover(images, size, counter):
     kept per dictionary size on the current path, with the sets of images
     that words of ``D`` start and end as bit masks; the masks of each word
     are computed once, and the letters are collected again only when a
-    pushed word starts or ends an image no earlier word did.
+    pushed word starts or ends an image no earlier word did.  Whether a
+    word lies outside the span of the images is likewise computed once
+    per word, and whether ``D`` holds such a word is kept along the path.
     """
     n = len(images)
     dictionary = []
     segs = [[] for _ in images]
-    marks = {}  # word -> (mask of images it starts, mask of images it ends)
+    rank = len(basis)
+    # word -> (mask of images it starts, mask of images it ends, whether
+    # it lies outside the span of the images)
+    marks = {}
     # per dictionary size on the current path: the images words start and
-    # end, the first letters of the images no word starts, and the number
-    # of distinct last letters of the images no word ends
-    unmet = [(0, 0, {image[0] for image in images}, len({image[-1] for image in images}))]
+    # end, the first letters of the images no word starts, the number of
+    # distinct last letters of the images no word ends, and whether a word
+    # lies outside the span of the images
+    unmet = [
+        (0, 0, {image[0] for image in images}, len({image[-1] for image in images}), False)
+    ]
 
     def push(w):
         dictionary.append(w)
@@ -191,16 +256,17 @@ def _cover(images, size, counter):
             marks[w] = (
                 sum(1 << j for j, image in enumerate(images) if image.startswith(w)),
                 sum(1 << j for j, image in enumerate(images) if image.endswith(w)),
+                any(_residue(basis, _counts(w, n))),
             )
-        started, ended, firsts, lasts = unmet[-1]
-        w_starts, w_ends = marks[w]
+        started, ended, firsts, lasts, outside = unmet[-1]
+        w_starts, w_ends, w_outside = marks[w]
         if w_starts & ~started:
             started |= w_starts
             firsts = {image[0] for j, image in enumerate(images) if not started >> j & 1}
         if w_ends & ~ended:
             ended |= w_ends
             lasts = len({image[-1] for j, image in enumerate(images) if not ended >> j & 1})
-        unmet.append((started, ended, firsts, lasts))
+        unmet.append((started, ended, firsts, lasts, outside or w_outside))
 
     def pop():
         dictionary.pop()
@@ -213,9 +279,9 @@ def _cover(images, size, counter):
         image = images[img_idx]
         if pos == len(image):
             return walk(img_idx + 1, 0)
-        _, _, firsts, lasts = unmet[-1]
+        _, _, firsts, lasts, outside = unmet[-1]
         spare = size - len(dictionary)
-        if max(len(firsts), lasts) > spare or (
+        if rank + outside > size or max(len(firsts), lasts) > spare or (
             len(firsts) == spare
             and image[pos] not in firsts
             and not any(image.startswith(w, pos) for w in dictionary)

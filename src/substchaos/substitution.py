@@ -35,9 +35,10 @@ class Substitution:
     ``alphabet`` fixes the letter order used for every tie-break in the
     package; ``images`` holds the image of letter ``i`` as an internal
     chr-coded string.  ``constant_length`` is the common image length
-    ``p``, or None for variable length.  It and the hash are computed
-    once, at construction, since every table-cache and language lookup
-    hashes the substitution; the hash stays ``hash((alphabet, images))``.
+    ``p``, or None for variable length.  It, the hash and the letter
+    index are computed once, at construction, since every table-cache and
+    language lookup hashes the substitution and every encoded word reads
+    the index; the hash stays ``hash((alphabet, images))``.
     """
 
     alphabet: tuple[str, ...]
@@ -63,6 +64,10 @@ class Substitution:
         object.__setattr__(self, "constant_length", p)
         object.__setattr__(self, "_hash", hash((self.alphabet, self.images)))
         object.__setattr__(self, "_one_char_tokens", all(len(t) == 1 for t in self.alphabet))
+        # token -> alphabet index, and an int index to itself
+        index = {tok: i for i, tok in enumerate(self.alphabet)}
+        index.update((i, i) for i in range(n))
+        object.__setattr__(self, "_index", index)
 
     def __hash__(self):
         return self._hash
@@ -100,18 +105,15 @@ class Substitution:
     def size(self):
         return len(self.alphabet)
 
-    @property
-    def is_constant(self):
-        return self.constant_length is not None
-
     def is_injective(self):
         """True when distinct letters have distinct images."""
         return len(set(self.images)) == len(self.images)
 
     def index(self, token):
+        """The alphabet index of a letter."""
         try:
-            return self.alphabet.index(token)
-        except ValueError:
+            return self._index[token]
+        except KeyError:
             raise InvariantError(f"unknown letter {token!r}")
 
     def image(self, token):
@@ -127,10 +129,8 @@ class Substitution:
     def encode(self, word):
         """Public word form (string of tokens or token iterable) to the
         internal chr-coded string.  An int token is an alphabet index."""
-        index = {tok: i for i, tok in enumerate(self.alphabet)}
-        index.update((i, i) for i in range(self.size))
         try:
-            return "".join(chr(index[t]) for t in word)
+            return "".join(map(chr, map(self._index.__getitem__, word)))
         except KeyError as exc:
             raise InvariantError(f"unknown letter {exc.args[0]!r}")
 

@@ -5,6 +5,7 @@ cross-checks of library decisions."""
 import random
 from bisect import bisect_left
 from enum import Enum
+from fractions import Fraction
 
 import pytest
 
@@ -25,7 +26,7 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos import reduction
-from substchaos.errors import PreconditionError
+from substchaos.errors import PreconditionError, SearchBudgetError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import _aligned_entries, _past_finite_forward_data
 from substchaos.simulate import (
@@ -373,25 +374,32 @@ def radius_samples(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUD
 
 
 # ---------------------------------------------------------------------------
-# reference simplifiability search: the depth-first walk without the
-# lower-bound pruning of reduction._cover
+# reference simplifiability search: the depth-first walk over every size
+# below |A|, without the lower bounds of reduction.is_simplifiable
 
 
-def unpruned_cover(images, size, counter):
-    """Depth-first search for a dictionary of exactly <= ``size`` words
-    segmenting every image; returns (dictionary, segmentations)."""
+def unpruned_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
+    """``(simplification or None, candidates spent)`` from the plain
+    depth-first walk over dictionaries of at most 1, 2, ..., |A| - 1 words,
+    charging one candidate per node as ``reduction.is_simplifiable`` does;
+    raises ``SearchBudgetError`` past ``budget`` candidates."""
+    images = subst.images
+    spent = 0
 
-    def walk(img_idx, pos, dictionary, segs, seg):
-        counter.spend()
+    def walk(size, img_idx, pos, dictionary, segs, seg):
+        nonlocal spent
+        spent += 1
+        if spent > budget:
+            raise SearchBudgetError("simplifiability search exceeded its candidate budget")
         if img_idx == len(images):
             return dictionary, segs
         image = images[img_idx]
         if pos == len(image):
-            return walk(img_idx + 1, 0, dictionary, segs + [seg], [])
+            return walk(size, img_idx + 1, 0, dictionary, segs + [seg], [])
         rest = image[pos:]
         for widx, w in enumerate(dictionary):
             if rest.startswith(w):
-                hit = walk(img_idx, pos + len(w), dictionary, segs, seg + [widx])
+                hit = walk(size, img_idx, pos + len(w), dictionary, segs, seg + [widx])
                 if hit is not None:
                     return hit
         if len(dictionary) < size:
@@ -399,17 +407,26 @@ def unpruned_cover(images, size, counter):
                 w = rest[:ln]
                 if w in dictionary:
                     continue
-                hit = walk(img_idx, pos + ln, dictionary + [w], segs, seg + [len(dictionary)])
+                hit = walk(
+                    size, img_idx, pos + ln, dictionary + [w], segs, seg + [len(dictionary)]
+                )
                 if hit is not None:
                     return hit
         return None
 
-    return walk(0, 0, [], [], [])
+    for size in range(1, subst.size):
+        hit = walk(size, 0, 0, [], [], [])
+        if hit is not None:
+            dictionary, segs = hit
+            target = tuple(str(i) for i in range(len(dictionary)))
+            f = tuple(tuple(target[idx] for idx in seg) for seg in segs)
+            return reduction.Simplification(target, f, tuple(dictionary)), spent
+    return None, spent
 
 
-def counted_simplification(subst, cover=reduction._cover, budget=reduction.SIMPLIFIABILITY_BUDGET):
-    """``is_simplifiable(subst, budget)`` searched with ``cover`` in place
-    of ``reduction._cover``, and the number of candidates it spent."""
+def counted_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
+    """``is_simplifiable(subst, budget)`` and the number of candidates it
+    spent."""
     budgets = []
 
     class CountingBudget(reduction._Budget):
@@ -426,10 +443,27 @@ def counted_simplification(subst, cover=reduction._cover, budget=reduction.SIMPL
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_Budget", CountingBudget)
-        mp.setattr(reduction, "_cover", cover)
         result = reduction.is_simplifiable(subst, budget)
     (counter,) = budgets
     return result, counter.spent
+
+
+def rational_rank(subst):
+    """The rank over the rationals of the incidence matrix of ``subst``
+    (exact Gaussian elimination on the images' letter counts)."""
+    rows = [[Fraction(image.count(chr(i))) for i in range(subst.size)] for image in subst.images]
+    rank = 0
+    for col in range(subst.size):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def composed_substitutions(count, seed=CORPUS_SEED + 3):
@@ -449,4 +483,26 @@ def composed_substitutions(count, seed=CORPUS_SEED + 3):
             tok: "".join(rng.choice(g) for _ in range(rng.randint(1, 3))) for tok in alphabet
         }
         out.append(Substitution.from_rules(rules, alphabet))
+    return out
+
+
+def anagram_substitutions(count, seed=CORPUS_SEED + 4):
+    """``count`` constant-length substitutions, |A| 2-6 letters and length
+    2-5, in which the last image and about 40 % of the others rearrange
+    the letters of an earlier image, so the incidence matrix has rank
+    below |A| (deterministic seed)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n, p = rng.randint(2, 6), rng.randint(2, 5)
+        alphabet = tuple("abcdef"[:n])
+        images = []
+        for i in range(n):
+            if i and (i == n - 1 or rng.random() < 0.4):
+                image = list(rng.choice(images))
+                rng.shuffle(image)
+            else:
+                image = [rng.choice(alphabet) for _ in range(p)]
+            images.append("".join(image))
+        out.append(Substitution.from_rules(dict(zip(alphabet, images)), alphabet))
     return out

@@ -1,10 +1,14 @@
 """One-to-one reduction, simplifiability, and the finiteness decision."""
 
 import copy
+import random
+import string
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from substchaos import (
+    Substitution,
     decide_infinite,
     decide_infinite_trace,
     is_simplifiable,
@@ -18,10 +22,12 @@ from substchaos.substitution import is_primitive
 
 from conftest import (
     ComplexityVerdict,
+    anagram_substitutions,
     composed_substitutions,
     counted_simplification,
     oracle_infinite_via_complexity,
-    unpruned_cover,
+    rational_rank,
+    unpruned_simplification,
 )
 
 # The (10,8) input of the benchmark's analyze-tiers corpus, which the
@@ -85,21 +91,26 @@ def test_simplifiable_negative_cases(fixtures):
 
 
 def test_simplifiability_budget():
-    s = parse_substitution("a -> baacd\nb -> bbbcd\nc -> bcaba\nd -> bdabd")
+    # rank 2 and elementary: the search runs through sizes 2 and 3 and
+    # spends 13 candidates, so a budget of 3 runs out
+    s = parse_substitution("a -> aabcd\nb -> abacd\nc -> cdabd\nd -> dcbda")
     with pytest.raises(SearchBudgetError):
         is_simplifiable(s, budget=3)
+    assert is_simplifiable(s) is None
 
 
 def test_pruned_search_matches_unpruned(fixtures, random_corpus_any):
-    # the lower bound only skips subtrees without a dictionary: the same
-    # simplification (dictionary and segmentations) as the unpruned walk,
-    # for no more candidates
-    corpus = [(s, False) for s in list(fixtures.values()) + random_corpus_any]
+    # the rank and prefix/suffix bounds only skip sizes and subtrees
+    # without a dictionary: the same simplification (dictionary and
+    # segmentations) as the unpruned walk, for no more candidates
+    anagrams = anagram_substitutions(500)
+    assert all(rational_rank(s) < s.size for s in anagrams)
+    corpus = [(s, False) for s in list(fixtures.values()) + random_corpus_any + anagrams]
     corpus += [(s, True) for s in composed_substitutions(1000)]
     sizes = {}
     for s, composed in corpus:
         found, spent = counted_simplification(s)
-        expected, oracle_spent = counted_simplification(s, cover=unpruned_cover)
+        expected, oracle_spent = unpruned_simplification(s)
         assert found == expected, s.rules()
         assert spent <= oracle_spent, s.rules()
         assert found is not None or not composed, s.rules()
@@ -110,24 +121,104 @@ def test_pruned_search_matches_unpruned(fixtures, random_corpus_any):
         assert seen == set(range(1, n)), n
 
 
-@pytest.mark.parametrize(
-    "source",
-    [
-        "a -> ab\nb -> ac\nc -> ad\nd -> aa",  # four last letters
-        "a -> ba\nb -> ca\nc -> da\nd -> aa",  # four first letters
-    ],
-)
+# inputs whose search the bounds refuse at the root, with the candidates
+# it spends: none at full rank, one per size (2 and 3) at rank 2, where
+# four distinct last letters (the first input at rank 2), four distinct
+# first letters (the second) or both (the third) ask for four words
+ROOT_PRUNED = {
+    "a -> ab\nb -> ac\nc -> ad\nd -> aa": 0,
+    "a -> ba\nb -> ca\nc -> da\nd -> aa": 0,
+    "a -> acdb\nb -> adbc\nc -> abcd\nd -> abda": 2,
+    "a -> bdca\nb -> cbda\nc -> dcba\nd -> adba": 2,
+    "a -> ba\nb -> ab\nc -> dc\nd -> cd": 2,
+}
+
+
+@pytest.mark.parametrize("source", list(ROOT_PRUNED))
 def test_bound_prunes_at_the_root(source):
-    # four images with distinct last (first) letters need four suffix
-    # (prefix) words, more than any dictionary of 1-3 words: each size is
-    # refused at its root candidate
+    # a full-rank substitution is elementary without a search; at rank 2
+    # the images need four suffix or four prefix words, more than any
+    # dictionary of 2-3 words: each size is refused at its root candidate
     s = parse_substitution(source)
-    assert counted_simplification(s) == (None, 3)
-    assert counted_simplification(s, cover=unpruned_cover)[1] > 3
+    spent = ROOT_PRUNED[source]
+    assert counted_simplification(s) == (None, spent)
+    assert unpruned_simplification(s)[1] > spent
+
+
+def test_rank_bound_prunes_below_the_root():
+    # rank 3 and elementary, so only size 3 is searched, and there every
+    # word whose letter counts leave the span of the images' counts ends
+    # its subtree: 5 candidates, where the prefix/suffix bound alone
+    # spends 18
+    s = parse_substitution("a -> bdb\nb -> bca\nc -> adb\nd -> dbb")
+    assert rational_rank(s) == 3
+    assert counted_simplification(s) == (None, 5)
+
+
+def _random_substitutions(count, letters, length, seed):
+    rng = random.Random(seed)
+    alphabet = tuple(string.ascii_lowercase[:letters])
+    out = []
+    while len(out) < count:
+        rules = {tok: "".join(rng.choice(alphabet) for _ in range(length)) for tok in alphabet}
+        s = Substitution.from_rules(rules, alphabet)
+        if is_primitive(s):
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("letters, length", [(16, 12), (26, 16)])
+def test_large_random_inputs_decide(letters, length):
+    # the search without the rank bound runs out of its 10^6 candidates on
+    # each of these inputs; all are of full rank, which settles them with
+    # no candidate spent
+    for s in _random_substitutions(4, letters, length, seed=letters * 100 + length):
+        assert rational_rank(s) == s.size
+        assert counted_simplification(s) == (None, 0)
+        _, trace = decide_infinite_trace(s)
+        assert [record["action"] for record in trace] == ["elementary"]
+
+
+@st.composite
+def composed_rules(draw):
+    """A substitution ``g . f`` through an alphabet smaller than A."""
+    alphabet = tuple("abcde"[: draw(st.integers(2, 5))])
+    word = st.text(alphabet="".join(alphabet), min_size=1, max_size=3)
+    g = draw(st.lists(word, min_size=1, max_size=len(alphabet) - 1))
+    f = st.lists(st.sampled_from(g), min_size=1, max_size=3)
+    rules = {tok: "".join(draw(f)) for tok in alphabet}
+    return Substitution.from_rules(rules, alphabet)
+
+
+@settings(max_examples=200, deadline=None)
+@given(composed_rules())
+def test_simplification_is_at_least_the_rank(s):
+    found, spent = counted_simplification(s)
+    assert found is not None
+    assert len(found.g) >= rational_rank(s)
+    expected, oracle_spent = unpruned_simplification(s)
+    assert found == expected
+    assert spent <= oracle_spent
 
 
 def test_budget_tier_input_is_decided():
     s = parse_substitution(TIER_TEN_EIGHT)
+    found, spent = counted_simplification(s)
+    assert found is None
+    assert spent < 10**5
+    infinite, trace = decide_infinite_trace(s)
+    assert infinite is True
+    assert [record["action"] for record in trace] == ["elementary"]
+
+
+def test_rank_deficient_tier_input_is_decided():
+    # the (10,8) input with the images of i and j anagrams of that of a:
+    # rank 8, so the search runs at sizes 8 and 9; the rank bound cannot
+    # refuse a node at size 9, where only the prefix/suffix bound keeps
+    # the search within 10^5 candidates
+    source = TIER_TEN_EIGHT.replace("i -> behiagfg", "i -> cahbafbj")
+    s = parse_substitution(source.replace("j -> cdfdcgec", "j -> bahfbjca"))
+    assert rational_rank(s) == 8
     found, spent = counted_simplification(s)
     assert found is None
     assert spent < 10**5

@@ -277,11 +277,12 @@ def test_substitution_invariants_rejected():
 
 
 def test_derived_attributes_are_computed_once():
-    # constant_length, the hash and the one-character-token flag are plain
-    # attributes set at construction; fields, eq, repr and the hash value
-    # are those of the dataclass over (alphabet, images)
+    # constant_length, the hash, the one-character-token flag and the
+    # letter index are plain attributes set at construction; fields, eq,
+    # repr and the hash value are those of the dataclass over (alphabet,
+    # images)
     s = parse_substitution("a -> aba\nb -> bca\nc -> cca")
-    assert {"constant_length", "_hash", "_one_char_tokens"} <= set(vars(s))
+    assert {"constant_length", "_hash", "_one_char_tokens", "_index"} <= set(vars(s))
     assert [f.name for f in fields(s)] == ["alphabet", "images"]
     assert s.constant_length == 3
     assert parse_substitution("0 -> 01\n1 -> 0").constant_length is None
@@ -302,6 +303,23 @@ def test_decode_refuses_unknown_letter_codes(text):
         with pytest.raises(InvariantError):
             s.decode(bad)
     assert s.decode("") == ("" if s._one_char_tokens else ())
+
+
+@pytest.mark.parametrize(
+    "text", ["0 -> 01\n1 -> 10", "`zero` -> `zero` x\nx -> x `zero`"], ids=["one-char", "tokens"]
+)
+def test_encode_and_index_refuse_unknown_letters(text):
+    # encode reads an int token as an alphabet index
+    s = parse_substitution(text)
+    first, second = s.alphabet
+    assert s.encode([first, 1, 0, second]) == "\x00\x01\x00\x01"
+    assert [s.index(first), s.index(second)] == [0, 1]
+    for bad in ("q", 2, -1, "zero x"):
+        with pytest.raises(InvariantError):
+            s.encode([first, bad])
+    for bad in ("q", "zero x"):
+        with pytest.raises(InvariantError):
+            s.index(bad)
 
 
 @st.composite
