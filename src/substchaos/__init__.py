@@ -69,7 +69,6 @@ from .simulate import (
     EvidenceReport,
     empirical_class,
     recurrence_check,
-    scan_until_events,
 )
 from .tower import (
     TowerLevel,

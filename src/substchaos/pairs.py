@@ -61,6 +61,7 @@ class CoincidenceClass:
         raise KeyError((a, b))
 
 
+@memoised
 def coincidence_class(subst):
     """Position-wise comparison of all image pairs."""
     if subst.constant_length is None:
@@ -115,10 +116,23 @@ def _coin_diff_start(pairs):
     return coin, diff
 
 
-def _coin_diff_step(image, pairs, coin, diff):
-    new_coin = frozenset(q for q in pairs if any(r in coin for r in image[q]))
-    new_diff = frozenset(q for q in pairs if any(r in diff for r in image[q]))
-    return new_coin, new_diff
+def _coin_step(image, pairs, coin):
+    """The pairs whose pair image holds a member of ``coin``."""
+    return frozenset(q for q in pairs if any(r in coin for r in image[q]))
+
+
+@memoised
+def _coincidence_closure(subst):
+    """C∞, the least set of letter pairs that holds the diagonal and every
+    pair whose pair image holds a member: the pairs with a diagonal pair in
+    some iterated pair image.  Diagonal pairs map to diagonal pairs, so the
+    steps from the diagonal only grow and settle within |A|^2 rounds."""
+    pairs, image, _ = _pair_tables(subst)
+    coin, _diff = _coin_diff_start(pairs)
+    grown = _coin_step(image, pairs, coin)
+    while grown != coin:
+        coin, grown = grown, _coin_step(image, pairs, grown)
+    return coin
 
 
 def _ly_levels(subst, target):
@@ -143,7 +157,7 @@ def _ly_levels(subst, target):
                 nfc = fc or any(r in coin for r in local)
                 nfd = fd or any(r in diff for r in local)
                 new_state.setdefault((parent, nfc, nfd), (key, t))
-        coin, diff = _coin_diff_step(image, pairs, coin, diff)
+        coin, diff = _coin_step(image, pairs, coin), _coin_step(image, pairs, diff)
         yield new_state
         sig = (frozenset(new_state), coin, diff)
         if sig in seen:
@@ -215,7 +229,7 @@ def _double_engine(subst, target):
                     flag = daf[r] or any(x in coin for x in letters[t + 1 :])
                     break
             new_daf[q] = flag
-        coin = frozenset(q for q in pairs if any(r in coin for r in image[q]))
+        coin = _coin_step(image, pairs, coin)
         count, daf = new_count, new_daf
         if count[target] >= 2 and daf[target]:
             return level
@@ -365,7 +379,6 @@ class PairClass(Enum):
     DISTAL = "Distal"
     ASYMPTOTIC = "Asymptotic"
     LI_YORKE = "LiYorke"
-    UNRESOLVED = "Unresolved"
 
 
 @dataclass(frozen=True)
@@ -373,14 +386,14 @@ class PairVerdict:
     kind: PairClass
     rule: str
     strong: bool | None = None
-    evidence: object = None
 
     def to_json(self):
+        # every verdict is exact: the "evidence" key stays, always null
         return {
             "class": self.kind.value,
             "rule": self.rule,
             "strong": self.strong,
-            "evidence": None if self.evidence is None else self.evidence.to_json(),
+            "evidence": None,
         }
 
 
@@ -410,15 +423,33 @@ def _past_finite_forward_data(x, y):
     return x.shift_by(steps), y.shift_by(steps)
 
 
-def _exact_verdict(x, y):
-    """The exact classification of a represented pair, or None when no
-    rule applies.
+def classify_pair(x, y):
+    """The exact classification of a represented pair.
 
-    Points over different fibers are distal.  Within a fiber the suffix
-    data decides: eventual suffix agreement means asymptotic; with overall
-    coincidences a recurrent suffix difference means Li-Yorke; with no
-    coincidences a difference at a valid coordinate means distal.  Points
-    are compared by their canonical streams (see ``_require_recognizable``).
+    Points over different fibers are distal.  Within a fiber, past
+    ``_past_finite_forward_data``, the right half of a point is
+    ``suffix_0 σ(suffix_1) σ^2(suffix_2) ...`` and both points have equal
+    digits, so the letter pairs of their level-i suffixes expand, under the
+    pair substitution, to the aligned coordinates below p^(i+1).  With k
+    the preperiod and L the period of the levels:
+
+    - Equal suffixes at the levels k .. k+L-1 mean equal coordinates from
+      p^k on: asymptotic.
+    - Otherwise a differing suffix letter pair (a, b) recurs every L
+      levels and σ^i(a) != σ^i(b) (σ is one-to-one), so differences reach
+      arbitrarily far right.  If a suffix letter pair q at a level i >= k
+      lies in C∞ (``_coincidence_closure``), its d-fold pair image holds a
+      diagonal pair for some d, so its image at each level i + tL >= d
+      holds p^(i+tL-d) agreeing coordinates: proximal, hence Li-Yorke.
+      If none does, no image of a suffix letter pair at a level >= k holds
+      a diagonal pair, every coordinate from p^k on differs, and the pair
+      is distal.
+
+    C∞ is every pair under overall coincidences; under none it is the
+    diagonal, and a diagonal suffix pair would need equal centers above
+    it, hence equal period levels.  So those classes are all Li-Yorke or
+    all distal, and keep their own rule names.  Points are compared by
+    their canonical streams (see ``_require_recognizable``).
     """
     if x.subst != y.subst:
         raise PreconditionError("points live over different substitutions")
@@ -429,42 +460,26 @@ def _exact_verdict(x, y):
     if x == y:
         return PairVerdict(PairClass.ASYMPTOTIC, "identical-representation")
     x, y = _past_finite_forward_data(x, y)
-    k, L, ex, ey = _aligned_entries(x, y)
-    period_same_suffix = all(
-        ex[k + j].suffix == ey[k + j].suffix for j in range(L)
-    )
-    if period_same_suffix:
+    k, _L, ex, ey = _aligned_entries(x, y)
+    periodic = list(zip(ex[k:], ey[k:]))
+    if all(e1.suffix == e2.suffix for e1, e2 in periodic):
         return PairVerdict(PairClass.ASYMPTOTIC, "eventual-suffix-equality")
-    cls = coincidence_class(s)
-    if cls.kind == Coincidence.OVERALL:
+    closure = _coincidence_closure(s)
+    kind = coincidence_class(s).kind
+    if any(
+        (ord(a), ord(b)) in closure
+        for e1, e2 in periodic
+        for a, b in zip(e1.suffix, e2.suffix)
+    ):
         strong = True if (s.size == 2 and has_uncountable_ly(s)) else None
-        return PairVerdict(
-            PairClass.LI_YORKE, "overall-coincidence-recurrent-difference", strong
-        )
-    if cls.kind == Coincidence.NO_COINCIDENCE:
-        for e1, e2 in zip(ex, ey):
-            zipped = zip(e1.block, e2.block)
-            if any(a != b for a, b in zipped):
-                return PairVerdict(PairClass.DISTAL, "no-coincidence-separation")
-        return PairVerdict(PairClass.ASYMPTOTIC, "no-coincidence-agreement")
-    return None
-
-
-def classify_pair(x, y, evidence_horizon=6561, evidence_window=16):
-    """Exact classification of a represented pair (``_exact_verdict``).
-    Pairs of a partial-coincidence substitution outside its rules are
-    reported unresolved, with simulator evidence attached, never guessed.
-    """
-    from .simulate import empirical_class  # local import to avoid a cycle
-
-    verdict = _exact_verdict(x, y)
-    if verdict is not None:
-        return verdict
-    x, y = _past_finite_forward_data(x, y)
-    evidence = empirical_class(x, y, evidence_horizon, evidence_window)
-    return PairVerdict(
-        PairClass.UNRESOLVED, "partial-coincidence-undecided", evidence=evidence
-    )
+        if kind is Coincidence.OVERALL:
+            rule = "overall-coincidence-recurrent-difference"
+        else:
+            rule = "coincidence-closure-recurrent-difference"
+        return PairVerdict(PairClass.LI_YORKE, rule, strong)
+    if kind is Coincidence.NO_COINCIDENCE:
+        return PairVerdict(PairClass.DISTAL, "no-coincidence-separation")
+    return PairVerdict(PairClass.DISTAL, "coincidence-closure-separation")
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +612,9 @@ def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
     elif not has_ly_pairs(subst):
         return []
     if coincidence_class(subst).kind is not Coincidence.OVERALL:
-        # _exact_verdict decides Li-Yorke only under overall coincidences,
-        # so no candidate of another class could be kept
+        # classify_pair decides these candidates too, but listing them is
+        # new output, and this walk over every closed chain makes it cost
+        # a quarter more per analyze; they wait for a simple-cycle walk
         return []
     s = subst
     n = s.size
@@ -635,8 +651,7 @@ def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
         for (lx, rx), (ly_, ry) in itertools.product(seeds_x, seeds_y):
             x = RepresentedPoint(DesubstitutionStream(s, (), ex, lx, rx))
             y = RepresentedPoint(DesubstitutionStream(s, (), ey, ly_, ry))
-            verdict = _exact_verdict(x, y)
-            if verdict is None or verdict.kind is not PairClass.LI_YORKE:
+            if classify_pair(x, y).kind is not PairClass.LI_YORKE:
                 continue
             key = frozenset((x, y))
             if key not in seen:

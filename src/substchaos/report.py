@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import __version__
-from .errors import InvariantError, PreconditionError
+from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .pairs import (
     STRONG_EQUIVALENCE_CHAIN,
     coincidence_class,
@@ -17,7 +17,7 @@ from .pairs import (
 )
 from .reduction import decide_infinite_trace, one_to_one_reduction
 from .streams import fiber_bound
-from .substitution import is_primitive, pair_substitution
+from .substitution import DEFAULT_WORD_BUDGET, is_primitive, pair_substitution
 
 
 REPORT_SCHEMA = {
@@ -144,6 +144,10 @@ def analyze(subst, include_orbits=True, brute_bound=None):
         raise PreconditionError("analysis requires a constant-length substitution")
     if subst.constant_length < 2:
         raise PreconditionError("analysis requires a constant length of at least 2")
+    if brute_bound is not None and brute_bound < subst.constant_length:
+        raise PreconditionError(f"brute-force bound {brute_bound} admits no word to scan")
+    if brute_bound is not None and brute_bound > DEFAULT_WORD_BUDGET:
+        raise BudgetExceededError(f"brute-force bound {brute_bound} exceeds the word budget")
     data = {}
     data["tool_version"] = __version__
     data["input"] = {
@@ -181,7 +185,7 @@ def analyze(subst, include_orbits=True, brute_bound=None):
         data["orbit_representatives"] = [
             [x.to_literal(), y.to_literal()] for x, y in orbits
         ]
-    if brute_bound:
+    if brute_bound is not None:
         ly, unc = _brute_scan(reduced, brute_bound)
         engine_ly = data["has_li_yorke"]
         engine_unc = data["uncountable_li_yorke"]

@@ -139,22 +139,6 @@ def _evidence(flags, horizon, window):
     )
 
 
-def scan_until_events(x, y, base_horizon, window=DEFAULT_WINDOW, wanted=3,
-                      budget=DEFAULT_WORD_BUDGET):
-    """Double the horizon until at least ``wanted`` proximality and
-    separation events are seen or the budget stops the expansion; returns
-    the last report either way (budget exhaustion is reported, never
-    treated as a refutation)."""
-    horizon = base_horizon
-    while True:
-        report = empirical_class(x, y, horizon, window, budget)
-        if report.proximality_count >= wanted and report.separation_count >= wanted:
-            return report
-        if 2 * (2 * horizon + window) + 1 > budget:
-            return report
-        horizon *= 2
-
-
 def _evidence_and_radii(x, y, horizon, window, budget):
     """``empirical_class`` of the pair and its ``(time, agreement
     radius)`` samples for CSV export, from one expansion and comparison of

@@ -64,10 +64,10 @@ class Substitution:
         object.__setattr__(self, "constant_length", p)
         object.__setattr__(self, "_hash", hash((self.alphabet, self.images)))
         object.__setattr__(self, "_one_char_tokens", all(len(t) == 1 for t in self.alphabet))
-        # token -> alphabet index, and an int index to itself
+        # token -> alphabet index; encode also reads an int index as itself
         index = {tok: i for i, tok in enumerate(self.alphabet)}
-        index.update((i, i) for i in range(n))
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_codes", {**index, **{i: i for i in range(n)}})
 
     def __hash__(self):
         return self._hash
@@ -110,7 +110,8 @@ class Substitution:
         return len(set(self.images)) == len(self.images)
 
     def index(self, token):
-        """The alphabet index of a letter."""
+        """The alphabet index of a letter (an alphabet token, never an
+        int index)."""
         try:
             return self._index[token]
         except KeyError:
@@ -130,7 +131,7 @@ class Substitution:
         """Public word form (string of tokens or token iterable) to the
         internal chr-coded string.  An int token is an alphabet index."""
         try:
-            return "".join(map(chr, map(self._index.__getitem__, word)))
+            return "".join(map(chr, map(self._codes.__getitem__, word)))
         except KeyError as exc:
             raise InvariantError(f"unknown letter {exc.args[0]!r}")
 
@@ -560,13 +561,6 @@ def zip_pair_word(subst, left, right):
         raise PreconditionError("pair words need equal projections")
     n = subst.size
     return "".join(chr(ord(a) * n + ord(b)) for a, b in zip(left, right))
-
-
-def project_pair_word(subst, pairword, side):
-    n = subst.size
-    if side == 0:
-        return "".join(chr(ord(ch) // n) for ch in pairword)
-    return "".join(chr(ord(ch) % n) for ch in pairword)
 
 
 # ---------------------------------------------------------------------------

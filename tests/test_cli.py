@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_literal, report, simulate
+from substchaos.substitution import DEFAULT_WORD_BUDGET
 
-from conftest import FIXTURE_SOURCES, LY_TWO, MORSE, radius_samples
+from conftest import ABA, FIXTURE_SOURCES, LY_TWO, MORSE, radius_samples
 
 
 def run_cli(*args):
@@ -117,6 +118,47 @@ def test_brute_check_contradiction_is_an_error_line(
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "InvariantError"
+
+
+@pytest.fixture()
+def aba_file(tmp_path):
+    path = tmp_path / "aba.txt"
+    path.write_text(ABA)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "bound, code, error",
+    [
+        (-5, 2, "PreconditionError"),
+        (1, 2, "PreconditionError"),
+        (2, 2, "PreconditionError"),
+        (3, 0, None),
+        (DEFAULT_WORD_BUDGET, 0, None),
+        (DEFAULT_WORD_BUDGET + 1, 3, "BudgetExceededError"),
+        (10**11, 3, "BudgetExceededError"),
+    ],
+)
+def test_brute_bound_limits(aba_file, monkeypatch, bound, code, error):
+    # below p (3 for aba) the scan would read no word and still print
+    # "agree"; past the word budget it would build words the budget refuses
+    # everywhere else.  The scan is stubbed, so no word is built here, and
+    # a refused bound must not reach it.
+    scanned = []
+
+    def scan(subst, word_bound):
+        scanned.append(word_bound)
+        return True, False
+
+    monkeypatch.setattr(report, "_brute_scan", scan)
+    got, out, err = run_main(["analyze", aba_file, "--json", "--brute-bound", str(bound)])
+    assert got == code
+    if code:
+        assert (out, scanned) == ("", [])
+        assert_one_error_line(err, error)
+    else:
+        assert (err, scanned) == ("", [bound])
+        assert json.loads(out)["brute_check"] == "agree"
 
 
 def test_nonprimitive_exit_code(tmp_path):

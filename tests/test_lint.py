@@ -1,9 +1,9 @@
 """Source checks: runtime invariants must survive ``python -O`` and reach
 the CLI's JSON error contract, so no module of the package uses an
 ``assert`` statement or raises ``AssertionError``; the runtime needs
-the standard library only; every cache of the package is bounded; and no
-module of the package or of the test suite imports a name it never
-reads."""
+the standard library only; every cache of the package is bounded; no
+decision module imports the simulator; and no module of the package or
+of the test suite imports a name it never reads."""
 
 import ast
 import sys
@@ -69,6 +69,41 @@ def test_package_imports_only_stdlib():
     assert found == []
     probe = ast.parse("import json, numpy.linalg\nfrom . import x\nfrom scipy import y\n")
     assert [name for _, name in _foreign_imports(probe)] == ["numpy.linalg", "scipy"]
+
+
+# The modules whose answers are exact: none may consult the simulator,
+# at module level or inside a function.
+DECISION_MODULES = ("substitution", "reduction", "streams", "pairs", "odometer")
+
+
+def _simulator_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            names = [".".join(module + [alias.name]) for alias in node.names]
+        else:
+            continue
+        if any("simulate" in name.split(".") for name in names):
+            yield node.lineno
+
+
+def test_decision_modules_never_import_the_simulator():
+    found = []
+    for module in DECISION_MODULES:
+        tree = _tree(PACKAGE_DIR / f"{module}.py")
+        found += [f"{module}.py:{line}" for line in _simulator_imports(tree)]
+    assert found == []
+    probe = ast.parse(
+        "from .simulate import empirical_class\n"
+        "from . import simulate, streams\n"
+        "import substchaos.simulate\n"
+        "from substchaos.simulate import x\n"
+        "def f():\n    from .simulate import y\n"
+        "from .streams import simulated\n"
+    )
+    assert list(_simulator_imports(probe)) == [1, 2, 3, 4, 6]
 
 
 def _unused_imports(tree):

@@ -2,6 +2,7 @@
 classification, constructions, and orbit enumeration."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,15 @@ from substchaos import (
 )
 from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
-from substchaos.pairs import _ly_levels, _pair_tables, ly_witness
+from substchaos.pairs import (
+    _aligned_entries,
+    _coin_step,
+    _coincidence_closure,
+    _ly_levels,
+    _pair_tables,
+    _past_finite_forward_data,
+    ly_witness,
+)
 from substchaos.report import _brute_scan
 from substchaos.substitution import is_primitive, iterate_chr
 
@@ -238,20 +247,63 @@ def test_classify_shifts_away_finite_forward_data(fixtures):
     assert verdicts <= {PairClass.ASYMPTOTIC, PairClass.DISTAL}
 
 
-def test_classify_partial_is_unresolved(fixtures):
+def test_classify_partial_coincidence_pairs_exactly(fixtures, monkeypatch):
+    # the coincidence closure decides every same-fiber pair of the
+    # partial-coincidence fixture, and it runs no simulation to do so
+    import substchaos.simulate
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("classification must not simulate")
+
+    monkeypatch.setattr(substchaos.simulate, "empirical_class", refuse)
     four = fixtures["four"]
+    assert coincidence_class(four).kind is Coincidence.PARTIAL
     pts = fixed_points(four)
-    found = False
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i].odometer_digits() != pts[j].odometer_digits():
-                continue
-            verdict = classify_pair(pts[i], pts[j], evidence_horizon=256)
-            assert verdict.kind in (PairClass.ASYMPTOTIC, PairClass.UNRESOLVED)
-            if verdict.kind is PairClass.UNRESOLVED:
-                assert verdict.evidence is not None
-                found = True
-    assert found
+    verdicts = Counter(
+        (verdict.kind, verdict.rule)
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+        if pts[i].odometer_digits() == pts[j].odometer_digits()
+        for verdict in [classify_pair(pts[i], pts[j])]
+    )
+    assert verdicts == {
+        (PairClass.DISTAL, "coincidence-closure-separation"): 4,
+        (PairClass.ASYMPTOTIC, "eventual-suffix-equality"): 2,
+    }
+
+
+def test_coincidence_closure_spans_the_classes(fixtures):
+    # C∞ is every pair under overall coincidences, the diagonal under none,
+    # and strictly between them for the partial-coincidence fixture
+    for name in ("morse", "toeplitz", "aba", "four"):
+        s = fixtures[name]
+        pairs, _, _ = _pair_tables(s)
+        closure = _coincidence_closure(s)
+        diagonal = {q for q in pairs if q[0] == q[1]}
+        kind = coincidence_class(s).kind
+        if kind is Coincidence.OVERALL:
+            assert closure == set(pairs), name
+        elif kind is Coincidence.NO_COINCIDENCE:
+            assert closure == diagonal, name
+        else:
+            assert diagonal < closure < set(pairs), name
+
+
+def test_partial_coincidence_li_yorke_pairs():
+    # a countable partial-coincidence class: some of its fiber pairs meet
+    # C∞ at a period level and are Li-Yorke
+    s = parse_substitution("a -> aba\nb -> aac\nc -> cba")
+    assert coincidence_class(s).kind is Coincidence.PARTIAL
+    pts = fixed_points(s)
+    for per in ((0,), (1,), (2,)):
+        pts += enumerate_fiber(s, OdometerDigits(3, (), per))
+    rules = {
+        classify_pair(x, y).rule
+        for i, x in enumerate(pts)
+        for y in pts[i + 1 :]
+        if x != y and x.odometer_digits() == y.odometer_digits()
+    }
+    assert "coincidence-closure-recurrent-difference" in rules
 
 
 def test_classify_identical_points(fixtures):
@@ -438,9 +490,68 @@ def test_scrambled_set_requires_positive_size():
         build_scrambled_set(0)
 
 
+def _closure_depths(s):
+    """Letter pair -> the least d whose d-fold pair image holds a diagonal
+    pair, for every pair of C∞ (the round at which the coincidence steps
+    from the diagonal first reach it)."""
+    pairs, image, _ = _pair_tables(s)
+    coin = frozenset(q for q in pairs if q[0] == q[1])
+    depth = dict.fromkeys(coin, 0)
+    rounds = 0
+    while True:
+        grown = _coin_step(image, pairs, coin)
+        if grown == coin:
+            return depth
+        rounds += 1
+        depth.update(dict.fromkeys(grown - coin, rounds))
+        coin = grown
+
+
+def _li_yorke_horizon(x, y, window):
+    """A horizon by which the simulator sees a pair that ``classify_pair``
+    calls Li-Yorke both proximal at ``window`` and separated, derived from
+    the data the verdict reads (see its docstring).
+
+    ``_past_finite_forward_data`` shifts the pair forward by ``shift``
+    steps; after it the suffix letters of level i cover coordinates below
+    p^(i+1).  A suffix letter pair q at period level i that enters C∞ at
+    depth d recurs at the levels i + tL.  At the first such level i' with
+    p^(i' - d) >= 2 window - 1, the image of q holds an agreement run long
+    enough for one time to reach radius ``window``, below p^(i'+1) +
+    shift.  A differing suffix letter pair at period level j gives a
+    separation below p^(j+1) + shift.  The horizon covers the earliest of
+    each, and never drops below p^7."""
+    p = x.subst.constant_length
+    stream = x.stream
+    shift = 0
+    if x.odometer_digits().is_constant(p - 1):
+        shift = 1 + sum(
+            (p - 1 - stream.digit(i)) * p**i for i in range(len(stream.preperiod))
+        )
+    k, L, ex, ey = _aligned_entries(*_past_finite_forward_data(x, y))
+    depth = _closure_depths(x.subst)
+    run = 0  # the least r with p^r >= 2 window - 1
+    while p**run < 2 * window - 1:
+        run += 1
+    proximal, separated = [], []
+    for i in range(k, k + L):
+        for a, b in zip(ex[i].suffix, ey[i].suffix):
+            q = (ord(a), ord(b))
+            if q in depth:
+                top = i
+                while top < depth[q] + run:
+                    top += L
+                proximal.append(top)
+            if a != b:
+                separated.append(i)
+    level = max(min(proximal), min(separated))
+    return max(p**7, p ** (level + 1) + shift)
+
+
 def test_random_corpus_verdicts_never_contradict_simulator(random_corpus):
     # mini cross-check over the random corpus: classify same-fiber pairs
-    # from a couple of fibers and compare against orbit evidence
+    # from a couple of fibers and compare against orbit evidence; a
+    # Li-Yorke verdict is checked at the horizon its own data derives
     from substchaos.simulate import empirical_class
     from substchaos.errors import SeparationBoundError
 
@@ -458,16 +569,18 @@ def test_random_corpus_verdicts_never_contradict_simulator(random_corpus):
                 x, y = pts[i], pts[j]
                 if x.odometer_digits() != y.odometer_digits():
                     continue
-                verdict = classify_pair(x, y, evidence_horizon=p**5)
-                report = empirical_class(x, y, p**7, 16)
+                verdict = classify_pair(x, y)
+                if verdict.kind is PairClass.LI_YORKE:
+                    report = empirical_class(x, y, _li_yorke_horizon(x, y, 16), 16)
+                    assert report.proximality_count >= 1, s.rules()
+                    assert report.separation_count >= 1, s.rules()
+                else:
+                    report = empirical_class(x, y, p**7, 16)
                 if verdict.kind is PairClass.DISTAL:
                     assert report.proximality_count == 0, s.rules()
                 elif verdict.kind is PairClass.ASYMPTOTIC:
                     assert report.last_separation is None or (
                         report.last_separation <= report.max_last_difference
                     ), s.rules()
-                elif verdict.kind is PairClass.LI_YORKE:
-                    assert report.proximality_count >= 1, s.rules()
-                    assert report.separation_count >= 1, s.rules()
                 checked += 1
     assert checked >= 100

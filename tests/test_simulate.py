@@ -14,7 +14,6 @@ from substchaos import (
     construct_recurrent_ly_pair,
     empirical_class,
     recurrence_check,
-    scan_until_events,
     stream_from_entries,
     stream_from_fixed_point,
 )
@@ -80,13 +79,6 @@ def test_distal_pair_has_no_proximality(fixtures):
     assert report.max_distance == 1.0
 
 
-def test_scan_until_events(fixtures):
-    cp = construct_ly_pair(fixtures["aba"])
-    report = scan_until_events(cp.x, cp.y, 81, wanted=3)
-    assert report.proximality_count >= 3
-    assert report.separation_count >= 3
-
-
 def test_radius_shift_compatibility(fixtures):
     x = stream_from_fixed_point(fixtures["morse"], "0", "0")
     y = stream_from_fixed_point(fixtures["morse"], "1", "1")
@@ -146,16 +138,6 @@ def test_report_json_shape(fixtures):
         "max_distance",
     }
     assert doc["horizon"] == 100 and doc["window"] == 8
-
-
-def test_scan_until_events_reports_budget_exhaustion(fixtures):
-    # an asymptotic pair never produces separations, so the doubling stops
-    # at the word budget and reports what it saw instead of refuting
-    x = stream_from_fixed_point(fixtures["morse"], "0", "0")
-    y = stream_from_fixed_point(fixtures["morse"], "1", "0")
-    report = scan_until_events(x, y, 64, wanted=3, budget=4096)
-    assert report.separation_count == 0
-    assert report.horizon >= 64
 
 
 class WindowPoint:

@@ -27,7 +27,6 @@ from substchaos.substitution import (
     iterate_prefix,
     iterate_suffix,
     language_chr,
-    project_pair_word,
     wielandt_bound,
 )
 
@@ -322,6 +321,17 @@ def test_encode_and_index_refuse_unknown_letters(text):
             s.index(bad)
 
 
+def test_index_and_image_take_alphabet_tokens_only():
+    # an int is an alphabet index to encode, never a letter to index or image
+    s = parse_substitution("a -> ab\nb -> ba")
+    assert (s.index("b"), s.image("b")) == (1, "ba")
+    for bad in (0, 1, True):
+        with pytest.raises(InvariantError):
+            s.index(bad)
+        with pytest.raises(InvariantError):
+            s.image(bad)
+
+
 @st.composite
 def alphabets_and_words(draw):
     """An alphabet of one-character or longer tokens and a word over it in
@@ -364,8 +374,8 @@ def test_pair_projections_commute_with_iteration(s, m):
     for i in range(n):
         for j in range(n):
             pw = iterate_chr(ps, chr(i * n + j), m)
-            left = project_pair_word(s, pw, 0)
-            right = project_pair_word(s, pw, 1)
+            left = "".join(chr(ord(ch) // n) for ch in pw)
+            right = "".join(chr(ord(ch) % n) for ch in pw)
             assert left == iterate_chr(s, chr(i), m)
             assert right == iterate_chr(s, chr(j), m)
 
