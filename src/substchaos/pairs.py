@@ -110,29 +110,25 @@ def _pair_tables(subst):
     return pairs, image, occurrences
 
 
-def _coin_diff_start(pairs):
-    coin = frozenset(q for q in pairs if q[0] == q[1])
-    diff = frozenset(q for q in pairs if q[0] != q[1])
-    return coin, diff
-
-
 def _coin_step(image, pairs, coin):
     """The pairs whose pair image holds a member of ``coin``."""
     return frozenset(q for q in pairs if any(r in coin for r in image[q]))
 
 
 @memoised
-def _coincidence_closure(subst):
-    """C∞, the least set of letter pairs that holds the diagonal and every
-    pair whose pair image holds a member: the pairs with a diagonal pair in
-    some iterated pair image.  Diagonal pairs map to diagonal pairs, so the
-    steps from the diagonal only grow and settle within |A|^2 rounds."""
+def _coincidence_chain(subst):
+    """coin_0 ⊂ coin_1 ⊂ ... ⊂ C∞: coin_0 is the diagonal and coin_(m+1)
+    the pairs whose pair image holds a member of coin_m, so coin_m holds
+    the pairs whose m-fold pair image holds a diagonal pair.  Diagonal
+    pairs map to diagonal pairs, so the sets only grow; the tuple ends at
+    the first repeat, C∞, the least set that holds the diagonal and every
+    pair whose pair image holds a member (within |A|^2 rounds).  Level m
+    of an engine reads ``chain[min(m, len(chain) - 1)]``."""
     pairs, image, _ = _pair_tables(subst)
-    coin, _diff = _coin_diff_start(pairs)
-    grown = _coin_step(image, pairs, coin)
-    while grown != coin:
-        coin, grown = grown, _coin_step(image, pairs, grown)
-    return coin
+    chain = [frozenset(q for q in pairs if q[0] == q[1])]
+    while (grown := _coin_step(image, pairs, chain[-1])) != chain[-1]:
+        chain.append(grown)
+    return tuple(chain)
 
 
 def _ly_levels(subst, target):
@@ -142,24 +138,27 @@ def _ly_levels(subst, target):
     each reached ``(pair, coincidence flag, difference flag)`` state to its
     back pointer ``(state one level down, position)``, the first found in
     sorted order.  Stops after the first level whose global state repeats.
+    The m-fold pair image of a pair holds an off-diagonal pair exactly when
+    the pair is off-diagonal, at every m: the images are pairwise distinct.
     """
-    pairs, image, occurrences = _pair_tables(subst)
-    coin, diff = _coin_diff_start(pairs)
+    _, image, occurrences = _pair_tables(subst)
+    chain = _coincidence_chain(subst)
+    last = len(chain) - 1
     state = {(target, False, False): None}
     yield state
     seen = set()
-    for _ in range(ENGINE_LEVEL_CAP):
+    for level in range(ENGINE_LEVEL_CAP):
+        coin = chain[min(level, last)]
         new_state = {}
         for key in sorted(state):
             q, fc, fd = key
             for parent, t in occurrences[q]:
                 local = image[parent][t + 1 :]
                 nfc = fc or any(r in coin for r in local)
-                nfd = fd or any(r in diff for r in local)
+                nfd = fd or any(r[0] != r[1] for r in local)
                 new_state.setdefault((parent, nfc, nfd), (key, t))
-        coin, diff = _coin_step(image, pairs, coin), _coin_step(image, pairs, diff)
         yield new_state
-        sig = (frozenset(new_state), coin, diff)
+        sig = (frozenset(new_state), min(level + 1, last))
         if sig in seen:
             return
         seen.add(sig)
@@ -212,11 +211,13 @@ def _double_engine(subst, target):
     inside its own iterated pair image with a diagonal position after the
     first occurrence; deterministic vector iteration with cycle stop."""
     pairs, image, _ = _pair_tables(subst)
-    coin, _diff = _coin_diff_start(pairs)
+    chain = _coincidence_chain(subst)
+    last = len(chain) - 1
     count = {q: (1 if q == target else 0) for q in pairs}
     daf = {q: False for q in pairs}
     seen = {}
     for level in range(1, ENGINE_LEVEL_CAP + 1):
+        coin = chain[min(level - 1, last)]
         new_count = {}
         new_daf = {}
         for q in pairs:
@@ -229,11 +230,10 @@ def _double_engine(subst, target):
                     flag = daf[r] or any(x in coin for x in letters[t + 1 :])
                     break
             new_daf[q] = flag
-        coin = _coin_step(image, pairs, coin)
         count, daf = new_count, new_daf
         if count[target] >= 2 and daf[target]:
             return level
-        sig = (tuple(sorted(count.items())), tuple(sorted(daf.items())), coin)
+        sig = (tuple(sorted(count.items())), tuple(sorted(daf.items())), min(level, last))
         if sig in seen:
             return None
         seen[sig] = level
@@ -438,7 +438,7 @@ def classify_pair(x, y):
     - Otherwise a differing suffix letter pair (a, b) recurs every L
       levels and σ^i(a) != σ^i(b) (σ is one-to-one), so differences reach
       arbitrarily far right.  If a suffix letter pair q at a level i >= k
-      lies in C∞ (``_coincidence_closure``), its d-fold pair image holds a
+      lies in C∞ (``_coincidence_chain``), its d-fold pair image holds a
       diagonal pair for some d, so its image at each level i + tL >= d
       holds p^(i+tL-d) agreeing coordinates: proximal, hence Li-Yorke.
       If none does, no image of a suffix letter pair at a level >= k holds
@@ -464,7 +464,7 @@ def classify_pair(x, y):
     periodic = list(zip(ex[k:], ey[k:]))
     if all(e1.suffix == e2.suffix for e1, e2 in periodic):
         return PairVerdict(PairClass.ASYMPTOTIC, "eventual-suffix-equality")
-    closure = _coincidence_closure(s)
+    closure = _coincidence_chain(s)[-1]
     kind = coincidence_class(s).kind
     if any(
         (ord(a), ord(b)) in closure
@@ -591,60 +591,94 @@ def construct_recurrent_ly_pair(subst):
 # enumeration of Li-Yorke orbit representatives
 
 
-def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
-    """Representatives of the Li-Yorke pair orbits when there are only
-    finitely many of them.
+def enumerate_ly_orbits(subst):
+    """One representative pair per Li-Yorke pair orbit, when there are
+    countably many Li-Yorke pairs (uncountable input is refused).
 
-    Every such pair is in the orbit of one whose joint level data is
-    purely periodic with period at most ``|A|^2 + 1``, so closed chains of
-    letter pairs up to that length enumerate all candidates.  Candidates
-    are kept when the exact classification says Li-Yorke, and pairs are
+    A candidate is a simple cycle of off-diagonal letter pairs under the
+    occurrence relation, read from one of its starts: the chain
+    ``((q_1, t_0), ..., (q_L, t_(L-1)))`` with q_L = q_0 puts q_i at digit
+    t_i inside the pair image of q_(i+1), and is the purely periodic level
+    data of one pair (x, y) per seed choice.  Every candidate that
+    ``classify_pair`` calls Li-Yorke is kept; a candidate over the all-(p-1)
+    fiber is shifted once, into the all-0 fiber, and pairs are then
     deduplicated by point identity, which is exact on this domain (see
-    ``_require_recognizable``).
+    ``_require_recognizable``).  This lists exactly one pair per orbit of
+    the Li-Yorke pairs with eventually periodic level data:
+
+    - Such a pair has eventually periodic odometer digits, a rational z,
+      and the shift adds 1 to z.  Purely periodic digit sequences are the
+      rationals in [-1, 0] (period L with digit value B stands for
+      -B / (p^L - 1)), so an orbit meets exactly one purely periodic fiber,
+      in one pair, except that the fibers 0 and -1 share the orbits that
+      meet them.  Shifting the -1 pairs into fiber 0 leaves one pair per
+      orbit over purely periodic fibers.
+    - Under countability the level chain of one (primitive) period of a
+      Li-Yorke pair over a purely periodic fiber is a simple cycle.  Its
+      center pairs are off-diagonal: a diagonal center pair has equal
+      blocks below it, and being periodic, at every level, so the pair
+      would be asymptotic.  Let an off-diagonal pair q be the center pair
+      at two levels i < j of one period of length L.  The steps from j
+      down to i (A) and from i + L down to j (B) both lead from q to q,
+      so inside the pair image of q at level i + kL the steps (BA)^k (the
+      centers) and AB(BA)^(k-1) reach two occurrences of q at level i.
+      They differ: AB = BA would make A and B powers of one word, and
+      the period would not be primitive.  The pair is Li-Yorke, so a
+      suffix pair at some level h lies in C∞ (``classify_pair``) and,
+      once h - i passes its depth, puts a diagonal pair right of the
+      center at level i; for large k that is inside the image, after the
+      first of the two occurrences.  This is the double-occurrence
+      condition of ``has_uncountable_ly``, which countability excludes.
+    - The walk from every off-diagonal start lists each simple cycle once
+      per start, and distinct starts are distinct pairs: the chains differ
+      in some center pair or digit (a simple cycle is a primitive word).
+      Distinct pairs over one fiber are distinct orbits, since the shift
+      moves every point off its fiber.  The cycle of the exchanged pairs
+      gives (y, x), which the deduplication drops.
+
+    The pairs with a non-periodic (irrational) digit sequence are not
+    represented and are not listed.
     """
     _require_recognizable(subst)
     if has_uncountable_ly(subst):
-        if require_countable:
-            raise PreconditionError(
-                "enumeration refused: the substitution has uncountably many "
-                "Li-Yorke pairs"
-            )
-    elif not has_ly_pairs(subst):
+        raise PreconditionError(
+            "enumeration refused: the substitution has uncountably many "
+            "Li-Yorke pairs"
+        )
+    if not has_ly_pairs(subst):
         return []
     if coincidence_class(subst).kind is not Coincidence.OVERALL:
         # classify_pair decides these candidates too, but listing them is
-        # new output, and this walk over every closed chain makes it cost
-        # a quarter more per analyze; they wait for a simple-cycle walk
+        # new output with a cost: this walk without the return takes about
+        # 0.5 ms per partial class of bench/countable.json, where the
+        # median analyze of the benchmark's countable corpus is 1.2 ms
         return []
     s = subst
-    n = s.size
-    bound = period_bound if period_bound is not None else n * n + 1
-    pairs, image, occurrences = _pair_tables(s)
-
-    cycles = set()
-
-    def walk(start, node, path):
-        # path: list of (parent, t) steps taken upward from `start`
-        if path and node == start:
-            cyc = tuple(path)
-            rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
-            cycles.add(min(rotations))
-        if len(path) >= bound:
-            return
-        for parent, t in occurrences[node]:
-            if parent[0] == parent[1]:
-                continue
-            walk(start, parent, path + [(parent, t)])
-
-    for q in sorted(pairs):
-        if q[0] != q[1]:
-            walk(q, q, [])
+    _, _, occurrences = _pair_tables(s)
+    chains = []
+    for q in sorted(occurrences):
+        if q[0] == q[1]:
+            continue
+        # explicit-stack walk over simple paths: path[i] is the step
+        # (parent, t) into the pair of level i + 1, stack[i] the steps
+        # still to try out of the pair of level i
+        path, stack = [], [iter(occurrences[q])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                del path[-1:]
+            elif step[0] == q:
+                chains.append((*path, step))
+            elif step[0][0] != step[0][1] and step[0] not in (r for r, _ in path):
+                path.append(step)
+                stack.append(iter(occurrences[step[0]]))
 
     results = []
     seen = set()
-    for cyc in sorted(cycles):
-        positions = [t for _, t in cyc]
-        top = cyc[-1][0]
+    for chain in sorted(chains):
+        positions = [t for _, t in chain]
+        top = chain[-1][0]
         ex, ey = _chain_entries(s, (chr(top[0]), chr(top[1])), positions)
         seeds_x = _seed_choices(s, positions, ex[0].center)
         seeds_y = _seed_choices(s, positions, ey[0].center)
@@ -653,6 +687,8 @@ def enumerate_ly_orbits(subst, period_bound=None, require_countable=True):
             y = RepresentedPoint(DesubstitutionStream(s, (), ey, ly_, ry))
             if classify_pair(x, y).kind is not PairClass.LI_YORKE:
                 continue
+            if all(t == s.constant_length - 1 for t in positions):
+                x, y = x.shift(), y.shift()
             key = frozenset((x, y))
             if key not in seen:
                 seen.add(key)

@@ -45,17 +45,6 @@ class ReductionResult:
     letter_map: tuple[tuple[str, str], ...]  # (original token, reduced token)
     chain: tuple[tuple[Substitution, tuple[tuple[str, str], ...]], ...]
 
-    def map_token(self, token):
-        return dict(self.letter_map)[token]
-
-    def map_word(self, subst, word):
-        m = dict(self.letter_map)
-        toks = list(word) if isinstance(word, str) else [t for t in word]
-        out = [m[t] for t in toks]
-        if all(len(t) == 1 for t in self.reduced.alphabet):
-            return "".join(out)
-        return tuple(out)
-
 
 def one_to_one_reduction(subst):
     """Merge letters with identical images (representative: earliest in
@@ -326,7 +315,7 @@ def biprolongeable_letters(subst):
     return [subst.alphabet[i] for i in sorted(followers) if len(followers[i]) >= 2]
 
 
-def _composed(simp, subst):
+def _composed(simp):
     """The substitution ``f . g`` on the smaller alphabet."""
     f_chr = ["".join(chr(int(t)) for t in word) for word in simp.f]
     images = []
@@ -386,7 +375,7 @@ def _decision(subst):
             "infinite": bool(bip),
         }
         return bool(bip), (record,)
-    nxt = _composed(simp, subst)
+    nxt = _composed(simp)
     if not is_primitive(nxt):
         raise PreconditionError("simplification produced a non-primitive substitution")
     record = {

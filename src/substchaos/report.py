@@ -112,21 +112,20 @@ def _brute_scan(subst, word_bound):
     n, p = subst.size, subst.constant_length
     pairs = pair_substitution(subst)
     diagonal = {c: "1" if c // n == c % n else "0" for c in range(n * n)}
-    targets = [chr(a * n + b) for a in range(n) for b in range(a + 1, n)]
-    words = targets
     ly = unc = False
-    length = p
-    while length <= word_bound:
-        words = [pairs.apply(w) for w in words]
-        for target, word in zip(targets, words):
+    # one target at a time, so at most one pair word of length N is held
+    for target in (chr(a * n + b) for a in range(n) for b in range(a + 1, n)):
+        word = target
+        length = p
+        while length <= word_bound:
+            word = pairs.apply(word)
             j = word.find(target)
-            if j < 0:
-                continue
-            flags = word.translate(diagonal)
-            if flags.rfind("1") > j:
-                ly = ly or flags.rfind("0") > j
-                unc = unc or word.find(target, j + 1) > j
-        length *= p
+            if j >= 0:
+                flags = word.translate(diagonal)
+                if flags.rfind("1") > j:
+                    ly = ly or flags.rfind("0") > j
+                    unc = unc or word.find(target, j + 1) > j
+            length *= p
     return ly, unc
 
 

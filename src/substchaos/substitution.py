@@ -396,7 +396,9 @@ def language_chr(subst, length):
     length.  L_2 comes from closing a seed set of at most |A|^2 words
     under σ, and L_1 is the set of first letters of L_2.  The work is
     ``|L_2| · max_a |σ^m(a)|`` slices of length N, and at constant
-    length p, ``p^m < p (N - 1)``; no word budget applies.
+    length p, ``p^m < p (N - 1)``.  Those symbols are counted from the
+    image lengths first, and a listing whose count exceeds
+    ``DEFAULT_WORD_BUDGET`` is refused before any word is built.
     """
     if length < 1:
         raise PreconditionError("word length must be >= 1")
@@ -404,11 +406,16 @@ def language_chr(subst, length):
         raise PreconditionError("language generation requires a primitive substitution")
     n = subst.size
     if n == 1:
+        _charge_listing(length, length)
         return frozenset({chr(0) * length})
     if length == 1:
         return frozenset(w[0] for w in language_chr(subst, 2))
     if length == 2:
         return _two_letter_words(subst)
+    sizes = [1] * n
+    while min(sizes) < length - 1:
+        sizes = [sum(sizes[ord(c)] for c in img) for img in subst.images]
+    _charge_listing(len(language_chr(subst, 2)) * max(sizes) * length, length)
     images = [chr(i) for i in range(n)]
     while min(len(w) for w in images) < length - 1:
         images = [subst.apply(w) for w in images]
@@ -418,6 +425,14 @@ def language_chr(subst, length):
         w = left + images[ord(d)]
         words.update(w[i : i + length] for i in range(len(left)))
     return frozenset(words)
+
+
+def _charge_listing(symbols, length):
+    if symbols > DEFAULT_WORD_BUDGET:
+        raise BudgetExceededError(
+            f"the length-{length} listing would slice {symbols} symbols, "
+            f"more than the word budget {DEFAULT_WORD_BUDGET}"
+        )
 
 
 def _two_letter_words(subst):

@@ -196,6 +196,31 @@ def test_language_command(morse_file):
     assert doc["words"] == ["001", "010", "011", "100", "101", "110"]
 
 
+@pytest.mark.parametrize(
+    "rules, length, code",
+    [
+        # morse: |L_2| = 4 and |σ^m(a)| = 2^m >= N - 1, so a listing of
+        # length N slices 4 · 2^m · N symbols against 2^24
+        ("a -> ab\nb -> ba\n", 2048, 0),
+        ("a -> ab\nb -> ba\n", 2049, 3),
+        ("a -> ab\nb -> ba\n", 10**8, 3),
+        ("a -> aa\n", 4096, 0),
+        ("a -> aa\n", 10**8, 3),
+    ],
+)
+def test_language_refuses_an_oversized_listing(tmp_path, rules, length, code):
+    path = tmp_path / "rules.txt"
+    path.write_text(rules)
+    got, out, err = run_main(["language", str(path), str(length)])
+    assert got == code
+    if code:
+        assert out == ""
+        assert_one_error_line(err, "BudgetExceededError")
+    else:
+        assert err == ""
+        assert json.loads(out)["length"] == length
+
+
 def test_classify_command(ly_file):
     x = json.dumps({"kind": "stream", "period": [["", "0", "10"]], "left_seed": "0"})
     y = json.dumps({"kind": "stream", "period": [["", "1", "00"]], "left_seed": "0"})

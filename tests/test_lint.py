@@ -2,8 +2,9 @@
 the CLI's JSON error contract, so no module of the package uses an
 ``assert`` statement or raises ``AssertionError``; the runtime needs
 the standard library only; every cache of the package is bounded; no
-decision module imports the simulator; and no module of the package or
-of the test suite imports a name it never reads."""
+decision module imports the simulator; no module of the package or of
+the test suite imports a name it never reads; and no function of the
+package takes a parameter it never reads."""
 
 import ast
 import sys
@@ -208,4 +209,50 @@ def test_caches_are_bounded():
         (13, "functools.cached_property"),
         (15, "decorator remember"),
         (17, "lru_cache without a bound"),
+    ]
+
+
+# The parameters a function may leave unread: the key of the table cache
+# and an argument kept for callers that pass it.
+UNREAD_PARAMETERS_ALLOWED = {("substitution.py", "_tables", "subst"),
+                             ("streams.py", "enumerate_fiber", "radius")}
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for every parameter that its function,
+    nested functions included, never reads."""
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            name.id
+            for stmt in body
+            for name in ast.walk(stmt)
+            if isinstance(name, ast.Name) and not isinstance(name.ctx, ast.Store)
+        }
+        for param in params:
+            if param not in read:
+                yield node.lineno, getattr(node, "name", "<lambda>"), param
+
+
+def test_no_unread_parameters():
+    found = []
+    for module in CHECKED_MODULES:
+        for line, func, param in _unread_parameters(_tree(PACKAGE_DIR / module)):
+            if (module, func, param) not in UNREAD_PARAMETERS_ALLOWED:
+                found.append(f"{module}:{line}: {func}({param})")
+    assert found == []
+    probe = ast.parse(
+        "def f(a, b, *c, d=1, **e):\n    return a + d\n"
+        "def g(x):\n    def h(y):\n        return x\n    return h\n"
+        "k = lambda u, v: u\n"
+        "class C:\n    def m(self, w):\n        w = 1\n        return self\n"
+    )
+    assert sorted(_unread_parameters(probe)) == [
+        (1, "f", "b"), (1, "f", "c"), (1, "f", "e"), (4, "h", "y"),
+        (7, "<lambda>", "v"), (9, "m", "w"),
     ]

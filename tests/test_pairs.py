@@ -2,7 +2,10 @@
 classification, constructions, and orbit enumeration."""
 
 import itertools
+import json
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +32,7 @@ from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import (
     _aligned_entries,
-    _coin_step,
-    _coincidence_closure,
+    _coincidence_chain,
     _ly_levels,
     _pair_tables,
     _past_finite_forward_data,
@@ -278,7 +280,7 @@ def test_coincidence_closure_spans_the_classes(fixtures):
     for name in ("morse", "toeplitz", "aba", "four"):
         s = fixtures[name]
         pairs, _, _ = _pair_tables(s)
-        closure = _coincidence_closure(s)
+        closure = _coincidence_chain(s)[-1]
         diagonal = {q for q in pairs if q[0] == q[1]}
         kind = coincidence_class(s).kind
         if kind is Coincidence.OVERALL:
@@ -388,28 +390,128 @@ def test_enumerate_orbits_refusals(fixtures):
         enumerate_ly_orbits(fixtures["ly_two"])
 
 
+# the classes of bench/countable.json: 3-letter, p <= 3, countably many
+# Li-Yorke pairs; 30 of the 60 have overall coincidences
+COUNTABLE_CLASSES = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "countable.json").read_text()
+)
+
+
+def _class(index):
+    return parse_substitution(
+        "\n".join(f"{c} -> {w}" for c, w in zip("abc", COUNTABLE_CLASSES[index]))
+    )
+
+
+def _overall_classes():
+    out = [_class(i) for i in range(len(COUNTABLE_CLASSES))]
+    out = [s for s in out if coincidence_class(s).kind is Coincidence.OVERALL]
+    assert len(out) == 30
+    return out
+
+
+def _random_overall_countable(count, seed=20261018):
+    """Seeded one-to-one primitive inputs, |A| 3-4 and p 2-3, with overall
+    coincidences and countably many Li-Yorke pairs."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        alphabet = "abcd"[: rng.randint(3, 4)]
+        p = rng.randint(2, 3)
+        s = parse_substitution(
+            "\n".join(
+                f"{c} -> {''.join(rng.choice(alphabet) for _ in range(p))}"
+                for c in alphabet
+            )
+        )
+        if not (s.is_injective() and is_primitive(s) and decide_infinite(s)):
+            continue
+        if coincidence_class(s).kind is not Coincidence.OVERALL:
+            continue
+        if has_ly_pairs(s) and not has_uncountable_ly(s):
+            out.append(s)
+    return out
+
+
+def _fiber_oracle(s, max_period=3):
+    """Fiber -> the Li-Yorke pairs over it, from ``enumerate_fiber`` and
+    ``classify_pair`` on every purely periodic fiber of digit period at
+    most ``max_period``.  The all-(p-1) fiber shares its orbits with the
+    all-0 fiber, so its pairs are shifted once into it."""
+    p = s.constant_length
+    zero = OdometerDigits(p, (), (0,))
+    fibers = set()
+    for length in range(1, max_period + 1):
+        for period in itertools.product(range(p), repeat=length):
+            fibers.add(OdometerDigits(p, (), period))
+    found = {}
+    for digits in fibers:
+        ly = set()
+        for x, y in itertools.combinations(enumerate_fiber(s, digits), 2):
+            if classify_pair(x, y).kind is not PairClass.LI_YORKE:
+                continue
+            if digits.is_constant(p - 1):
+                x, y = x.shift(), y.shift()
+            ly.add(frozenset((x, y)))
+        if ly:
+            found.setdefault(zero if digits.is_constant(p - 1) else digits, set()).update(ly)
+    return found
+
+
+def test_orbit_list_matches_fiber_classification(fixtures):
+    # each listed pair is one orbit: over every purely periodic fiber of
+    # digit period <= 3 the listed pairs are exactly the Li-Yorke pairs
+    # there, none missing and none twice, fiber -1 merged into fiber 0
+    cases = [fixtures["aba"]] + _overall_classes() + _random_overall_countable(20)
+    orbits = 0
+    for s in cases:
+        listed = {}
+        for x, y in enumerate_ly_orbits(s):
+            assert x.odometer_digits() == y.odometer_digits(), s.rules()
+            assert not x.odometer_digits().is_constant(s.constant_length - 1), s.rules()
+            listed.setdefault(x.odometer_digits(), []).append(frozenset((x, y)))
+        for pairs in listed.values():
+            assert len(set(pairs)) == len(pairs), s.rules()
+        short = {d: set(v) for d, v in listed.items() if len(d.period) <= 3}
+        expected = _fiber_oracle(s)
+        assert short == expected, s.rules()
+        orbits += sum(map(len, expected.values()))
+    assert orbits >= 60
+
+
+def test_orbit_list_gains_the_second_start_of_a_cycle():
+    # class 29: one simple cycle with two starts, two orbits (a list that
+    # kept the least rotation of each cycle had one)
+    s = _class(29)
+    assert s.rules() == {"a": "aab", "b": "cac", "c": "bac"}
+    assert len(enumerate_ly_orbits(s)) == 2
+
+
+def test_orbit_list_shifts_the_minus_one_fiber_into_zero():
+    # class 50: the pairs over fiber -1 are the shifts of pairs over fiber
+    # 0 and are listed once, in fiber 0 (a list that kept both had six)
+    s = _class(50)
+    assert s.rules() == {"a": "bac", "b": "cac", "c": "baa"}
+    orbits = enumerate_ly_orbits(s)
+    assert len(orbits) == 4
+    assert len({frozenset(pair) for pair in orbits}) == 4
+    minus_one = OdometerDigits(3, (), (2,))
+    assert all(x.odometer_digits() != minus_one for x, _ in orbits)
+
+
 def test_enumerate_orbits_contains_constructed_pair(fixtures):
-    # the uncountability precondition must be lifted explicitly for this
-    # fixture (its double-occurrence condition holds at the second power)
-    cp = construct_ly_pair(fixtures["ly_two"])
-    pairs = enumerate_ly_orbits(fixtures["ly_two"], require_countable=False)
-    keys = set()
-    for x, y in pairs:
-        keys.add(frozenset((x.canonical_key(), y.canonical_key())))
-    assert frozenset((cp.x.canonical_key(), cp.y.canonical_key())) in keys
-
-
-# two overall-coincidence classes of bench/countable.json
-COUNTABLE_OVERALL = ("a -> bac\nb -> cac\nc -> baa", "a -> aab\nb -> cab\nc -> cac")
+    for s in [fixtures["aba"]] + _overall_classes():
+        cp = construct_ly_pair(s)
+        listed = {frozenset(pair) for pair in enumerate_ly_orbits(s)}
+        assert frozenset((cp.x, cp.y)) in listed, s.rules()
 
 
 def test_orbit_pairs_differ_on_windows(fixtures):
     # window oracle: the pairs kept by stream identity are also pairwise
     # distinct as windows at the radius that used to deduplicate them
-    cases = [
-        enumerate_ly_orbits(fixtures["aba"]),
-        enumerate_ly_orbits(fixtures["ly_two"], require_countable=False),
-    ] + [enumerate_ly_orbits(parse_substitution(src)) for src in COUNTABLE_OVERALL]
+    cases = [enumerate_ly_orbits(fixtures["aba"])] + [
+        enumerate_ly_orbits(_class(i)) for i in (29, 50, 55)
+    ]
     for pairs in cases:
         assert pairs
         s = pairs[0][0].subst
@@ -460,7 +562,6 @@ def test_orbit_enumeration_skips_partial_coincidence_candidates(monkeypatch):
     # the refusal of uncountably many pairs still comes first
     with pytest.raises(PreconditionError):
         enumerate_ly_orbits(uncountable)
-    assert enumerate_ly_orbits(uncountable, require_countable=False) == []
 
 
 # -- scrambled sets ----------------------------------------------------------
@@ -492,19 +593,13 @@ def test_scrambled_set_requires_positive_size():
 
 def _closure_depths(s):
     """Letter pair -> the least d whose d-fold pair image holds a diagonal
-    pair, for every pair of C∞ (the round at which the coincidence steps
-    from the diagonal first reach it)."""
-    pairs, image, _ = _pair_tables(s)
-    coin = frozenset(q for q in pairs if q[0] == q[1])
-    depth = dict.fromkeys(coin, 0)
-    rounds = 0
-    while True:
-        grown = _coin_step(image, pairs, coin)
-        if grown == coin:
-            return depth
-        rounds += 1
-        depth.update(dict.fromkeys(grown - coin, rounds))
-        coin = grown
+    pair, for every pair of C∞: the index of the first set of the
+    coincidence chain that holds it."""
+    depth = {}
+    for d, coin in enumerate(_coincidence_chain(s)):
+        for q in coin:
+            depth.setdefault(q, d)
+    return depth
 
 
 def _li_yorke_horizon(x, y, window):

@@ -1,9 +1,12 @@
-"""The analysis bundle: how often ``analyze`` runs the finiteness search
-and how it derives ``is_elementary`` from the decision trace."""
+"""The analysis bundle: how often ``analyze`` runs the finiteness search,
+how it derives ``is_elementary`` from the decision trace, and the memory
+of the brute-force scan."""
 
+import tracemalloc
 from collections import Counter
 
 from substchaos import analyze, is_simplifiable, parse_substitution, reduction, substitution
+from substchaos.report import _brute_scan
 
 NON_INJECTIVE = "0 -> 021\n1 -> 021\n2 -> 201"
 
@@ -29,3 +32,26 @@ def test_is_elementary_matches_the_search(fixtures, random_corpus_any):
     for s in list(fixtures.values()) + random_corpus_any:
         report = analyze(s, include_orbits=False)
         assert report.data["is_elementary"] == (is_simplifiable(s) is None), s.rules()
+
+
+def _scan_peak(text, bound):
+    s = parse_substitution(text)
+    tracemalloc.start()
+    try:
+        verdict = _brute_scan(s, bound)
+        return verdict, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_brute_scan_memory_does_not_grow_with_the_targets():
+    # one letter pair a < b on two letters, ten on five: the scan holds the
+    # pair words of one target at a time, so both peaks are a few words of
+    # length N (a scan of all targets at once held ten)
+    bound = 1 << 16
+    two, peak_two = _scan_peak("a -> ab\nb -> ba", bound)
+    five, peak_five = _scan_peak("a -> ab\nb -> bc\nc -> cd\nd -> de\ne -> ea", bound)
+    assert two == (False, False)
+    assert five == (False, False)
+    assert peak_five < 2 * peak_two
+    assert peak_five < 6 * bound
