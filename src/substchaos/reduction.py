@@ -261,13 +261,11 @@ def _cover(images, size, counter, basis):
         dictionary.pop()
         unmet.pop()
 
-    def walk(img_idx, pos):
-        counter.spend()
-        if img_idx == n:
-            return True
+    def moves(img_idx, pos):
+        """The children of a node in walk order, none when it is skipped:
+        each move places one word, yields the child and is undone when
+        resumed."""
         image = images[img_idx]
-        if pos == len(image):
-            return walk(img_idx + 1, 0)
         _, _, firsts, lasts, outside = unmet[-1]
         spare = size - len(dictionary)
         if rank + outside > size or max(len(firsts), lasts) > spare or (
@@ -275,14 +273,13 @@ def _cover(images, size, counter, basis):
             and image[pos] not in firsts
             and not any(image.startswith(w, pos) for w in dictionary)
         ):
-            return False
+            return
         seg = segs[img_idx]
         for widx in range(len(dictionary)):
             w = dictionary[widx]
             if image.startswith(w, pos):
                 seg.append(widx)
-                if walk(img_idx, pos + len(w)):
-                    return True
+                yield img_idx, pos + len(w)
                 seg.pop()
         if len(dictionary) < size:
             for stop in range(pos + 1, len(image) + 1):
@@ -291,14 +288,26 @@ def _cover(images, size, counter, basis):
                     continue
                 seg.append(len(dictionary))
                 push(w)
-                if walk(img_idx, stop):
-                    return True
+                yield img_idx, stop
                 pop()
                 seg.pop()
-        return False
 
-    if walk(0, 0):
-        return dictionary, segs
+    # the current path as a stack of move generators, not of Python frames:
+    # a path places one word per level, over a thousand on long images
+    stack = [iter([(0, 0)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        counter.spend()
+        img_idx, pos = node
+        if img_idx == n:
+            return dictionary, segs
+        if pos == len(images[img_idx]):
+            stack.append(iter([(img_idx + 1, 0)]))
+        else:
+            stack.append(moves(img_idx, pos))
     return None
 
 

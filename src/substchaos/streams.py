@@ -16,6 +16,13 @@ left-infinite tail ``lim image^(t*r)(c)``, anchored at the level where
 the period starts (the limit depends only on the letter, not on the
 fixing power used).  The symmetric statement holds for ``right_seed``.
 Both sides can never collapse at the same time.
+
+A window ``x(-r .. r)`` is one slice of ``image^K(W_K)``, where the
+level-``K`` word ``W_K`` is the center at level ``K`` with the seed
+letters that belong beside it, for the first level ``K`` at or past the
+preperiod whose word covers the window (``_expand``).  The slice is built
+top-down, so the work is linear in the window plus the number of levels,
+and only a window larger than the word budget is refused.
 """
 
 from __future__ import annotations
@@ -37,9 +44,7 @@ from .substitution import (
     first_letter_map,
     is_primitive,
     is_public_word,
-    iterate_chr,
-    iterate_prefix,
-    iterate_suffix,
+    iterate_slice,
     language_chr,
     last_letter_map,
 )
@@ -252,9 +257,7 @@ class RepresentedPoint:
             return window[mid - radius : mid + radius + 1]
         if 2 * radius + 1 > budget:
             raise BudgetExceededError("expansion exceeds the word budget")
-        window = _expand_left(self.stream, radius, budget) + _expand_right(
-            self.stream, radius + 1, budget
-        )
+        window = _expand(self.stream, radius)
         self._memo = (radius, window)
         return window
 
@@ -311,88 +314,65 @@ class RepresentedPoint:
 # expansion internals
 
 
-def _seed_exponent(subst, anchor, cycle, minimum):
-    """Smallest exponent congruent to ``anchor`` mod ``cycle`` whose image
-    length covers ``minimum`` (positive so at least one image is taken)."""
-    p = subst.constant_length
-    e = anchor if anchor > 0 else cycle
-    while p**e < minimum:
-        e += cycle
-    return e
+def _step(mapping, letter, times):
+    """``letter`` moved ``times`` steps along the letter map ``mapping``."""
+    code = ord(letter)
+    for _ in range(times):
+        code = mapping[code]
+    return chr(code)
 
 
-def _expand_right(stream, need, budget):
+def _step_back(mapping, letter, times):
+    """``letter`` stepped back ``times`` steps along its cycle of
+    ``mapping``."""
+    return _step(mapping, letter, -times % cycle_length(mapping, ord(letter)))
+
+
+def _expand(stream, radius):
+    """The window ``x(-radius .. radius)``, sliced from one iterate.
+
+    Let ``k`` be the preperiod length, ``c_K`` the center at level ``K``
+    and ``D_K = sum(digit_i * p^i, i < K)``.  The block ``image^K(c_K)``
+    covers the positions ``[-D_K, p^K - D_K)``.  A left seed ``c`` (every
+    period digit 0, so ``D_K = D_k`` for ``K >= k``) supplies the tail
+    left of ``-D_k``: the limit of ``image^e(c)`` over ``e = k`` modulo
+    the cycle length of ``c`` under the last-letter map ``lambda``.  For
+    ``K >= k`` its last ``p^K`` letters are ``image^K`` of
+    ``lambda^(e-K)(c)``, the seed stepped back ``K - k`` times along its
+    cycle.  A right seed supplies the tail right of ``p^k - D_k`` in the
+    same way, with the first-letter map and prefixes.  So the level-``K``
+    word ``W_K`` (left seed letter, center, right seed letter) expands to
+    a stretch of the point with position 0 at index ``D_K``, plus ``p^K``
+    with a left seed, and the window is a slice of ``image^K(W_K)``.
+
+    The first level ``K >= k`` whose word covers the window is taken, and
+    it exists.  Without a left seed some period prefix is nonempty, so a
+    period digit is > 0 and ``D_K`` grows without bound; with one, the
+    ``p^K`` letters of the seed lie left of position 0.  Without a right
+    seed a period digit is < p - 1, so ``p^K - D_K = 1 + sum((p - 1 -
+    digit_i) * p^i, i < K)`` grows without bound; with one, ``p^K``
+    letters lie right of the block.  ``iterate_slice`` then produces about
+    ``(2 * radius + 1) * p / (p - 1) + 2 * p * K`` letters.
+    """
     s = stream.subst
+    p = s.constant_length
     k = len(stream.preperiod)
-    L = len(stream.period)
-    out = [stream.entry(0).center]
-    have = 1
-    if stream.right_seed is None:
-        i = 0
-        cap = k + L * (need.bit_length() + 4)
-        while have < need:
-            suffix = stream.entry(i).suffix
-            if suffix:
-                piece = iterate_prefix(s, suffix, i, need - have)
-                out.append(piece)
-                have += len(piece)
-            i += 1
-            if i > cap:
-                raise BudgetExceededError("right expansion is not growing")
-    else:
-        for i in range(k):
-            suffix = stream.entry(i).suffix
-            if suffix:
-                total = len(suffix) * (s.constant_length**i)
-                if total > budget:
-                    raise BudgetExceededError("right expansion exceeds the word budget")
-                out.append(iterate_chr(s, suffix, i, budget))
-                have += total
-        rest = need - have
-        if rest > 0:
-            d = stream.right_seed
-            cyc = cycle_length(first_letter_map(s), ord(d))
-            e = _seed_exponent(s, k, cyc, rest)
-            out.append(iterate_prefix(s, d, e, rest))
-    return "".join(out)[:need]
-
-
-def _expand_left(stream, need, budget):
-    if need == 0:
-        return ""
-    s = stream.subst
-    k = len(stream.preperiod)
-    L = len(stream.period)
-    out = []
-    have = 0
-    if stream.left_seed is None:
-        i = 0
-        cap = k + L * (need.bit_length() + 4)
-        while have < need:
-            prefix = stream.entry(i).prefix
-            if prefix:
-                piece = iterate_suffix(s, prefix, i, need - have)
-                out.append(piece)
-                have += len(piece)
-            i += 1
-            if i > cap:
-                raise BudgetExceededError("left expansion is not growing")
-    else:
-        for i in range(k):
-            prefix = stream.entry(i).prefix
-            if prefix:
-                total = len(prefix) * (s.constant_length**i)
-                if total > budget:
-                    raise BudgetExceededError("left expansion exceeds the word budget")
-                out.append(iterate_chr(s, prefix, i, budget))
-                have += total
-        rest = need - have
-        if rest > 0:
-            c = stream.left_seed
-            cyc = cycle_length(last_letter_map(s), ord(c))
-            e = _seed_exponent(s, k, cyc, rest)
-            out.append(iterate_suffix(s, c, e, rest))
-    return "".join(reversed(out))[-need:]
+    left, right = stream.left_seed, stream.right_seed
+    letters = 1 + (left is not None) + (right is not None)
+    level, offset, size = 0, 0, 1
+    while True:
+        start = offset + (0 if left is None else size)
+        if level >= k and radius <= start and start + radius < letters * size:
+            break
+        offset += stream.digit(level) * size
+        size *= p
+        level += 1
+    word = stream.entry(level).center
+    if left is not None:
+        word = _step_back(last_letter_map(s), left, level - k) + word
+    if right is not None:
+        word += _step_back(first_letter_map(s), right, level - k)
+    return iterate_slice(s, word, level, start - radius, start + radius + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +411,8 @@ def _shifted_stream(stream):
         # right tail, both pushed through the preperiod levels.
         d = stream.right_seed
         anchor_center = stream.period[0].center
-        d_new = iterate_prefix(s, d, k, 1)
-        c_new = iterate_suffix(s, anchor_center, k, 1)
+        d_new = _step(first_letter_map(s), d, k)
+        c_new = _step(last_letter_map(s), anchor_center, k)
         return DesubstitutionStream(s, (), _first_letter_period(s, d_new), c_new, None)
 
     new_entries = list(entries[: istar + 1])
@@ -460,8 +440,7 @@ def _shifted_stream(stream):
         # so the seed letter steps backwards along its last-letter cycle
         if j != 0:
             raise InvariantError("left seed with a carry past the first period level")
-        cyc = cycle_length(last_letter_map(s), ord(left))
-        left = iterate_suffix(s, left, cyc - 1, 1)
+        left = _step_back(last_letter_map(s), left, 1)
     if stream.right_seed is not None:
         raise InvariantError("right seed with a digit below p-1 in the period")
     return DesubstitutionStream(s, preperiod, period, left, None)

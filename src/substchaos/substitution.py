@@ -314,24 +314,29 @@ def iterate_chr(subst, chrword, count, budget=DEFAULT_WORD_BUDGET):
     return w
 
 
-def iterate_prefix(subst, chrword, count, length):
-    """Prefix of length <= ``length`` of the ``count``-fold image."""
-    if length <= 0:
-        return ""
-    w = chrword[:length]
-    for _ in range(count):
-        w = subst.apply(w)[:length]
-    return w
+def iterate_slice(subst, chrword, count, start, stop):
+    """``iterate_chr(subst, chrword, count)[start:stop]`` for a
+    constant-length substitution, with ``0 <= start <= stop``.
 
-
-def iterate_suffix(subst, chrword, count, length):
-    """Suffix of length <= ``length`` of the ``count``-fold image."""
-    if length <= 0:
-        return ""
-    w = chrword[-length:]
+    Top-down: a letter at ``m`` levels above the bottom covers ``p^m``
+    positions of the result, so before each application only the letters
+    whose images reach ``[start, stop)`` are kept.  At most
+    ``(stop - start) / p^m + 2`` letters survive a level, so the letters
+    produced total about ``(stop - start) * p / (p - 1) + 2 * p * count``."""
+    p = subst.constant_length
+    if p is None:
+        raise PreconditionError("slicing an iterate needs constant length")
+    if count < 0 or not 0 <= start <= stop:
+        raise PreconditionError("slicing an iterate needs count >= 0 and 0 <= start <= stop")
+    w = chrword
+    block = p**count
     for _ in range(count):
-        w = subst.apply(w)[-length:]
-    return w
+        lo = start // block
+        w = subst.apply(w[lo : -(-stop // block)])
+        start -= lo * block
+        stop -= lo * block
+        block //= p
+    return w[start:stop]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos import reduction
-from substchaos.errors import PreconditionError, SearchBudgetError
+from substchaos.errors import BudgetExceededError, PreconditionError, SearchBudgetError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import _aligned_entries, _past_finite_forward_data
 from substchaos.simulate import (
@@ -41,6 +41,7 @@ from substchaos.substitution import (
     DEFAULT_WORD_BUDGET,
     cycle_length,
     first_letter_map,
+    iterate_chr,
     last_letter_map,
     language_chr,
 )
@@ -371,6 +372,129 @@ def agreement_radius(x_window, y_window, time, window_cap, center=None):
 def radius_samples(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
     """(time, agreement radius) samples for CSV export."""
     return _radii(_difference_flags(x, y, horizon, window, budget), horizon, window)
+
+
+# ---------------------------------------------------------------------------
+# reference window expansion: the point rebuilt bottom-up, one level piece
+# at a time, left and right of the center walked separately
+
+
+def _prefix_of_iterate(subst, chrword, count, length):
+    """Prefix of length <= ``length`` of the ``count``-fold image."""
+    if length <= 0:
+        return ""
+    w = chrword[:length]
+    for _ in range(count):
+        w = subst.apply(w)[:length]
+    return w
+
+
+def _suffix_of_iterate(subst, chrword, count, length):
+    """Suffix of length <= ``length`` of the ``count``-fold image."""
+    if length <= 0:
+        return ""
+    w = chrword[-length:]
+    for _ in range(count):
+        w = subst.apply(w)[-length:]
+    return w
+
+
+def _seed_exponent(subst, anchor, cycle, minimum):
+    """Smallest exponent congruent to ``anchor`` mod ``cycle`` whose image
+    length covers ``minimum`` (positive so at least one image is taken)."""
+    p = subst.constant_length
+    e = anchor if anchor > 0 else cycle
+    while p**e < minimum:
+        e += cycle
+    return e
+
+
+def _stepwise_right(stream, need, budget):
+    s = stream.subst
+    k = len(stream.preperiod)
+    L = len(stream.period)
+    out = [stream.entry(0).center]
+    have = 1
+    if stream.right_seed is None:
+        i = 0
+        cap = k + L * (need.bit_length() + 4)
+        while have < need:
+            suffix = stream.entry(i).suffix
+            if suffix:
+                piece = _prefix_of_iterate(s, suffix, i, need - have)
+                out.append(piece)
+                have += len(piece)
+            i += 1
+            if i > cap:
+                raise BudgetExceededError("right expansion is not growing")
+    else:
+        for i in range(k):
+            suffix = stream.entry(i).suffix
+            if suffix:
+                total = len(suffix) * (s.constant_length**i)
+                if total > budget:
+                    raise BudgetExceededError("right expansion exceeds the word budget")
+                out.append(iterate_chr(s, suffix, i, budget))
+                have += total
+        rest = need - have
+        if rest > 0:
+            d = stream.right_seed
+            cyc = cycle_length(first_letter_map(s), ord(d))
+            e = _seed_exponent(s, k, cyc, rest)
+            out.append(_prefix_of_iterate(s, d, e, rest))
+    return "".join(out)[:need]
+
+
+def _stepwise_left(stream, need, budget):
+    if need == 0:
+        return ""
+    s = stream.subst
+    k = len(stream.preperiod)
+    L = len(stream.period)
+    out = []
+    have = 0
+    if stream.left_seed is None:
+        i = 0
+        cap = k + L * (need.bit_length() + 4)
+        while have < need:
+            prefix = stream.entry(i).prefix
+            if prefix:
+                piece = _suffix_of_iterate(s, prefix, i, need - have)
+                out.append(piece)
+                have += len(piece)
+            i += 1
+            if i > cap:
+                raise BudgetExceededError("left expansion is not growing")
+    else:
+        for i in range(k):
+            prefix = stream.entry(i).prefix
+            if prefix:
+                total = len(prefix) * (s.constant_length**i)
+                if total > budget:
+                    raise BudgetExceededError("left expansion exceeds the word budget")
+                out.append(iterate_chr(s, prefix, i, budget))
+                have += total
+        rest = need - have
+        if rest > 0:
+            c = stream.left_seed
+            cyc = cycle_length(last_letter_map(s), ord(c))
+            e = _seed_exponent(s, k, cyc, rest)
+            out.append(_suffix_of_iterate(s, c, e, rest))
+    return "".join(reversed(out))[-need:]
+
+
+def stepwise_window(stream, radius, budget=DEFAULT_WORD_BUDGET):
+    """Reference for ``RepresentedPoint.expand``: the window
+    ``x(-radius .. radius)`` of the point of ``stream``, built bottom-up.
+    The left part adds, level by level, the iterated images of the
+    prefixes (the left seed's tail past the preperiod), and the right part
+    the iterated images of the suffixes.  With a seed every preperiod
+    level is expanded in full, so it raises ``BudgetExceededError`` where
+    one of them exceeds ``budget``; without one, where a side stops
+    growing within its level cap."""
+    return _stepwise_left(stream, radius, budget) + _stepwise_right(
+        stream, radius + 1, budget
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,41 @@ def test_decide_command(morse_file):
     assert doc["x_tau_infinite"] is True
 
 
+# g.f through the dictionary {ab, c}, of constant length 800: the
+# simplification search places about 1,200 words along one path
+DEEP_COMPOSED = (
+    f"a -> {'ab' * 399}cc\n"
+    f"b -> c{'ab' * 399}c\n"
+    f"c -> {'ab' * 400}\n"
+)
+
+
+@pytest.fixture()
+def deep_file(tmp_path):
+    path = tmp_path / "deep.txt"
+    path.write_text(DEEP_COMPOSED)
+    return str(path)
+
+
+def test_decide_walks_a_long_image_without_recursion(deep_file):
+    res = run_cli("decide", deep_file)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    doc = json.loads(res.stdout)
+    assert [step["action"] for step in doc["decision_trace"]] == ["simplified", "elementary"]
+    assert doc["decision_trace"][0]["dictionary"] == ["ab", "c"]
+    assert doc["x_tau_infinite"] is True
+
+
+def test_analyze_walks_a_long_image_without_recursion(deep_file):
+    res = run_cli("analyze", deep_file, "--json")
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    doc = json.loads(res.stdout)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["constant_length"] == 800
+
+
 def test_language_command(morse_file):
     doc = json.loads(run_cli("language", morse_file, "3").stdout)
     assert doc["words"] == ["001", "010", "011", "100", "101", "110"]
@@ -467,6 +502,8 @@ def rule_text(draw, letters):
     letter holds it and the next letter) and of constant length, sometimes
     neither, occasionally with an unknown letter, a noise line or in the
     JSON form."""
+    if len(letters) >= 2 and draw(st.integers(0, 7)) == 0:
+        return long_rule_text(draw, letters)
     p = draw(st.sampled_from([2, 3, 1]))
     primitive = draw(st.sampled_from([True, True, True, False]))
     variable = draw(st.sampled_from([False, False, False, True]))
@@ -485,6 +522,25 @@ def rule_text(draw, letters):
     lines = [f"{a} -> {' '.join(img)}" for a, img in rules.items()]
     if draw(st.integers(0, 5)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(NOISE_LINES)))
+    return "\n".join(lines) + "\n"
+
+
+def long_rule_text(draw, letters):
+    """A one-to-one rule file of constant length up to about 1,000
+    through the dictionary {``letters[0] letters[1]``, ``letters[-1]``}:
+    each image is ``u^i v^m u^j`` with ``u`` the two-letter word, ``v``
+    the last letter and ``i + j`` different for each letter, so the
+    simplification search places one word per segment along a path."""
+    p = draw(st.sampled_from([600, 801, 1000]))
+    u, v = [letters[0], letters[1]], [letters[-1]]
+    counts = st.lists(
+        st.integers(1, (p - 1) // 2), min_size=len(letters), max_size=len(letters), unique=True
+    )
+    lines = []
+    for a, pairs in zip(letters, draw(counts)):
+        before = draw(st.integers(0, pairs))
+        image = u * before + v * (p - 2 * pairs) + u * (pairs - before)
+        lines.append(f"{a} -> {' '.join(image)}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,13 @@
 """Desubstitution streams: construction, expansion, the shift carry, and
 fiber enumeration."""
 
+import random
+
 import pytest
 
 from substchaos import (
     OdometerDigits,
+    Substitution,
     enumerate_fiber,
     fiber_bound,
     parse_substitution,
@@ -13,13 +16,21 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos.errors import (
+    BudgetExceededError,
     InvariantError,
     PreconditionError,
     StreamChainError,
 )
 from substchaos.simulate import empirical_class
+from substchaos.streams import RepresentedPoint
 
-from conftest import successor_of_digit_list
+from conftest import (
+    CORPUS_SEED,
+    fixed_points,
+    random_substitutions,
+    stepwise_window,
+    successor_of_digit_list,
+)
 
 
 def test_fixed_point_morse(fixtures):
@@ -91,6 +102,93 @@ def test_expand_consistency_nested(fixtures):
 def test_expand_center_only(fixtures):
     x = stream_from_fixed_point(fixtures["morse"], "1", "0")
     assert x.window(0) == "0"
+
+
+EXPANSION_RADII = (0, 1, 2, 5, 17, 64, 300, 2203)
+
+
+@pytest.fixture(scope="module")
+def expansion_points(fixtures, point_corpus):
+    """Points over the six fixtures and 50 seeded random one-to-one
+    infinite inputs (|A| <= 4, p <= 4): the fixed points, the fibers of
+    the digits (0), (p-1), (1) and (1|0), three fibers with random
+    preperiods of up to 14 levels, the point corpus, and each of these
+    after 1 to 30 shifts (deterministic seed)."""
+    rng = random.Random(CORPUS_SEED + 5)
+    points = [pt for pts in point_corpus.values() for pt in pts]
+    for s in [*fixtures.values(), *random_substitutions(50, seed=CORPUS_SEED + 5)]:
+        p = s.constant_length
+        points.extend(fixed_points(s))
+        digit_sets = [
+            OdometerDigits(p, (), (0,)),
+            OdometerDigits(p, (), (p - 1,)),
+            OdometerDigits(p, (), (1,)),
+            OdometerDigits(p, (1,), (0,)),
+        ]
+        for _ in range(3):
+            pre = tuple(rng.randrange(p) for _ in range(rng.randint(0, 14)))
+            per = tuple(rng.randrange(p) for _ in range(rng.randint(1, 2)))
+            digit_sets.append(OdometerDigits(p, pre, per))
+        for digits in digit_sets:
+            points.extend(enumerate_fiber(s, digits))
+    points.extend([pt.shift_by(rng.randint(1, 30)) for pt in points])
+    return points
+
+
+# The reference expands every preperiod level of a seeded point in full;
+# its budget is cut so that the deepest of them are refused in seconds.
+REFERENCE_BUDGET = 1 << 18
+
+
+def test_expand_matches_the_stepwise_reference(expansion_points):
+    top = EXPANSION_RADII[-1]
+    checked = 0
+    for point in expansion_points:
+        fresh = RepresentedPoint(point.stream)
+        try:
+            big = stepwise_window(point.stream, top, REFERENCE_BUDGET)
+        except BudgetExceededError:
+            big = None
+        for radius in EXPANSION_RADII:
+            if big is not None:
+                expected = big[top - radius : top + radius + 1]
+            else:
+                try:
+                    expected = stepwise_window(point.stream, radius, REFERENCE_BUDGET)
+                except BudgetExceededError:
+                    continue
+            assert fresh.expand(radius) == expected, (point, radius)
+            checked += 1
+    assert checked > 0.9 * len(expansion_points) * len(EXPANSION_RADII)
+
+
+def test_expand_produces_letters_linear_in_the_window(expansion_points, monkeypatch):
+    produced = 0
+    apply = Substitution.apply
+
+    def counting_apply(self, chrword):
+        nonlocal produced
+        image = apply(self, chrword)
+        produced += len(image)
+        return image
+
+    monkeypatch.setattr(Substitution, "apply", counting_apply)
+    for point in expansion_points:
+        for radius in (1000, 2203):
+            produced = 0
+            RepresentedPoint(point.stream).expand(radius)
+            assert produced <= 4 * (2 * radius + 1), (point, radius, produced)
+
+
+def test_expand_deep_preperiod_without_budget_error(fixtures):
+    # digits 1^30 0^inf: position 0 of each point is n = 2^30 - 1 of the
+    # Thue-Morse word t(n) (binary digit sum parity) or of its complement
+    points = enumerate_fiber(fixtures["morse"], OdometerDigits(2, (1,) * 30, (0,)))
+    assert len(points) == 4
+    t = "".join(str(bin(n).count("1") % 2) for n in range(2**30 - 6, 2**30 + 5))
+    complement = t.translate(str.maketrans("01", "10"))
+    for point in points:
+        assert point.window(5) in (t, complement)
 
 
 def test_pi_digits_examples(fixtures):

@@ -24,8 +24,7 @@ from substchaos.substitution import (
     desubstitute,
     in_language,
     iterate_chr,
-    iterate_prefix,
-    iterate_suffix,
+    iterate_slice,
     language_chr,
     wielandt_bound,
 )
@@ -256,11 +255,22 @@ def test_language_words_extend_both_ways(fixtures, random_corpus_any, variable_c
             shorter = longer
 
 
-def test_iterate_prefix_suffix_match_full():
+def test_iterate_slice_matches_full():
     s = parse_substitution("a -> aba\nb -> bca\nc -> cca")
-    full = iterate_chr(s, s.encode("ab"), 5)
-    assert iterate_prefix(s, s.encode("ab"), 5, 40) == full[:40]
-    assert iterate_suffix(s, s.encode("ab"), 5, 40) == full[-40:]
+    word = s.encode("ab")
+    for count in range(6):
+        full = iterate_chr(s, word, count)
+        n = len(full)
+        slices = [(0, 40), (n - 40, n), (0, n), (0, 0), (n, n), (n - 1, n + 5)]
+        slices += [(start, start + width) for start in range(0, n, 7) for width in (1, 9, 28)]
+        for start, stop in slices:
+            start = max(start, 0)
+            got = iterate_slice(s, word, count, start, stop)
+            assert got == full[start:stop], (count, start, stop)
+    with pytest.raises(PreconditionError):
+        iterate_slice(parse_substitution("a -> ab\nb -> a"), "\x00", 2, 0, 1)
+    with pytest.raises(PreconditionError):
+        iterate_slice(s, word, 2, 5, 4)
 
 
 # -- structural invariants ---------------------------------------------------
