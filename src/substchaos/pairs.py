@@ -25,7 +25,8 @@ from .streams import (
     DesubstitutionStream,
     RepresentedPoint,
     StreamEntry,
-    _entry_from_block,
+    _entries_below,
+    _past_right_end,
     _require_recognizable,
     _seed_choices,
 )
@@ -51,42 +52,6 @@ class Coincidence(Enum):
 @dataclass(frozen=True)
 class CoincidenceClass:
     kind: Coincidence
-    # per unordered token pair: (coincidence positions, non-coincidence positions)
-    witness: tuple[tuple[tuple[str, str], tuple[int, ...], tuple[int, ...]], ...]
-
-    def positions(self, a, b):
-        for (x, y), coins, diffs in self.witness:
-            if {x, y} == {a, b}:
-                return coins, diffs
-        raise KeyError((a, b))
-
-
-@memoised
-def coincidence_class(subst):
-    """Position-wise comparison of all image pairs."""
-    if subst.constant_length is None:
-        raise PreconditionError("coincidence structure needs constant length")
-    n = subst.size
-    witness = []
-    all_have = True
-    none_have = True
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = subst.images[i], subst.images[j]
-            coins = tuple(t for t in range(len(u)) if u[t] == v[t])
-            diffs = tuple(t for t in range(len(u)) if u[t] != v[t])
-            witness.append(((subst.alphabet[i], subst.alphabet[j]), coins, diffs))
-            if coins:
-                none_have = False
-            else:
-                all_have = False
-    if all_have:
-        kind = Coincidence.OVERALL
-    elif none_have:
-        kind = Coincidence.NO_COINCIDENCE
-    else:
-        kind = Coincidence.PARTIAL
-    return CoincidenceClass(kind, tuple(witness))
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +94,22 @@ def _coincidence_chain(subst):
     while (grown := _coin_step(image, pairs, chain[-1])) != chain[-1]:
         chain.append(grown)
     return tuple(chain)
+
+
+@memoised
+def coincidence_class(subst):
+    """Position-wise comparison of all image pairs, read off the
+    coincidence chain: ``coin_1`` holds the letter pairs whose images
+    agree at some position (and the diagonal).  Overall when that is every
+    pair, none when it is only the diagonal (the chain stops at once)."""
+    if subst.constant_length is None:
+        raise PreconditionError("coincidence structure needs constant length")
+    chain = _coincidence_chain(subst)
+    if len(chain[min(1, len(chain) - 1)]) == subst.size**2:
+        return CoincidenceClass(Coincidence.OVERALL)
+    if len(chain) == 1:
+        return CoincidenceClass(Coincidence.NO_COINCIDENCE)
+    return CoincidenceClass(Coincidence.PARTIAL)
 
 
 def _ly_levels(subst, target):
@@ -410,17 +391,17 @@ def _aligned_entries(x, y):
 
 
 def _past_finite_forward_data(x, y):
-    """The pair itself, or, on the fiber of the eventually-(p-1)-digit
-    points, both points shifted forward until their finite right sides are
-    exhausted."""
-    stream = x.stream
-    p = stream.subst.constant_length
-    if not x.odometer_digits().is_constant(p - 1):
+    """The pair itself, or, on a fiber whose digits end in (p-1)^∞, both
+    points moved past their finite right sides in one jump
+    (``_past_right_end``).  The jump ``p^k - D_k`` is the same for every
+    k at or past the preperiod of the digits, so both points move
+    together."""
+    if x.stream.right_seed is None:
         return x, y
-    steps = 1 + sum(
-        (p - 1 - stream.digit(i)) * p**i for i in range(len(stream.preperiod))
+    return (
+        RepresentedPoint(_past_right_end(x.stream)),
+        RepresentedPoint(_past_right_end(y.stream)),
     )
-    return x.shift_by(steps), y.shift_by(steps)
 
 
 def classify_pair(x, y):
@@ -495,23 +476,13 @@ class ConstructedPair:
 
 
 def _chain_entries(subst, top_letters, positions):
-    """Entries of the level chain of an occurrence: walk the digit list of
-    the position down from ``top_letters``, which the walk must reach
+    """Entries of the level chain of an occurrence, cut by the digit list
+    of the position under ``top_letters``, which the chain must reach
     again at the bottom; returns the entries low..high for each side."""
-    s = subst
-    ex, ey = [], []
-    ca, cb = top_letters
-    for t in reversed(positions):
-        block_a = s.images[ord(ca)]
-        block_b = s.images[ord(cb)]
-        ex.append(_entry_from_block(block_a, t))
-        ey.append(_entry_from_block(block_b, t))
-        ca, cb = block_a[t], block_b[t]
-    if (ca, cb) != tuple(top_letters):
+    ex, ey = (_entries_below(subst, c, positions) for c in top_letters)
+    if (ex[0].center, ey[0].center) != tuple(top_letters):
         raise InvariantError("occurrence chain does not return to its letters")
-    ex.reverse()
-    ey.reverse()
-    return tuple(ex), tuple(ey)
+    return ex, ey
 
 
 def _lambda_periodic_predecessor(subst, letter_chr, power):

@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     StreamChainError,
 )
-from .odometer import OdometerDigits, _primitive_root
+from .odometer import OdometerDigits, _canonical
 from .reduction import decide_infinite
 from .substitution import (
     DEFAULT_WORD_BUDGET,
@@ -140,27 +140,33 @@ class DesubstitutionStream:
         )
 
 
-def _entry_from_block(block, digit):
-    return StreamEntry(block[:digit], block[digit], block[digit + 1 :])
+def _entries_below(subst, letter, digits):
+    """The entries of levels 0 .. len(digits) - 1 under the center
+    ``letter`` of level ``len(digits)``, low level first: ``digits[i]``
+    cuts the image of the level-(i+1) center into the entry of level i."""
+    entries = []
+    for d in reversed(digits):
+        block = subst.images[ord(letter)]
+        letter = block[d]
+        entries.append(StreamEntry(block[:d], letter, block[d + 1 :]))
+    return tuple(reversed(entries))
 
 
 def _normalize(stream):
-    """Canonical stream form: primitive entry period, then absorption of
-    trailing preperiod entries into the period.  Each absorbed entry moves
-    the seed anchor one level down, so seed letters follow their letter
-    maps forward to keep the represented tails unchanged."""
+    """Canonical stream form: the shortest preperiod and a primitive
+    period of the entries (``odometer._canonical``).  Each entry absorbed
+    into the period moves the seed anchor one level down, so seed letters
+    follow their letter maps forward to keep the represented tails
+    unchanged."""
     s = stream.subst
-    per = _primitive_root(list(stream.period))
-    pre = list(stream.preperiod)
+    pre, per = _canonical(stream.preperiod, stream.period)
+    moved = len(stream.preperiod) - len(pre)
     left, right = stream.left_seed, stream.right_seed
-    while pre and pre[-1] == per[-1]:
-        pre.pop()
-        per = [per[-1]] + per[:-1]
-        if left is not None:
-            left = s.images[ord(left)][-1]
-        if right is not None:
-            right = s.images[ord(right)][0]
-    return DesubstitutionStream(s, tuple(pre), tuple(per), left, right)
+    if left is not None:
+        left = _step(last_letter_map(s), left, moved)
+    if right is not None:
+        right = _step(first_letter_map(s), right, moved)
+    return DesubstitutionStream(s, pre, per, left, right)
 
 
 def _require_recognizable(subst):
@@ -383,17 +389,42 @@ def _first_letter_period(subst, d):
     """The all-zero-digit period along the first-letter cycle of ``d``: its
     right side is the limit of the iterated images of ``d``, with ``d`` at
     the origin."""
-    s = subst
-    cyc = cycle_length(first_letter_map(s), ord(d))
-    centers = [""] * (cyc + 1)
-    centers[cyc] = d
-    for i in range(cyc - 1, -1, -1):
-        centers[i] = s.images[ord(centers[i + 1])][0]
-    if centers[0] != d:
-        raise InvariantError("first-letter cycle does not close")
-    return tuple(
-        _entry_from_block(s.images[ord(centers[i + 1])], 0) for i in range(cyc)
-    )
+    cyc = cycle_length(first_letter_map(subst), ord(d))
+    return _entries_below(subst, d, (0,) * cyc)
+
+
+def _past_right_end(stream):
+    """The point ``R = p^k - D_k`` shifts on from a stream with a right
+    seed ``d``, where ``k`` is the preperiod length, ``c_k`` the center at
+    level ``k`` and ``D_k = sum(digit_i * p^i, i < k)``: the all-zero-digit
+    stream with left seed ``lambda^k(c_k)`` and the first-letter period of
+    ``phi^k(d)`` (``lambda``, ``phi`` the last- and first-letter maps).
+
+    Every period digit is p - 1, so ``D_K = D_k + p^K - p^k`` for ``K >=
+    k`` and the block ``image^K(c_K)`` covers ``[-D_K, R)``: its right end
+    stays at ``R - 1`` while its left end runs off to minus infinity.
+    From ``R`` on lies the right seed tail, whose first ``p^K`` letters
+    are ``image^K(phi^-(K-k)(d)) = image^K(phi^-K(d'))`` with ``d' =
+    phi^k(d)`` (see ``_expand``).  After ``R`` shifts that tail is the
+    right half of the new point, and ``image^K(phi^-K(d'))`` is exactly
+    the level-``K`` block of the first-letter period of ``d'``, whose
+    level-``K`` center is ``phi^-K(d')``.  The left half is what lies left
+    of ``R``, the limit of ``image^K(c_K)``.  With ``L`` the period length
+    and ``K = k + tL``, ``c_K = c_k`` and ``image^K(c_k) =
+    image^(tL)(image^k(c_k))`` ends in ``image^(tL)(c')``, ``c' =
+    lambda^k(c_k)``.  A period digit p - 1 makes each period center the
+    last letter of the image above it, so ``lambda^L(c_k) = c_k``: ``c_k``
+    and ``c'`` lie on a cycle of ``lambda``, and the limit of
+    ``image^(tL)(c')`` is the tail of the left seed ``c'`` anchored at
+    level 0.  The junction word ``c' d'`` is the word at positions ``R -
+    1, R`` of the point, so it lies in the language.  With every digit
+    p - 1, ``R = 1``: this is the successor of the all-(p-1) fiber.
+    """
+    s = stream.subst
+    k = len(stream.preperiod)
+    left = _step(last_letter_map(s), stream.period[0].center, k)
+    right = _step(first_letter_map(s), stream.right_seed, k)
+    return DesubstitutionStream(s, (), _first_letter_period(s, right), left, None)
 
 
 def _shifted_stream(stream):
@@ -401,29 +432,17 @@ def _shifted_stream(stream):
     p = s.constant_length
     k = len(stream.preperiod)
     L = len(stream.period)
-    entries = [stream.entry(i) for i in range(k + L)]
-    istar = next((i for i in range(k + L) if entries[i].digit != p - 1), None)
-
+    istar = next((i for i in range(k + L) if stream.digit(i) != p - 1), None)
     if istar is None:
-        # Every digit is p-1, so the point is the immediate predecessor of
-        # the all-zero fiber.  Its successor is rebuilt directly: the old
-        # anchor center supplies the new left tail, the right seed the new
-        # right tail, both pushed through the preperiod levels.
-        d = stream.right_seed
-        anchor_center = stream.period[0].center
-        d_new = _step(first_letter_map(s), d, k)
-        c_new = _step(last_letter_map(s), anchor_center, k)
-        return DesubstitutionStream(s, (), _first_letter_period(s, d_new), c_new, None)
+        return _past_right_end(stream)
 
-    new_entries = list(entries[: istar + 1])
-    old = entries[istar]
-    new_entries[istar] = StreamEntry(old.prefix + old.center, old.suffix[0], old.suffix[1:])
-    for i in range(istar - 1, -1, -1):
-        block = s.images[ord(new_entries[i + 1].center)]
-        new_entries[i] = _entry_from_block(block, 0)
+    # The carry: digit + 1 at level istar and 0 below it, cut under the
+    # unchanged center of level istar + 1.
+    digits = (0,) * istar + (stream.digit(istar) + 1,)
+    new_entries = _entries_below(s, stream.entry(istar + 1).center, digits)
 
     if istar < k:
-        preperiod = tuple(new_entries) + stream.preperiod[istar + 1 :]
+        preperiod = new_entries + stream.preperiod[istar + 1 :]
         return DesubstitutionStream(
             s, preperiod, stream.period, stream.left_seed, stream.right_seed
         )
@@ -431,7 +450,7 @@ def _shifted_stream(stream):
     # The carry reached position j of the first period pass: the modified
     # levels move into the preperiod and the period rotates accordingly.
     j = istar - k
-    preperiod = tuple(new_entries)
+    preperiod = new_entries
     period = stream.period[j + 1 :] + stream.period[: j + 1]
     left = stream.left_seed
     if left is not None:
@@ -584,50 +603,20 @@ def enumerate_fiber(subst, digits, radius=64):
         raise PreconditionError("digit base does not match the substitution length")
     pre_digits = digits.preperiod
     per_digits = digits.period
-    k, L = len(pre_digits), len(per_digits)
 
-    def down_one_period(letter):
-        """Letter at one digit period below, plus the letters passed on the
-        way (levels high-1 down to low, in descending level order)."""
-        cur = letter
-        passed = []
-        for d in reversed(per_digits):
-            cur = s.images[ord(cur)][d]
-            passed.append(cur)
-        return cur, passed
-
-    down = tuple(ord(down_one_period(chr(ci))[0]) for ci in range(s.size))
+    # the letter one digit period below each letter
+    down = tuple(
+        ord(_entries_below(s, chr(ci), per_digits)[0].center) for ci in range(s.size)
+    )
     points = []
     for ci in range(s.size):
-        c = chr(ci)
         cyc = cycle_length(down, ci)
         if cyc is None:
             continue
-        # center letters at levels k .. k + cyc*L, walked down from the
-        # top copy of c; chain[j] is the letter at level k + j
-        descending = [c]
-        cur = c
-        for _ in range(cyc):
-            cur, passed = down_one_period(cur)
-            descending.extend(passed)
-        chain = descending[::-1]
-        if chain[0] != c:
-            raise InvariantError("digit-period walk does not return to its letter")
-        period_entries = tuple(
-            _entry_from_block(s.images[ord(chain[j + 1])], per_digits[j % L])
-            for j in range(cyc * L)
-        )
-        anchor = chain[0]
-        pre_entries = []
-        cur = anchor
-        for i in range(k - 1, -1, -1):
-            block = s.images[ord(cur)]
-            d = pre_digits[i]
-            pre_entries.append(_entry_from_block(block, d))
-            cur = block[d]
-        pre_entries.reverse()
-        pre_entries = tuple(pre_entries)
-        for ls, rs in _seed_choices(s, per_digits, anchor):
+        c = chr(ci)
+        period_entries = _entries_below(s, c, per_digits * cyc)
+        pre_entries = _entries_below(s, c, pre_digits)
+        for ls, rs in _seed_choices(s, per_digits, c):
             points.append(
                 RepresentedPoint(
                     DesubstitutionStream(s, pre_entries, period_entries, ls, rs)

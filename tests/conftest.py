@@ -288,6 +288,18 @@ def successor_of_digit_list(digits, base):
     return out
 
 
+def right_end_jump(x):
+    """The shifts that take a point with a right seed past its finite
+    right side: p^k - D_k, k its preperiod length and D_k = sum(digit_i
+    p^i, i < k); 0 without a right seed."""
+    stream = x.stream
+    if stream.right_seed is None:
+        return 0
+    p = x.subst.constant_length
+    k = len(stream.preperiod)
+    return p**k - sum(stream.digit(i) * p**i for i in range(k))
+
+
 # ---------------------------------------------------------------------------
 # per-step reference for the simulator
 

@@ -265,6 +265,22 @@ def test_classify_command(ly_file):
     assert doc["rule"] == "overall-coincidence-recurrent-difference"
 
 
+def test_classify_past_a_finite_right_end(morse_file):
+    # two Thue-Morse points over the digits 0 1^∞: two shifts on, past
+    # their finite right sides, they differ at every coordinate
+    x = {
+        "kind": "stream",
+        "preperiod": [["", "0", "1"]],
+        "period": [["1", "0", ""], ["0", "1", ""]],
+        "right_seed": "0",
+    }
+    y = {**x, "right_seed": "1"}
+    res = run_cli("classify", morse_file, "--x", json.dumps(x), "--y", json.dumps(y))
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert (doc["class"], doc["rule"]) == ("Distal", "no-coincidence-separation")
+
+
 def test_simulate_command_with_csv(ly_file, tmp_path):
     x = json.dumps({"kind": "stream", "period": [["", "0", "10"]], "left_seed": "0"})
     y = json.dumps({"kind": "stream", "period": [["", "1", "00"]], "left_seed": "0"})
@@ -569,6 +585,8 @@ def point_literal(draw, letters):
 
 
 SMALL_INTS = ("-1", "0", "2", "5", "notint")
+# a length, horizon or window the word budget refuses before allocating
+HUGE_INT = "100000000"
 ARGV_WORDS = (
     "analyze", "reduce", "decide", "language", "classify", "simulate", "tower", "PATH",
     "--json", "--x", "--y", "--depth", "--horizon", "--window", "--brute-bound", "--bogus",
@@ -585,18 +603,21 @@ def cli_cases(draw):
     command = draw(st.sampled_from(["analyze", "reduce", "decide", "language", "classify",
                                     "simulate", "tower", "malformed"]))
     if command == "analyze":
-        extra = draw(st.sampled_from([[], ["--json"], ["--json", "--brute-bound", "9"]]))
+        extra = draw(st.sampled_from([
+            [], ["--json"], ["--json", "--brute-bound", "9"], ["--brute-bound", "33554432"],
+        ]))
         return text, ["analyze", "PATH", *extra]
     if command in ("reduce", "decide"):
         return text, [command, "PATH"]
     if command == "language":
-        return text, ["language", "PATH", draw(st.sampled_from(("1", "3", "8") + SMALL_INTS))]
+        length = draw(st.sampled_from(("1", "3", "8") + SMALL_INTS + (HUGE_INT,)))
+        return text, ["language", "PATH", length]
     if command in ("classify", "simulate"):
         x, y = point_literal(draw, letters), point_literal(draw, letters)
         argv = [command, "PATH", "--x", x, "--y", y]
         if command == "simulate":
-            argv += ["--horizon", draw(st.sampled_from(["0", "9", "40", "-1"]))]
-            argv += ["--window", draw(st.sampled_from(["1", "3", "0"]))]
+            argv += ["--horizon", draw(st.sampled_from(["0", "9", "40", "-1", HUGE_INT]))]
+            argv += ["--window", draw(st.sampled_from(["1", "3", "0", HUGE_INT]))]
             argv += draw(st.sampled_from([[], ["--max-word", "20"]]))
         return text, argv
     if command == "tower":

@@ -4,6 +4,7 @@ classification, constructions, and orbit enumeration."""
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from substchaos.pairs import (
 from substchaos.report import _brute_scan
 from substchaos.substitution import is_primitive, iterate_chr
 
-from conftest import classify_pair_two_letter, fixed_points
+from conftest import classify_pair_two_letter, fixed_points, right_end_jump
 
 
 def test_coincidence_classes(fixtures):
@@ -50,13 +51,6 @@ def test_coincidence_classes(fixtures):
     assert coincidence_class(fixtures["aba"]).kind is Coincidence.OVERALL
     assert coincidence_class(fixtures["baacd"]).kind is Coincidence.OVERALL
     assert coincidence_class(fixtures["four"]).kind is Coincidence.PARTIAL
-
-
-def test_coincidence_witness_positions(fixtures):
-    cls = coincidence_class(fixtures["aba"])
-    coins, diffs = cls.positions("a", "b")
-    assert coins == (2,)
-    assert diffs == (0, 1)
 
 
 @pytest.mark.parametrize(
@@ -247,6 +241,45 @@ def test_classify_shifts_away_finite_forward_data(fixtures):
         for j in range(i + 1, len(fiber))
     }
     assert verdicts <= {PairClass.ASYMPTOTIC, PairClass.DISTAL}
+
+
+def _right_end_fibers(p, rng):
+    """Fibers whose digits end in (p-1)^∞ after a preperiod: (0), (0, 0, 1)
+    and one seeded preperiod of up to 5 levels."""
+    seeded = tuple(rng.randrange(p) for _ in range(rng.randint(1, 5)))
+    return [OdometerDigits(p, pre, (p - 1,)) for pre in ((0,), (0, 0, 1), seeded)]
+
+
+def test_verdicts_do_not_change_under_shifts(fixtures, random_corpus):
+    # the classes are orbit classes: (x, y) and (S^n x, S^n y) get one
+    # verdict, also where both points first jump past a finite right side
+    rng = random.Random(14)
+    checked = 0
+    for s in [*fixtures.values(), *random_corpus[:30]]:
+        for digits in _right_end_fibers(s.constant_length, rng):
+            for x, y in itertools.combinations(enumerate_fiber(s, digits), 2):
+                kind = classify_pair(x, y).kind
+                for n in (1, 2, 7):
+                    shifted = classify_pair(x.shift_by(n), y.shift_by(n)).kind
+                    assert shifted is kind, (s.rules(), digits, n)
+                checked += 1
+    assert checked >= 100
+
+
+def test_morse_fiber_of_a_far_negative_integer(fixtures):
+    # 0^30 1^∞ is the fiber of -2^30: one jump of 2^30 shifts takes its
+    # points to fiber 0, where they pair up as over fiber -1 = 1^∞
+    morse = fixtures["morse"]
+
+    def kinds(digits):
+        pts = enumerate_fiber(morse, digits)
+        return Counter(classify_pair(x, y).kind for x, y in itertools.combinations(pts, 2))
+
+    start = time.perf_counter()
+    far = kinds(OdometerDigits(2, (0,) * 30, (1,)))
+    assert time.perf_counter() - start < 1.0
+    expected = Counter({PairClass.DISTAL: 4, PairClass.ASYMPTOTIC: 2})
+    assert far == kinds(OdometerDigits(2, (), (1,))) == expected
 
 
 def test_classify_partial_coincidence_pairs_exactly(fixtures, monkeypatch):
@@ -607,8 +640,8 @@ def _li_yorke_horizon(x, y, window):
     calls Li-Yorke both proximal at ``window`` and separated, derived from
     the data the verdict reads (see its docstring).
 
-    ``_past_finite_forward_data`` shifts the pair forward by ``shift``
-    steps; after it the suffix letters of level i cover coordinates below
+    ``_past_finite_forward_data`` jumps the pair ``shift`` steps forward;
+    after it the suffix letters of level i cover coordinates below
     p^(i+1).  A suffix letter pair q at period level i that enters C∞ at
     depth d recurs at the levels i + tL.  At the first such level i' with
     p^(i' - d) >= 2 window - 1, the image of q holds an agreement run long
@@ -617,12 +650,7 @@ def _li_yorke_horizon(x, y, window):
     separation below p^(j+1) + shift.  The horizon covers the earliest of
     each, and never drops below p^7."""
     p = x.subst.constant_length
-    stream = x.stream
-    shift = 0
-    if x.odometer_digits().is_constant(p - 1):
-        shift = 1 + sum(
-            (p - 1 - stream.digit(i)) * p**i for i in range(len(stream.preperiod))
-        )
+    shift = right_end_jump(x)
     k, L, ex, ey = _aligned_entries(*_past_finite_forward_data(x, y))
     depth = _closure_depths(x.subst)
     run = 0  # the least r with p^r >= 2 window - 1
@@ -645,8 +673,11 @@ def _li_yorke_horizon(x, y, window):
 
 def test_random_corpus_verdicts_never_contradict_simulator(random_corpus):
     # mini cross-check over the random corpus: classify same-fiber pairs
-    # from a couple of fibers and compare against orbit evidence; a
-    # Li-Yorke verdict is checked at the horizon its own data derives
+    # from a few fibers and compare against orbit evidence; a Li-Yorke
+    # verdict is checked at the horizon its own data derives, and an
+    # asymptotic one must show no difference from p^k + R on, with k the
+    # aligned preperiod past the jump and R the jump (the suffixes of the
+    # levels from k on are equal, and cover the coordinates from p^k on)
     from substchaos.simulate import empirical_class
     from substchaos.errors import SeparationBoundError
 
@@ -654,9 +685,9 @@ def test_random_corpus_verdicts_never_contradict_simulator(random_corpus):
     for s in random_corpus[:40]:
         p = s.constant_length
         pts = []
-        for per in ((0,), (1 % p,)):
+        for pre, per in (((), (0,)), ((), (1 % p,)), ((0,), (p - 1,))):
             try:
-                pts.extend(enumerate_fiber(s, OdometerDigits(p, (), per), radius=256))
+                pts.extend(enumerate_fiber(s, OdometerDigits(p, pre, per), radius=256))
             except SeparationBoundError:
                 continue
         for i in range(len(pts)):
@@ -670,12 +701,14 @@ def test_random_corpus_verdicts_never_contradict_simulator(random_corpus):
                     assert report.proximality_count >= 1, s.rules()
                     assert report.separation_count >= 1, s.rules()
                 else:
-                    report = empirical_class(x, y, p**7, 16)
+                    k = _aligned_entries(*_past_finite_forward_data(x, y))[0]
+                    bound = p**k + right_end_jump(x)
+                    report = empirical_class(x, y, max(p**7, 2 * bound), 16)
                 if verdict.kind is PairClass.DISTAL:
                     assert report.proximality_count == 0, s.rules()
                 elif verdict.kind is PairClass.ASYMPTOTIC:
-                    assert report.last_separation is None or (
-                        report.last_separation <= report.max_last_difference
+                    assert report.max_last_difference is None or (
+                        report.max_last_difference < bound
                     ), s.rules()
                 checked += 1
     assert checked >= 100

@@ -22,12 +22,13 @@ from substchaos.errors import (
     StreamChainError,
 )
 from substchaos.simulate import empirical_class
-from substchaos.streams import RepresentedPoint
+from substchaos.streams import RepresentedPoint, _past_right_end
 
 from conftest import (
     CORPUS_SEED,
     fixed_points,
     random_substitutions,
+    right_end_jump,
     stepwise_window,
     successor_of_digit_list,
 )
@@ -319,6 +320,18 @@ def test_fiber_points_differ_on_windows(fixtures):
             pts = enumerate_fiber(s, digits)
             windows = {pt.expand(radius) for pt in pts}
             assert len(windows) == len(pts), (s.rules(), digits)
+
+
+def test_jump_past_the_right_end_is_the_shift_loop(fixtures):
+    # a point whose digits end in (p-1)^∞ moves R = p^k - D_k shifts, past
+    # its finite right side, in one step
+    rng = random.Random(9)
+    for s in fixtures.values():
+        p = s.constant_length
+        for pre in ((), (0,), (0, 0, 1), tuple(rng.randrange(p) for _ in range(4))):
+            for x in enumerate_fiber(s, OdometerDigits(p, pre, (p - 1,))):
+                jump = right_end_jump(x)
+                assert RepresentedPoint(_past_right_end(x.stream)) == x.shift_by(jump)
 
 
 def test_shift_by_budget(fixtures):
