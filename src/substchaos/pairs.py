@@ -404,6 +404,17 @@ def _past_finite_forward_data(x, y):
     )
 
 
+def _suffix_class(subst, pairs):
+    """The class of a same-fiber pair from the letter pairs of its suffixes
+    at the period levels (``classify_pair``): asymptotic when every pair is
+    diagonal, Li-Yorke when some pair lies in C∞, distal otherwise."""
+    if all(a == b for a, b in pairs):
+        return PairClass.ASYMPTOTIC
+    if not _coincidence_chain(subst)[-1].isdisjoint(pairs):
+        return PairClass.LI_YORKE
+    return PairClass.DISTAL
+
+
 def classify_pair(x, y):
     """The exact classification of a represented pair.
 
@@ -424,7 +435,7 @@ def classify_pair(x, y):
       holds p^(i+tL-d) agreeing coordinates: proximal, hence Li-Yorke.
       If none does, no image of a suffix letter pair at a level >= k holds
       a diagonal pair, every coordinate from p^k on differs, and the pair
-      is distal.
+      is distal.  ``_suffix_class`` applies this rule to the suffix pairs.
 
     C∞ is every pair under overall coincidences; under none it is the
     diagonal, and a diagonal suffix pair would need equal centers above
@@ -442,16 +453,13 @@ def classify_pair(x, y):
         return PairVerdict(PairClass.ASYMPTOTIC, "identical-representation")
     x, y = _past_finite_forward_data(x, y)
     k, _L, ex, ey = _aligned_entries(x, y)
-    periodic = list(zip(ex[k:], ey[k:]))
-    if all(e1.suffix == e2.suffix for e1, e2 in periodic):
+    periodic = zip(ex[k:], ey[k:])
+    pairs = [(ord(a), ord(b)) for e1, e2 in periodic for a, b in zip(e1.suffix, e2.suffix)]
+    verdict = _suffix_class(s, pairs)
+    if verdict is PairClass.ASYMPTOTIC:
         return PairVerdict(PairClass.ASYMPTOTIC, "eventual-suffix-equality")
-    closure = _coincidence_chain(s)[-1]
     kind = coincidence_class(s).kind
-    if any(
-        (ord(a), ord(b)) in closure
-        for e1, e2 in periodic
-        for a, b in zip(e1.suffix, e2.suffix)
-    ):
+    if verdict is PairClass.LI_YORKE:
         strong = True if (s.size == 2 and has_uncountable_ly(s)) else None
         if kind is Coincidence.OVERALL:
             rule = "overall-coincidence-recurrent-difference"
@@ -567,23 +575,40 @@ def enumerate_ly_orbits(subst):
     countably many Li-Yorke pairs (uncountable input is refused).
 
     A candidate is a simple cycle of off-diagonal letter pairs under the
-    occurrence relation, read from one of its starts: the chain
-    ``((q_1, t_0), ..., (q_L, t_(L-1)))`` with q_L = q_0 puts q_i at digit
-    t_i inside the pair image of q_(i+1), and is the purely periodic level
-    data of one pair (x, y) per seed choice.  Every candidate that
-    ``classify_pair`` calls Li-Yorke is kept; a candidate over the all-(p-1)
-    fiber is shifted once, into the all-0 fiber, and pairs are then
-    deduplicated by point identity, which is exact on this domain (see
-    ``_require_recognizable``).  This lists exactly one pair per orbit of
-    the Li-Yorke pairs with eventually periodic level data:
+    occurrence relation, read from one of its starts q_0 = (i, j) with
+    i < j: the chain ``((q_1, t_0), ..., (q_L, t_(L-1)))`` with q_L = q_0
+    puts q_i at digit t_i inside the pair image of q_(i+1), and is the
+    purely periodic level data of one pair (x, y) per seed choice, with
+    suffix letter pairs ``image[q_(i+1)][t_i + 1:]`` at level i.  Each
+    cycle is decided by ``_suffix_class`` on its suffix pairs before any
+    stream is built, and each seed choice of a Li-Yorke cycle is listed.
+    A cycle whose digits are all p-1 has no suffix pairs and is skipped.
+    This lists exactly one pair per orbit of the Li-Yorke pairs with
+    eventually periodic level data:
 
+    - The verdict is the one of ``classify_pair``.  On a cycle that is not
+      all p-1 no seed choice has a right seed, so ``classify_pair`` moves
+      nothing past a right end.  Both streams are purely periodic with the
+      cycle as their common period (a shorter one would repeat a pair of
+      the simple cycle), so k = 0 and it reads exactly the suffix pairs of
+      the steps.  Seeds never enter its verdict, so one verdict holds for
+      every seed choice.
     - Such a pair has eventually periodic odometer digits, a rational z,
       and the shift adds 1 to z.  Purely periodic digit sequences are the
       rationals in [-1, 0] (period L with digit value B stands for
       -B / (p^L - 1)), so an orbit meets exactly one purely periodic fiber,
       in one pair, except that the fibers 0 and -1 share the orbits that
-      meet them.  Shifting the -1 pairs into fiber 0 leaves one pair per
-      orbit over purely periodic fibers.
+      meet them.
+    - The all-(p-1) cycles add no orbit.  A Li-Yorke pair over the fiber
+      -1 has right seeds d != e (equal seeds give equal right halves past
+      the right end, an asymptotic pair).  Its shift, ``_past_right_end``
+      with k = 0, has the first-letter periods of d and e and the left
+      seeds c_0, c_0', its level-0 centers: the fiber-0 candidate of the
+      cycle of (d, e) under the first-letter map on both sides, which is
+      simple and off-diagonal.  ``_seed_choices`` admits c_0 and c_0'
+      (they lie on cycles of the last-letter map, and c_0 d is a word of
+      the point), and verdicts do not change under the shift, so that
+      orbit is listed from fiber 0.
     - Under countability the level chain of one (primitive) period of a
       Li-Yorke pair over a purely periodic fiber is a simple cycle.  Its
       center pairs are off-diagonal: a diagonal center pair has equal
@@ -600,12 +625,13 @@ def enumerate_ly_orbits(subst):
       center at level i; for large k that is inside the image, after the
       first of the two occurrences.  This is the double-occurrence
       condition of ``has_uncountable_ly``, which countability excludes.
-    - The walk from every off-diagonal start lists each simple cycle once
-      per start, and distinct starts are distinct pairs: the chains differ
-      in some center pair or digit (a simple cycle is a primitive word).
-      Distinct pairs over one fiber are distinct orbits, since the shift
-      moves every point off its fiber.  The cycle of the exchanged pairs
-      gives (y, x), which the deduplication drops.
+    - The walk lists each simple cycle once per start, and distinct
+      starts are distinct pairs: the chains differ in some center pair or
+      digit (a simple cycle is a primitive word).  A listed pair's start
+      is its level-0 center pair, and the exchanged pair (y, x) has the
+      exchanged start (j, i), which is not walked, so each unordered pair
+      is listed once.  Distinct pairs over one fiber are distinct orbits,
+      since the shift moves every point off its fiber.
 
     The pairs with a non-periodic (irrational) digit sequence are not
     represented and are not listed.
@@ -618,17 +644,11 @@ def enumerate_ly_orbits(subst):
         )
     if not has_ly_pairs(subst):
         return []
-    if coincidence_class(subst).kind is not Coincidence.OVERALL:
-        # classify_pair decides these candidates too, but listing them is
-        # new output with a cost: this walk without the return takes about
-        # 0.5 ms per partial class of bench/countable.json, where the
-        # median analyze of the benchmark's countable corpus is 1.2 ms
-        return []
     s = subst
-    _, _, occurrences = _pair_tables(s)
+    _, image, occurrences = _pair_tables(s)
     chains = []
     for q in sorted(occurrences):
-        if q[0] == q[1]:
+        if q[0] >= q[1]:
             continue
         # explicit-stack walk over simple paths: path[i] is the step
         # (parent, t) into the pair of level i + 1, stack[i] the steps
@@ -646,8 +666,12 @@ def enumerate_ly_orbits(subst):
                 stack.append(iter(occurrences[step[0]]))
 
     results = []
-    seen = set()
     for chain in sorted(chains):
+        # an all-(p-1) cycle has no suffix pairs and is skipped: its orbits
+        # are listed from fiber 0
+        suffixes = [r for parent, t in chain for r in image[parent][t + 1 :]]
+        if _suffix_class(s, suffixes) is not PairClass.LI_YORKE:
+            continue
         positions = [t for _, t in chain]
         top = chain[-1][0]
         ex, ey = _chain_entries(s, (chr(top[0]), chr(top[1])), positions)
@@ -656,14 +680,7 @@ def enumerate_ly_orbits(subst):
         for (lx, rx), (ly_, ry) in itertools.product(seeds_x, seeds_y):
             x = RepresentedPoint(DesubstitutionStream(s, (), ex, lx, rx))
             y = RepresentedPoint(DesubstitutionStream(s, (), ey, ly_, ry))
-            if classify_pair(x, y).kind is not PairClass.LI_YORKE:
-                continue
-            if all(t == s.constant_length - 1 for t in positions):
-                x, y = x.shift(), y.shift()
-            key = frozenset((x, y))
-            if key not in seen:
-                seen.add(key)
-                results.append((x, y))
+            results.append((x, y))
     return results
 
 

@@ -157,9 +157,12 @@ def _normalize(stream):
     period of the entries (``odometer._canonical``).  Each entry absorbed
     into the period moves the seed anchor one level down, so seed letters
     follow their letter maps forward to keep the represented tails
-    unchanged."""
+    unchanged.  A stream already in that form is returned as it is, so it
+    is validated once."""
     s = stream.subst
     pre, per = _canonical(stream.preperiod, stream.period)
+    if (pre, per) == (stream.preperiod, stream.period):
+        return stream
     moved = len(stream.preperiod) - len(pre)
     left, right = stream.left_seed, stream.right_seed
     if left is not None:

@@ -281,6 +281,25 @@ def test_classify_past_a_finite_right_end(morse_file):
     assert (doc["class"], doc["rule"]) == ("Distal", "no-coincidence-separation")
 
 
+def test_analyze_lists_partial_coincidence_orbits(tmp_path):
+    # partial coincidences: one Li-Yorke orbit, over the digits 1^∞, and
+    # classify agrees on the listed literals
+    path = tmp_path / "partial.txt"
+    path.write_text("a -> aba\nb -> aac\nc -> cba")
+    res = run_cli("analyze", str(path), "--json")
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert doc["coincidence_class"] == "partial"
+    [(x, y)] = doc["orbit_representatives"]
+    assert x["period"] == [["a", "a", "c"], ["a", "b", "a"]]
+    assert y["period"] == [["a", "b", "a"], ["a", "a", "c"]]
+    res = run_cli("classify", str(path), "--x", json.dumps(x), "--y", json.dumps(y))
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert (doc["class"], doc["rule"]) == ("LiYorke", "coincidence-closure-recurrent-difference")
+
+
 def test_simulate_command_with_csv(ly_file, tmp_path):
     x = json.dumps({"kind": "stream", "period": [["", "0", "10"]], "left_seed": "0"})
     y = json.dumps({"kind": "stream", "period": [["", "1", "00"]], "left_seed": "0"})

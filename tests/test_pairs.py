@@ -421,6 +421,12 @@ def test_enumerate_orbits_refusals(fixtures):
         enumerate_ly_orbits(fixtures["baacd"])
     with pytest.raises(PreconditionError):
         enumerate_ly_orbits(fixtures["ly_two"])
+    # partial coincidences with uncountably many pairs are refused as well
+    uncountable = parse_substitution("a -> aca\nb -> bab\nc -> bbc")
+    assert coincidence_class(uncountable).kind is Coincidence.PARTIAL
+    assert has_uncountable_ly(uncountable) and decide_infinite(uncountable)
+    with pytest.raises(PreconditionError):
+        enumerate_ly_orbits(uncountable)
 
 
 # the classes of bench/countable.json: 3-letter, p <= 3, countably many
@@ -436,16 +442,20 @@ def _class(index):
     )
 
 
-def _overall_classes():
+def _all_classes():
     out = [_class(i) for i in range(len(COUNTABLE_CLASSES))]
-    out = [s for s in out if coincidence_class(s).kind is Coincidence.OVERALL]
-    assert len(out) == 30
+    kinds = Counter(coincidence_class(s).kind for s in out)
+    assert kinds == {Coincidence.OVERALL: 30, Coincidence.PARTIAL: 30}
     return out
 
 
-def _random_overall_countable(count, seed=20261018):
-    """Seeded one-to-one primitive inputs, |A| 3-4 and p 2-3, with overall
-    coincidences and countably many Li-Yorke pairs."""
+# partial coincidences, countably many Li-Yorke pairs, four letters
+FOUR_LETTER_PARTIAL = "a -> dc\nb -> ba\nc -> ca\nd -> ab"
+
+
+def _random_countable(count, kind, seed=20261018):
+    """Seeded one-to-one primitive inputs, |A| 3-4 and p 2-3, of the
+    coincidence class ``kind`` with countably many Li-Yorke pairs."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -459,7 +469,7 @@ def _random_overall_countable(count, seed=20261018):
         )
         if not (s.is_injective() and is_primitive(s) and decide_infinite(s)):
             continue
-        if coincidence_class(s).kind is not Coincidence.OVERALL:
+        if coincidence_class(s).kind is not kind:
             continue
         if has_ly_pairs(s) and not has_uncountable_ly(s):
             out.append(s)
@@ -494,14 +504,21 @@ def _fiber_oracle(s, max_period=3):
 def test_orbit_list_matches_fiber_classification(fixtures):
     # each listed pair is one orbit: over every purely periodic fiber of
     # digit period <= 3 the listed pairs are exactly the Li-Yorke pairs
-    # there, none missing and none twice, fiber -1 merged into fiber 0
-    cases = [fixtures["aba"]] + _overall_classes() + _random_overall_countable(20)
+    # there, none missing and none twice, fiber -1 merged into fiber 0,
+    # each pair oriented with the lesser level-0 center first
+    cases = (
+        [fixtures["aba"], parse_substitution(FOUR_LETTER_PARTIAL)]
+        + _all_classes()
+        + _random_countable(20, Coincidence.OVERALL)
+        + _random_countable(20, Coincidence.PARTIAL)
+    )
     orbits = 0
     for s in cases:
         listed = {}
         for x, y in enumerate_ly_orbits(s):
             assert x.odometer_digits() == y.odometer_digits(), s.rules()
             assert not x.odometer_digits().is_constant(s.constant_length - 1), s.rules()
+            assert x.stream.entry(0).center < y.stream.entry(0).center, s.rules()
             listed.setdefault(x.odometer_digits(), []).append(frozenset((x, y)))
         for pairs in listed.values():
             assert len(set(pairs)) == len(pairs), s.rules()
@@ -533,7 +550,7 @@ def test_orbit_list_shifts_the_minus_one_fiber_into_zero():
 
 
 def test_enumerate_orbits_contains_constructed_pair(fixtures):
-    for s in [fixtures["aba"]] + _overall_classes():
+    for s in [fixtures["aba"]] + _all_classes():
         cp = construct_ly_pair(s)
         listed = {frozenset(pair) for pair in enumerate_ly_orbits(s)}
         assert frozenset((cp.x, cp.y)) in listed, s.rules()
@@ -542,9 +559,10 @@ def test_enumerate_orbits_contains_constructed_pair(fixtures):
 def test_orbit_pairs_differ_on_windows(fixtures):
     # window oracle: the pairs kept by stream identity are also pairwise
     # distinct as windows at the radius that used to deduplicate them
-    cases = [enumerate_ly_orbits(fixtures["aba"])] + [
-        enumerate_ly_orbits(_class(i)) for i in (29, 50, 55)
-    ]
+    cases = [
+        enumerate_ly_orbits(fixtures["aba"]),
+        enumerate_ly_orbits(parse_substitution(FOUR_LETTER_PARTIAL)),
+    ] + [enumerate_ly_orbits(_class(i)) for i in (0, 29, 50, 55)]
     for pairs in cases:
         assert pairs
         s = pairs[0][0].subst
@@ -558,6 +576,7 @@ def test_orbit_pairs_differ_on_windows(fixtures):
 
 
 def test_orbit_enumeration_needs_no_windows_or_simulator(fixtures, monkeypatch):
+    import substchaos.pairs
     import substchaos.simulate
     from substchaos.streams import RepresentedPoint
 
@@ -570,31 +589,14 @@ def test_orbit_enumeration_needs_no_windows_or_simulator(fixtures, monkeypatch):
         raise RuntimeError("orbit enumeration must not call this")
 
     monkeypatch.setattr(substchaos.simulate, "empirical_class", refuse)
+    monkeypatch.setattr(substchaos.pairs, "classify_pair", refuse)
     monkeypatch.setattr(RepresentedPoint, "expand", refuse)
     orbits = enumerate_ly_orbits(fixtures["aba"])
     assert len(orbits) == 2
     assert orbits == expected
-    assert enumerate_ly_orbits(partial) == []
-
-
-def test_orbit_enumeration_skips_partial_coincidence_candidates(monkeypatch):
-    import substchaos.pairs
-
-    countable = parse_substitution("a -> aba\nb -> aac\nc -> cba")
-    uncountable = parse_substitution("a -> aca\nb -> bab\nc -> bbc")
-    for s in (countable, uncountable):
-        assert coincidence_class(s).kind is Coincidence.PARTIAL
-        assert has_ly_pairs(s) and decide_infinite(s)
-    assert has_uncountable_ly(uncountable) and not has_uncountable_ly(countable)
-
-    def refuse(*args, **kwargs):
-        raise RuntimeError("no candidate of a partial-coincidence input can be kept")
-
-    monkeypatch.setattr(substchaos.pairs, "_chain_entries", refuse)
-    assert enumerate_ly_orbits(countable) == []
-    # the refusal of uncountably many pairs still comes first
-    with pytest.raises(PreconditionError):
-        enumerate_ly_orbits(uncountable)
+    # each cycle of a partial-coincidence input is decided from its suffix
+    # pairs by the same walk
+    assert len(enumerate_ly_orbits(partial)) == 1
 
 
 # -- scrambled sets ----------------------------------------------------------
