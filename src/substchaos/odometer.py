@@ -75,9 +75,6 @@ class OdometerDigits:
     def digits(self, count):
         return [self.digit(i) for i in range(count)]
 
-    def is_constant(self, value):
-        return not self.preperiod and self.period == (value,)
-
     def successor(self):
         """Addition of one, carrying to the right."""
         p = self.base

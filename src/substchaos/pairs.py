@@ -2,15 +2,16 @@
 and abundance of Li-Yorke pairs, classification of represented point
 pairs, and the explicit pair/scrambled-set constructions.
 
-The existence decisions run a level-synchronous fixpoint over letter
-pairs.  A chain records how an occurrence of the target pair inside an
-iterated pair-image factors through intermediate letter pairs; the two
-flags carried along say whether the word to the right of the occurrence
-picks up a coincidence (a diagonal position) and a difference (an
-off-diagonal position).  The per-level predicates "the m-fold pair image
-of q contains a diagonal / off-diagonal position" evolve as deterministic
-boolean vectors, so the whole global state lives in a finite space and
-the iteration stops at the first repeat.
+The existence and abundance decisions, and the orbit list, read one graph
+on the off-diagonal letter pairs (``_pair_graph``): an edge q -> P for
+each occurrence of q in the pair image of P, labelled by the letter pairs
+right of that occurrence.  A closed walk is an occurrence of a pair inside
+its own iterated pair image, so each answer is a property of one strongly
+connected component, and one pass of Tarjan's algorithm flags them all.
+The witness of the existence criterion comes from a level-synchronous
+search over ``(pair, coincidence flag, difference flag)`` states started
+at one pair of a flagged component; it ends within a bound proven in
+``ly_witness``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .substitution import (
     memoised,
 )
 
-ENGINE_LEVEL_CAP = 4096
 CERTIFICATE_WORD_CAP = 10**6
 
 
@@ -55,7 +55,7 @@ class CoincidenceClass:
 
 
 # ---------------------------------------------------------------------------
-# the flagged fixpoint engines
+# the pair graph and the witness search
 
 
 @memoised
@@ -88,7 +88,7 @@ def _coincidence_chain(subst):
     pairs map to diagonal pairs, so the sets only grow; the tuple ends at
     the first repeat, C∞, the least set that holds the diagonal and every
     pair whose pair image holds a member (within |A|^2 rounds).  Level m
-    of an engine reads ``chain[min(m, len(chain) - 1)]``."""
+    of the witness search reads ``chain[min(m, len(chain) - 1)]``."""
     pairs, image, _ = _pair_tables(subst)
     chain = [frozenset(q for q in pairs if q[0] == q[1])]
     while (grown := _coin_step(image, pairs, chain[-1])) != chain[-1]:
@@ -112,23 +112,131 @@ def coincidence_class(subst):
     return CoincidenceClass(Coincidence.PARTIAL)
 
 
+@dataclass(frozen=True)
+class _Component:
+    """A strongly connected component of the pair graph: its pairs, each
+    with its inner steps ``(parent, position)``, and the flags of
+    ``_pair_graph``."""
+
+    steps: dict
+    ly: bool
+    unc: bool
+
+
+@memoised
+def _pair_graph(subst):
+    """Every off-diagonal letter pair -> its strongly connected component
+    in the pair graph.
+
+    The vertices are the off-diagonal letter pairs.  Each occurrence
+    ``(P, t)`` of q in the pair image of P (``_pair_tables``) is an edge
+    q -> P labelled ``image[P][t + 1:]``; P is off-diagonal, since
+    diagonal pairs map to diagonal pairs.  A walk q_0 -> ... -> q_m puts
+    q_0 inside the m-fold pair image of q_m, and the label of its step l
+    expands l more times into letter pairs right of that occurrence.  So
+    a closed walk of length m at q is an occurrence of q inside its own
+    m-fold pair image, all its edges lie inside the component of q, and
+    distinct closed walks are distinct occurrences.  A component is
+
+    - ``ly`` when the labels of its inner edges hold a pair of C∞ and an
+      off-diagonal pair.  Exactly then the search of ``ly_witness`` from
+      any of its pairs hits (the proof is there), so Li-Yorke pairs exist
+      iff some component is ``ly``.
+    - ``unc`` when those labels hold a pair of C∞ and it has more inner
+      edges than pairs, that is, it is not one simple cycle.  Exactly then
+      each of its pairs q occurs twice inside some m-fold pair image of q
+      with a diagonal pair after the first occurrence, the condition of
+      ``has_uncountable_ly``.  Two closed walks of one length at q are not
+      on one simple cycle, and the diagonal pair right of the first comes
+      from a label on its own walk, which lies in C∞.  Conversely, some
+      pair r has two inner edges e != f; with R a path from q to r,
+      closing e and f back to q gives closed walks A and B at q that
+      branch after R, so they are not powers of one walk and AB != BA.
+      With W a closed walk at q through an edge with a C∞ label of depth
+      d < k = ``len(_coincidence_chain)``, the k-th copy of that edge in
+      ABW^k and in BAW^k sits at a step >= k - 1 >= d, so the two
+      occurrences at one level each have a diagonal pair after them.
+
+    The exchange (i, j) -> (j, i) maps the graph onto itself, labels
+    included, so a component and its mirror carry the same flags.
+    Tarjan's algorithm runs on an explicit stack: a pair is open while it
+    is visited and not yet in a finished component.
+    """
+    _, image, occurrences = _pair_tables(subst)
+    closure = _coincidence_chain(subst)[-1]
+    order, low, stack, work, graph = {}, {}, [], [], {}
+
+    def enter(q):
+        order[q] = low[q] = len(order)
+        stack.append(q)
+        work.append((q, iter(occurrences[q])))
+
+    for root in occurrences:
+        if root[0] == root[1] or root in order:
+            continue
+        enter(root)
+        while work:
+            q, steps = work[-1]
+            for parent, _ in steps:
+                if parent not in order:
+                    enter(parent)
+                    break
+                if parent not in graph:
+                    low[q] = min(low[q], order[parent])
+            else:
+                work.pop()
+                if work:
+                    below = work[-1][0]
+                    low[below] = min(low[below], low[q])
+                if low[q] == order[q]:
+                    at = stack.index(q)
+                    members, stack[at:] = stack[at:], []
+                    inside = set(members)
+                    inner = {
+                        r: tuple(step for step in occurrences[r] if step[0] in inside)
+                        for r in members
+                    }
+                    labels = {x for r in members for P, t in inner[r] for x in image[P][t + 1 :]}
+                    meets = not closure.isdisjoint(labels)
+                    edges = sum(map(len, inner.values()))
+                    component = _Component(
+                        inner,
+                        meets and any(a != b for a, b in labels),
+                        meets and edges > len(members),
+                    )
+                    graph.update(dict.fromkeys(members, component))
+    return graph
+
+
+def _first_target(subst, flag):
+    """The first pair (i, j), i < j, whose component carries ``flag``, or
+    None, on the domain of ``_require_recognizable``.  Mirrored components
+    carry equal flags, so there is one iff some component does."""
+    _require_recognizable(subst)
+    graph = _pair_graph(subst)
+    return next((q for q in sorted(graph) if q[0] < q[1] and getattr(graph[q], flag)), None)
+
+
 def _ly_levels(subst, target):
-    """The levels of the existence fixpoint started at the target pair.
+    """The levels of the existence search started at the target pair.
 
     Level 0 is ``{(target, False, False): None}``; every later level maps
     each reached ``(pair, coincidence flag, difference flag)`` state to its
     back pointer ``(state one level down, position)``, the first found in
-    sorted order.  Stops after the first level whose global state repeats.
-    The m-fold pair image of a pair holds an off-diagonal pair exactly when
-    the pair is off-diagonal, at every m: the images are pairwise distinct.
+    sorted order.  A state at level m is a walk of length m in the pair
+    graph from the target; the coincidence flag says that the label of
+    some step l holds a pair of ``coin_l``, and the difference flag that
+    some label holds an off-diagonal pair.  The m-fold pair image of a
+    pair holds an off-diagonal pair exactly when the pair is off-diagonal,
+    at every m: the images are pairwise distinct.  The levels never end;
+    ``ly_witness`` stops reading them.
     """
     _, image, occurrences = _pair_tables(subst)
     chain = _coincidence_chain(subst)
     last = len(chain) - 1
     state = {(target, False, False): None}
     yield state
-    seen = set()
-    for level in range(ENGINE_LEVEL_CAP):
+    for level in itertools.count():
         coin = chain[min(level, last)]
         new_state = {}
         for key in sorted(state):
@@ -139,12 +247,7 @@ def _ly_levels(subst, target):
                 nfd = fd or any(r[0] != r[1] for r in local)
                 new_state.setdefault((parent, nfc, nfd), (key, t))
         yield new_state
-        sig = (frozenset(new_state), min(level + 1, last))
-        if sig in seen:
-            return
-        seen.add(sig)
         state = new_state
-    raise BudgetExceededError("pair fixpoint failed to cycle within the level cap")
 
 
 def _reconstruct_chain(levels, key):
@@ -165,83 +268,49 @@ def ly_witness(subst):
     Li-Yorke existence criterion, or None: the target pair, the minimal
     level at which it occurs inside its own iterated pair image with both
     a coincidence and a difference after it, and the chain of that
-    occurrence, read from the back pointers of the one fixpoint pass.  The
-    chain is a tuple, so the memoised witness is shared read-only."""
-    _require_recognizable(subst)
-    n = subst.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            hit = ((i, j), True, True)
-            levels = []
-            for state in _ly_levels(subst, (i, j)):
-                levels.append(state)
-                if hit in state:
-                    return (i, j), len(levels) - 1, _reconstruct_chain(levels, hit)
-    return None
+    occurrence, read from the back pointers of the search.  The chain is
+    a tuple, so the memoised witness is shared read-only.
+
+    A target hits exactly when its component is ``ly`` (``_pair_graph``),
+    so the search starts at the first such target only.  A hit is a
+    closed walk whose flags come from labels on it, all inner edges of the
+    component.  Conversely, take inner edges e with a C∞ label and f with
+    an off-diagonal label.  Paths of fewer than V = |component| steps
+    lead from the target through e and f back to it, a closed walk of
+    length w <= 3V.  Repeated k = ``len(_coincidence_chain)`` times, the
+    last copy of e sits at a step >= k - 1, where the search tests its
+    label against C∞ itself.  So the hit comes at a level <= 3Vk, and a
+    search past it is a defect.
+    """
+    target = _first_target(subst, "ly")
+    if target is None:
+        return None
+    bound = 3 * len(_pair_graph(subst)[target].steps) * len(_coincidence_chain(subst))
+    hit = (target, True, True)
+    levels = []
+    for state in _ly_levels(subst, target):
+        levels.append(state)
+        if hit in state:
+            return target, len(levels) - 1, _reconstruct_chain(levels, hit)
+        if len(levels) > bound:
+            raise InvariantError("Li-Yorke search passed its proven level bound")
 
 
 def has_ly_pairs(subst):
     """Existence of Li-Yorke pairs: some power of the substitution maps a
     letter pair onto aligned occurrences of itself followed by both a
-    coincidence and a difference."""
-    return ly_witness(subst) is not None
-
-
-def _double_engine(subst, target):
-    """Minimal level at which the target occurs at least twice (aligned)
-    inside its own iterated pair image with a diagonal position after the
-    first occurrence; deterministic vector iteration with cycle stop."""
-    pairs, image, _ = _pair_tables(subst)
-    chain = _coincidence_chain(subst)
-    last = len(chain) - 1
-    count = {q: (1 if q == target else 0) for q in pairs}
-    daf = {q: False for q in pairs}
-    seen = {}
-    for level in range(1, ENGINE_LEVEL_CAP + 1):
-        coin = chain[min(level - 1, last)]
-        new_count = {}
-        new_daf = {}
-        for q in pairs:
-            letters = image[q]
-            total = sum(count[r] for r in letters)
-            new_count[q] = min(2, total)
-            flag = False
-            for t, r in enumerate(letters):
-                if count[r] >= 1:
-                    flag = daf[r] or any(x in coin for x in letters[t + 1 :])
-                    break
-            new_daf[q] = flag
-        count, daf = new_count, new_daf
-        if count[target] >= 2 and daf[target]:
-            return level
-        sig = (tuple(sorted(count.items())), tuple(sorted(daf.items())), min(level, last))
-        if sig in seen:
-            return None
-        seen[sig] = level
-    raise BudgetExceededError("double-occurrence fixpoint failed to cycle")
-
-
-@memoised
-def uncountable_witness(subst):
-    """First (in alphabet order of targets) witness for the uncountability
-    condition, or None: the target pair and the minimal level of the
-    double-occurrence engine."""
-    _require_recognizable(subst)
-    n = subst.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            level = _double_engine(subst, (i, j))
-            if level is not None:
-                return (i, j), level
-    return None
+    coincidence and a difference, that is, some component of the pair
+    graph is ``ly``."""
+    return _first_target(subst, "ly") is not None
 
 
 def has_uncountable_ly(subst):
     """Uncountably many Li-Yorke pairs: some power maps a letter pair onto
-    two aligned occurrences of itself with a coincidence after the first.
-    Equivalently, a recurrent (strong) Li-Yorke pair exists
+    two aligned occurrences of itself with a coincidence after the first,
+    that is, some component of the pair graph is ``unc``.  Equivalently,
+    a recurrent (strong) Li-Yorke pair exists
     (``STRONG_EQUIVALENCE_CHAIN``)."""
-    return uncountable_witness(subst) is not None
+    return _first_target(subst, "unc") is not None
 
 
 STRONG_EQUIVALENCE_CHAIN = (
@@ -327,29 +396,31 @@ class DoubleCertificate:
 
 
 def uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
-    wit = uncountable_witness(subst)
-    if wit is None:
+    """The first (in alphabet order) pair (a, b) whose component of the
+    pair graph is ``unc``, at the least power m at which (a, b) occurs
+    twice, aligned, inside the m-fold images of a and b with a diagonal
+    position after the first occurrence, or None.  Such an m exists
+    (``_pair_graph``); the words are scanned at m = 1, 2, ... and a power
+    whose words exceed ``word_cap`` is refused."""
+    target = _first_target(subst, "unc")
+    if target is None:
         return None
-    (ai, bi), level = wit
+    a, b = map(chr, target)
     p = subst.constant_length
-    if p**level > word_cap:
-        raise BudgetExceededError(
-            f"certificate words at power {level} exceed the word cap"
-        )
-    ua = iterate_chr(subst, chr(ai), level)
-    ub = iterate_chr(subst, chr(bi), level)
-    hits = [t for t in range(len(ua)) if ua[t] == chr(ai) and ub[t] == chr(bi)]
-    coins = [t for t in range(len(ua)) if ua[t] == ub[t]]
-    for idx, first in enumerate(hits[:-1]):
-        if any(t > first for t in coins):
+    for m in itertools.count(1):
+        if p**m > word_cap:
+            raise BudgetExceededError(f"certificate words at power {m} exceed the word cap")
+        ua = iterate_chr(subst, a, m)
+        ub = iterate_chr(subst, b, m)
+        hits = [t for t in range(len(ua)) if ua[t] == a and ub[t] == b]
+        if len(hits) >= 2 and any(map(str.__eq__, ua[hits[0] + 1 :], ub[hits[0] + 1 :])):
             return DoubleCertificate(
-                power=level,
-                a=subst.alphabet[ai],
-                b=subst.alphabet[bi],
-                first=first,
-                second=hits[idx + 1],
+                power=m,
+                a=subst.alphabet[target[0]],
+                b=subst.alphabet[target[1]],
+                first=hits[0],
+                second=hits[1],
             )
-    raise InvariantError("double-occurrence engine and word scan disagree")
 
 
 # ---------------------------------------------------------------------------
@@ -574,25 +645,26 @@ def enumerate_ly_orbits(subst):
     """One representative pair per Li-Yorke pair orbit, when there are
     countably many Li-Yorke pairs (uncountable input is refused).
 
-    A candidate is a simple cycle of off-diagonal letter pairs under the
-    occurrence relation, read from one of its starts q_0 = (i, j) with
-    i < j: the chain ``((q_1, t_0), ..., (q_L, t_(L-1)))`` with q_L = q_0
-    puts q_i at digit t_i inside the pair image of q_(i+1), and is the
-    purely periodic level data of one pair (x, y) per seed choice, with
-    suffix letter pairs ``image[q_(i+1)][t_i + 1:]`` at level i.  Each
-    cycle is decided by ``_suffix_class`` on its suffix pairs before any
-    stream is built, and each seed choice of a Li-Yorke cycle is listed.
-    A cycle whose digits are all p-1 has no suffix pairs and is skipped.
-    This lists exactly one pair per orbit of the Li-Yorke pairs with
-    eventually periodic level data:
+    A candidate is a ``ly`` component of the pair graph (``_pair_graph``).
+    Under countability it is one simple cycle, since a ``ly`` component
+    with more inner edges than pairs is ``unc``.  It is read from each of
+    its starts q_0 = (i, j) with i < j by following the one inner step out
+    of each pair: the chain ``((q_1, t_0), ..., (q_L, t_(L-1)))`` with
+    q_L = q_0 puts q_i at digit t_i inside the pair image of q_(i+1), and
+    is the purely periodic level data of one pair (x, y) per seed choice,
+    with suffix letter pairs ``image[q_(i+1)][t_i + 1:]`` at level i, the
+    labels of the cycle.  Each seed choice is listed.  This lists exactly
+    one pair per orbit of the Li-Yorke pairs with eventually periodic level
+    data:
 
-    - The verdict is the one of ``classify_pair``.  On a cycle that is not
-      all p-1 no seed choice has a right seed, so ``classify_pair`` moves
-      nothing past a right end.  Both streams are purely periodic with the
-      cycle as their common period (a shorter one would repeat a pair of
-      the simple cycle), so k = 0 and it reads exactly the suffix pairs of
-      the steps.  Seeds never enter its verdict, so one verdict holds for
-      every seed choice.
+    - The verdict is the one of ``classify_pair``.  The cycle has a label,
+      so its digits are not all p-1, no seed choice has a right seed, and
+      ``classify_pair`` moves nothing past a right end.  Both streams are
+      purely periodic with the cycle as their common period (a shorter one
+      would repeat a pair of the simple cycle), so k = 0 and it reads
+      exactly the labels of the cycle.  They hold a pair of C∞ and an
+      off-diagonal pair, which ``_suffix_class`` calls Li-Yorke, for every
+      seed choice.
     - Such a pair has eventually periodic odometer digits, a rational z,
       and the shift adds 1 to z.  Purely periodic digit sequences are the
       rationals in [-1, 0] (period L with digit value B stands for
@@ -609,69 +681,45 @@ def enumerate_ly_orbits(subst):
       (they lie on cycles of the last-letter map, and c_0 d is a word of
       the point), and verdicts do not change under the shift, so that
       orbit is listed from fiber 0.
-    - Under countability the level chain of one (primitive) period of a
-      Li-Yorke pair over a purely periodic fiber is a simple cycle.  Its
-      center pairs are off-diagonal: a diagonal center pair has equal
-      blocks below it, and being periodic, at every level, so the pair
-      would be asymptotic.  Let an off-diagonal pair q be the center pair
-      at two levels i < j of one period of length L.  The steps from j
-      down to i (A) and from i + L down to j (B) both lead from q to q,
-      so inside the pair image of q at level i + kL the steps (BA)^k (the
-      centers) and AB(BA)^(k-1) reach two occurrences of q at level i.
-      They differ: AB = BA would make A and B powers of one word, and
-      the period would not be primitive.  The pair is Li-Yorke, so a
-      suffix pair at some level h lies in C∞ (``classify_pair``) and,
-      once h - i passes its depth, puts a diagonal pair right of the
-      center at level i; for large k that is inside the image, after the
-      first of the two occurrences.  This is the double-occurrence
-      condition of ``has_uncountable_ly``, which countability excludes.
-    - The walk lists each simple cycle once per start, and distinct
-      starts are distinct pairs: the chains differ in some center pair or
-      digit (a simple cycle is a primitive word).  A listed pair's start
-      is its level-0 center pair, and the exchanged pair (y, x) has the
-      exchanged start (j, i), which is not walked, so each unordered pair
-      is listed once.  Distinct pairs over one fiber are distinct orbits,
-      since the shift moves every point off its fiber.
+    - Every Li-Yorke pair over a purely periodic fiber is a candidate.
+      The level chain of one (primitive) period is a closed walk in the
+      pair graph: its center pairs are off-diagonal, since a diagonal
+      center pair has equal blocks below it, and being periodic, at every
+      level, so the pair would be asymptotic.  Its labels are the suffix
+      pairs of the period levels, which hold a pair of C∞ and an
+      off-diagonal pair (``classify_pair``).  So its component is ``ly``,
+      hence one simple cycle, and a primitive closed walk on it is the
+      cycle read from one start.
+    - Each cycle is read once per start, and distinct starts are distinct
+      pairs: the chains differ in some center pair or digit (a simple
+      cycle is a primitive word).  A listed pair's start is its level-0
+      center pair, and the exchanged pair (y, x) has the exchanged start
+      (j, i), which is not read, so each unordered pair is listed once.
+      Distinct pairs over one fiber are distinct orbits, since the shift
+      moves every point off its fiber.
 
     The pairs with a non-periodic (irrational) digit sequence are not
     represented and are not listed.
     """
-    _require_recognizable(subst)
     if has_uncountable_ly(subst):
         raise PreconditionError(
             "enumeration refused: the substitution has uncountably many "
             "Li-Yorke pairs"
         )
-    if not has_ly_pairs(subst):
-        return []
     s = subst
-    _, image, occurrences = _pair_tables(s)
+    graph = _pair_graph(s)
     chains = []
-    for q in sorted(occurrences):
-        if q[0] >= q[1]:
+    for start in sorted(graph):
+        if start[0] > start[1] or not graph[start].ly:
             continue
-        # explicit-stack walk over simple paths: path[i] is the step
-        # (parent, t) into the pair of level i + 1, stack[i] the steps
-        # still to try out of the pair of level i
-        path, stack = [], [iter(occurrences[q])]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                del path[-1:]
-            elif step[0] == q:
-                chains.append((*path, step))
-            elif step[0][0] != step[0][1] and step[0] not in (r for r, _ in path):
-                path.append(step)
-                stack.append(iter(occurrences[step[0]]))
+        steps = graph[start].steps
+        chain = [steps[start][0]]
+        while chain[-1][0] != start:
+            chain.append(steps[chain[-1][0]][0])
+        chains.append(tuple(chain))
 
     results = []
     for chain in sorted(chains):
-        # an all-(p-1) cycle has no suffix pairs and is skipped: its orbits
-        # are listed from fiber 0
-        suffixes = [r for parent, t in chain for r in image[parent][t + 1 :]]
-        if _suffix_class(s, suffixes) is not PairClass.LI_YORKE:
-            continue
         positions = [t for _, t in chain]
         top = chain[-1][0]
         ex, ey = _chain_entries(s, (chr(top[0]), chr(top[1])), positions)

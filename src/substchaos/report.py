@@ -99,7 +99,7 @@ class AnalysisReport:
 
 def _brute_scan(subst, word_bound):
     """Direct word scans of the two Li-Yorke criteria, the reference that
-    the fixpoint engines are checked against (``analyze --brute-bound``
+    the pair-graph decisions are checked against (``analyze --brute-bound``
     and the test suite); it shares no code with them.
 
     For letters a < b and every length ``p^m <= word_bound``, the pair

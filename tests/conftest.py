@@ -2,6 +2,7 @@
 corpus used by the oracle-agreement tests, and the test-side
 cross-checks of library decisions."""
 
+import itertools
 import random
 from bisect import bisect_left
 from enum import Enum
@@ -11,8 +12,10 @@ import pytest
 
 from substchaos import (
     Coincidence,
+    DesubstitutionStream,
     PairClass,
     PairVerdict,
+    RepresentedPoint,
     Substitution,
     coincidence_class,
     complexity,
@@ -26,9 +29,25 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos import reduction
-from substchaos.errors import BudgetExceededError, PreconditionError, SearchBudgetError
+from substchaos.errors import (
+    BudgetExceededError,
+    InvariantError,
+    PreconditionError,
+    SearchBudgetError,
+)
 from substchaos.odometer import OdometerDigits
-from substchaos.pairs import _aligned_entries, _past_finite_forward_data
+from substchaos.pairs import (
+    CERTIFICATE_WORD_CAP,
+    DoubleCertificate,
+    _aligned_entries,
+    _chain_entries,
+    _coincidence_chain,
+    _ly_levels,
+    _pair_tables,
+    _past_finite_forward_data,
+    _reconstruct_chain,
+    _suffix_class,
+)
 from substchaos.simulate import (
     DEFAULT_WINDOW,
     EVENT_CAP,
@@ -36,7 +55,7 @@ from substchaos.simulate import (
     _difference_flags,
     _radii,
 )
-from substchaos.streams import _require_recognizable
+from substchaos.streams import _require_recognizable, _seed_choices
 from substchaos.substitution import (
     DEFAULT_WORD_BUDGET,
     cycle_length,
@@ -642,3 +661,130 @@ def anagram_substitutions(count, seed=CORPUS_SEED + 4):
             images.append("".join(image))
         out.append(Substitution.from_rules(dict(zip(alphabet, images)), alphabet))
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference pair engines: per target, the existence search and the
+# double-occurrence fixpoint run until their global state repeats, and the
+# orbit list from a walk over every simple cycle of letter pairs
+
+
+def stopped_ly_hit(subst, target):
+    """Reference for the search of ``pairs.ly_witness`` at one target:
+    ``(level, chain)`` of its first hit, or None once the global state of
+    ``pairs._ly_levels`` repeats.  Past the last level of the coincidence
+    chain every level steps alike, so a repeat before the hit means no
+    hit."""
+    last = len(_coincidence_chain(subst)) - 1
+    hit = (target, True, True)
+    levels, seen = [], set()
+    for level, state in enumerate(_ly_levels(subst, target)):
+        levels.append(state)
+        if hit in state:
+            return level, _reconstruct_chain(levels, hit)
+        sig = (frozenset(state), min(level, last))
+        if sig in seen:
+            return None
+        seen.add(sig)
+
+
+def double_engine(subst, target):
+    """Minimal level at which the target occurs at least twice (aligned)
+    inside its own iterated pair image with a diagonal position after the
+    first occurrence; deterministic vector iteration with cycle stop."""
+    pairs, image, _ = _pair_tables(subst)
+    chain = _coincidence_chain(subst)
+    last = len(chain) - 1
+    count = {q: (1 if q == target else 0) for q in pairs}
+    daf = {q: False for q in pairs}
+    seen = set()
+    for level in itertools.count(1):
+        coin = chain[min(level - 1, last)]
+        new_count = {}
+        new_daf = {}
+        for q in pairs:
+            letters = image[q]
+            new_count[q] = min(2, sum(count[r] for r in letters))
+            flag = False
+            for t, r in enumerate(letters):
+                if count[r] >= 1:
+                    flag = daf[r] or any(x in coin for x in letters[t + 1 :])
+                    break
+            new_daf[q] = flag
+        count, daf = new_count, new_daf
+        if count[target] >= 2 and daf[target]:
+            return level
+        sig = (tuple(sorted(count.items())), tuple(sorted(daf.items())), min(level, last))
+        if sig in seen:
+            return None
+        seen.add(sig)
+
+
+def engine_uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
+    """Reference for ``pairs.uncountable_certificate``: the first target
+    (i, j), i < j, at which ``double_engine`` hits, and the two
+    occurrences read from the words at that level."""
+    n = subst.size
+    levels = ((q, double_engine(subst, q)) for q in itertools.combinations(range(n), 2))
+    found = next(((q, level) for q, level in levels if level is not None), None)
+    if found is None:
+        return None
+    (ai, bi), level = found
+    if subst.constant_length**level > word_cap:
+        raise BudgetExceededError(f"certificate words at power {level} exceed the word cap")
+    ua = iterate_chr(subst, chr(ai), level)
+    ub = iterate_chr(subst, chr(bi), level)
+    hits = [t for t in range(len(ua)) if ua[t] == chr(ai) and ub[t] == chr(bi)]
+    coins = [t for t in range(len(ua)) if ua[t] == ub[t]]
+    for idx, first in enumerate(hits[:-1]):
+        if any(t > first for t in coins):
+            return DoubleCertificate(
+                power=level,
+                a=subst.alphabet[ai],
+                b=subst.alphabet[bi],
+                first=first,
+                second=hits[idx + 1],
+            )
+    raise InvariantError("double-occurrence engine and word scan disagree")
+
+
+def walked_ly_orbits(subst):
+    """Reference for ``pairs.enumerate_ly_orbits`` on countable input:
+    ``(pairs, cycles)``.  It walks every simple cycle of off-diagonal
+    letter pairs under the occurrence relation from each start (i, j),
+    i < j, on an explicit stack, keeps the cycles whose suffix pairs
+    ``_suffix_class`` calls Li-Yorke, and lists one pair per seed choice;
+    ``cycles`` counts the simple cycles walked, once per start."""
+    _, image, occurrences = _pair_tables(subst)
+    chains = []
+    for q in sorted(occurrences):
+        if q[0] >= q[1]:
+            continue
+        # path[i] is the step (parent, t) into the pair of level i + 1,
+        # stack[i] the steps still to try out of the pair of level i
+        path, stack = [], [iter(occurrences[q])]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                del path[-1:]
+            elif step[0] == q:
+                chains.append((*path, step))
+            elif step[0][0] != step[0][1] and step[0] not in (r for r, _ in path):
+                path.append(step)
+                stack.append(iter(occurrences[step[0]]))
+    results = []
+    for chain in sorted(chains):
+        suffixes = [r for parent, t in chain for r in image[parent][t + 1 :]]
+        if _suffix_class(subst, suffixes) is not PairClass.LI_YORKE:
+            continue
+        positions = [t for _, t in chain]
+        top = chain[-1][0]
+        ex, ey = _chain_entries(subst, (chr(top[0]), chr(top[1])), positions)
+        seeds_x = _seed_choices(subst, positions, ex[0].center)
+        seeds_y = _seed_choices(subst, positions, ey[0].center)
+        for (lx, rx), (ly, ry) in itertools.product(seeds_x, seeds_y):
+            x = RepresentedPoint(DesubstitutionStream(subst, (), ex, lx, rx))
+            y = RepresentedPoint(DesubstitutionStream(subst, (), ey, ly, ry))
+            results.append((x, y))
+    return results, len(chains)

@@ -35,6 +35,7 @@ from substchaos.pairs import (
     _aligned_entries,
     _coincidence_chain,
     _ly_levels,
+    _pair_graph,
     _pair_tables,
     _past_finite_forward_data,
     ly_witness,
@@ -42,7 +43,15 @@ from substchaos.pairs import (
 from substchaos.report import _brute_scan
 from substchaos.substitution import is_primitive, iterate_chr
 
-from conftest import classify_pair_two_letter, fixed_points, right_end_jump
+from conftest import (
+    classify_pair_two_letter,
+    double_engine,
+    engine_uncountable_certificate,
+    fixed_points,
+    right_end_jump,
+    stopped_ly_hit,
+    walked_ly_orbits,
+)
 
 
 def test_coincidence_classes(fixtures):
@@ -155,7 +164,7 @@ def test_diagonal_soundness(fixtures):
 
 def test_flag_joins_monotone(fixtures):
     # per reachable pair, the strongest realized flag combination never
-    # weakens from one level to the next before the cycle closes
+    # weakens from one level to the next over the first ten levels
     for name in ("morse", "toeplitz", "ly_two", "aba", "baacd", "four"):
         s = fixtures[name]
         pairs, _, _ = _pair_tables(s)
@@ -452,6 +461,10 @@ def _all_classes():
 # partial coincidences, countably many Li-Yorke pairs, four letters
 FOUR_LETTER_PARTIAL = "a -> dc\nb -> ba\nc -> ca\nd -> ab"
 
+# countably many Li-Yorke pairs, and a 12-pair component with 36 inner
+# edges that holds no Li-Yorke cycle
+DENSE = "a -> bed\nb -> bea\nc -> edc\nd -> dea\ne -> cac"
+
 
 def _random_countable(count, kind, seed=20261018):
     """Seeded one-to-one primitive inputs, |A| 3-4 and p 2-3, of the
@@ -489,15 +502,16 @@ def _fiber_oracle(s, max_period=3):
             fibers.add(OdometerDigits(p, (), period))
     found = {}
     for digits in fibers:
+        minus_one = digits.preperiod == () and digits.period == (p - 1,)
         ly = set()
         for x, y in itertools.combinations(enumerate_fiber(s, digits), 2):
             if classify_pair(x, y).kind is not PairClass.LI_YORKE:
                 continue
-            if digits.is_constant(p - 1):
+            if minus_one:
                 x, y = x.shift(), y.shift()
             ly.add(frozenset((x, y)))
         if ly:
-            found.setdefault(zero if digits.is_constant(p - 1) else digits, set()).update(ly)
+            found.setdefault(zero if minus_one else digits, set()).update(ly)
     return found
 
 
@@ -515,11 +529,13 @@ def test_orbit_list_matches_fiber_classification(fixtures):
     orbits = 0
     for s in cases:
         listed = {}
+        p = s.constant_length
         for x, y in enumerate_ly_orbits(s):
-            assert x.odometer_digits() == y.odometer_digits(), s.rules()
-            assert not x.odometer_digits().is_constant(s.constant_length - 1), s.rules()
+            digits = x.odometer_digits()
+            assert digits == y.odometer_digits(), s.rules()
+            assert not (digits.preperiod == () and digits.period == (p - 1,)), s.rules()
             assert x.stream.entry(0).center < y.stream.entry(0).center, s.rules()
-            listed.setdefault(x.odometer_digits(), []).append(frozenset((x, y)))
+            listed.setdefault(digits, []).append(frozenset((x, y)))
         for pairs in listed.values():
             assert len(set(pairs)) == len(pairs), s.rules()
         short = {d: set(v) for d, v in listed.items() if len(d.period) <= 3}
@@ -573,6 +589,59 @@ def test_orbit_pairs_differ_on_windows(fixtures):
             assert wx != wy, s.rules()
             keys.append(frozenset((wx, wy)))
         assert len(set(keys)) == len(keys), s.rules()
+
+
+def _literals(pairs):
+    return [(x.to_literal(), y.to_literal()) for x, y in pairs]
+
+
+def test_pair_graph_matches_the_reference_engines(fixtures, random_corpus):
+    # per target, a component flag holds exactly when the matching
+    # fixpoint, run to its first state repeat, hits; the witness, the
+    # certificate and the orbit list are those of the references
+    cases = [
+        *fixtures.values(),
+        *_all_classes(),
+        parse_substitution(FOUR_LETTER_PARTIAL),
+        parse_substitution(DENSE),
+        *random_corpus,
+    ]
+    flags = Counter()
+    listed = 0
+    for s in cases:
+        graph = _pair_graph(s)
+        hits = {q: stopped_ly_hit(s, q) for q in sorted(graph)}
+        for q, hit in hits.items():
+            component = graph[q]
+            assert component.ly is (hit is not None), (s.rules(), q)
+            assert component.unc is (double_engine(s, q) is not None), (s.rules(), q)
+            flags[component.ly, component.unc] += 1
+        first = next(((q, *hit) for q, hit in hits.items() if q[0] < q[1] and hit), None)
+        assert ly_witness(s) == first, s.rules()
+        assert uncountable_certificate(s) == engine_uncountable_certificate(s), s.rules()
+        if has_ly_pairs(s) and not has_uncountable_ly(s):
+            orbits = _literals(enumerate_ly_orbits(s))
+            assert orbits == _literals(walked_ly_orbits(s)[0]), s.rules()
+            listed += len(orbits)
+    # ``unc`` implies ``ly``: with only diagonal labels each parent holds at
+    # most one inner pair, the last off-diagonal one, so the component is
+    # one simple cycle
+    assert set(flags) == {(False, False), (True, False), (True, True)}
+    assert listed >= 120
+
+
+def test_orbit_list_reads_a_dense_component_once():
+    # the reference walk visits every simple cycle of the dense component
+    # and keeps none of them; the component pass lists the same 4 pairs
+    s = parse_substitution(DENSE)
+    reference, cycles = walked_ly_orbits(s)
+    assert cycles >= 1000
+    graph = _pair_graph(s)
+    shapes = {(len(c.steps), sum(map(len, c.steps.values())), c.ly) for c in graph.values()}
+    assert (12, 36, False) in shapes
+    orbits = enumerate_ly_orbits(s)
+    assert len(orbits) == 4
+    assert _literals(orbits) == _literals(reference)
 
 
 def test_orbit_enumeration_needs_no_windows_or_simulator(fixtures, monkeypatch):
