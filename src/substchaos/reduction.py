@@ -1,12 +1,19 @@
 """One-to-one reduction of substitutions and the decision procedure for
 finiteness of the generated subshift.
 
-The finiteness decision alternates two steps: if the substitution is
-elementary, the subshift is infinite exactly when some letter has two
-distinct one-letter right extensions in the language; otherwise it factors
+At constant length the finiteness verdict is polynomial: after the
+one-to-one reduction the subshift is infinite exactly when some letter
+has two distinct one-letter right extensions in the language (the proof
+is in the docstring of ``decide_infinite``).  Every decision path reads
+this rule.
+
+The decision trace, which ``analyze`` and ``decide`` print, alternates
+two steps: if the substitution is elementary, the subshift is infinite
+exactly when some letter has two right extensions; otherwise it factors
 through a strictly smaller alphabet as ``g . f`` and the question is
 delegated to ``f . g`` on that alphabet.  The alphabet shrinks at every
-round, so the recursion terminates.
+round, so the loop ends.  Its verdict is the only one for
+variable-length input.
 
 The simplification search is bounded by linear algebra.  Write ``M_s``
 for the incidence matrix of a morphism (column ``a`` counts the letters
@@ -21,7 +28,6 @@ drawn from it is exact.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from .errors import InvariantError, PreconditionError, SearchBudgetError
@@ -337,16 +343,81 @@ def decide_infinite_trace(subst):
     """Exact finiteness decision with the step-by-step trace.
 
     Returns ``(infinite, trace)`` where the trace lists one record per
-    round of the simplification loop.  The trace is a fresh copy: callers
-    may change it without touching the memoised decision.
+    round of the simplification loop, built afresh on every call.  Each
+    round reads the memoised ``_simplification``, so a cached
+    substitution is searched at most once, also when the search runs out
+    of budget.
     """
-    infinite, trace = _decision(subst)
-    return infinite, [copy.deepcopy(record) for record in trace]
+    if not is_primitive(subst):
+        raise PreconditionError("finiteness decision requires a primitive substitution")
+    trace = []
+    while subst.size > 1:
+        simp, budget_message = _simplification(subst)
+        if budget_message is not None:
+            raise SearchBudgetError(budget_message)
+        if simp is None:
+            bip = biprolongeable_letters(subst)
+            trace.append(
+                {
+                    "alphabet_size": subst.size,
+                    "action": "elementary",
+                    "biprolongeable": bip,
+                    "infinite": bool(bip),
+                }
+            )
+            return bool(bip), trace
+        words = [subst.decode(w) for w in simp.g]
+        trace.append(
+            {
+                "alphabet_size": subst.size,
+                "action": "simplified",
+                "target_alphabet_size": len(simp.target_alphabet),
+                "dictionary": [w if isinstance(w, str) else list(w) for w in words],
+            }
+        )
+        subst = _composed(simp)
+        if not is_primitive(subst):
+            raise PreconditionError("simplification produced a non-primitive substitution")
+    trace.append({"alphabet_size": 1, "action": "singleton", "infinite": False})
+    return False, trace
 
 
+@memoised
 def decide_infinite(subst):
-    """True exactly when the generated subshift is infinite."""
-    return _decision(subst)[0]
+    """True exactly when the generated subshift is infinite.
+
+    Let σ be primitive of constant length p with pairwise distinct images.
+    Then X_σ is infinite iff some letter has two right extensions in L_2
+    (``biprolongeable_letters``):
+
+    - If ``va`` and ``vb`` lie in the language with ``a != b``, then σ(a)
+      and σ(b), of equal length and distinct, first differ at some
+      ``l < p``, so ``σ(v)σ(a)[:l]`` is right-special of length at least
+      ``p|v|``.  From one right-special letter this gives right-special
+      words of unbounded length, which a periodic sequence does not have
+      (Morse-Hedlund 1938), so X_σ is infinite.
+    - If every letter has one follower, the follower map determines the
+      sequence from its first letter, so it is periodic and X_σ finite.
+
+    The one-to-one reduction keeps finiteness both ways.  Merging letters
+    with equal images writes ``σ = ψ . φ`` and the reduction as
+    ``τ = φ . ψ`` (φ the letter map, ψ the image of a representative).
+    Then ``φ . σ = τ . φ`` and ``ψ . τ = σ . ψ``, so φ and ψ map the
+    words of each language into the other.  So φ maps X_σ onto the
+    minimal X_τ, and ψ maps a periodic point of X_τ to a periodic point of
+    X_σ, whose orbit is all of the minimal X_σ.  The rule on the reduced
+    substitution thus decides σ in polynomial time, with no
+    simplification search.
+
+    Variable-length input keeps the verdict of ``decide_infinite_trace``:
+    ``a -> aab, b -> aabaab`` has a letter with two right extensions and
+    the finite subshift of ``(aab)^∞``.
+    """
+    if not is_primitive(subst):
+        raise PreconditionError("finiteness decision requires a primitive substitution")
+    if subst.constant_length is None:
+        return decide_infinite_trace(subst)[0]
+    return bool(biprolongeable_letters(one_to_one_reduction(subst).reduced))
 
 
 @memoised
@@ -360,41 +431,3 @@ def _simplification(subst):
         return is_simplifiable(subst), None
     except SearchBudgetError as exc:
         return None, str(exc)
-
-
-@memoised
-def _decision(subst):
-    """The verdict and the trace records of one substitution, memoised so
-    that each substitution is searched at most once, a search that runs
-    out of budget included.  A simplified round delegates to ``f . g``,
-    whose decision is memoised in turn."""
-    if not is_primitive(subst):
-        raise PreconditionError("finiteness decision requires a primitive substitution")
-    if subst.size == 1:
-        return False, ({"alphabet_size": 1, "action": "singleton", "infinite": False},)
-    simp, budget_message = _simplification(subst)
-    if budget_message is not None:
-        raise SearchBudgetError(budget_message)
-    if simp is None:
-        bip = biprolongeable_letters(subst)
-        record = {
-            "alphabet_size": subst.size,
-            "action": "elementary",
-            "biprolongeable": list(bip),
-            "infinite": bool(bip),
-        }
-        return bool(bip), (record,)
-    nxt = _composed(simp)
-    if not is_primitive(nxt):
-        raise PreconditionError("simplification produced a non-primitive substitution")
-    record = {
-        "alphabet_size": subst.size,
-        "action": "simplified",
-        "target_alphabet_size": len(simp.target_alphabet),
-        "dictionary": [
-            subst.decode(w) if isinstance(subst.decode(w), str) else list(subst.decode(w))
-            for w in simp.g
-        ],
-    }
-    infinite, rest = _decision(nxt)
-    return infinite, (record,) + rest

@@ -79,9 +79,6 @@ class AnalysisReport:
     def to_json_dict(self):
         return self.data
 
-    def dumps(self):
-        return json.dumps(self.data, sort_keys=True, indent=2, ensure_ascii=False)
-
     def table(self):
         lines = []
         skip = {"decision_trace", "orbit_representatives", "input", "one_to_one_reduction"}

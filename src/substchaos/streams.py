@@ -211,18 +211,12 @@ def _require_recognizable(subst):
 
 
 class RepresentedPoint:
-    """A subshift point given by a validated stream.
+    """A subshift point given by a validated stream; immutable."""
 
-    Immutable apart from an internal expansion memo, one ``(radius,
-    window)`` tuple replaced whole; the fill is idempotent (same input,
-    same window), so concurrent readers are safe.
-    """
-
-    __slots__ = ("stream", "_memo")
+    __slots__ = ("stream",)
 
     def __init__(self, stream):
         self.stream = _normalize(stream)
-        self._memo = (-1, "")
 
     @property
     def subst(self):
@@ -261,14 +255,9 @@ class RepresentedPoint:
         chr-coded string of length ``2*radius + 1``."""
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
-        mid, window = self._memo
-        if radius <= mid:
-            return window[mid - radius : mid + radius + 1]
         if 2 * radius + 1 > budget:
             raise BudgetExceededError("expansion exceeds the word budget")
-        window = _expand(self.stream, radius)
-        self._memo = (radius, window)
-        return window
+        return _expand(self.stream, radius)
 
     def window(self, radius):
         """Public-form rendering of the centered window."""
@@ -595,9 +584,11 @@ def enumerate_fiber(subst, digits, radius=64):
     The digit sequence forces the whole level chain once the letter at one
     level is chosen, so walking one digit period downwards is a map on
     letters and eventually periodic points correspond to its cycles (plus
-    a choice of seed when one side of the data collapses).  Points are
-    told apart by their canonical streams (see ``_require_recognizable``);
-    ``radius`` is unused and kept for callers that pass it.
+    a choice of seed when one side of the data collapses).  Two choices
+    differ in the center letter at the level where the period starts or in
+    the seed, both functions of the point (see ``_require_recognizable``),
+    so no point is listed twice.  ``radius`` is unused and kept for
+    callers that pass it.
     """
     _require_recognizable(subst)
     s = subst
@@ -626,11 +617,8 @@ def enumerate_fiber(subst, digits, radius=64):
                 )
             )
 
-    unique = {}
-    for pt in points:
-        unique.setdefault(pt.canonical_key(), pt)
     return sorted(
-        unique.values(),
+        points,
         key=lambda pt: (
             pt.stream.preperiod,
             pt.stream.period,

@@ -37,6 +37,15 @@ TIER_TEN_EIGHT = (
     "f -> bagfefjf\ng -> hfcfiafb\nh -> agfbdcha\ni -> behiagfg\nj -> cdfdcgec"
 )
 
+# 16 letters, length 12, rational rank 14: the simplification search runs
+# out of its 10^6 candidates here, which no decision path may reach
+RANK_DEFICIENT = (
+    "a -> ecidpopmgdpa\nb -> mnaoihdkaaaa\nc -> mgnahophlhho\nd -> andfjdkngjjp\n"
+    "e -> mbphmnfllcod\nf -> mlpapbjmffha\ng -> hmlloiamegnb\nh -> lgnplnlakoah\n"
+    "i -> fcibccaoaihi\nj -> moaphhhlngho\nk -> kppdajmkngid\nl -> ccihcoaifaib\n"
+    "m -> nhohamknbjeg\nn -> jccjjfnieabg\no -> ofbmgldgngpd\np -> mjpakmjafgke"
+)
+
 
 def test_reduction_merges_equal_images():
     s = parse_substitution("0 -> 01\n1 -> 01")
@@ -229,7 +238,7 @@ def test_rank_deficient_tier_input_is_decided():
 
 def test_budget_outcome_is_memoised(monkeypatch):
     # the table cache keeps no exceptions, so the budget outcome is kept as
-    # a value: a second decision raises afresh without a second search
+    # a value: a second trace raises afresh without a second search
     import traceback
 
     from substchaos import reduction, substitution
@@ -247,7 +256,7 @@ def test_budget_outcome_is_memoised(monkeypatch):
     try:
         for _ in range(2):
             with pytest.raises(SearchBudgetError) as err:
-                decide_infinite(s)
+                decide_infinite_trace(s)
             errors.append(err.value)
     finally:
         substitution._tables.cache_clear()
@@ -363,3 +372,96 @@ def test_conjugacy_evidence_on_windows():
     # the letter map stays injective on distinct sampled windows
     mapped_windows = {"".join(mapping[t] for t in w) for w in seen_windows}
     assert len(mapped_windows) == len(seen_windows)
+
+
+def _periodic_cuts(count, seed):
+    """Primitive substitutions with a finite subshift: the letters of a
+    word ``u`` are distinct, and the images of its letters, in order, are
+    consecutive cuts of ``u^k``, so σ fixes the periodic point ``u^∞``
+    and every iterate is a factor of it.  About a third have cuts of
+    unequal length, and the constant-length ones are non-injective when
+    the length shares a factor with ``|u|`` (deterministic seed)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(2, 5)
+        u = "".join(rng.sample("abcde", m))
+        k = rng.randint(2, 4)
+        if rng.random() < 0.3:
+            cuts = sorted(rng.sample(range(1, k * m), m - 1))
+        else:
+            cuts = list(range(k, k * m, k))
+        bounds = [0] + cuts + [k * m]
+        word = u * k
+        rules = {u[i]: word[bounds[i] : bounds[i + 1]] for i in range(m)}
+        s = Substitution.from_rules(rules, tuple(sorted(u)))
+        if is_primitive(s):
+            out.append(s)
+    return out
+
+
+def test_criterion_agrees_with_the_trace(fixtures, random_corpus_any, variable_corpus):
+    finite = _periodic_cuts(200, seed=17)
+    assert any(s.constant_length is None for s in finite)
+    assert any(not s.is_injective() for s in finite)
+    corpus = list(fixtures.values()) + random_corpus_any + variable_corpus + finite
+    corpus += [s for s in anagram_substitutions(500) if is_primitive(s)]
+    verdicts = set()
+    for s in corpus:
+        infinite = decide_infinite(s)
+        assert infinite == decide_infinite_trace(s)[0], s.rules()
+        verdicts.add(infinite)
+    assert not any(decide_infinite(s) for s in finite)
+    assert verdicts == {False, True}
+
+
+def test_decision_paths_never_search(fixtures, monkeypatch):
+    # every decision reads the right-extension rule: with the search
+    # raising, the rank-deficient input and the fixtures still decide
+    from substchaos import (
+        OdometerDigits,
+        classify_pair,
+        enumerate_fiber,
+        fiber_bound,
+        has_ly_pairs,
+        has_uncountable_ly,
+        li_yorke_certificate,
+        reduction,
+        substitution,
+        tower_substitution,
+    )
+
+    from conftest import fixed_points
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the simplification search ran")
+
+    monkeypatch.setattr(reduction, "is_simplifiable", no_search)
+    substitution._tables.cache_clear()
+    try:
+        corpus = list(fixtures.values()) + [parse_substitution(RANK_DEFICIENT)]
+        for s in corpus:
+            assert decide_infinite(s)
+            assert fiber_bound(s) >= s.size
+            has_ly_pairs(s)
+            has_uncountable_ly(s)
+            li_yorke_certificate(s)
+            p = s.constant_length
+            assert enumerate_fiber(s, OdometerDigits(p, (), (0, p - 1)))
+            x, *others = fixed_points(s)
+            for y in others + [x.shift()]:
+                classify_pair(x, y)
+        assert tower_substitution(5).substitution.size == 6
+        with pytest.raises(AssertionError):
+            decide_infinite_trace(parse_substitution(RANK_DEFICIENT))
+    finally:
+        substitution._tables.cache_clear()
+
+
+def test_right_special_letter_of_a_finite_variable_length_input():
+    # (aab)^∞ is the fixed point: `a` is followed by `a` and `b`, yet the
+    # subshift is finite, so variable length keeps the trace's verdict
+    s = parse_substitution("a -> aab\nb -> aabaab")
+    assert is_primitive(s)
+    assert biprolongeable_letters(s) == ["a"]
+    assert decide_infinite(s) is False

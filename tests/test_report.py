@@ -1,4 +1,4 @@
-"""The analysis bundle: how often ``analyze`` runs the finiteness search,
+"""The analysis bundle: how often ``analyze`` runs the simplification search,
 how it derives ``is_elementary`` from the decision trace, and the memory
 of the brute-force scan."""
 

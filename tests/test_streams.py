@@ -274,6 +274,7 @@ def test_fiber_within_bound_many_digit_sequences(fixtures):
         for digits in unique:
             pts = enumerate_fiber(s, digits, radius=128)
             assert len(pts) <= bound, (s.rules(), digits)
+            assert len(set(pts)) == len(pts), (s.rules(), digits)
 
 
 def test_cross_fiber_pairs_stay_separated(fixtures):
