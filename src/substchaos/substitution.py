@@ -12,7 +12,10 @@ length-N factors of σ^m(L_2), where m is the least power with
 |σ^m(a)| >= N - 1 for every letter a, and every shorter L_k is the set of
 length-k prefixes of L_N (proof in ``language_chr``).  The work is
 O(|L_2| · max_a |σ^m(a)|) slices of length N, so language listings and
-complexity counts need no word budget.
+complexity counts need no word budget.  L_2 itself is the closure of the
+two-letter factors of the images under the boundary pairs
+``last(σ(c)) first(σ(d))``, and a listing goes back to public form
+through one ``decode`` of its words joined, cut every N letters.
 """
 
 from __future__ import annotations
@@ -68,6 +71,8 @@ class Substitution:
         index = {tok: i for i, tok in enumerate(self.alphabet)}
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_codes", {**index, **{i: i for i in range(n)}})
+        # translate table that deletes every known letter code
+        object.__setattr__(self, "_known", dict.fromkeys(range(n)))
 
     def __hash__(self):
         return self._hash
@@ -89,12 +94,8 @@ class Substitution:
         images = []
         for tok in alphabet:
             img = rules[tok]
-            if isinstance(img, str):
-                toks = list(img)
-            else:
-                toks = list(img)
             try:
-                images.append("".join(chr(index[t]) for t in toks))
+                images.append("".join(chr(index[t]) for t in img))
             except KeyError as exc:
                 raise InvariantError(f"image of {tok!r} uses unknown letter {exc.args[0]!r}")
         return cls(alphabet, tuple(images))
@@ -139,8 +140,9 @@ class Substitution:
         """Internal chr-coded word back to public form.  With one-character
         tokens the alphabet is the translate table, as the images are in
         ``apply``; ``translate`` leaves a code past its end unmapped, so
-        such codes are refused first."""
-        if chrword and ord(max(chrword)) >= self.size:
+        such codes are refused first: a ``translate`` that deletes every
+        code below the alphabet size leaves exactly the unknown ones."""
+        if chrword.translate(self._known):
             raise InvariantError(f"word uses a letter code >= {self.size}")
         if self._one_char_tokens:
             return chrword.translate(self.alphabet)
@@ -398,11 +400,13 @@ def language_chr(subst, length):
 
     The bound is on the letter images, not on the images of two-letter
     words, because the rules of a variable-length input can differ in
-    length.  L_2 comes from closing a seed set of at most |A|^2 words
-    under σ, and L_1 is the set of first letters of L_2.  The work is
-    ``|L_2| · max_a |σ^m(a)|`` slices of length N, and at constant
-    length p, ``p^m < p (N - 1)``.  Those symbols are counted from the
-    image lengths first, and a listing whose count exceeds
+    length.  L_2 comes from closing the two-letter factors of the images
+    under the boundary pairs ``last(σ(c)) first(σ(d))``, without applying
+    σ (proof in ``_two_letter_words``), and L_1 is the set of first
+    letters of L_2.  The work is ``|L_2| · max_a |σ^m(a)|`` slices of
+    length N, and at constant length p, ``p^m < p (N - 1)``.  Those
+    symbols are counted from the image lengths first, and a listing
+    whose count exceeds
     ``DEFAULT_WORD_BUDGET`` is refused before any word is built.
     """
     if length < 1:
@@ -442,21 +446,29 @@ def _charge_listing(symbols, length):
 
 def _two_letter_words(subst):
     """L_2 of a primitive substitution on at least two letters: the
-    two-letter factors of letter images of length >= 2, closed under one
-    application of σ.  The set is monotone and bounded, so the loop ends
-    at the full factor set."""
-    words = [chr(i) for i in range(subst.size)]
-    while min(len(w) for w in words) < 2:
-        words = [subst.apply(w) for w in words]
-    current = {w[i : i + 2] for w in words for i in range(len(w) - 1)}
-    while True:
-        fresh = set()
-        for w in current:
-            img = subst.apply(w)
-            fresh.update(img[i : i + 2] for i in range(len(img) - 1))
-        if fresh <= current:
-            return frozenset(current)
-        current |= fresh
+    two-letter factors of the letter images, closed under the boundary
+    map ``B(cd) = last(σ(c)) first(σ(d))`` with a worklist that pops each
+    word once.  No image is applied.
+
+    - Nothing outside L_2: every letter is in the language (σ is
+      primitive), so every image σ(a) and its factors are, and ``B(cd)``
+      is a factor of σ(cd), which is in the language when ``cd`` is.
+    - Nothing missing: a word of L_2 is a factor of σ^j(c) for some
+      ``j >= 1``, whatever the letter ``c`` (σ is primitive).  Every
+      two-letter factor of σ^j(c) is in the set, by induction on ``j``:
+      it lies inside the image of one letter, or it is ``B(xy)`` for a
+      two-letter factor ``xy`` of σ^(j-1)(c).
+    """
+    last, first = last_letter_map(subst), first_letter_map(subst)
+    words = {img[i : i + 2] for img in subst.images for i in range(len(img) - 1)}
+    todo = list(words)
+    while todo:
+        c, d = todo.pop()
+        w = chr(last[ord(c)]) + chr(first[ord(d)])
+        if w not in words:
+            words.add(w)
+            todo.append(w)
+    return frozenset(words)
 
 
 def _languages_up_to(subst, length):
@@ -469,14 +481,23 @@ def _languages_up_to(subst, length):
     return {k: frozenset(w[:k] for w in top) for k in range(1, length + 1)}
 
 
+def _decoded(subst, words, length):
+    """Public forms of internal words of one length, in order, through one
+    ``decode`` of their concatenation cut every ``length`` letters:
+    slicing a string or a token tuple gives the same words as decoding
+    them one by one."""
+    joined = subst.decode("".join(words))
+    return [joined[i : i + length] for i in range(0, len(joined), length)]
+
+
 def language(subst, length):
     """The set of length-``length`` words of the subshift, public form."""
-    return {subst.decode(w) for w in language_chr(subst, length)}
+    return set(_decoded(subst, language_chr(subst, length), length))
 
 
 def sorted_language(subst, length):
     """Language sorted by alphabet order (deterministic listings)."""
-    return [subst.decode(w) for w in sorted(language_chr(subst, length))]
+    return _decoded(subst, sorted(language_chr(subst, length)), length)
 
 
 def complexity(subst, max_length):

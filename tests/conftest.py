@@ -171,6 +171,25 @@ def closure_language_chr(subst, length):
         current |= fresh
 
 
+def round_two_letter_words(subst):
+    """L_2 of a primitive substitution on at least two letters: the
+    two-letter factors of letter images of length >= 2, closed under one
+    application of σ to every word per round.  The set is monotone and
+    bounded, so the loop ends at the full factor set."""
+    words = [chr(i) for i in range(subst.size)]
+    while min(len(w) for w in words) < 2:
+        words = [subst.apply(w) for w in words]
+    current = {w[i : i + 2] for w in words for i in range(len(w) - 1)}
+    while True:
+        fresh = set()
+        for w in current:
+            img = subst.apply(w)
+            fresh.update(img[i : i + 2] for i in range(len(img) - 1))
+        if fresh <= current:
+            return frozenset(current)
+        current |= fresh
+
+
 # ---------------------------------------------------------------------------
 # seeded random substitution corpus
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_literal, report, simulate
-from substchaos.substitution import DEFAULT_WORD_BUDGET
+from substchaos.substitution import DEFAULT_WORD_BUDGET, language_chr
 
 from conftest import ABA, FIXTURE_SOURCES, LY_TWO, MORSE, radius_samples
 
@@ -229,6 +229,18 @@ def test_analyze_walks_a_long_image_without_recursion(deep_file):
 def test_language_command(morse_file):
     doc = json.loads(run_cli("language", morse_file, "3").stdout)
     assert doc["words"] == ["001", "010", "011", "100", "101", "110"]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 17, 65])
+def test_language_of_tokens_prints_the_word_by_word_listing(tmp_path, length):
+    text = "`zero` -> `zero` x `two`\nx -> `two` `zero` x\n`two` -> x x `zero`"
+    path = tmp_path / "tokens.txt"
+    path.write_text(text)
+    s = parse_substitution(text)
+    words = [" ".join(s.decode(w)) for w in sorted(language_chr(s, length))]
+    doc = {"length": length, "count": len(words), "words": words}
+    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert run_main(["language", str(path), str(length)]) == (0, expected, "")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Core substitution operations: parsing, iteration, primitivity,
 language generation, the pair substitution."""
 
+import random
 from dataclasses import fields
 
 import pytest
@@ -21,6 +22,7 @@ from substchaos import (
 from substchaos.errors import BudgetExceededError, InvariantError, PreconditionError
 from substchaos.substitution import (
     _membership_base,
+    _two_letter_words,
     desubstitute,
     in_language,
     iterate_chr,
@@ -29,7 +31,7 @@ from substchaos.substitution import (
     wielandt_bound,
 )
 
-from conftest import closure_language_chr
+from conftest import CORPUS_SEED, closure_language_chr, round_two_letter_words
 
 
 def test_parse_morse():
@@ -253,6 +255,73 @@ def test_language_words_extend_both_ways(fixtures, random_corpus_any, variable_c
             assert {w[:-1] for w in longer} == shorter, (s.rules(), n)
             assert {w[1:] for w in longer} == shorter, (s.rules(), n)
             shorter = longer
+
+
+def short_image_corpus(count=300, seed=CORPUS_SEED + 5):
+    """Primitive substitutions with at least one image of length 1, images
+    of length 1 to 6, |A| <= 6 (deterministic seed)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        alphabet = tuple("abcdef"[: rng.randint(2, 6)])
+        rules = {
+            tok: "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+            for tok in alphabet
+        }
+        rules[rng.choice(alphabet)] = rng.choice(alphabet)
+        s = Substitution.from_rules(rules, alphabet)
+        if is_primitive(s):
+            out.append(s)
+    return out
+
+
+def test_two_letter_words_match_the_round_closure(fixtures, random_corpus_any, variable_corpus):
+    corpus = [*fixtures.values(), *random_corpus_any, *variable_corpus, *short_image_corpus()]
+    for s in corpus:
+        assert _two_letter_words(s) == round_two_letter_words(s), s.rules()
+
+
+def test_two_letter_words_apply_no_more_than_the_seed(
+    fixtures, random_corpus_any, variable_corpus, monkeypatch
+):
+    # the closure reads last and first letters of images; whatever |L_2|
+    # is, σ is applied to no more words than one round over the letters
+    calls = []
+    apply = Substitution.apply
+    monkeypatch.setattr(Substitution, "apply", lambda s, w: calls.append(w) or apply(s, w))
+    for s in [*fixtures.values(), *random_corpus_any, *variable_corpus]:
+        calls.clear()
+        words = _two_letter_words(s)
+        assert len(calls) <= s.size, (s.rules(), len(words))
+
+
+BULK_LENGTHS = (1, 2, 3, 17, 65)
+BULK_SOURCES = {
+    "one-char": "0 -> 0123\n1 -> 1032\n2 -> 1023\n3 -> 0132",
+    "variable": "a -> aab\nb -> ba",
+    "tokens": "`zero` -> `zero` x `two`\nx -> `two` `zero` x\n`two` -> x x `zero`",
+    "one-letter": "a -> aa",
+    "one-token": "`aa` -> `aa` `aa` `aa`",
+}
+
+
+@pytest.mark.parametrize("text", BULK_SOURCES.values(), ids=BULK_SOURCES.keys())
+def test_listing_is_decoded_once_and_equals_word_by_word(text, monkeypatch):
+    s = parse_substitution(text)
+    expected = {
+        n: [s.decode(w) for w in sorted(language_chr(s, n))] for n in BULK_LENGTHS
+    }
+    calls = []
+    decode = Substitution.decode
+    monkeypatch.setattr(Substitution, "decode", lambda s, w: calls.append(w) or decode(s, w))
+    for n in BULK_LENGTHS:
+        calls.clear()
+        assert sorted_language(s, n) == expected[n], n
+        assert len(calls) == 1
+        calls.clear()
+        assert language(s, n) == set(expected[n]), n
+        assert len(calls) == 1
+        assert all(len(w) == n for w in expected[n])
 
 
 def test_iterate_slice_matches_full():
