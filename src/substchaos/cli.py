@@ -14,13 +14,7 @@ import sys
 from functools import lru_cache
 
 from . import __version__
-from .errors import (
-    BudgetExceededError,
-    InvariantError,
-    ParseError,
-    PreconditionError,
-    SubstitutionError,
-)
+from .errors import BudgetExceededError, ParseError, SubstitutionError
 from .pairs import classify_pair
 from .report import analyze
 from .reduction import decide_infinite_trace, one_to_one_reduction
@@ -65,6 +59,8 @@ def _load_point(subst, literal):
         doc = json.loads(literal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid point literal: {exc.msg}")
+    except RecursionError:
+        raise ParseError("invalid point literal: nested too deeply")
     return point_from_literal(subst, doc)
 
 
@@ -130,10 +126,13 @@ def cmd_simulate(args):
     horizon = args.horizon if args.horizon is not None else default_horizon(subst)
     if args.csv:
         report, samples = _evidence_and_radii(x, y, horizon, args.window, args.max_word)
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("n,radius\n")
-            for n, r in samples:
-                fh.write(f"{n},{r}\n")
+        try:
+            with open(args.csv, "w", encoding="utf-8") as fh:
+                fh.write("n,radius\n")
+                for n, r in samples:
+                    fh.write(f"{n},{r}\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.csv}: {exc.strerror}")
     else:
         report = empirical_class(x, y, horizon, args.window, args.max_word)
     _emit(report.to_json())
@@ -237,9 +236,6 @@ def main(argv=None):
     except BudgetExceededError as exc:
         _error(exc)
         return EXIT_BUDGET
-    except (PreconditionError, InvariantError) as exc:
-        _error(exc)
-        return EXIT_PRECONDITION
     except SubstitutionError as exc:
         _error(exc)
         return EXIT_PRECONDITION

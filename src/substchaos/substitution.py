@@ -7,15 +7,18 @@ Words are handled internally as strings over ``chr(0) .. chr(k-1)`` where
 otherwise).  All values are immutable after construction, so everything
 here is safe to share between threads.
 
-The language is listed in one pass: for N >= 3, L_N is the set of
-length-N factors of σ^m(L_2), where m is the least power with
-|σ^m(a)| >= N - 1 for every letter a, and every shorter L_k is the set of
-length-k prefixes of L_N (proof in ``language_chr``).  The work is
-O(|L_2| · max_a |σ^m(a)|) slices of length N, so language listings and
-complexity counts need no word budget.  L_2 itself is the closure of the
-two-letter factors of the images under the boundary pairs
-``last(σ(c)) first(σ(d))``, and a listing goes back to public form
-through one ``decode`` of its words joined, cut every N letters.
+The language is read from covering words: for each ``cd`` in L_2 the
+word ``σ^m(c)σ^m(d)``, where m is the least power with |σ^m(a)| >= N - 1
+for every letter a.  L_N is the set of their length-N factors that start
+inside ``σ^m(c)`` (proof in ``_covering_words``).  The listing
+``language_chr``, the membership test ``in_language`` and the tower's
+preimage search ``tower.preimage_candidates`` all read these words, so
+nothing is de-substituted.  A listing is O(|L_2| · max_a |σ^m(a)|)
+slices of length N, counted from the image lengths before any word is
+built.  L_2 itself is the closure of the two-letter factors of the
+images under the boundary pairs ``last(σ(c)) first(σ(d))``, and a
+listing goes back to public form through one ``decode`` of its words
+joined, cut every N letters.
 """
 
 from __future__ import annotations
@@ -271,6 +274,8 @@ def _parse_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", 1, 1)
     if not isinstance(doc, dict) or "rules" not in doc:
         raise ParseError("JSON document must contain a 'rules' object", 1, 1)
     rules = doc["rules"]
@@ -380,10 +385,44 @@ def language_chr(subst, length):
     """All internal length-``length`` subwords of the subshift, as a
     frozenset.  Requires a primitive substitution.
 
-    One pass, no fixpoint per length.  Let ``m`` be the least power with
-    ``|σ^m(a)| >= N - 1`` for every letter ``a``, N = ``length`` >= 3.
-    Then L_N is the set of length-N factors of the words ``σ^m(cd)``,
-    ``cd`` in L_2, that start inside ``σ^m(c)``:
+    One pass, no fixpoint per length: L_N for N >= 3 is the set of
+    length-N factors of the covering words ``σ^m(c)σ^m(d)`` that start
+    inside ``σ^m(c)`` (proof in ``_covering_words``).  L_2 comes from closing the
+    two-letter factors of the images under the boundary pairs
+    ``last(σ(c)) first(σ(d))``, without applying σ (proof in
+    ``_two_letter_words``); L_1, where ``m = 0``, is the set of first
+    letters of L_2.  The work is ``|L_2| · max_a |σ^m(a)|`` slices of
+    length N, and at constant length p, ``p^m < p (N - 1)``.  Those
+    symbols are counted from the image lengths first, and a listing
+    whose count exceeds ``DEFAULT_WORD_BUDGET`` is refused before any
+    word is built.
+    """
+    if length < 1:
+        raise PreconditionError("word length must be >= 1")
+    if not is_primitive(subst):
+        raise PreconditionError("language generation requires a primitive substitution")
+    n = subst.size
+    if n == 1:
+        _charge_listing(length, length)
+        return frozenset({chr(0) * length})
+    if length == 2:
+        return _two_letter_words(subst)
+    sizes = [1] * n
+    while min(sizes) < length - 1:
+        sizes = [sum(sizes[ord(c)] for c in img) for img in subst.images]
+    _charge_listing(len(language_chr(subst, 2)) * max(sizes) * length, length)
+    words = {u[i : i + length] for lead, u in _covering_words(subst, length) for i in range(lead)}
+    # copied from a set, a frozenset is sized to its words; grown from an
+    # iterator it keeps the slack of its growth, up to twice the table
+    return frozenset(words)
+
+
+def _covering_words(subst, length):
+    """Yield ``(|σ^m(c)|, σ^m(c)σ^m(d))`` for each ``cd`` in L_2, where
+    ``m`` is the least power with ``|σ^m(a)| >= N - 1`` for every letter
+    ``a``, N = ``length`` >= 1.  The length-N factors of these words that
+    start inside ``σ^m(c)`` are exactly L_N.  Requires a primitive
+    substitution.
 
     - Each of them is in the language, since ``cd`` is and the language
       is closed under σ and under taking factors.
@@ -400,40 +439,21 @@ def language_chr(subst, length):
 
     The bound is on the letter images, not on the images of two-letter
     words, because the rules of a variable-length input can differ in
-    length.  L_2 comes from closing the two-letter factors of the images
-    under the boundary pairs ``last(σ(c)) first(σ(d))``, without applying
-    σ (proof in ``_two_letter_words``), and L_1 is the set of first
-    letters of L_2.  The work is ``|L_2| · max_a |σ^m(a)|`` slices of
-    length N, and at constant length p, ``p^m < p (N - 1)``.  Those
-    symbols are counted from the image lengths first, and a listing
-    whose count exceeds
-    ``DEFAULT_WORD_BUDGET`` is refused before any word is built.
+    length.  On one letter, where σ need not grow, the one covering word
+    is ``0^N`` itself.
     """
     if length < 1:
         raise PreconditionError("word length must be >= 1")
-    if not is_primitive(subst):
-        raise PreconditionError("language generation requires a primitive substitution")
-    n = subst.size
-    if n == 1:
-        _charge_listing(length, length)
-        return frozenset({chr(0) * length})
-    if length == 1:
-        return frozenset(w[0] for w in language_chr(subst, 2))
-    if length == 2:
-        return _two_letter_words(subst)
-    sizes = [1] * n
-    while min(sizes) < length - 1:
-        sizes = [sum(sizes[ord(c)] for c in img) for img in subst.images]
-    _charge_listing(len(language_chr(subst, 2)) * max(sizes) * length, length)
-    images = [chr(i) for i in range(n)]
-    while min(len(w) for w in images) < length - 1:
+    pairs = language_chr(subst, 2)
+    if subst.size == 1:
+        yield 1, chr(0) * length
+        return
+    images = [chr(i) for i in range(subst.size)]
+    while min(map(len, images)) < length - 1:
         images = [subst.apply(w) for w in images]
-    words = set()
-    for c, d in language_chr(subst, 2):
+    for c, d in pairs:
         left = images[ord(c)]
-        w = left + images[ord(d)]
-        words.update(w[i : i + length] for i in range(len(left)))
-    return frozenset(words)
+        yield len(left), left + images[ord(d)]
 
 
 def _charge_listing(symbols, length):
@@ -471,16 +491,6 @@ def _two_letter_words(subst):
     return frozenset(words)
 
 
-def _languages_up_to(subst, length):
-    """``{k: L_k}`` for ``k = 1 .. length`` from one listing: L_k is the
-    set of length-k prefixes of L_length, because every word of the
-    language of a subshift extends to the right."""
-    if length < 1:
-        return {}
-    top = language_chr(subst, length)
-    return {k: frozenset(w[:k] for w in top) for k in range(1, length + 1)}
-
-
 def _decoded(subst, words, length):
     """Public forms of internal words of one length, in order, through one
     ``decode`` of their concatenation cut every ``length`` letters:
@@ -501,73 +511,29 @@ def sorted_language(subst, length):
 
 
 def complexity(subst, max_length):
-    """Factor counts ``p(1) .. p(max_length)``."""
-    return [len(words) for words in _languages_up_to(subst, max_length).values()]
-
-
-@memoised
-def _membership_base(subst):
-    p = subst.constant_length
-    limit = max(2 * p + 2, 4)
-    return limit, _languages_up_to(subst, limit)
-
-
-@memoised
-def _image_index(subst):
-    return {img: i for i, img in enumerate(subst.images)}
-
-
-def desubstitute(subst, word):
-    """Read an internal word as a slice of the image of a parent word.
-
-    Yields ``(start, parent)`` with ``subst.apply(parent)[start : start +
-    len(word)] == word`` for every block alignment of ``word`` (``lead``
-    letters before the first whole block, ``start = (p - lead) % p``) and
-    every letter whose image ends with the partial head block and every
-    letter whose image starts with the partial tail block.  Whole blocks
-    are read back through the image index, so for an injective
-    substitution every parent of ``word`` is yielded.  Requires constant
-    length ``p`` and ``len(word) >= p``.
-    """
-    p = subst.constant_length
-    if p is None or len(word) < p:
-        raise PreconditionError("de-substitution needs constant length and a word of >= p letters")
-    img_index = _image_index(subst)
-    m = len(word)
-    for lead in range(p):
-        body_end = lead + ((m - lead) // p) * p
-        core = []
-        for i in range(lead, body_end, p):
-            letter = img_index.get(word[i : i + p])
-            if letter is None:
-                break
-            core.append(chr(letter))
-        else:
-            head, tail = word[:lead], word[body_end:]
-            lefts = [chr(c) for c, img in enumerate(subst.images) if img.endswith(head)]
-            rights = [chr(c) for c, img in enumerate(subst.images) if img.startswith(tail)]
-            core = "".join(core)
-            for lc in lefts if head else [""]:
-                for rc in rights if tail else [""]:
-                    yield (p - lead) % p, lc + core + rc
+    """Factor counts ``p(1) .. p(max_length)`` from one listing: L_k is
+    the set of length-k prefixes of L_max_length, because every word of
+    the language of a subshift extends to the right."""
+    if max_length < 1:
+        return []
+    top = language_chr(subst, max_length)
+    return [len({w[:k] for w in top}) for k in range(1, max_length + 1)]
 
 
 def in_language(subst, chrword):
-    """Exact membership of an internal word in the subshift language.
-
-    A word longer than the enumerated factor base is in the language
-    exactly when one of its parents (``desubstitute``) is, so the check
-    recurses on parents until they are short enough to look up.
-    Requires a primitive injective constant-length substitution.
+    """Exact membership of an internal word in the subshift language: a
+    word of length N is in L_N exactly when it occurs in a covering word
+    ``σ^m(c)σ^m(d)`` (``_covering_words``) starting inside ``σ^m(c)``.
+    The work is at most ``|L_2| · 2 max_a |σ^m(a)|`` symbols, with
+    ``p^m < p (N - 1)``.  Requires a primitive injective constant-length
+    substitution.
     """
     if subst.constant_length is None or not subst.is_injective():
         raise PreconditionError("membership test needs an injective constant-length substitution")
     if not chrword:
         return True
-    limit, base = _membership_base(subst)
-    if len(chrword) <= limit:
-        return chrword in base[len(chrword)]
-    return any(in_language(subst, parent) for _, parent in desubstitute(subst, chrword))
+    length = len(chrword)
+    return any(chrword in u[: lead + length - 1] for lead, u in _covering_words(subst, length))
 
 
 # ---------------------------------------------------------------------------

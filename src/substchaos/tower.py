@@ -16,7 +16,7 @@ from .pairs import PairClass, classify_pair
 from .reduction import decide_infinite
 from .simulate import empirical_class
 from .streams import RepresentedPoint, DesubstitutionStream, StreamEntry
-from .substitution import Substitution, desubstitute, is_primitive, language_chr
+from .substitution import Substitution, _covering_words, is_primitive, language_chr
 
 
 @dataclass(frozen=True)
@@ -183,46 +183,16 @@ def verify_scrambled_S(depth, horizon, window=16):
 # window preimages under the level projection
 
 
-def _rho_preimage_windows(lower, upper, project, window):
-    """Words over the alphabet of ``upper`` that project letterwise to the
-    lower-level ``window`` and lie in the upper language.
-
-    De-substitution search: a long language word is a slice of the image
-    of a shorter one, and projection commutes with the substitutions, so
-    each block alignment of the lower window determines (up to boundary
-    letters) a lower parent window whose upper preimages expand and slice
-    back to the candidates.  The parent shrinks threefold per round.
-    """
-    base_len = 3 * lower.constant_length
-    memo = {}
-
-    def project_word(w):
-        return "".join(project(ch) for ch in w)
-
-    def solve(win):
-        if win in memo:
-            return memo[win]
-        m = len(win)
-        if m <= base_len:
-            out = sorted(
-                w for w in language_chr(upper, m) if project_word(w) == win
-            )
-            memo[win] = out
-            return out
-        found = set()
-        for start, parent in desubstitute(lower, win):
-            found.update(upper.apply(up)[start : start + m] for up in solve(parent))
-        out = sorted(found)
-        memo[win] = out
-        return out
-
-    return solve(window)
-
-
 def preimage_candidates(n, window_chr, core_radius=None):
     """Words over the level-``n+1`` alphabet that project to the given
     level-``n`` window and belong to the level-``n+1`` language, counted
     up to agreement on the central core.
+
+    The level-``n+1`` words of the window's length are the factors of the
+    covering words ``σ^m(c)σ^m(d)`` that start inside ``σ^m(c)``
+    (``substitution._covering_words``), so each covering word is
+    projected once through ρ, and each hit of the window at such a start
+    is kept.
 
     A finite window cannot constrain its own tails (a word that only looks
     like a left-infinite limit tail may legally occur elsewhere in the
@@ -230,14 +200,20 @@ def preimage_candidates(n, window_chr, core_radius=None):
     the same evidence; the search pins the central core.  The default core
     keeps one ninth of the window radius.
     """
-    lower = tower_substitution(n).substitution
+    if n < 1:
+        raise PreconditionError("tower levels start at 1")
     upper = tower_substitution(n + 1).substitution
-
-    def project(ch):
-        return chr(min(ord(ch), n))
-
-    words = _rho_preimage_windows(lower, upper, project, window_chr)
-    mid = (len(window_chr) - 1) // 2
+    m = len(window_chr)
+    found = set()
+    for lead, u in _covering_words(upper, m):
+        # ρ drops the top letter n + 1 to n and keeps every other letter
+        projected = u.translate({n + 1: n})
+        i = projected.find(window_chr, 0, lead + m - 1)
+        while i >= 0:
+            found.add(u[i : i + m])
+            i = projected.find(window_chr, i + 1, lead + m - 1)
+    words = sorted(found)
+    mid = (m - 1) // 2
     if core_radius is None:
         core_radius = max(1, mid // 9)
     if core_radius >= mid:

@@ -7,6 +7,7 @@ import random
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -64,6 +65,7 @@ from substchaos.substitution import (
     last_letter_map,
     language_chr,
 )
+from substchaos.tower import tower_substitution
 
 MORSE = "0 -> 01\n1 -> 10"
 TOEPLITZ = "0 -> 01\n1 -> 00"
@@ -188,6 +190,113 @@ def round_two_letter_words(subst):
         if fresh <= current:
             return frozenset(current)
         current |= fresh
+
+
+# ---------------------------------------------------------------------------
+# reference membership and tower preimages: recursive de-substitution down
+# to short words looked up in the closure language
+
+
+cached_closure_language_chr = lru_cache(maxsize=None)(closure_language_chr)
+
+
+def desubstitute(subst, word):
+    """Read an internal word as a slice of the image of a parent word.
+
+    Yields ``(start, parent)`` with ``subst.apply(parent)[start : start +
+    len(word)] == word`` for every block alignment of ``word`` (``lead``
+    letters before the first whole block, ``start = (p - lead) % p``) and
+    every letter whose image ends with the partial head block and every
+    letter whose image starts with the partial tail block.  Whole blocks
+    are read back through the image index, so for an injective
+    substitution every parent of ``word`` is yielded.  Requires constant
+    length ``p`` and ``len(word) >= p``.
+    """
+    p = subst.constant_length
+    if p is None or len(word) < p:
+        raise PreconditionError("de-substitution needs constant length and a word of >= p letters")
+    img_index = {img: i for i, img in enumerate(subst.images)}
+    m = len(word)
+    for lead in range(p):
+        body_end = lead + ((m - lead) // p) * p
+        core = []
+        for i in range(lead, body_end, p):
+            letter = img_index.get(word[i : i + p])
+            if letter is None:
+                break
+            core.append(chr(letter))
+        else:
+            head, tail = word[:lead], word[body_end:]
+            lefts = [chr(c) for c, img in enumerate(subst.images) if img.endswith(head)]
+            rights = [chr(c) for c, img in enumerate(subst.images) if img.startswith(tail)]
+            core = "".join(core)
+            for lc in lefts if head else [""]:
+                for rc in rights if tail else [""]:
+                    yield (p - lead) % p, lc + core + rc
+
+
+def recursive_in_language(subst, chrword):
+    """Reference for ``substitution.in_language``: a word longer than
+    ``max(2p + 2, 4)`` letters is in the language exactly when one of its
+    parents (``desubstitute``) is, so the check recurses on parents until
+    they are short enough to look up."""
+    if subst.constant_length is None or not subst.is_injective():
+        raise PreconditionError("membership test needs an injective constant-length substitution")
+    if not chrword:
+        return True
+    if len(chrword) <= max(2 * subst.constant_length + 2, 4):
+        return chrword in cached_closure_language_chr(subst, len(chrword))
+    return any(recursive_in_language(subst, parent) for _, parent in desubstitute(subst, chrword))
+
+
+@lru_cache(maxsize=None)
+def rho_preimage_windows(n, window):
+    """Words over the level-``n+1`` tower alphabet that project letterwise
+    to the level-``n`` ``window`` and lie in the level-``n+1`` language.
+
+    A long language word is a slice of the image of a shorter one, and
+    projection commutes with the substitutions, so each block alignment
+    of the lower window determines (up to boundary letters) a lower
+    parent window whose upper preimages expand and slice back to the
+    candidates.  The parent shrinks threefold per round.  Memoised, so a
+    window compared at several core radii is searched once."""
+    lower = tower_substitution(n).substitution
+    upper = tower_substitution(n + 1).substitution
+    base_len = 3 * lower.constant_length
+    memo = {}
+
+    def project(w):
+        return "".join(chr(min(ord(ch), n)) for ch in w)
+
+    def solve(win):
+        if win not in memo:
+            m = len(win)
+            if m <= base_len:
+                found = {w for w in cached_closure_language_chr(upper, m) if project(w) == win}
+            else:
+                found = set()
+                for start, parent in desubstitute(lower, win):
+                    found.update(upper.apply(up)[start : start + m] for up in solve(parent))
+            memo[win] = sorted(found)
+        return memo[win]
+
+    return solve(window)
+
+
+def recursive_preimage_candidates(n, window, core_radius=None):
+    """Reference for ``tower.preimage_candidates``: the windows of
+    ``rho_preimage_windows`` counted up to agreement on the central
+    core."""
+    words = rho_preimage_windows(n, window)
+    mid = (len(window) - 1) // 2
+    if core_radius is None:
+        core_radius = max(1, mid // 9)
+    if core_radius >= mid:
+        return words
+    seen = {}
+    for w in words:
+        seen.setdefault(w[mid - core_radius : mid + core_radius + 1], w)
+    return [seen[key] for key in sorted(seen)]
 
 
 # ---------------------------------------------------------------------------

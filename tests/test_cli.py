@@ -326,6 +326,49 @@ def test_simulate_command_with_csv(ly_file, tmp_path):
     assert len(lines) == 202
 
 
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_simulate_csv_that_cannot_be_written_is_a_parse_error(ly_file, tmp_path, where):
+    x = json.dumps({"kind": "stream", "period": [["", "0", "10"]], "left_seed": "0"})
+    csv_path = tmp_path if where == "directory" else tmp_path / "missing" / "samples.csv"
+    res = run_cli("simulate", ly_file, "--x", x, "--y", x, "--horizon", "9", "--csv", str(csv_path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "ParseError"
+    assert err["message"].startswith(f"cannot write {csv_path}: ")
+
+
+# nested far past the interpreter's recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def test_deeply_nested_substitution_json_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"rules": ' + DEEP_JSON + "}")
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "ParseError",
+        "message": "line 1, column 1: invalid JSON: nested too deeply",
+    }
+
+
+def test_deeply_nested_point_literal_is_a_parse_error(morse_file, tmp_path):
+    path = tmp_path / "deep_point.json"
+    path.write_text(DEEP_JSON)
+    res = run_cli("classify", morse_file, "--x", f"@{path}", "--y", f"@{path}")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    (line,) = res.stderr.splitlines()
+    assert json.loads(line) == {
+        "error": "ParseError",
+        "message": "invalid point literal: nested too deeply",
+    }
+
+
 def test_simulate_csv_compares_the_windows_once(ly_file, tmp_path, monkeypatch, capsys):
     # the report and the CSV radii are read off one difference-flag string,
     # and match the separate empirical_class and radius_samples outputs

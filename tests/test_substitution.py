@@ -21,9 +21,7 @@ from substchaos import (
 )
 from substchaos.errors import BudgetExceededError, InvariantError, PreconditionError
 from substchaos.substitution import (
-    _membership_base,
     _two_letter_words,
-    desubstitute,
     in_language,
     iterate_chr,
     iterate_slice,
@@ -31,7 +29,13 @@ from substchaos.substitution import (
     wielandt_bound,
 )
 
-from conftest import CORPUS_SEED, closure_language_chr, round_two_letter_words
+from conftest import (
+    CORPUS_SEED,
+    closure_language_chr,
+    desubstitute,
+    recursive_in_language,
+    round_two_letter_words,
+)
 
 
 def test_parse_morse():
@@ -208,7 +212,7 @@ def test_in_language_matches_closure_oracle(fixtures):
     for name, s in fixtures.items():
         if not s.is_injective():
             continue
-        limit, _ = _membership_base(s)
+        limit = max(2 * s.constant_length + 2, 4)
         letters = [chr(i) for i in range(s.size)]
         for n in range(1, limit + 4):
             expected = closure_language_chr(s, n)
@@ -218,6 +222,58 @@ def test_in_language_matches_closure_oracle(fixtures):
                     for c in letters:
                         v = w[:i] + c + w[i + 1 :]
                         assert in_language(s, v) == (v in expected), (name, v)
+
+
+def _injective_inputs():
+    """Six seeded primitive injective inputs for each |A| and p in 2..4."""
+    rng = random.Random(CORPUS_SEED + 5)
+    out = []
+    for n in (2, 3, 4):
+        for p in (2, 3, 4):
+            found = []
+            while len(found) < 6:
+                rules = {chr(97 + a): "".join(rng.choice("abcd"[:n]) for _ in range(p)) for a in range(n)}
+                s = Substitution.from_rules(rules)
+                if s.is_injective() and is_primitive(s):
+                    found.append(s)
+            out += found
+    return out
+
+
+def test_in_language_matches_the_recursive_reference(fixtures):
+    # factors of a long iterate at lengths 1-1,500, each with a one-letter
+    # mutant, against the recursive de-substitution it replaced
+    inputs = [s for s in fixtures.values() if s.is_injective()] + _injective_inputs()
+    assert len(inputs) == 60
+    rng = random.Random(CORPUS_SEED + 6)
+    for s in inputs:
+        u = chr(0)
+        while len(u) < 4000:
+            u = s.apply(u)
+        for _ in range(150):
+            length = rng.randint(1, 1500)
+            i = rng.randrange(len(u) - length)
+            w = u[i : i + length]
+            k = rng.randrange(length)
+            v = w[:k] + chr(rng.randrange(s.size)) + w[k + 1 :]
+            assert in_language(s, w) and recursive_in_language(s, w), (s, w)
+            assert in_language(s, v) == recursive_in_language(s, v), (s, v)
+
+
+@pytest.mark.parametrize("rules", ["0 -> 01\n1 -> 0", "0 -> 01\n1 -> 01", "0 -> 00\n1 -> 11",
+                                   "0 -> 1\n1 -> 0"])
+def test_in_language_refuses_outside_its_domain(rules):
+    # variable length, a repeated image, and two inputs that are not
+    # primitive, one of them never growing
+    with pytest.raises(PreconditionError):
+        in_language(parse_substitution(rules), chr(0) * 9)
+
+
+def test_in_language_of_the_empty_word_and_of_one_letter(fixtures):
+    assert in_language(fixtures["morse"], "")
+    one = parse_substitution("0 -> 0")
+    assert in_language(one, chr(0) * 50)
+    assert not in_language(one, chr(0) * 49 + chr(1))
 
 
 # -- the one-pass language listing -------------------------------------------

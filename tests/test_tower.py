@@ -16,7 +16,10 @@ from substchaos import (
     verify_scrambled_S,
 )
 from substchaos.errors import PreconditionError
+from substchaos.substitution import language_chr
 from substchaos.tower import element_component, rho_chr
+
+from conftest import recursive_preimage_candidates
 
 
 def test_level_one_rules():
@@ -150,3 +153,42 @@ def test_preimage_candidates_exact_small():
     assert cands
     for cand in cands:
         assert rho_chr(1, cand) == win
+
+
+def _reference_windows(n):
+    """The tower-point windows of ``test_preimage_candidates_bounded`` and
+    of acceptance criterion 7 at level ``n``, then every level-``n``
+    language word shorter than 30 letters, in order."""
+    base = tower_point_x(n).expand(729 + 12)
+    windows = [base[12 + j : 12 + j + 2 * 729 + 1] for j in range(10)]
+    samples = [tower_point_x(n), tower_point_y(n, n)]
+    if n >= 2:
+        samples.append(tower_point_y(n, n - 1))
+    windows += [pt.expand(729) for pt in samples]
+    lower = tower_substitution(n).substitution
+    for m in range(1, 30):
+        windows += sorted(language_chr(lower, m))
+    return windows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_preimage_candidates_match_the_recursive_reference(n):
+    # each window and each change of its middle letter, with the default
+    # core and with every candidate kept, against the recursive search
+    total = 0
+    for win in _reference_windows(n):
+        mid = (len(win) - 1) // 2
+        mutants = [win[:mid] + chr(c) + win[mid + 1 :] for c in range(n + 1) if chr(c) != win[mid]]
+        for w in [win, *mutants]:
+            assert preimage_candidates(n, w) == recursive_preimage_candidates(n, w), (n, w)
+            everything = preimage_candidates(n, w, core_radius=len(w))
+            assert everything == recursive_preimage_candidates(n, w, core_radius=len(w)), (n, w)
+            total += len(everything)
+    assert total > 0
+
+
+def test_preimage_candidates_refuse_an_empty_window_and_level_zero():
+    with pytest.raises(PreconditionError, match="word length must be >= 1"):
+        preimage_candidates(1, "")
+    with pytest.raises(PreconditionError, match="tower levels start at 1"):
+        preimage_candidates(0, chr(0))
