@@ -64,8 +64,65 @@ def _load_point(subst, literal):
     return point_from_literal(subst, doc)
 
 
+_quote = json.encoder.encode_basestring
+_compact = json.JSONEncoder(ensure_ascii=False).encode
+_JOIN = {str: _quote, int: int.__repr__}
+
+
+def _write(value, out, pad):
+    """Append the pieces of ``value`` as ``json.dumps`` writes it with
+    ``sort_keys=True, indent=2, ensure_ascii=False``; ``pad`` is a newline
+    and the indent of the enclosing line.  The stdlib takes its pure-Python
+    encoder whenever ``indent`` is set; here a list whose items are all
+    exactly ``str`` or exactly ``int`` is written in one C-speed join, and
+    any other scalar goes through the compact C encoder, so floats, NaN
+    and int or str subclasses read as before.  A key that is not a string
+    is refused with ``TypeError``."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{" + inner
+        for key in sorted(value):
+            out.append(lead + _quote(key) + ": ")
+            _write(value[key], out, inner)
+            lead = "," + inner
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        join = _JOIN.get(kinds.pop()) if len(kinds) == 1 else None
+        if join is not None:
+            out.append("[" + inner + ("," + inner).join(map(join, value)) + pad + "]")
+            return
+        lead = "[" + inner
+        for item in value:
+            out.append(lead)
+            _write(item, out, inner)
+            lead = "," + inner
+        out.append(pad + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        out.append(_compact(value))
+
+
 def _emit(doc):
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+    """Print ``doc`` to stdout in one write, byte for byte
+    ``json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False)``
+    and a newline."""
+    out = []
+    _write(doc, out, "\n")
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _word_str(word):
@@ -106,7 +163,10 @@ def cmd_decide(args):
 def cmd_language(args):
     subst = _load_substitution(args.path)
     words = sorted_language(subst, args.length)
-    _emit({"length": args.length, "count": len(words), "words": [_word_str(w) for w in words]})
+    if words and isinstance(words[0], tuple):
+        # multi-character tokens decode to token tuples; print them space-joined
+        words = [" ".join(w) for w in words]
+    _emit({"length": args.length, "count": len(words), "words": words})
     return EXIT_OK
 
 

@@ -3,11 +3,13 @@ corpus used by the oracle-agreement tests, and the test-side
 cross-checks of library decisions."""
 
 import itertools
+import json
 import random
 from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +86,13 @@ FIXTURE_SOURCES = {
     "baacd": BAACD,
     "four": FOUR,
 }
+
+
+# the classes of bench/countable.json: 3-letter, p <= 3, countably many
+# Li-Yorke pairs; 30 of the 60 have overall coincidences
+COUNTABLE_CLASSES = json.loads(
+    (Path(__file__).resolve().parents[1] / "bench" / "countable.json").read_text()
+)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 determinism, and the one parser a process shares between calls."""
 
 import argparse
+import enum
 import hashlib
 import io
 import json
@@ -12,12 +13,13 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_literal, report, simulate
+from substchaos.errors import SubstitutionError
 from substchaos.substitution import DEFAULT_WORD_BUDGET, language_chr
 
-from conftest import ABA, FIXTURE_SOURCES, LY_TWO, MORSE, radius_samples
+from conftest import ABA, COUNTABLE_CLASSES, FIXTURE_SOURCES, LY_TWO, MORSE, radius_samples
 
 
 def run_cli(*args):
@@ -26,6 +28,12 @@ def run_cli(*args):
         capture_output=True,
         text=True,
     )
+
+
+def dumps(value):
+    """The stdout contract: the stdlib's sorted, indented, non-ASCII-keeping
+    JSON and a newline."""
+    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 @pytest.fixture()
@@ -239,8 +247,7 @@ def test_language_of_tokens_prints_the_word_by_word_listing(tmp_path, length):
     s = parse_substitution(text)
     words = [" ".join(s.decode(w)) for w in sorted(language_chr(s, length))]
     doc = {"length": length, "count": len(words), "words": words}
-    expected = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    assert run_main(["language", str(path), str(length)]) == (0, expected, "")
+    assert run_main(["language", str(path), str(length)]) == (0, dumps(doc), "")
 
 
 @pytest.mark.parametrize(
@@ -393,7 +400,7 @@ def test_simulate_csv_compares_the_windows_once(ly_file, tmp_path, monkeypatch, 
     s = parse_substitution(LY_TWO)
     px, py = point_from_literal(s, x), point_from_literal(s, y)
     report_doc = simulate.empirical_class(px, py, 243, 4).to_json()
-    assert out == json.dumps(report_doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert out == dumps(report_doc)
     rows = "".join(f"{n},{r}\n" for n, r in radius_samples(px, py, 243, 4))
     assert csv_path.read_bytes() == ("n,radius\n" + rows).encode()
 
@@ -402,6 +409,7 @@ def test_tower_command():
     res = run_cli("tower", "--depth", "2", "--horizon", "81", "--json")
     doc = json.loads(res.stdout)
     assert doc["has_distal"] is False
+    assert res.stdout == dumps(doc)
 
 
 def test_determinism_all_fixtures(tmp_path):
@@ -581,6 +589,126 @@ def test_shared_parser_across_threads(morse_file):
     assert cli._parser() is parser
 
 
+# -- the stdout writer -------------------------------------------------------
+
+
+class Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+class Tag(str):
+    pass
+
+
+class WriteCounter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def emitted(value):
+    """What ``cli._emit`` prints for ``value``, checked to be one write."""
+    out = WriteCounter()
+    with redirect_stdout(out):
+        cli._emit(value)
+    assert out.writes == 1
+    return out.getvalue()
+
+
+SPECIAL = '"\\/\x00\x1f\x7f\u2028\u2029\ud800é€😀ab'
+TEXT = st.text(max_size=8) | st.text(SPECIAL, max_size=8)
+FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2250738585072014e-308]
+)
+SCALARS = (
+    TEXT
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | FLOATS
+    | st.booleans()
+    | st.none()
+    | st.sampled_from(Level)
+    | TEXT.map(Tag)
+)
+# lists of one exact type take the writer's one-join path
+LEAVES = SCALARS | st.lists(TEXT, min_size=1) | st.lists(st.integers(), min_size=1).map(tuple)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(TEXT | TEXT.map(Tag), inner, max_size=5),
+    max_leaves=15,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+@example({})
+@example([[], {}, ()])
+@example({"b": [1, True], "a": [1, Level.HIGH], "": ["x", Tag("y")]})
+@example(["é", "\u2028", '"\\'])
+@example((-(10**30), 0, 7))
+@example([float("nan"), -float("inf"), -0.0, 5e-324])
+@example({"z": {"y": {"x": [None, False]}}})
+def test_writer_matches_the_stdlib(value):
+    assert emitted(value) == dumps(value)
+
+
+def test_writer_refuses_a_key_that_is_not_a_string(capsys):
+    # the stdlib would print {"1": "a"}; no document of the package has
+    # such a key, and the writer fails before it prints anything
+    with pytest.raises(TypeError):
+        cli._emit({1: "a"})
+    assert capsys.readouterr().out == ""
+
+
+def _fixed_point_literals(text):
+    s = parse_substitution(text)
+    literals = []
+    for left in s.alphabet:
+        for right in s.alphabet:
+            doc = {"kind": "fixed_point", "left": left, "right": right}
+            try:
+                point_from_literal(s, doc)
+            except SubstitutionError:
+                continue
+            literals.append(json.dumps(doc))
+    return literals
+
+
+ORACLE_SOURCES = list(FIXTURE_SOURCES.items()) + [
+    (f"countable-{i}", "\n".join(f"{c} -> {w}" for c, w in zip("abc", images)))
+    for i, images in enumerate(COUNTABLE_CLASSES)
+]
+
+
+@pytest.mark.parametrize("name, text", ORACLE_SOURCES, ids=[n for n, _ in ORACLE_SOURCES])
+def test_every_subcommand_prints_what_the_stdlib_prints(tmp_path, name, text):
+    # every JSON document on stdout reads back to itself through json.dumps
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    literals = _fixed_point_literals(text)
+    x, y = literals[0], literals[-1]
+    argvs = [
+        ["analyze", str(path), "--json"],
+        ["reduce", str(path)],
+        ["decide", str(path)],
+        ["language", str(path), "1"],
+        ["language", str(path), "9"],
+        ["classify", str(path), "--x", x, "--y", y],
+        ["simulate", str(path), "--x", x, "--y", y],
+    ]
+    for argv in argvs:
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, ""), argv
+        assert out == dumps(json.loads(out)), argv
+
+
 # -- generated command lines -------------------------------------------------
 
 LETTER_SETS = (("a", "b", "c"), ("`x1`", "`y2`", "`z3`"))
@@ -712,7 +840,8 @@ def rule_dir(tmp_path_factory):
 @given(case=cli_cases())
 def test_main_keeps_the_contract_on_generated_input(rule_dir, case):
     # many calls in one process share the parser and the caches: each keeps
-    # the exit-code and JSON-error contract and repeats byte for byte
+    # the exit-code and JSON-error contract, prints what the stdlib prints
+    # and repeats byte for byte
     text, argv = case
     path = rule_dir / f"{hashlib.sha256(text.encode()).hexdigest()[:16]}.txt"
     path.write_text(text, encoding="utf-8")
@@ -727,4 +856,6 @@ def test_main_keeps_the_contract_on_generated_input(rule_dir, case):
         assert err == ""
         if argv[:1] == ["analyze"] and "--json" in argv:
             jsonschema.validate(json.loads(out), REPORT_SCHEMA)
+        if argv[0] not in ("analyze", "tower") or "--json" in argv:
+            assert out == dumps(json.loads(out))
     assert run_main(argv) == first

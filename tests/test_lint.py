@@ -3,8 +3,11 @@ the CLI's JSON error contract, so no module of the package uses an
 ``assert`` statement or raises ``AssertionError``; the runtime needs
 the standard library only; every cache of the package is bounded; no
 decision module imports the simulator; no module of the package or of
-the test suite imports a name it never reads; and no function of the
-package takes a parameter it never reads."""
+the test suite imports a name it never reads; no function of the
+package takes a parameter it never reads; and no module of the package
+asks the stdlib for indented JSON (``json.dump``, ``json.dumps`` or
+``JSONEncoder`` with ``indent``), which takes its pure-Python encoder,
+so ``cli._emit`` stays the one writer of stdout documents."""
 
 import ast
 import sys
@@ -256,3 +259,30 @@ def test_no_unread_parameters():
         (1, "f", "b"), (1, "f", "c"), (1, "f", "e"), (4, "h", "y"),
         (7, "<lambda>", "v"), (9, "m", "w"),
     ]
+
+
+INDENTING_CALLS = {"dump", "dumps", "JSONEncoder"}
+
+
+def _indented_json_calls(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _tail(node.func) in INDENTING_CALLS:
+            if any(k.arg == "indent" for k in node.keywords):
+                yield node.lineno
+
+
+def test_no_indented_json_outside_the_writer():
+    found = []
+    for module in CHECKED_MODULES:
+        found += [f"{module}:{line}" for line in _indented_json_calls(_tree(PACKAGE_DIR / module))]
+    assert found == []
+    probe = ast.parse(
+        "import json\nfrom json import dumps\n"
+        "json.dumps(d, sort_keys=True)\n"
+        "json.dumps(d, indent=2)\n"
+        "dumps(d, indent=None)\n"
+        "json.dump(d, fh, indent=2)\n"
+        "json.JSONEncoder(indent=1).encode(d)\n"
+        "json.loads(s)\n"
+    )
+    assert list(_indented_json_calls(probe)) == [4, 5, 6, 7]

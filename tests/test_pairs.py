@@ -2,11 +2,9 @@
 classification, constructions, and orbit enumeration."""
 
 import itertools
-import json
 import random
 import time
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -44,6 +42,7 @@ from substchaos.report import _brute_scan
 from substchaos.substitution import is_primitive, iterate_chr
 
 from conftest import (
+    COUNTABLE_CLASSES,
     classify_pair_two_letter,
     double_engine,
     engine_uncountable_certificate,
@@ -436,13 +435,6 @@ def test_enumerate_orbits_refusals(fixtures):
     assert has_uncountable_ly(uncountable) and decide_infinite(uncountable)
     with pytest.raises(PreconditionError):
         enumerate_ly_orbits(uncountable)
-
-
-# the classes of bench/countable.json: 3-letter, p <= 3, countably many
-# Li-Yorke pairs; 30 of the 60 have overall coincidences
-COUNTABLE_CLASSES = json.loads(
-    (Path(__file__).resolve().parents[1] / "bench" / "countable.json").read_text()
-)
 
 
 def _class(index):
