@@ -2,12 +2,17 @@
 and abundance of Li-Yorke pairs, classification of represented point
 pairs, and the explicit pair/scrambled-set constructions.
 
-The existence and abundance decisions, and the orbit list, read one graph
-on the off-diagonal letter pairs (``_pair_graph``): an edge q -> P for
-each occurrence of q in the pair image of P, labelled by the letter pairs
-right of that occurrence.  A closed walk is an occurrence of a pair inside
-its own iterated pair image, so each answer is a property of one strongly
-connected component, and one pass of Tarjan's algorithm flags them all.
+Every decision reads one int-coded layer on the letter pairs
+(``_pair_layer``), which codes the pair (i, j) as q = i·n + j.  It holds
+the pair images, the occurrences of each pair, and the coincidence depth
+of each pair from one breadth-first search, which gives C∞ and every set
+of the coincidence chain.  The existence and abundance decisions, and the
+orbit list, read its graph on the off-diagonal letter pairs: an edge
+q -> P for each occurrence of q in the pair image of P, labelled by the
+letter pairs right of that occurrence.  A closed walk is an occurrence of
+a pair inside its own iterated pair image, so each answer is a property
+of one strongly connected component, and one pass of Tarjan's algorithm
+flags them all, with one comparison per inner edge in place of a label.
 The witness of the existence criterion comes from a level-synchronous
 search over ``(pair, coincidence flag, difference flag)`` states started
 at one pair of a flagged component; it ends within a bound proven in
@@ -18,8 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .streams import (
@@ -55,88 +63,60 @@ class CoincidenceClass:
 
 
 # ---------------------------------------------------------------------------
-# the pair graph and the witness search
+# the pair layer and the witness search
 
 
-@memoised
-def _pair_tables(subst):
-    """Static tables on letter pairs: images of the pair substitution and,
-    per pair, the list of (parent pair, position) occurrences."""
-    n = subst.size
-    pairs = [(i, j) for i in range(n) for j in range(n)]
-    image = {}
-    occurrences = {q: [] for q in pairs}
-    for P in pairs:
-        u, v = subst.images[P[0]], subst.images[P[1]]
-        img = [(ord(a), ord(b)) for a, b in zip(u, v)]
-        image[P] = img
-        for t, q in enumerate(img):
-            occurrences[q].append((P, t))
-    return pairs, image, occurrences
-
-
-def _coin_step(image, pairs, coin):
-    """The pairs whose pair image holds a member of ``coin``."""
-    return frozenset(q for q in pairs if any(r in coin for r in image[q]))
-
-
-@memoised
-def _coincidence_chain(subst):
-    """coin_0 ⊂ coin_1 ⊂ ... ⊂ C∞: coin_0 is the diagonal and coin_(m+1)
-    the pairs whose pair image holds a member of coin_m, so coin_m holds
-    the pairs whose m-fold pair image holds a diagonal pair.  Diagonal
-    pairs map to diagonal pairs, so the sets only grow; the tuple ends at
-    the first repeat, C∞, the least set that holds the diagonal and every
-    pair whose pair image holds a member (within |A|^2 rounds).  Level m
-    of the witness search reads ``chain[min(m, len(chain) - 1)]``."""
-    pairs, image, _ = _pair_tables(subst)
-    chain = [frozenset(q for q in pairs if q[0] == q[1])]
-    while (grown := _coin_step(image, pairs, chain[-1])) != chain[-1]:
-        chain.append(grown)
-    return tuple(chain)
-
-
-@memoised
-def coincidence_class(subst):
-    """Position-wise comparison of all image pairs, read off the
-    coincidence chain: ``coin_1`` holds the letter pairs whose images
-    agree at some position (and the diagonal).  Overall when that is every
-    pair, none when it is only the diagonal (the chain stops at once)."""
-    if subst.constant_length is None:
-        raise PreconditionError("coincidence structure needs constant length")
-    chain = _coincidence_chain(subst)
-    if len(chain[min(1, len(chain) - 1)]) == subst.size**2:
-        return CoincidenceClass(Coincidence.OVERALL)
-    if len(chain) == 1:
-        return CoincidenceClass(Coincidence.NO_COINCIDENCE)
-    return CoincidenceClass(Coincidence.PARTIAL)
+_Component = namedtuple("_Component", "size ly unc")
+_Component.__doc__ = """A strongly connected component of the pair graph:
+its number of pairs and the flags of ``_pair_layer``."""
 
 
 @dataclass(frozen=True)
-class _Component:
-    """A strongly connected component of the pair graph: its pairs, each
-    with its inner steps ``(parent, position)``, and the flags of
-    ``_pair_graph``."""
+class _PairLayer:
+    """The letter pairs of one substitution, built by ``_pair_layer``.
+    The pair (i, j) is the code q = i·n + j (n = |A|), so the order of
+    the codes is the alphabet order of the pairs; every list is indexed
+    by code and only read."""
 
-    steps: dict
-    ly: bool
-    unc: bool
+    n: int
+    image: list  # q -> its pair image, a list of codes
+    occurrences: list  # q -> the (P, t) with image[P][t] == q, in (P, t) order
+    depth: list  # q -> the least m with q in coin_m, or n·n off C∞
+    deepest: int  # the largest depth below n·n
+    last_off: list  # P -> the last position of an off-diagonal pair in image[P], or -1
+    component: list  # off-diagonal q -> the index of its component; diagonal q -> -1
+    components: list  # index -> _Component
+    first: dict  # "ly" / "unc" -> the least code (i, j), i < j, whose component has it, or None
 
 
 @memoised
-def _pair_graph(subst):
-    """Every off-diagonal letter pair -> its strongly connected component
-    in the pair graph.
+def _pair_layer(subst):
+    """The int-coded pair layer of a constant-length substitution, built
+    in passes linear in the n²·p letter pairs of the pair images.
 
-    The vertices are the off-diagonal letter pairs.  Each occurrence
-    ``(P, t)`` of q in the pair image of P (``_pair_tables``) is an edge
-    q -> P labelled ``image[P][t + 1:]``; P is off-diagonal, since
-    diagonal pairs map to diagonal pairs.  A walk q_0 -> ... -> q_m puts
-    q_0 inside the m-fold pair image of q_m, and the label of its step l
-    expands l more times into letter pairs right of that occurrence.  So
-    a closed walk of length m at q is an occurrence of q inside its own
-    m-fold pair image, all its edges lie inside the component of q, and
-    distinct closed walks are distinct occurrences.  A component is
+    Depths.  coin_0 ⊂ coin_1 ⊂ ... ⊂ C∞: coin_0 is the diagonal and
+    coin_(m+1) the pairs whose pair image holds a member of coin_m, so
+    coin_m holds the pairs whose m-fold pair image holds a diagonal pair.
+    Diagonal pairs map to diagonal pairs, so the sets only grow, and C∞,
+    their union, is the least set that holds the diagonal and every pair
+    whose pair image holds a member.  A breadth-first search from the
+    diagonal along the occurrences (r -> P for each occurrence of r in the
+    pair image of P) reaches P first at the least m with P in coin_m, its
+    depth; the pairs it never reaches lie outside C∞.  A pair of depth
+    d + 1 has one of depth d in its image, so the depths below n² are
+    0, 1, ..., ``deepest`` without a gap, and the chain has k =
+    ``deepest`` + 1 distinct sets.  The depth of a pair is 0 exactly when
+    it is diagonal.
+
+    The pair graph.  Its vertices are the off-diagonal letter pairs.  Each
+    occurrence ``(P, t)`` of q in the pair image of P is an edge q -> P
+    labelled ``image[P][t + 1:]``; P is off-diagonal, since diagonal pairs
+    map to diagonal pairs.  A walk q_0 -> ... -> q_m puts q_0 inside the
+    m-fold pair image of q_m, and the label of its step l expands l more
+    times into letter pairs right of that occurrence.  So a closed walk of
+    length m at q is an occurrence of q inside its own m-fold pair image,
+    all its edges lie inside the component of q, and distinct closed walks
+    are distinct occurrences.  A component is
 
     - ``ly`` when the labels of its inner edges hold a pair of C∞ and an
       off-diagonal pair.  Exactly then the search of ``ly_witness`` from
@@ -153,107 +133,194 @@ def _pair_graph(subst):
       closing e and f back to q gives closed walks A and B at q that
       branch after R, so they are not powers of one walk and AB != BA.
       With W a closed walk at q through an edge with a C∞ label of depth
-      d < k = ``len(_coincidence_chain)``, the k-th copy of that edge in
-      ABW^k and in BAW^k sits at a step >= k - 1 >= d, so the two
-      occurrences at one level each have a diagonal pair after them.
+      d < k, the k-th copy of that edge in ABW^k and in BAW^k sits at a
+      step >= k - 1 >= d, so the two occurrences at one level each have a
+      diagonal pair after them.
+
+    No label is built: the label of ``(P, t)`` holds a pair of C∞ exactly
+    when t is below the last position of a C∞ pair in the image of P, and
+    an off-diagonal pair exactly when t < ``last_off[P]``, so each flag is
+    one comparison per inner edge.
 
     The exchange (i, j) -> (j, i) maps the graph onto itself, labels
     included, so a component and its mirror carry the same flags.
     Tarjan's algorithm runs on an explicit stack: a pair is open while it
-    is visited and not yet in a finished component.
+    is visited and not yet in a finished component, and the open pairs
+    sit on the stack in the order of their visits.
     """
-    _, image, occurrences = _pair_tables(subst)
-    closure = _coincidence_chain(subst)[-1]
-    order, low, stack, work, graph = {}, {}, [], [], {}
+    n = subst.size
+    nn = n * n
+    letters = [list(map(ord, w)) for w in subst.images]
+    image = []
+    for u in letters:
+        row = [a * n for a in u]
+        image.extend(list(map(add, row, v)) for v in letters)
+    occurrences = [[] for _ in range(nn)]
+    for P, img in enumerate(image):
+        for t, q in enumerate(img):
+            occurrences[q].append((P, t))
 
-    def enter(q):
-        order[q] = low[q] = len(order)
-        stack.append(q)
-        work.append((q, iter(occurrences[q])))
+    # breadth-first from the diagonal; last_meet[P] ends as the last
+    # position of a C∞ pair in the image of P
+    depth = [nn] * nn
+    last_meet = [-1] * nn
+    queue = list(range(0, nn, n + 1))
+    for q in queue:
+        depth[q] = 0
+    for r in queue:
+        d = depth[r] + 1
+        for P, t in occurrences[r]:
+            if depth[P] == nn:
+                depth[P] = d
+                queue.append(P)
+            if t > last_meet[P]:
+                last_meet[P] = t
+    last_off = []
+    for img in image:
+        t = len(img) - 1
+        while t >= 0 and depth[img[t]] == 0:
+            t -= 1
+        last_off.append(t)
 
-    for root in occurrences:
-        if root[0] == root[1] or root in order:
+    order, low, component = [-1] * nn, [0] * nn, [-1] * nn
+    visits, stack, components = 0, [], []
+    for root in range(nn):
+        if depth[root] == 0 or order[root] >= 0:
             continue
-        enter(root)
+        order[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        work = [(root, iter(occurrences[root]))]
         while work:
             q, steps = work[-1]
             for parent, _ in steps:
-                if parent not in order:
-                    enter(parent)
+                if order[parent] < 0:
+                    order[parent] = low[parent] = visits
+                    visits += 1
+                    stack.append(parent)
+                    work.append((parent, iter(occurrences[parent])))
                     break
-                if parent not in graph:
-                    low[q] = min(low[q], order[parent])
+                if component[parent] < 0 and order[parent] < low[q]:
+                    low[q] = order[parent]
             else:
                 work.pop()
-                if work:
-                    below = work[-1][0]
-                    low[below] = min(low[below], low[q])
+                if work and low[q] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[q]
                 if low[q] == order[q]:
-                    at = stack.index(q)
+                    at = bisect_left(stack, order[q], key=order.__getitem__)
                     members, stack[at:] = stack[at:], []
-                    inside = set(members)
-                    inner = {
-                        r: tuple(step for step in occurrences[r] if step[0] in inside)
-                        for r in members
-                    }
-                    labels = {x for r in members for P, t in inner[r] for x in image[P][t + 1 :]}
-                    meets = not closure.isdisjoint(labels)
-                    edges = sum(map(len, inner.values()))
-                    component = _Component(
-                        inner,
-                        meets and any(a != b for a, b in labels),
-                        meets and edges > len(members),
+                    c = len(components)
+                    for r in members:
+                        component[r] = c
+                    flags = _component_flags(
+                        members, c, component, occurrences, last_meet, last_off
                     )
-                    graph.update(dict.fromkeys(members, component))
-    return graph
+                    components.append(_Component(len(members), *flags))
+
+    targets = [i * n + j for i in range(n) for j in range(i + 1, n)]
+    first = {
+        flag: next((q for q in targets if getattr(components[component[q]], flag)), None)
+        for flag in ("ly", "unc")
+    }
+    return _PairLayer(
+        n, image, occurrences, depth, depth[queue[-1]], last_off, component, components, first
+    )
+
+
+def _component_flags(members, c, component, occurrences, last_meet, last_off):
+    """The ``ly`` and ``unc`` flags of component ``c`` from its inner edges
+    (see ``_pair_layer``), read until both are settled."""
+    edges, meets, differs = 0, False, False
+    for r in members:
+        for P, t in occurrences[r]:
+            if component[P] == c:
+                edges += 1
+                if t < last_meet[P]:
+                    meets = True
+                if t < last_off[P]:
+                    differs = True
+                if meets and differs and edges > len(members):
+                    return True, True
+    return meets and differs, meets and edges > len(members)
+
+
+@memoised
+def coincidence_class(subst):
+    """Position-wise comparison of all image pairs, read off the depths of
+    ``_pair_layer``: ``coin_1`` holds the letter pairs whose images agree
+    at some position (and the diagonal).  Overall when that is every pair,
+    none when it is only the diagonal (the chain stops at once)."""
+    if subst.constant_length is None:
+        raise PreconditionError("coincidence structure needs constant length")
+    layer = _pair_layer(subst)
+    if max(layer.depth) <= 1:
+        return CoincidenceClass(Coincidence.OVERALL)
+    if layer.deepest == 0:
+        return CoincidenceClass(Coincidence.NO_COINCIDENCE)
+    return CoincidenceClass(Coincidence.PARTIAL)
 
 
 def _first_target(subst, flag):
-    """The first pair (i, j), i < j, whose component carries ``flag``, or
-    None, on the domain of ``_require_recognizable``.  Mirrored components
-    carry equal flags, so there is one iff some component does."""
+    """The code of the first pair (i, j), i < j, whose component carries
+    ``flag``, or None, on the domain of ``_require_recognizable``.
+    Mirrored components carry equal flags, so there is one iff some
+    component does."""
     _require_recognizable(subst)
-    graph = _pair_graph(subst)
-    return next((q for q in sorted(graph) if q[0] < q[1] and getattr(graph[q], flag)), None)
+    return _pair_layer(subst).first[flag]
+
+
+def _right_depths(depth, img):
+    """Per position t of a pair image, the least depth of a pair right of
+    t: ``len(depth)`` when none lies in C∞."""
+    from_right = map(depth.__getitem__, reversed(img))
+    least = list(itertools.accumulate(from_right, min, initial=len(depth)))
+    least.pop()
+    least.reverse()
+    return least
 
 
 def _ly_levels(subst, target):
-    """The levels of the existence search started at the target pair.
+    """The levels of the existence search started at the target code.
 
     Level 0 is ``{(target, False, False): None}``; every later level maps
-    each reached ``(pair, coincidence flag, difference flag)`` state to its
-    back pointer ``(state one level down, position)``, the first found in
-    sorted order.  A state at level m is a walk of length m in the pair
-    graph from the target; the coincidence flag says that the label of
-    some step l holds a pair of ``coin_l``, and the difference flag that
-    some label holds an off-diagonal pair.  The m-fold pair image of a
-    pair holds an off-diagonal pair exactly when the pair is off-diagonal,
-    at every m: the images are pairwise distinct.  The levels never end;
-    ``ly_witness`` stops reading them.
+    each reached ``(pair code, coincidence flag, difference flag)`` state
+    to its back pointer ``(state one level down, position)``, the first
+    found in sorted order.  A state at level m is a walk of length m in
+    the pair graph from the target; the coincidence flag says that the
+    label of some step l holds a pair of ``coin_l``, and the difference
+    flag that some label holds an off-diagonal pair.  The label of step l
+    holds a pair of ``coin_l`` exactly when its least depth, computed once
+    per parent (``_right_depths``), is at most min(l, ``deepest``).  The
+    m-fold pair image of a pair holds an off-diagonal pair exactly when
+    the pair is off-diagonal, at every m: the images are pairwise
+    distinct.  The levels never end; ``ly_witness`` stops reading them.
     """
-    _, image, occurrences = _pair_tables(subst)
-    chain = _coincidence_chain(subst)
-    last = len(chain) - 1
+    layer = _pair_layer(subst)
+    depth, image, occurrences = layer.depth, layer.image, layer.occurrences
+    last_off = layer.last_off
+    least = [None] * len(depth)
     state = {(target, False, False): None}
     yield state
     for level in itertools.count():
-        coin = chain[min(level, last)]
+        cap = min(level, layer.deepest)
         new_state = {}
         for key in sorted(state):
             q, fc, fd = key
             for parent, t in occurrences[q]:
-                local = image[parent][t + 1 :]
-                nfc = fc or any(r in coin for r in local)
-                nfd = fd or any(r[0] != r[1] for r in local)
-                new_state.setdefault((parent, nfc, nfd), (key, t))
+                right = least[parent]
+                if right is None:
+                    right = least[parent] = _right_depths(depth, image[parent])
+                new_state.setdefault(
+                    (parent, fc or right[t] <= cap, fd or t < last_off[parent]), (key, t)
+                )
         yield new_state
         state = new_state
 
 
 def _reconstruct_chain(levels, key):
     """Walk back pointers from the realized key at the top level down to
-    the seeded bottom; returns ((parent pair, position), ...) per level,
-    bottom transition first."""
+    the seeded bottom; returns ((parent, position), ...) per level, bottom
+    transition first."""
     chain = []
     for level in range(len(levels) - 1, 0, -1):
         prev, t = levels[level][key]
@@ -268,30 +335,33 @@ def ly_witness(subst):
     Li-Yorke existence criterion, or None: the target pair, the minimal
     level at which it occurs inside its own iterated pair image with both
     a coincidence and a difference after it, and the chain of that
-    occurrence, read from the back pointers of the search.  The chain is
-    a tuple, so the memoised witness is shared read-only.
+    occurrence, read from the back pointers of the search.  The pairs are
+    given as letter-index tuples and the chain is a tuple, so the memoised
+    witness is shared read-only.
 
-    A target hits exactly when its component is ``ly`` (``_pair_graph``),
+    A target hits exactly when its component is ``ly`` (``_pair_layer``),
     so the search starts at the first such target only.  A hit is a
     closed walk whose flags come from labels on it, all inner edges of the
     component.  Conversely, take inner edges e with a C∞ label and f with
     an off-diagonal label.  Paths of fewer than V = |component| steps
     lead from the target through e and f back to it, a closed walk of
-    length w <= 3V.  Repeated k = ``len(_coincidence_chain)`` times, the
-    last copy of e sits at a step >= k - 1, where the search tests its
-    label against C∞ itself.  So the hit comes at a level <= 3Vk, and a
-    search past it is a defect.
+    length w <= 3V.  Repeated k = ``deepest`` + 1 times, the last copy of
+    e sits at a step >= k - 1, where the search tests its label against
+    C∞ itself.  So the hit comes at a level <= 3Vk, and a search past it
+    is a defect.
     """
     target = _first_target(subst, "ly")
     if target is None:
         return None
-    bound = 3 * len(_pair_graph(subst)[target].steps) * len(_coincidence_chain(subst))
+    layer = _pair_layer(subst)
+    bound = 3 * layer.components[layer.component[target]].size * (layer.deepest + 1)
     hit = (target, True, True)
     levels = []
     for state in _ly_levels(subst, target):
         levels.append(state)
         if hit in state:
-            return target, len(levels) - 1, _reconstruct_chain(levels, hit)
+            chain = tuple((divmod(P, layer.n), t) for P, t in _reconstruct_chain(levels, hit))
+            return divmod(target, layer.n), len(levels) - 1, chain
         if len(levels) > bound:
             raise InvariantError("Li-Yorke search passed its proven level bound")
 
@@ -400,12 +470,13 @@ def uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
     pair graph is ``unc``, at the least power m at which (a, b) occurs
     twice, aligned, inside the m-fold images of a and b with a diagonal
     position after the first occurrence, or None.  Such an m exists
-    (``_pair_graph``); the words are scanned at m = 1, 2, ... and a power
+    (``_pair_layer``); the words are scanned at m = 1, 2, ... and a power
     whose words exceed ``word_cap`` is refused."""
     target = _first_target(subst, "unc")
     if target is None:
         return None
-    a, b = map(chr, target)
+    ai, bi = divmod(target, subst.size)
+    a, b = chr(ai), chr(bi)
     p = subst.constant_length
     for m in itertools.count(1):
         if p**m > word_cap:
@@ -416,8 +487,8 @@ def uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
         if len(hits) >= 2 and any(map(str.__eq__, ua[hits[0] + 1 :], ub[hits[0] + 1 :])):
             return DoubleCertificate(
                 power=m,
-                a=subst.alphabet[target[0]],
-                b=subst.alphabet[target[1]],
+                a=subst.alphabet[ai],
+                b=subst.alphabet[bi],
                 first=hits[0],
                 second=hits[1],
             )
@@ -476,12 +547,14 @@ def _past_finite_forward_data(x, y):
 
 
 def _suffix_class(subst, pairs):
-    """The class of a same-fiber pair from the letter pairs of its suffixes
-    at the period levels (``classify_pair``): asymptotic when every pair is
-    diagonal, Li-Yorke when some pair lies in C∞, distal otherwise."""
-    if all(a == b for a, b in pairs):
+    """The class of a same-fiber pair from the codes of the letter pairs
+    of its suffixes at the period levels (``classify_pair``): asymptotic
+    when every pair is diagonal (depth 0), Li-Yorke when some pair lies in
+    C∞ (a depth below n²), distal otherwise."""
+    depth = _pair_layer(subst).depth
+    if all(depth[q] == 0 for q in pairs):
         return PairClass.ASYMPTOTIC
-    if not _coincidence_chain(subst)[-1].isdisjoint(pairs):
+    if any(depth[q] < len(depth) for q in pairs):
         return PairClass.LI_YORKE
     return PairClass.DISTAL
 
@@ -501,7 +574,7 @@ def classify_pair(x, y):
     - Otherwise a differing suffix letter pair (a, b) recurs every L
       levels and σ^i(a) != σ^i(b) (σ is one-to-one), so differences reach
       arbitrarily far right.  If a suffix letter pair q at a level i >= k
-      lies in C∞ (``_coincidence_chain``), its d-fold pair image holds a
+      lies in C∞ (``_pair_layer``), its d-fold pair image holds a
       diagonal pair for some d, so its image at each level i + tL >= d
       holds p^(i+tL-d) agreeing coordinates: proximal, hence Li-Yorke.
       If none does, no image of a suffix letter pair at a level >= k holds
@@ -525,7 +598,8 @@ def classify_pair(x, y):
     x, y = _past_finite_forward_data(x, y)
     k, _L, ex, ey = _aligned_entries(x, y)
     periodic = zip(ex[k:], ey[k:])
-    pairs = [(ord(a), ord(b)) for e1, e2 in periodic for a, b in zip(e1.suffix, e2.suffix)]
+    n = s.size
+    pairs = [ord(a) * n + ord(b) for e1, e2 in periodic for a, b in zip(e1.suffix, e2.suffix)]
     verdict = _suffix_class(s, pairs)
     if verdict is PairClass.ASYMPTOTIC:
         return PairVerdict(PairClass.ASYMPTOTIC, "eventual-suffix-equality")
@@ -645,7 +719,7 @@ def enumerate_ly_orbits(subst):
     """One representative pair per Li-Yorke pair orbit, when there are
     countably many Li-Yorke pairs (uncountable input is refused).
 
-    A candidate is a ``ly`` component of the pair graph (``_pair_graph``).
+    A candidate is a ``ly`` component of the pair graph (``_pair_layer``).
     Under countability it is one simple cycle, since a ``ly`` component
     with more inner edges than pairs is ``unc``.  It is read from each of
     its starts q_0 = (i, j) with i < j by following the one inner step out
@@ -707,22 +781,26 @@ def enumerate_ly_orbits(subst):
             "Li-Yorke pairs"
         )
     s = subst
-    graph = _pair_graph(s)
+    layer = _pair_layer(s)
+    n, occurrences, component = layer.n, layer.occurrences, layer.component
+
+    def inner(q):
+        return next(step for step in occurrences[q] if component[step[0]] == component[q])
+
     chains = []
-    for start in sorted(graph):
-        if start[0] > start[1] or not graph[start].ly:
+    for start in range(n * n):
+        if start // n >= start % n or not layer.components[component[start]].ly:
             continue
-        steps = graph[start].steps
-        chain = [steps[start][0]]
+        chain = [inner(start)]
         while chain[-1][0] != start:
-            chain.append(steps[chain[-1][0]][0])
+            chain.append(inner(chain[-1][0]))
         chains.append(tuple(chain))
 
     results = []
     for chain in sorted(chains):
         positions = [t for _, t in chain]
-        top = chain[-1][0]
-        ex, ey = _chain_entries(s, (chr(top[0]), chr(top[1])), positions)
+        top = divmod(chain[-1][0], n)
+        ex, ey = _chain_entries(s, tuple(map(chr, top)), positions)
         seeds_x = _seed_choices(s, positions, ex[0].center)
         seeds_y = _seed_choices(s, positions, ey[0].center)
         for (lx, rx), (ly_, ry) in itertools.product(seeds_x, seeds_y):

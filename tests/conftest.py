@@ -44,9 +44,6 @@ from substchaos.pairs import (
     DoubleCertificate,
     _aligned_entries,
     _chain_entries,
-    _coincidence_chain,
-    _ly_levels,
-    _pair_tables,
     _past_finite_forward_data,
     _reconstruct_chain,
     _suffix_class,
@@ -801,21 +798,76 @@ def anagram_substitutions(count, seed=CORPUS_SEED + 4):
 
 
 # ---------------------------------------------------------------------------
-# reference pair engines: per target, the existence search and the
-# double-occurrence fixpoint run until their global state repeats, and the
-# orbit list from a walk over every simple cycle of letter pairs
+# reference pair engines on tuple-keyed letter pairs built here from the
+# images: per target, the existence search and the double-occurrence
+# fixpoint run until their global state repeats, and the orbit list from a
+# walk over every simple cycle of letter pairs
+
+
+@lru_cache(maxsize=None)
+def pair_tables(subst):
+    """Letter pairs (i, j) in alphabet order, the pair image of each as a
+    list of pairs, and per pair the list of (parent pair, position)
+    occurrences in (parent, position) order."""
+    n = subst.size
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    image = {}
+    occurrences = {q: [] for q in pairs}
+    for P in pairs:
+        u, v = subst.images[P[0]], subst.images[P[1]]
+        image[P] = [(ord(a), ord(b)) for a, b in zip(u, v)]
+        for t, q in enumerate(image[P]):
+            occurrences[q].append((P, t))
+    return pairs, image, occurrences
+
+
+@lru_cache(maxsize=None)
+def coincidence_chain(subst):
+    """coin_0 ⊂ coin_1 ⊂ ... ⊂ C∞ by rescanning every pair per round:
+    coin_0 is the diagonal and coin_(m+1) the pairs whose pair image holds
+    a member of coin_m; the tuple ends at the first repeat."""
+    pairs, image, _ = pair_tables(subst)
+    chain = [frozenset(q for q in pairs if q[0] == q[1])]
+    while True:
+        grown = frozenset(q for q in pairs if any(r in chain[-1] for r in image[q]))
+        if grown == chain[-1]:
+            return tuple(chain)
+        chain.append(grown)
+
+
+def reference_ly_levels(subst, target):
+    """The levels of the existence search at a target pair (i, j), with
+    tuple keys ``(pair, coincidence flag, difference flag)``: each label
+    is sliced from the pair image and tested against ``coin_level``."""
+    _, image, occurrences = pair_tables(subst)
+    chain = coincidence_chain(subst)
+    last = len(chain) - 1
+    state = {(target, False, False): None}
+    yield state
+    for level in itertools.count():
+        coin = chain[min(level, last)]
+        new_state = {}
+        for key in sorted(state):
+            q, fc, fd = key
+            for parent, t in occurrences[q]:
+                local = image[parent][t + 1 :]
+                nfc = fc or any(r in coin for r in local)
+                nfd = fd or any(r[0] != r[1] for r in local)
+                new_state.setdefault((parent, nfc, nfd), (key, t))
+        yield new_state
+        state = new_state
 
 
 def stopped_ly_hit(subst, target):
-    """Reference for the search of ``pairs.ly_witness`` at one target:
-    ``(level, chain)`` of its first hit, or None once the global state of
-    ``pairs._ly_levels`` repeats.  Past the last level of the coincidence
-    chain every level steps alike, so a repeat before the hit means no
-    hit."""
-    last = len(_coincidence_chain(subst)) - 1
+    """Reference for the search of ``pairs.ly_witness`` at one target pair
+    (i, j): ``(level, chain)`` of its first hit, or None once the global
+    state of ``reference_ly_levels`` repeats.  Past the last level of the
+    coincidence chain every level steps alike, so a repeat before the hit
+    means no hit."""
+    last = len(coincidence_chain(subst)) - 1
     hit = (target, True, True)
     levels, seen = [], set()
-    for level, state in enumerate(_ly_levels(subst, target)):
+    for level, state in enumerate(reference_ly_levels(subst, target)):
         levels.append(state)
         if hit in state:
             return level, _reconstruct_chain(levels, hit)
@@ -829,8 +881,8 @@ def double_engine(subst, target):
     """Minimal level at which the target occurs at least twice (aligned)
     inside its own iterated pair image with a diagonal position after the
     first occurrence; deterministic vector iteration with cycle stop."""
-    pairs, image, _ = _pair_tables(subst)
-    chain = _coincidence_chain(subst)
+    pairs, image, _ = pair_tables(subst)
+    chain = coincidence_chain(subst)
     last = len(chain) - 1
     count = {q: (1 if q == target else 0) for q in pairs}
     daf = {q: False for q in pairs}
@@ -889,10 +941,10 @@ def walked_ly_orbits(subst):
     """Reference for ``pairs.enumerate_ly_orbits`` on countable input:
     ``(pairs, cycles)``.  It walks every simple cycle of off-diagonal
     letter pairs under the occurrence relation from each start (i, j),
-    i < j, on an explicit stack, keeps the cycles whose suffix pairs
-    ``_suffix_class`` calls Li-Yorke, and lists one pair per seed choice;
-    ``cycles`` counts the simple cycles walked, once per start."""
-    _, image, occurrences = _pair_tables(subst)
+    i < j, on an explicit stack, keeps the cycles whose suffix pairs, coded
+    i·n + j, ``_suffix_class`` calls Li-Yorke, and lists one pair per seed
+    choice; ``cycles`` counts the simple cycles walked, once per start."""
+    _, image, occurrences = pair_tables(subst)
     chains = []
     for q in sorted(occurrences):
         if q[0] >= q[1]:
@@ -912,7 +964,7 @@ def walked_ly_orbits(subst):
                 stack.append(iter(occurrences[step[0]]))
     results = []
     for chain in sorted(chains):
-        suffixes = [r for parent, t in chain for r in image[parent][t + 1 :]]
+        suffixes = [a * subst.size + b for parent, t in chain for a, b in image[parent][t + 1 :]]
         if _suffix_class(subst, suffixes) is not PairClass.LI_YORKE:
             continue
         positions = [t for _, t in chain]

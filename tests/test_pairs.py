@@ -11,6 +11,7 @@ import pytest
 from substchaos import (
     Coincidence,
     PairClass,
+    Substitution,
     analyze,
     build_scrambled_set,
     classify_pair,
@@ -31,10 +32,8 @@ from substchaos.errors import PreconditionError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import (
     _aligned_entries,
-    _coincidence_chain,
     _ly_levels,
-    _pair_graph,
-    _pair_tables,
+    _pair_layer,
     _past_finite_forward_data,
     ly_witness,
 )
@@ -42,11 +41,15 @@ from substchaos.report import _brute_scan
 from substchaos.substitution import is_primitive, iterate_chr
 
 from conftest import (
+    CORPUS_SEED,
     COUNTABLE_CLASSES,
     classify_pair_two_letter,
+    coincidence_chain,
     double_engine,
     engine_uncountable_certificate,
     fixed_points,
+    pair_tables,
+    reference_ly_levels,
     right_end_jump,
     stopped_ly_hit,
     walked_ly_orbits,
@@ -109,18 +112,50 @@ def test_certificates(fixtures):
     assert li_yorke_certificate(fixtures["morse"]) is None
 
 
+def _assert_certificate_words(s, cert):
+    """The Li-Yorke certificate reads off the words σ^m(a), σ^m(b) at its
+    power m: a and b at its position, then suffixes that differ and share
+    a coincidence."""
+    ua = iterate_chr(s, chr(s.index(cert.a)), cert.power)
+    ub = iterate_chr(s, chr(s.index(cert.b)), cert.power)
+    j = cert.position
+    assert ua[j] == chr(s.index(cert.a))
+    assert ub[j] == chr(s.index(cert.b))
+    v, v2 = ua[j + 1 :], ub[j + 1 :]
+    assert v != v2
+    assert any(a == b for a, b in zip(v, v2))
+    assert (cert.u, cert.v) == (s.decode(ua[:j]), s.decode(v))
+    assert (cert.u2, cert.v2) == (s.decode(ub[:j]), s.decode(v2))
+
+
 def test_certificate_words_satisfy_criterion(fixtures):
     for name in ("ly_two", "aba", "baacd"):
         s = fixtures[name]
-        cert = li_yorke_certificate(s)
-        ua = iterate_chr(s, chr(s.index(cert.a)), cert.power)
-        ub = iterate_chr(s, chr(s.index(cert.b)), cert.power)
-        j = cert.position
-        assert ua[j] == chr(s.index(cert.a))
-        assert ub[j] == chr(s.index(cert.b))
-        v, v2 = ua[j + 1 :], ub[j + 1 :]
-        assert v != v2
-        assert any(a == b for a, b in zip(v, v2))
+        _assert_certificate_words(s, li_yorke_certificate(s))
+
+
+def _large_input(n, p, seed):
+    """A seeded primitive one-to-one substitution on n letters of length
+    p with an infinite subshift."""
+    rng = random.Random(seed)
+    alphabet = tuple(f"x{i}" for i in range(n))
+    while True:
+        rules = {a: [rng.choice(alphabet) for _ in range(p)] for a in alphabet}
+        s = Substitution.from_rules(rules, alphabet)
+        if s.is_injective() and is_primitive(s) and decide_infinite(s):
+            return s
+
+
+@pytest.mark.parametrize("n, p", [(26, 16), (64, 32)])
+def test_large_inputs_agree_with_word_scans(n, p):
+    # the pair layer at sizes far past the random corpus: the decisions
+    # agree with the direct word scans up to p^2, and the Li-Yorke
+    # certificate reads off the words at its power
+    s = _large_input(n, p, CORPUS_SEED + n)
+    report = analyze(s, brute_bound=p**2).to_json_dict()
+    assert report["brute_check"] == "agree"
+    assert report["has_li_yorke"]
+    _assert_certificate_words(s, li_yorke_certificate(s))
 
 
 def test_engine_agrees_with_brute_force(fixtures, random_corpus):
@@ -163,13 +198,18 @@ def test_diagonal_soundness(fixtures):
 
 def test_flag_joins_monotone(fixtures):
     # per reachable pair, the strongest realized flag combination never
-    # weakens from one level to the next over the first ten levels
+    # weakens from one level to the next over the first ten levels; the
+    # levels are those of the reference search on tuple pairs
     for name in ("morse", "toeplitz", "ly_two", "aba", "baacd", "four"):
         s = fixtures[name]
-        pairs, _, _ = _pair_tables(s)
+        n = s.size
+        pairs, _, _ = pair_tables(s)
         targets = [q for q in pairs if q[0] < q[1]]
         for target in targets[:3]:
-            levels = list(itertools.islice(_ly_levels(s, target), 11))
+            levels = list(itertools.islice(_ly_levels(s, target[0] * n + target[1]), 11))
+            reference = itertools.islice(reference_ly_levels(s, target), 11)
+            for state, expected in zip(levels, reference):
+                assert {(divmod(q, n), fc, fd) for q, fc, fd in state} == set(expected)
             for prev, nxt in zip(levels[1:], levels[2:]):
                 best_prev = {}
                 for q, fc, fd in prev:
@@ -320,8 +360,10 @@ def test_coincidence_closure_spans_the_classes(fixtures):
     # and strictly between them for the partial-coincidence fixture
     for name in ("morse", "toeplitz", "aba", "four"):
         s = fixtures[name]
-        pairs, _, _ = _pair_tables(s)
-        closure = _coincidence_chain(s)[-1]
+        pairs, _, _ = pair_tables(s)
+        depth = _pair_layer(s).depth
+        closure = {divmod(q, s.size) for q, d in enumerate(depth) if d < len(depth)}
+        assert closure == coincidence_chain(s)[-1], name
         diagonal = {q for q in pairs if q[0] == q[1]}
         kind = coincidence_class(s).kind
         if kind is Coincidence.OVERALL:
@@ -587,6 +629,22 @@ def _literals(pairs):
     return [(x.to_literal(), y.to_literal()) for x, y in pairs]
 
 
+def _components(s):
+    """Off-diagonal letter pair (i, j) -> its component in ``_pair_layer``."""
+    layer = _pair_layer(s)
+    n = s.size
+    return {
+        divmod(q, n): layer.components[c] for q, c in enumerate(layer.component) if c >= 0
+    }
+
+
+def _layer_depths(s):
+    """Letter pair (i, j) -> its depth in ``_pair_layer``, for the pairs
+    of C∞."""
+    depth = _pair_layer(s).depth
+    return {divmod(q, s.size): d for q, d in enumerate(depth) if d < len(depth)}
+
+
 def test_pair_graph_matches_the_reference_engines(fixtures, random_corpus):
     # per target, a component flag holds exactly when the matching
     # fixpoint, run to its first state repeat, hits; the witness, the
@@ -601,7 +659,8 @@ def test_pair_graph_matches_the_reference_engines(fixtures, random_corpus):
     flags = Counter()
     listed = 0
     for s in cases:
-        graph = _pair_graph(s)
+        assert _closure_depths(s) == _layer_depths(s), s.rules()
+        graph = _components(s)
         hits = {q: stopped_ly_hit(s, q) for q in sorted(graph)}
         for q, hit in hits.items():
             component = graph[q]
@@ -628,8 +687,19 @@ def test_orbit_list_reads_a_dense_component_once():
     s = parse_substitution(DENSE)
     reference, cycles = walked_ly_orbits(s)
     assert cycles >= 1000
-    graph = _pair_graph(s)
-    shapes = {(len(c.steps), sum(map(len, c.steps.values())), c.ly) for c in graph.values()}
+    layer = _pair_layer(s)
+    members = Counter(c for c in layer.component if c >= 0)
+    inner = Counter(
+        c
+        for q, c in enumerate(layer.component)
+        if c >= 0
+        for parent, _ in layer.occurrences[q]
+        if layer.component[parent] == c
+    )
+    shapes = {(members[c], inner[c], component.ly) for c, component in enumerate(layer.components)}
+    assert [members[c] for c in range(len(layer.components))] == [
+        c.size for c in layer.components
+    ]
     assert (12, 36, False) in shapes
     orbits = enumerate_ly_orbits(s)
     assert len(orbits) == 4
@@ -692,7 +762,7 @@ def _closure_depths(s):
     pair, for every pair of C∞: the index of the first set of the
     coincidence chain that holds it."""
     depth = {}
-    for d, coin in enumerate(_coincidence_chain(s)):
+    for d, coin in enumerate(coincidence_chain(s)):
         for q in coin:
             depth.setdefault(q, d)
     return depth

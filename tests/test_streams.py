@@ -245,12 +245,28 @@ def test_fiber_zero_of_morse(fixtures):
     assert all(p.stream.left_seed is not None for p in pts)
     windows = {p.window(2) for p in pts}
     assert len(windows) == 4
+    # each center has two left seeds; equal level data list them in
+    # alphabet order
+    literals = [p.to_literal() for p in pts]
+    assert [(lit["period"], lit["left_seed"]) for lit in literals] == [
+        ([["", "0", "1"]], "0"),
+        ([["", "0", "1"]], "1"),
+        ([["", "1", "0"]], "0"),
+        ([["", "1", "0"]], "1"),
+    ]
 
 
 def test_fiber_minus_one_has_right_seeds(fixtures):
     pts = enumerate_fiber(fixtures["morse"], OdometerDigits(2, (), (1,)))
     assert pts
     assert all(p.stream.right_seed is not None for p in pts)
+    literals = [p.to_literal() for p in pts]
+    assert [(lit["period"][0], lit["right_seed"]) for lit in literals] == [
+        (["0", "1", ""], "0"),
+        (["0", "1", ""], "1"),
+        (["1", "0", ""], "0"),
+        (["1", "0", ""], "1"),
+    ]
 
 
 def sample_digit_sequences(p, count=20):
