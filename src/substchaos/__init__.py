@@ -38,7 +38,6 @@ from .reduction import (
 )
 from .odometer import OdometerDigits
 from .streams import (
-    DesubstitutionStream,
     RepresentedPoint,
     StreamEntry,
     enumerate_fiber,
@@ -71,7 +70,6 @@ from .simulate import (
     recurrence_check,
 )
 from .tower import (
-    TowerLevel,
     TowerReport,
     preimage_candidates,
     rho,

@@ -147,7 +147,7 @@ def cmd_reduce(args):
             "alphabet": list(red.reduced.alphabet),
             "rules": {t: _word_str(red.reduced.image(t)) for t in red.reduced.alphabet},
             "letter_map": {a: b for a, b in red.letter_map},
-            "steps": len(red.chain),
+            "steps": red.steps,
         }
     )
     return EXIT_OK

@@ -31,7 +31,6 @@ from operator import add
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .streams import (
-    DesubstitutionStream,
     RepresentedPoint,
     StreamEntry,
     _entries_below,
@@ -426,13 +425,13 @@ class LyCertificate:
         }
 
 
-def li_yorke_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
+def li_yorke_certificate(subst):
     wit = ly_witness(subst)
     if wit is None:
         return None
     (ai, bi), level, chain = wit
     p = subst.constant_length
-    if p**level > word_cap:
+    if p**level > CERTIFICATE_WORD_CAP:
         raise BudgetExceededError(
             f"certificate words at power {level} exceed the word cap"
         )
@@ -465,13 +464,13 @@ class DoubleCertificate:
     second: int
 
 
-def uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
+def uncountable_certificate(subst):
     """The first (in alphabet order) pair (a, b) whose component of the
     pair graph is ``unc``, at the least power m at which (a, b) occurs
     twice, aligned, inside the m-fold images of a and b with a diagonal
     position after the first occurrence, or None.  Such an m exists
     (``_pair_layer``); the words are scanned at m = 1, 2, ... and a power
-    whose words exceed ``word_cap`` is refused."""
+    whose words exceed ``CERTIFICATE_WORD_CAP`` is refused."""
     target = _first_target(subst, "unc")
     if target is None:
         return None
@@ -479,7 +478,7 @@ def uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
     a, b = chr(ai), chr(bi)
     p = subst.constant_length
     for m in itertools.count(1):
-        if p**m > word_cap:
+        if p**m > CERTIFICATE_WORD_CAP:
             raise BudgetExceededError(f"certificate words at power {m} exceed the word cap")
         ua = iterate_chr(subst, a, m)
         ub = iterate_chr(subst, b, m)
@@ -522,13 +521,12 @@ class PairVerdict:
 
 def _aligned_entries(x, y):
     """Common (preperiod length, period length) view of two same-digit
-    streams; returns (k, L, entries_x, entries_y) with entries covering
+    points; returns (k, L, entries_x, entries_y) with entries covering
     levels 0 .. k+L-1."""
-    sx, sy = x.stream, y.stream
-    k = max(len(sx.preperiod), len(sy.preperiod))
-    L = math.lcm(len(sx.period), len(sy.period))
-    ex = [sx.entry(i) for i in range(k + L)]
-    ey = [sy.entry(i) for i in range(k + L)]
+    k = max(len(x.preperiod), len(y.preperiod))
+    L = math.lcm(len(x.period), len(y.period))
+    ex = [x.entry(i) for i in range(k + L)]
+    ey = [y.entry(i) for i in range(k + L)]
     return k, L, ex, ey
 
 
@@ -538,12 +536,9 @@ def _past_finite_forward_data(x, y):
     (``_past_right_end``).  The jump ``p^k - D_k`` is the same for every
     k at or past the preperiod of the digits, so both points move
     together."""
-    if x.stream.right_seed is None:
+    if x.right_seed is None:
         return x, y
-    return (
-        RepresentedPoint(_past_right_end(x.stream)),
-        RepresentedPoint(_past_right_end(y.stream)),
-    )
+    return _past_right_end(x), _past_right_end(y)
 
 
 def _suffix_class(subst, pairs):
@@ -585,7 +580,7 @@ def classify_pair(x, y):
     diagonal, and a diagonal suffix pair would need equal centers above
     it, hence equal period levels.  So those classes are all Li-Yorke or
     all distal, and keep their own rule names.  Points are compared by
-    their canonical streams (see ``_require_recognizable``).
+    their canonical fields (see ``_require_recognizable``).
     """
     if x.subst != y.subst:
         raise PreconditionError("points live over different substitutions")
@@ -677,8 +672,8 @@ def construct_ly_pair(subst):
     else:
         cseed = _lambda_periodic_predecessor(s, a, level)
         dseed = _lambda_periodic_predecessor(s, b, level)
-    x = RepresentedPoint(DesubstitutionStream(s, (), ex, cseed, None))
-    y = RepresentedPoint(DesubstitutionStream(s, (), ey, dseed, None))
+    x = RepresentedPoint(s, (), ex, cseed, None)
+    y = RepresentedPoint(s, (), ey, dseed, None)
     return ConstructedPair(x, y, (s.alphabet[ai], s.alphabet[bi]), cert)
 
 
@@ -706,8 +701,8 @@ def construct_recurrent_ly_pair(subst):
     digits2 = [(j2 // p**i) % p for i in range(m)]
     ex1, ey1 = _chain_entries(s, (a, b), digits1)
     ex2, ey2 = _chain_entries(s, (a, b), digits2)
-    x = RepresentedPoint(DesubstitutionStream(s, (), ex1 + ex2, None, None))
-    y = RepresentedPoint(DesubstitutionStream(s, (), ey1 + ey2, None, None))
+    x = RepresentedPoint(s, (), ex1 + ex2, None, None)
+    y = RepresentedPoint(s, (), ey1 + ey2, None, None)
     return ConstructedPair(x, y, (cert.a, cert.b), cert)
 
 
@@ -804,8 +799,8 @@ def enumerate_ly_orbits(subst):
         seeds_x = _seed_choices(s, positions, ex[0].center)
         seeds_y = _seed_choices(s, positions, ey[0].center)
         for (lx, rx), (ly_, ry) in itertools.product(seeds_x, seeds_y):
-            x = RepresentedPoint(DesubstitutionStream(s, (), ex, lx, rx))
-            y = RepresentedPoint(DesubstitutionStream(s, (), ey, ly_, ry))
+            x = RepresentedPoint(s, (), ex, lx, rx)
+            y = RepresentedPoint(s, (), ey, ly_, ry)
             results.append((x, y))
     return results
 
@@ -830,10 +825,6 @@ def build_scrambled_set(size_parameter):
     points = []
     for a in range(n + 1):
         succ = (a + 1) % (n + 1)
-        entry = StreamEntry(
-            chr(0), chr(a), chr(a) + chr(succ) + chr(0)
-        )
-        points.append(
-            RepresentedPoint(DesubstitutionStream(s, (), (entry,), None, None))
-        )
+        entry = StreamEntry(chr(0), chr(a), chr(a) + chr(succ) + chr(0))
+        points.append(RepresentedPoint(s, (), (entry,), None, None))
     return s, points

@@ -49,14 +49,14 @@ class ReductionResult:
 
     reduced: Substitution
     letter_map: tuple[tuple[str, str], ...]  # (original token, reduced token)
-    chain: tuple[tuple[Substitution, tuple[tuple[str, str], ...]], ...]
+    steps: int  # merge rounds until the images are pairwise distinct
 
 
 def one_to_one_reduction(subst):
     """Merge letters with identical images (representative: earliest in
     alphabet order) until all images are pairwise distinct."""
     current = subst
-    chain = []
+    steps = 0
     total = {tok: tok for tok in subst.alphabet}
     while not current.is_injective():
         rep = {}
@@ -75,12 +75,12 @@ def one_to_one_reduction(subst):
             for i in range(current.size)
         )
         nxt = Substitution(alphabet, images)
-        chain.append((current, step_map))
+        steps += 1
         step = dict(step_map)
         total = {tok: step[total[tok]] for tok in total}
         current = nxt
     letter_map = tuple((tok, total[tok]) for tok in subst.alphabet)
-    return ReductionResult(current, letter_map, tuple(chain))
+    return ReductionResult(current, letter_map, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _brute_scan(subst, word_bound):
     return ly, unc
 
 
-def analyze(subst, include_orbits=True, brute_bound=None):
+def analyze(subst, brute_bound=None):
     """Run the full pipeline and assemble the report.
 
     Fields appear exactly when their preconditions hold: pair analysis
@@ -161,7 +161,7 @@ def analyze(subst, include_orbits=True, brute_bound=None):
         "alphabet": list(red.reduced.alphabet),
         "rules": {tok: _word_json(red.reduced.image(tok)) for tok in red.reduced.alphabet},
         "letter_map": {a: b for a, b in red.letter_map},
-        "steps": len(red.chain),
+        "steps": red.steps,
     }
     if not infinite:
         return AnalysisReport(data)
@@ -176,7 +176,7 @@ def analyze(subst, include_orbits=True, brute_bound=None):
     if data["strong_li_yorke"]:
         data["strong_equivalence_chain"] = list(STRONG_EQUIVALENCE_CHAIN)
     data["fiber_bound"] = fiber_bound(reduced)
-    if include_orbits and data["has_li_yorke"] and not data["uncountable_li_yorke"]:
+    if data["has_li_yorke"] and not data["uncountable_li_yorke"]:
         orbits = enumerate_ly_orbits(reduced)
         data["orbit_representatives"] = [
             [x.to_literal(), y.to_literal()] for x, y in orbits

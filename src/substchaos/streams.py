@@ -70,8 +70,70 @@ class StreamEntry:
         return self.prefix + self.center + self.suffix
 
 
-@dataclass(frozen=True)
-class DesubstitutionStream:
+def _entries_below(subst, letter, digits):
+    """The entries of levels 0 .. len(digits) - 1 under the center
+    ``letter`` of level ``len(digits)``, low level first: ``digits[i]``
+    cuts the image of the level-(i+1) center into the entry of level i."""
+    entries = []
+    for d in reversed(digits):
+        block = subst.images[ord(letter)]
+        letter = block[d]
+        entries.append(StreamEntry(block[:d], letter, block[d + 1 :]))
+    return tuple(reversed(entries))
+
+
+def _require_recognizable(subst):
+    """Check the domain on which canonical fields identify points:
+    constant length, one-to-one, primitive, infinite subshift.
+
+    On this domain two points are equal exactly when their canonical
+    fields are:
+
+    1. Equal fields give equal expansions: the expansion reads nothing else.
+    2. Primitive with an infinite subshift means aperiodic, hence
+       bilaterally recognizable (Mosse 1992; a computable constant in
+       Durand-Leroy 2017): a point is ``S^d image(y)`` for exactly one cut
+       ``0 <= d < p`` and, the images being pairwise distinct, exactly one
+       point ``y``.  Level by level, every digit and center letter is a
+       function of the point, and so is every entry (the image of the next
+       center, cut at the digit).
+    3. With equal entries, a left seed is present in both points or in
+       neither (exactly when every period prefix is empty).  A left seed
+       ``c`` at anchor level ``k`` puts ``lambda^k(c)`` (``lambda`` the
+       last-letter map) at position ``-1 - sum(digit_i * p^i, i < k)``,
+       the same for both points; seeds lie on cycles of ``lambda``, where
+       ``lambda^k`` is injective, so the seeds agree.  Right seeds follow
+       with the first-letter map.
+    4. The ``RepresentedPoint`` constructor gives an eventually periodic
+       entry sequence its unique form with the shortest preperiod and a
+       primitive period, so equal entries give equal preperiods, periods
+       and anchor levels.
+    """
+    if subst.constant_length is None:
+        raise PreconditionError("Li-Yorke analysis needs constant length")
+    if not subst.is_injective():
+        raise PreconditionError(
+            "Li-Yorke analysis needs a one-to-one substitution (reduce first)"
+        )
+    if not is_primitive(subst):
+        raise PreconditionError("Li-Yorke analysis needs a primitive substitution")
+    if not decide_infinite(subst):
+        raise PreconditionError("Li-Yorke analysis needs an infinite subshift")
+
+
+@dataclass(frozen=True, slots=True)
+class RepresentedPoint:
+    """A subshift point given by its desubstitution levels; immutable.
+
+    The constructor checks the level chain and the seeds, then stores the
+    canonical form: the shortest preperiod and a primitive period of the
+    entries (``odometer._canonical``).  Each entry absorbed into the period
+    moves the seed anchor one level down, so seed letters follow their
+    letter maps forward to keep the represented tails unchanged, and the
+    checks run again on the moved form.  Equal fields mean equal points
+    (``_require_recognizable``), so the dataclass equality and hash are
+    those of points."""
+
     subst: Substitution
     preperiod: tuple[StreamEntry, ...]
     period: tuple[StreamEntry, ...]
@@ -122,6 +184,21 @@ class DesubstitutionStream:
                 raise InvariantError("right seed is not on a cycle of the first-letter map")
             if anchor + d not in language_chr(s, 2):
                 raise InvariantError("right seed junction word is not in the language")
+        pre, per = _canonical(self.preperiod, self.period)
+        if (pre, per) == (self.preperiod, self.period):
+            return
+        moved = k - len(pre)
+        left, right = self.left_seed, self.right_seed
+        if left is not None:
+            left = _step(last_letter_map(s), left, moved)
+        if right is not None:
+            right = _step(first_letter_map(s), right, moved)
+        canonical = {"preperiod": pre, "period": per, "left_seed": left, "right_seed": right}
+        for name, value in canonical.items():
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    # -- digits -----------------------------------------------------------
 
     def entry(self, i):
         k = len(self.preperiod)
@@ -139,114 +216,11 @@ class DesubstitutionStream:
             tuple(e.digit for e in self.period),
         )
 
-
-def _entries_below(subst, letter, digits):
-    """The entries of levels 0 .. len(digits) - 1 under the center
-    ``letter`` of level ``len(digits)``, low level first: ``digits[i]``
-    cuts the image of the level-(i+1) center into the entry of level i."""
-    entries = []
-    for d in reversed(digits):
-        block = subst.images[ord(letter)]
-        letter = block[d]
-        entries.append(StreamEntry(block[:d], letter, block[d + 1 :]))
-    return tuple(reversed(entries))
-
-
-def _normalize(stream):
-    """Canonical stream form: the shortest preperiod and a primitive
-    period of the entries (``odometer._canonical``).  Each entry absorbed
-    into the period moves the seed anchor one level down, so seed letters
-    follow their letter maps forward to keep the represented tails
-    unchanged.  A stream already in that form is returned as it is, so it
-    is validated once."""
-    s = stream.subst
-    pre, per = _canonical(stream.preperiod, stream.period)
-    if (pre, per) == (stream.preperiod, stream.period):
-        return stream
-    moved = len(stream.preperiod) - len(pre)
-    left, right = stream.left_seed, stream.right_seed
-    if left is not None:
-        left = _step(last_letter_map(s), left, moved)
-    if right is not None:
-        right = _step(first_letter_map(s), right, moved)
-    return DesubstitutionStream(s, pre, per, left, right)
-
-
-def _require_recognizable(subst):
-    """Check the domain on which canonical streams identify points:
-    constant length, one-to-one, primitive, infinite subshift.
-
-    On this domain two points are equal exactly when their canonical keys
-    are:
-
-    1. Equal keys give equal expansions: the expansion reads nothing else.
-    2. Primitive with an infinite subshift means aperiodic, hence
-       bilaterally recognizable (Mosse 1992; a computable constant in
-       Durand-Leroy 2017): a point is ``S^d image(y)`` for exactly one cut
-       ``0 <= d < p`` and, the images being pairwise distinct, exactly one
-       point ``y``.  Level by level, every digit and center letter is a
-       function of the point, and so is every entry (the image of the next
-       center, cut at the digit).
-    3. With equal entries, a left seed is present in both streams or in
-       neither (exactly when every period prefix is empty).  A left seed
-       ``c`` at anchor level ``k`` puts ``lambda^k(c)`` (``lambda`` the
-       last-letter map) at position ``-1 - sum(digit_i * p^i, i < k)``,
-       the same for both streams; seeds lie on cycles of ``lambda``, where
-       ``lambda^k`` is injective, so the seeds agree.  Right seeds follow
-       with the first-letter map.
-    4. ``_normalize`` gives an eventually periodic entry sequence its
-       unique form with the shortest preperiod and a primitive period, so
-       equal entries give equal preperiods, periods and anchor levels.
-    """
-    if subst.constant_length is None:
-        raise PreconditionError("Li-Yorke analysis needs constant length")
-    if not subst.is_injective():
-        raise PreconditionError(
-            "Li-Yorke analysis needs a one-to-one substitution (reduce first)"
-        )
-    if not is_primitive(subst):
-        raise PreconditionError("Li-Yorke analysis needs a primitive substitution")
-    if not decide_infinite(subst):
-        raise PreconditionError("Li-Yorke analysis needs an infinite subshift")
-
-
-class RepresentedPoint:
-    """A subshift point given by a validated stream; immutable."""
-
-    __slots__ = ("stream",)
-
-    def __init__(self, stream):
-        self.stream = _normalize(stream)
-
-    @property
-    def subst(self):
-        return self.stream.subst
-
-    # -- identity -------------------------------------------------------
-
-    def canonical_key(self):
-        st = self.stream
-        return (st.subst, st.preperiod, st.period, st.left_seed, st.right_seed)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RepresentedPoint)
-            and self.canonical_key() == other.canonical_key()
-        )
-
-    def __hash__(self):
-        return hash(self.canonical_key())
-
-    # -- digits -----------------------------------------------------------
-
-    def odometer_digits(self):
-        return self.stream.odometer_digits()
-
     def pi_digits(self, count):
         """The first ``count`` digits of the odometer image of the point."""
         if count < 0:
             raise PreconditionError("digit count must be >= 0")
-        return [self.stream.digit(i) for i in range(count)]
+        return [self.digit(i) for i in range(count)]
 
     # -- expansion ----------------------------------------------------------
 
@@ -257,7 +231,7 @@ class RepresentedPoint:
             raise PreconditionError("radius must be >= 0")
         if 2 * radius + 1 > budget:
             raise BudgetExceededError("expansion exceeds the word budget")
-        return _expand(self.stream, radius)
+        return _expand(self, radius)
 
     def window(self, radius):
         """Public-form rendering of the centered window."""
@@ -267,7 +241,7 @@ class RepresentedPoint:
 
     def shift(self):
         """The image under the shift map (the odometer carry on digits)."""
-        return RepresentedPoint(_shifted_stream(self.stream))
+        return _shifted_stream(self)
 
     def shift_by(self, count, budget=SHIFT_BUDGET):
         if count < 0:
@@ -291,13 +265,12 @@ class RepresentedPoint:
         def triple(e):
             return [word(e.prefix), word(e.center), word(e.suffix)]
 
-        st = self.stream
         return {
             "kind": "stream",
-            "preperiod": [triple(e) for e in st.preperiod],
-            "period": [triple(e) for e in st.period],
-            "left_seed": None if st.left_seed is None else word(st.left_seed),
-            "right_seed": None if st.right_seed is None else word(st.right_seed),
+            "preperiod": [triple(e) for e in self.preperiod],
+            "period": [triple(e) for e in self.period],
+            "left_seed": None if self.left_seed is None else word(self.left_seed),
+            "right_seed": None if self.right_seed is None else word(self.right_seed),
         }
 
     def __repr__(self):
@@ -326,7 +299,7 @@ def _step_back(mapping, letter, times):
     return _step(mapping, letter, -times % cycle_length(mapping, ord(letter)))
 
 
-def _expand(stream, radius):
+def _expand(point, radius):
     """The window ``x(-radius .. radius)``, sliced from one iterate.
 
     Let ``k`` be the preperiod length, ``c_K`` the center at level ``K``
@@ -352,20 +325,20 @@ def _expand(stream, radius):
     letters lie right of the block.  ``iterate_slice`` then produces about
     ``(2 * radius + 1) * p / (p - 1) + 2 * p * K`` letters.
     """
-    s = stream.subst
+    s = point.subst
     p = s.constant_length
-    k = len(stream.preperiod)
-    left, right = stream.left_seed, stream.right_seed
+    k = len(point.preperiod)
+    left, right = point.left_seed, point.right_seed
     letters = 1 + (left is not None) + (right is not None)
     level, offset, size = 0, 0, 1
     while True:
         start = offset + (0 if left is None else size)
         if level >= k and radius <= start and start + radius < letters * size:
             break
-        offset += stream.digit(level) * size
+        offset += point.digit(level) * size
         size *= p
         level += 1
-    word = stream.entry(level).center
+    word = point.entry(level).center
     if left is not None:
         word = _step_back(last_letter_map(s), left, level - k) + word
     if right is not None:
@@ -385,11 +358,11 @@ def _first_letter_period(subst, d):
     return _entries_below(subst, d, (0,) * cyc)
 
 
-def _past_right_end(stream):
-    """The point ``R = p^k - D_k`` shifts on from a stream with a right
+def _past_right_end(point):
+    """The point ``R = p^k - D_k`` shifts on from a point with a right
     seed ``d``, where ``k`` is the preperiod length, ``c_k`` the center at
     level ``k`` and ``D_k = sum(digit_i * p^i, i < k)``: the all-zero-digit
-    stream with left seed ``lambda^k(c_k)`` and the first-letter period of
+    point with left seed ``lambda^k(c_k)`` and the first-letter period of
     ``phi^k(d)`` (``lambda``, ``phi`` the last- and first-letter maps).
 
     Every period digit is p - 1, so ``D_K = D_k + p^K - p^k`` for ``K >=
@@ -412,39 +385,37 @@ def _past_right_end(stream):
     1, R`` of the point, so it lies in the language.  With every digit
     p - 1, ``R = 1``: this is the successor of the all-(p-1) fiber.
     """
-    s = stream.subst
-    k = len(stream.preperiod)
-    left = _step(last_letter_map(s), stream.period[0].center, k)
-    right = _step(first_letter_map(s), stream.right_seed, k)
-    return DesubstitutionStream(s, (), _first_letter_period(s, right), left, None)
+    s = point.subst
+    k = len(point.preperiod)
+    left = _step(last_letter_map(s), point.period[0].center, k)
+    right = _step(first_letter_map(s), point.right_seed, k)
+    return RepresentedPoint(s, (), _first_letter_period(s, right), left, None)
 
 
-def _shifted_stream(stream):
-    s = stream.subst
+def _shifted_stream(point):
+    s = point.subst
     p = s.constant_length
-    k = len(stream.preperiod)
-    L = len(stream.period)
-    istar = next((i for i in range(k + L) if stream.digit(i) != p - 1), None)
+    k = len(point.preperiod)
+    L = len(point.period)
+    istar = next((i for i in range(k + L) if point.digit(i) != p - 1), None)
     if istar is None:
-        return _past_right_end(stream)
+        return _past_right_end(point)
 
     # The carry: digit + 1 at level istar and 0 below it, cut under the
     # unchanged center of level istar + 1.
-    digits = (0,) * istar + (stream.digit(istar) + 1,)
-    new_entries = _entries_below(s, stream.entry(istar + 1).center, digits)
+    digits = (0,) * istar + (point.digit(istar) + 1,)
+    new_entries = _entries_below(s, point.entry(istar + 1).center, digits)
 
     if istar < k:
-        preperiod = new_entries + stream.preperiod[istar + 1 :]
-        return DesubstitutionStream(
-            s, preperiod, stream.period, stream.left_seed, stream.right_seed
-        )
+        preperiod = new_entries + point.preperiod[istar + 1 :]
+        return RepresentedPoint(s, preperiod, point.period, point.left_seed, point.right_seed)
 
     # The carry reached position j of the first period pass: the modified
     # levels move into the preperiod and the period rotates accordingly.
     j = istar - k
     preperiod = new_entries
-    period = stream.period[j + 1 :] + stream.period[: j + 1]
-    left = stream.left_seed
+    period = point.period[j + 1 :] + point.period[: j + 1]
+    left = point.left_seed
     if left is not None:
         # only reachable with j == 0 (an all-zero period makes the first
         # period digit the carry target); the anchor moved one level up,
@@ -452,9 +423,9 @@ def _shifted_stream(stream):
         if j != 0:
             raise InvariantError("left seed with a carry past the first period level")
         left = _step_back(last_letter_map(s), left, 1)
-    if stream.right_seed is not None:
+    if point.right_seed is not None:
         raise InvariantError("right seed with a digit below p-1 in the period")
-    return DesubstitutionStream(s, preperiod, period, left, None)
+    return RepresentedPoint(s, preperiod, period, left, None)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +461,7 @@ def stream_from_entries(subst, preperiod, period, left_seed=None, right_seed=Non
     per = _encode_entries(subst, period)
     ls = None if left_seed is None else _encode_letter(subst, left_seed)
     rs = None if right_seed is None else _encode_letter(subst, right_seed)
-    return RepresentedPoint(DesubstitutionStream(subst, pre, per, ls, rs))
+    return RepresentedPoint(subst, pre, per, ls, rs)
 
 
 def stream_from_fixed_point(subst, left, right):
@@ -510,9 +481,7 @@ def stream_from_fixed_point(subst, left, right):
         raise PreconditionError(
             f"no power up to the alphabet size fixes the first letter for {right!r}"
         )
-    return RepresentedPoint(
-        DesubstitutionStream(s, (), _first_letter_period(s, rc), lc, None)
-    )
+    return RepresentedPoint(s, (), _first_letter_period(s, rc), lc, None)
 
 
 def point_from_literal(subst, doc):
@@ -611,18 +580,7 @@ def enumerate_fiber(subst, digits, radius=64):
         period_entries = _entries_below(s, c, per_digits * cyc)
         pre_entries = _entries_below(s, c, pre_digits)
         for ls, rs in _seed_choices(s, per_digits, c):
-            points.append(
-                RepresentedPoint(
-                    DesubstitutionStream(s, pre_entries, period_entries, ls, rs)
-                )
-            )
-
-    return sorted(
-        points,
-        key=lambda pt: (
-            pt.stream.preperiod,
-            pt.stream.period,
-            pt.stream.left_seed or "",
-            pt.stream.right_seed or "",
-        ),
-    )
+            points.append(RepresentedPoint(s, pre_entries, period_entries, ls, rs))
+    # stable, and ``_seed_choices`` lists the seeds of one center in
+    # alphabet order
+    return sorted(points, key=lambda pt: (pt.preperiod, pt.period))

@@ -15,14 +15,8 @@ from .errors import PreconditionError
 from .pairs import PairClass, classify_pair
 from .reduction import decide_infinite
 from .simulate import empirical_class
-from .streams import RepresentedPoint, DesubstitutionStream, StreamEntry
+from .streams import RepresentedPoint, StreamEntry
 from .substitution import Substitution, _covering_words, is_primitive, language_chr
-
-
-@dataclass(frozen=True)
-class TowerLevel:
-    index: int
-    substitution: Substitution
 
 
 def tower_substitution(n):
@@ -40,14 +34,14 @@ def tower_substitution(n):
         raise PreconditionError(f"tower level {n} is not primitive")
     if not decide_infinite(s):
         raise PreconditionError(f"tower level {n} generates a finite subshift")
-    return TowerLevel(n, s)
+    return s
 
 
 def rho(n, word):
     """Letterwise projection from level ``n+1`` words to level ``n``:
     identity except that the top letter drops by one."""
-    upper = tower_substitution(n + 1).substitution
-    lower = tower_substitution(n).substitution
+    upper = tower_substitution(n + 1)
+    lower = tower_substitution(n)
     toks = list(word) if isinstance(word, str) else [t for t in word]
     out = []
     for t in toks:
@@ -63,9 +57,9 @@ def rho_chr(n, chrword):
 def tower_point_x(n):
     """The level-``n`` point with the top letter at the origin followed by
     ``0 n`` forever (all-zero digits, top-letter left tail)."""
-    s = tower_substitution(n).substitution
+    s = tower_substitution(n)
     entry = StreamEntry("", chr(n), chr(0) + chr(n))
-    return RepresentedPoint(DesubstitutionStream(s, (), (entry,), chr(n), None))
+    return RepresentedPoint(s, (), (entry,), chr(n), None)
 
 
 def tower_point_y(m, n):
@@ -73,11 +67,11 @@ def tower_point_y(m, n):
     the same ``0 n`` suffix data, and the top-letter left tail."""
     if not (m >= n >= 1):
         raise PreconditionError("companion points need m >= n >= 1")
-    s = tower_substitution(m).substitution
+    s = tower_substitution(m)
     if chr(m) + chr(n - 1) not in language_chr(s, 2):
         raise PreconditionError("companion seed junction is not admissible")
     entry = StreamEntry("", chr(n - 1), chr(0) + chr(n))
-    return RepresentedPoint(DesubstitutionStream(s, (), (entry,), chr(m), None))
+    return RepresentedPoint(s, (), (entry,), chr(m), None)
 
 
 def element_component(n, level):
@@ -202,7 +196,7 @@ def preimage_candidates(n, window_chr, core_radius=None):
     """
     if n < 1:
         raise PreconditionError("tower levels start at 1")
-    upper = tower_substitution(n + 1).substitution
+    upper = tower_substitution(n + 1)
     m = len(window_chr)
     found = set()
     for lead, u in _covering_words(upper, m):

@@ -15,7 +15,6 @@ import pytest
 
 from substchaos import (
     Coincidence,
-    DesubstitutionStream,
     PairClass,
     PairVerdict,
     RepresentedPoint,
@@ -266,8 +265,8 @@ def rho_preimage_windows(n, window):
     parent window whose upper preimages expand and slice back to the
     candidates.  The parent shrinks threefold per round.  Memoised, so a
     window compared at several core radii is searched once."""
-    lower = tower_substitution(n).substitution
-    upper = tower_substitution(n + 1).substitution
+    lower = tower_substitution(n)
+    upper = tower_substitution(n + 1)
     base_len = 3 * lower.constant_length
     memo = {}
 
@@ -445,12 +444,11 @@ def right_end_jump(x):
     """The shifts that take a point with a right seed past its finite
     right side: p^k - D_k, k its preperiod length and D_k = sum(digit_i
     p^i, i < k); 0 without a right seed."""
-    stream = x.stream
-    if stream.right_seed is None:
+    if x.right_seed is None:
         return 0
     p = x.subst.constant_length
-    k = len(stream.preperiod)
-    return p**k - sum(stream.digit(i) * p**i for i in range(k))
+    k = len(x.preperiod)
+    return p**k - sum(x.digit(i) * p**i for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +572,17 @@ def _seed_exponent(subst, anchor, cycle, minimum):
     return e
 
 
-def _stepwise_right(stream, need, budget):
-    s = stream.subst
-    k = len(stream.preperiod)
-    L = len(stream.period)
-    out = [stream.entry(0).center]
+def _stepwise_right(point, need, budget):
+    s = point.subst
+    k = len(point.preperiod)
+    L = len(point.period)
+    out = [point.entry(0).center]
     have = 1
-    if stream.right_seed is None:
+    if point.right_seed is None:
         i = 0
         cap = k + L * (need.bit_length() + 4)
         while have < need:
-            suffix = stream.entry(i).suffix
+            suffix = point.entry(i).suffix
             if suffix:
                 piece = _prefix_of_iterate(s, suffix, i, need - have)
                 out.append(piece)
@@ -594,7 +592,7 @@ def _stepwise_right(stream, need, budget):
                 raise BudgetExceededError("right expansion is not growing")
     else:
         for i in range(k):
-            suffix = stream.entry(i).suffix
+            suffix = point.entry(i).suffix
             if suffix:
                 total = len(suffix) * (s.constant_length**i)
                 if total > budget:
@@ -603,26 +601,26 @@ def _stepwise_right(stream, need, budget):
                 have += total
         rest = need - have
         if rest > 0:
-            d = stream.right_seed
+            d = point.right_seed
             cyc = cycle_length(first_letter_map(s), ord(d))
             e = _seed_exponent(s, k, cyc, rest)
             out.append(_prefix_of_iterate(s, d, e, rest))
     return "".join(out)[:need]
 
 
-def _stepwise_left(stream, need, budget):
+def _stepwise_left(point, need, budget):
     if need == 0:
         return ""
-    s = stream.subst
-    k = len(stream.preperiod)
-    L = len(stream.period)
+    s = point.subst
+    k = len(point.preperiod)
+    L = len(point.period)
     out = []
     have = 0
-    if stream.left_seed is None:
+    if point.left_seed is None:
         i = 0
         cap = k + L * (need.bit_length() + 4)
         while have < need:
-            prefix = stream.entry(i).prefix
+            prefix = point.entry(i).prefix
             if prefix:
                 piece = _suffix_of_iterate(s, prefix, i, need - have)
                 out.append(piece)
@@ -632,7 +630,7 @@ def _stepwise_left(stream, need, budget):
                 raise BudgetExceededError("left expansion is not growing")
     else:
         for i in range(k):
-            prefix = stream.entry(i).prefix
+            prefix = point.entry(i).prefix
             if prefix:
                 total = len(prefix) * (s.constant_length**i)
                 if total > budget:
@@ -641,24 +639,24 @@ def _stepwise_left(stream, need, budget):
                 have += total
         rest = need - have
         if rest > 0:
-            c = stream.left_seed
+            c = point.left_seed
             cyc = cycle_length(last_letter_map(s), ord(c))
             e = _seed_exponent(s, k, cyc, rest)
             out.append(_suffix_of_iterate(s, c, e, rest))
     return "".join(reversed(out))[-need:]
 
 
-def stepwise_window(stream, radius, budget=DEFAULT_WORD_BUDGET):
+def stepwise_window(point, radius, budget=DEFAULT_WORD_BUDGET):
     """Reference for ``RepresentedPoint.expand``: the window
-    ``x(-radius .. radius)`` of the point of ``stream``, built bottom-up.
+    ``x(-radius .. radius)`` of ``point``, built bottom-up.
     The left part adds, level by level, the iterated images of the
     prefixes (the left seed's tail past the preperiod), and the right part
     the iterated images of the suffixes.  With a seed every preperiod
     level is expanded in full, so it raises ``BudgetExceededError`` where
     one of them exceeds ``budget``; without one, where a side stops
     growing within its level cap."""
-    return _stepwise_left(stream, radius, budget) + _stepwise_right(
-        stream, radius + 1, budget
+    return _stepwise_left(point, radius, budget) + _stepwise_right(
+        point, radius + 1, budget
     )
 
 
@@ -909,7 +907,7 @@ def double_engine(subst, target):
         seen.add(sig)
 
 
-def engine_uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
+def engine_uncountable_certificate(subst):
     """Reference for ``pairs.uncountable_certificate``: the first target
     (i, j), i < j, at which ``double_engine`` hits, and the two
     occurrences read from the words at that level."""
@@ -919,7 +917,7 @@ def engine_uncountable_certificate(subst, word_cap=CERTIFICATE_WORD_CAP):
     if found is None:
         return None
     (ai, bi), level = found
-    if subst.constant_length**level > word_cap:
+    if subst.constant_length**level > CERTIFICATE_WORD_CAP:
         raise BudgetExceededError(f"certificate words at power {level} exceed the word cap")
     ua = iterate_chr(subst, chr(ai), level)
     ub = iterate_chr(subst, chr(bi), level)
@@ -973,7 +971,7 @@ def walked_ly_orbits(subst):
         seeds_x = _seed_choices(subst, positions, ex[0].center)
         seeds_y = _seed_choices(subst, positions, ey[0].center)
         for (lx, rx), (ly, ry) in itertools.product(seeds_x, seeds_y):
-            x = RepresentedPoint(DesubstitutionStream(subst, (), ex, lx, rx))
-            y = RepresentedPoint(DesubstitutionStream(subst, (), ey, ly, ry))
+            x = RepresentedPoint(subst, (), ex, lx, rx)
+            y = RepresentedPoint(subst, (), ey, ly, ry)
             results.append((x, y))
     return results, len(chains)

@@ -67,14 +67,14 @@ def test_criterion_1_fixture_decisions(fixtures):
         aba = fixtures["aba"]
         assert has_ly_pairs(aba) is True
         assert has_uncountable_ly(aba) is False
-        data = analyze(aba, include_orbits=False).data
+        data = analyze(aba).data
         assert data["strong_li_yorke"] is data["uncountable_li_yorke"] is False
         orbits = enumerate_ly_orbits(aba)
         assert orbits and len(orbits) < 10**4
 
         baacd = fixtures["baacd"]
         assert has_uncountable_ly(baacd) is True
-        data = analyze(baacd, include_orbits=False).data
+        data = analyze(baacd).data
         assert data["strong_li_yorke"] is data["uncountable_li_yorke"] is True
         rp = construct_recurrent_ly_pair(baacd)
         assert recurrence_check(rp.x, rp.y, rp.letters, 4) is True
@@ -251,11 +251,11 @@ def test_criterion_7_tower():
     try:
         for n in range(1, 6):
             level = tower_substitution(n)
-            assert is_primitive(level.substitution)
-            assert decide_infinite(level.substitution)
+            assert is_primitive(level)
+            assert decide_infinite(level)
         for n in range(1, 7):
-            upper = tower_substitution(n + 1).substitution
-            lower = tower_substitution(n).substitution
+            upper = tower_substitution(n + 1)
+            lower = tower_substitution(n)
             for tok in upper.alphabet:
                 assert rho(n, upper.image(tok)) == lower.image(rho(n, tok))
         report = verify_scrambled_S(4, 3**9)

@@ -92,7 +92,7 @@ def test_has_ly_pairs_fixtures(fixtures, name, expected):
 )
 def test_has_uncountable_fixtures(fixtures, name, expected):
     assert has_uncountable_ly(fixtures[name]) is expected
-    data = analyze(fixtures[name], include_orbits=False).data
+    data = analyze(fixtures[name]).data
     assert data["strong_li_yorke"] is data["uncountable_li_yorke"] is expected
 
 
@@ -454,7 +454,7 @@ def test_recurrent_pair_with_boundary_witness(fixtures):
     assert classify_pair(rp.x, rp.y).kind is PairClass.LI_YORKE
     digits = rp.x.pi_digits(8)
     assert digits == rp.y.pi_digits(8)
-    assert rp.x.stream.left_seed is None and rp.x.stream.right_seed is None
+    assert rp.x.left_seed is None and rp.x.right_seed is None
 
 
 def test_enumerate_orbits_aba(fixtures):
@@ -568,7 +568,7 @@ def test_orbit_list_matches_fiber_classification(fixtures):
             digits = x.odometer_digits()
             assert digits == y.odometer_digits(), s.rules()
             assert not (digits.preperiod == () and digits.period == (p - 1,)), s.rules()
-            assert x.stream.entry(0).center < y.stream.entry(0).center, s.rules()
+            assert x.entry(0).center < y.entry(0).center, s.rules()
             listed.setdefault(digits, []).append(frozenset((x, y)))
         for pairs in listed.values():
             assert len(set(pairs)) == len(pairs), s.rules()

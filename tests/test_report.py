@@ -30,7 +30,7 @@ def test_analyze_searches_each_substitution_once(fixtures, monkeypatch):
 
 def test_is_elementary_matches_the_search(fixtures, random_corpus_any):
     for s in list(fixtures.values()) + random_corpus_any:
-        report = analyze(s, include_orbits=False)
+        report = analyze(s)
         assert report.data["is_elementary"] == (is_simplifiable(s) is None), s.rules()
 
 

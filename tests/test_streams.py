@@ -1,6 +1,7 @@
 """Desubstitution streams: construction, expansion, the shift carry, and
 fiber enumeration."""
 
+import dataclasses
 import random
 
 import pytest
@@ -22,7 +23,7 @@ from substchaos.errors import (
     StreamChainError,
 )
 from substchaos.simulate import empirical_class
-from substchaos.streams import RepresentedPoint, _past_right_end
+from substchaos.streams import _past_right_end
 
 from conftest import (
     CORPUS_SEED,
@@ -52,6 +53,27 @@ def test_fixed_point_seed_with_longer_cycle(fixtures):
     # last letter of one image only returns to itself at the second power
     x = stream_from_fixed_point(fixtures["morse"], "1", "1")
     assert x.window(4) == "100110010"
+
+
+def test_point_is_one_frozen_canonical_dataclass(fixtures):
+    morse = fixtures["morse"]
+    x = stream_from_fixed_point(morse, "1", "0")
+    fields = [f.name for f in dataclasses.fields(x)]
+    assert fields == ["subst", "preperiod", "period", "left_seed", "right_seed"]
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.left_seed = "0"
+    # a doubled period, or a period level copied into the preperiod with
+    # the left seed one step back along the last-letter map (0 -> 1), is
+    # stored in the canonical form of x
+    lit = x.to_literal()
+    for variant in (
+        dict(lit, period=lit["period"] * 2),
+        dict(lit, preperiod=lit["period"], left_seed="0"),
+    ):
+        y = point_from_literal(morse, variant)
+        assert (y, hash(y), y.to_literal()) == (x, hash(x), lit)
+        assert y.expand(40) == x.expand(40)
 
 
 def test_fixed_point_rejections(fixtures):
@@ -145,9 +167,8 @@ def test_expand_matches_the_stepwise_reference(expansion_points):
     top = EXPANSION_RADII[-1]
     checked = 0
     for point in expansion_points:
-        fresh = RepresentedPoint(point.stream)
         try:
-            big = stepwise_window(point.stream, top, REFERENCE_BUDGET)
+            big = stepwise_window(point, top, REFERENCE_BUDGET)
         except BudgetExceededError:
             big = None
         for radius in EXPANSION_RADII:
@@ -155,10 +176,10 @@ def test_expand_matches_the_stepwise_reference(expansion_points):
                 expected = big[top - radius : top + radius + 1]
             else:
                 try:
-                    expected = stepwise_window(point.stream, radius, REFERENCE_BUDGET)
+                    expected = stepwise_window(point, radius, REFERENCE_BUDGET)
                 except BudgetExceededError:
                     continue
-            assert fresh.expand(radius) == expected, (point, radius)
+            assert point.expand(radius) == expected, (point, radius)
             checked += 1
     assert checked > 0.9 * len(expansion_points) * len(EXPANSION_RADII)
 
@@ -177,7 +198,7 @@ def test_expand_produces_letters_linear_in_the_window(expansion_points, monkeypa
     for point in expansion_points:
         for radius in (1000, 2203):
             produced = 0
-            RepresentedPoint(point.stream).expand(radius)
+            point.expand(radius)
             assert produced <= 4 * (2 * radius + 1), (point, radius, produced)
 
 
@@ -242,7 +263,7 @@ def test_fiber_bound_preconditions():
 def test_fiber_zero_of_morse(fixtures):
     pts = enumerate_fiber(fixtures["morse"], OdometerDigits(2, (), (0,)))
     assert len(pts) == 4
-    assert all(p.stream.left_seed is not None for p in pts)
+    assert all(p.left_seed is not None for p in pts)
     windows = {p.window(2) for p in pts}
     assert len(windows) == 4
     # each center has two left seeds; equal level data list them in
@@ -259,7 +280,7 @@ def test_fiber_zero_of_morse(fixtures):
 def test_fiber_minus_one_has_right_seeds(fixtures):
     pts = enumerate_fiber(fixtures["morse"], OdometerDigits(2, (), (1,)))
     assert pts
-    assert all(p.stream.right_seed is not None for p in pts)
+    assert all(p.right_seed is not None for p in pts)
     literals = [p.to_literal() for p in pts]
     assert [(lit["period"][0], lit["right_seed"]) for lit in literals] == [
         (["0", "1", ""], "0"),
@@ -312,7 +333,7 @@ def test_fiber_separation_bound_error(fixtures):
     pts = enumerate_fiber(fixtures["morse"], OdometerDigits(2, (), (0,)), radius=0)
     assert len(set(pts)) == len(pts) == 4
     for center in ("0", "1"):
-        seeds = {p.stream.left_seed for p in pts if p.window(0) == center}
+        seeds = {p.left_seed for p in pts if p.window(0) == center}
         assert seeds == {chr(0), chr(1)}
 
 
@@ -322,7 +343,7 @@ def test_fiber_keeps_points_a_small_window_cannot_separate(fixtures):
     digits = OdometerDigits(3, (0,) * 6, (2,))
     pts = enumerate_fiber(fixtures["ly_two"], digits)
     assert len(pts) == 2
-    assert {p.stream.right_seed for p in pts} == {chr(0), chr(1)}
+    assert {p.right_seed for p in pts} == {chr(0), chr(1)}
     assert pts[0].expand(728) == pts[1].expand(728)
     assert pts[0].expand(729) != pts[1].expand(729)
 
@@ -348,7 +369,7 @@ def test_jump_past_the_right_end_is_the_shift_loop(fixtures):
         for pre in ((), (0,), (0, 0, 1), tuple(rng.randrange(p) for _ in range(4))):
             for x in enumerate_fiber(s, OdometerDigits(p, pre, (p - 1,))):
                 jump = right_end_jump(x)
-                assert RepresentedPoint(_past_right_end(x.stream)) == x.shift_by(jump)
+                assert _past_right_end(x) == x.shift_by(jump)
 
 
 def test_shift_by_budget(fixtures):

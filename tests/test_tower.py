@@ -23,18 +23,18 @@ from conftest import recursive_preimage_candidates
 
 
 def test_level_one_rules():
-    s = tower_substitution(1).substitution
+    s = tower_substitution(1)
     assert s.rules() == {"0": "001", "1": "101"}
 
 
 def test_level_two_rules():
-    s = tower_substitution(2).substitution
+    s = tower_substitution(2)
     assert s.rules() == {"0": "001", "1": "102", "2": "202"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_levels_primitive_and_infinite(n):
-    s = tower_substitution(n).substitution
+    s = tower_substitution(n)
     assert s.constant_length == 3
     assert is_primitive(s)
     assert decide_infinite(s)
@@ -48,8 +48,8 @@ def test_rho_letterwise():
 
 def test_rho_commutes_with_levels():
     for n in range(1, 7):
-        lower = tower_substitution(n).substitution
-        upper = tower_substitution(n + 1).substitution
+        lower = tower_substitution(n)
+        upper = tower_substitution(n + 1)
         for tok in upper.alphabet:
             image_then_project = rho(n, upper.image(tok))
             project_then_image = lower.image(rho(n, tok))
@@ -63,7 +63,7 @@ def test_rho_rejects_foreign_letters():
 
 def test_point_x_matches_direct_iteration():
     x = tower_point_x(1)
-    s = tower_substitution(1).substitution
+    s = tower_substitution(1)
     # right side: letter, then the iterated images of the two-letter seed
     expected = "1"
     k = 0
@@ -147,7 +147,7 @@ def test_preimage_candidates_bounded():
 
 def test_preimage_candidates_exact_small():
     # short windows are checked against the enumerated language directly
-    s1 = tower_substitution(1).substitution
+    s1 = tower_substitution(1)
     win = s1.encode("001")
     cands = preimage_candidates(1, win)
     assert cands
@@ -165,7 +165,7 @@ def _reference_windows(n):
     if n >= 2:
         samples.append(tower_point_y(n, n - 1))
     windows += [pt.expand(729) for pt in samples]
-    lower = tower_substitution(n).substitution
+    lower = tower_substitution(n)
     for m in range(1, 30):
         windows += sorted(language_chr(lower, m))
     return windows
