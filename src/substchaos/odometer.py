@@ -76,25 +76,15 @@ class OdometerDigits:
         return [self.digit(i) for i in range(count)]
 
     def successor(self):
-        """Addition of one, carrying to the right."""
+        """Addition of one, carrying to the right: the first digit below
+        p-1 goes up by one, the digits before it drop to 0, and the rest of
+        the first pass stays before the same period (the constructor puts
+        that form in canonical form).  If every digit is p-1, this is -1
+        and its successor is 0."""
         p = self.base
-        k = len(self.preperiod)
-        L = len(self.period)
-        for i in range(k + L):
-            if self.digit(i) != p - 1:
-                if i < k:
-                    pre = (0,) * i + (self.preperiod[i] + 1,) + self.preperiod[i + 1 :]
-                    return OdometerDigits(p, pre, self.period)
-                j = i - k
-                pre = (0,) * i + (self.period[j] + 1,)
-                per = self.period[j + 1 :] + self.period[: j + 1]
-                return OdometerDigits(p, pre, per)
-        # all digits are p-1: the successor of -1 is 0
+        first_pass = self.digits(len(self.preperiod) + len(self.period))
+        for i, d in enumerate(first_pass):
+            if d != p - 1:
+                pre = (0,) * i + (d + 1,) + tuple(first_pass[i + 1 :])
+                return OdometerDigits(p, pre, self.period)
         return OdometerDigits(p, (), (0,))
-
-    def to_json(self):
-        return {
-            "base": self.base,
-            "preperiod": list(self.preperiod),
-            "period": list(self.period),
-        }

@@ -42,6 +42,7 @@ from .substitution import (
     Substitution,
     cycle_length,
     iterate_chr,
+    json_word,
     language_chr,
     last_letter_map,
     memoised,
@@ -411,17 +412,14 @@ class LyCertificate:
     v2: str
 
     def to_json(self):
-        def word(w):
-            return w if isinstance(w, str) else list(w)
-
         return {
             "m": self.power,
             "a": self.a,
             "b": self.b,
-            "u": word(self.u),
-            "v": word(self.v),
-            "u2": word(self.u2),
-            "v2": word(self.v2),
+            "u": json_word(self.u),
+            "v": json_word(self.v),
+            "u2": json_word(self.u2),
+            "v2": json_word(self.v2),
         }
 
 

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 from .errors import InvariantError, PreconditionError, SearchBudgetError
 from .substitution import (
     Substitution,
+    incidence_matrix,
     is_primitive,
+    json_word,
     language_chr,
     memoised,
 )
@@ -57,29 +59,18 @@ def one_to_one_reduction(subst):
     alphabet order) until all images are pairwise distinct."""
     current = subst
     steps = 0
-    total = {tok: tok for tok in subst.alphabet}
+    codes = range(subst.size)  # the code of each original letter in ``current``
     while not current.is_injective():
-        rep = {}
+        first = {}  # each distinct image -> the first letter with it
         for i, img in enumerate(current.images):
-            rep.setdefault(img, i)
-        keep = sorted(set(rep.values()))
-        old_to_new = {}
-        for i, img in enumerate(current.images):
-            old_to_new[i] = keep.index(rep[img])
-        alphabet = tuple(current.alphabet[i] for i in keep)
-        images = tuple(
-            "".join(chr(old_to_new[ord(ch)]) for ch in current.images[i]) for i in keep
-        )
-        step_map = tuple(
-            (current.alphabet[i], current.alphabet[keep[old_to_new[i]]])
-            for i in range(current.size)
-        )
-        nxt = Substitution(alphabet, images)
+            first.setdefault(img, i)
+        merged = {img: chr(j) for j, img in enumerate(first)}
+        table = [merged[img] for img in current.images]
+        alphabet = tuple(current.alphabet[i] for i in first.values())
+        current = Substitution(alphabet, tuple(img.translate(table) for img in first))
+        codes = [ord(table[c]) for c in codes]
         steps += 1
-        step = dict(step_map)
-        total = {tok: step[total[tok]] for tok in total}
-        current = nxt
-    letter_map = tuple((tok, total[tok]) for tok in subst.alphabet)
+    letter_map = tuple((tok, current.alphabet[c]) for tok, c in zip(subst.alphabet, codes))
     return ReductionResult(current, letter_map, steps)
 
 
@@ -133,7 +124,7 @@ def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
     """
     n = subst.size
     images = list(subst.images)
-    basis = _echelon(_counts(image, n) for image in images)
+    basis = _echelon(zip(*incidence_matrix(subst)))
     counter = _Budget(budget)
     for size in range(max(1, len(basis)), n):
         found = _cover(images, size, counter, basis)
@@ -366,13 +357,12 @@ def decide_infinite_trace(subst):
                 }
             )
             return bool(bip), trace
-        words = [subst.decode(w) for w in simp.g]
         trace.append(
             {
                 "alphabet_size": subst.size,
                 "action": "simplified",
                 "target_alphabet_size": len(simp.target_alphabet),
-                "dictionary": [w if isinstance(w, str) else list(w) for w in words],
+                "dictionary": [json_word(subst.decode(w)) for w in simp.g],
             }
         )
         subst = _composed(simp)

@@ -17,7 +17,7 @@ from .pairs import (
 )
 from .reduction import decide_infinite_trace, one_to_one_reduction
 from .streams import fiber_bound
-from .substitution import DEFAULT_WORD_BUDGET, is_primitive, pair_substitution
+from .substitution import DEFAULT_WORD_BUDGET, is_primitive, json_word, pair_substitution
 
 
 REPORT_SCHEMA = {
@@ -66,10 +66,6 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-
-def _word_json(word):
-    return word if isinstance(word, str) else list(word)
 
 
 @dataclass
@@ -148,7 +144,7 @@ def analyze(subst, brute_bound=None):
     data["tool_version"] = __version__
     data["input"] = {
         "alphabet": list(subst.alphabet),
-        "rules": {tok: _word_json(subst.image(tok)) for tok in subst.alphabet},
+        "rules": {tok: json_word(subst.image(tok)) for tok in subst.alphabet},
     }
     data["primitive"] = True
     data["constant_length"] = subst.constant_length
@@ -159,7 +155,7 @@ def analyze(subst, brute_bound=None):
     red = one_to_one_reduction(subst)
     data["one_to_one_reduction"] = {
         "alphabet": list(red.reduced.alphabet),
-        "rules": {tok: _word_json(red.reduced.image(tok)) for tok in red.reduced.alphabet},
+        "rules": {tok: json_word(red.reduced.image(tok)) for tok in red.reduced.alphabet},
         "letter_map": {a: b for a, b in red.letter_map},
         "steps": red.steps,
     }

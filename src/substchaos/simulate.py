@@ -51,18 +51,7 @@ class EvidenceReport:
     max_distance: float
 
     def to_json(self):
-        return {
-            "horizon": self.horizon,
-            "window": self.window,
-            "proximality_events": list(self.proximality_events),
-            "proximality_count": self.proximality_count,
-            "separation_events": list(self.separation_events),
-            "separation_count": self.separation_count,
-            "last_separation": self.last_separation,
-            "max_last_difference": self.max_last_difference,
-            "min_distance": self.min_distance,
-            "max_distance": self.max_distance,
-        }
+        return dict(vars(self))
 
 
 def _difference_flags(x, y, horizon, window, budget):

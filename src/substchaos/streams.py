@@ -45,6 +45,7 @@ from .substitution import (
     is_primitive,
     is_public_word,
     iterate_slice,
+    json_word,
     language_chr,
     last_letter_map,
 )
@@ -259,8 +260,7 @@ class RepresentedPoint:
         s = self.subst
 
         def word(w):
-            out = s.decode(w)
-            return out if isinstance(out, str) else list(out)
+            return json_word(s.decode(w))
 
         def triple(e):
             return [word(e.prefix), word(e.center), word(e.suffix)]

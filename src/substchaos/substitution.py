@@ -298,6 +298,12 @@ def is_public_word(value):
     )
 
 
+def json_word(word):
+    """A public word as JSON renders it: a string of one-character tokens
+    as itself, a token tuple as a list."""
+    return word if isinstance(word, str) else list(word)
+
+
 # ---------------------------------------------------------------------------
 # iteration
 

@@ -41,17 +41,13 @@ def rho(n, word):
     """Letterwise projection from level ``n+1`` words to level ``n``:
     identity except that the top letter drops by one."""
     upper = tower_substitution(n + 1)
-    lower = tower_substitution(n)
-    toks = list(word) if isinstance(word, str) else [t for t in word]
-    out = []
-    for t in toks:
-        v = upper.index(t)
-        out.append(str(min(v, n)))
-    return lower.decode(lower.encode(out))
+    codes = "".join(chr(upper.index(t)) for t in word)
+    return tower_substitution(n).decode(rho_chr(n, codes))
 
 
 def rho_chr(n, chrword):
-    return "".join(chr(min(ord(ch), n)) for ch in chrword)
+    """``rho`` on a chr-coded level-``n+1`` word."""
+    return chrword.translate({n + 1: n})
 
 
 def tower_point_x(n):
@@ -93,18 +89,6 @@ class TowerMatrixEntry:
     separation_count: int
     max_last_difference: int | None
 
-    def to_json(self):
-        return {
-            "first": self.first,
-            "second": self.second,
-            "level": self.level,
-            "verdict": self.verdict,
-            "rule": self.rule,
-            "proximality_count": self.proximality_count,
-            "separation_count": self.separation_count,
-            "max_last_difference": self.max_last_difference,
-        }
-
 
 @dataclass(frozen=True)
 class TowerReport:
@@ -117,12 +101,8 @@ class TowerReport:
         return any(e.verdict == PairClass.DISTAL.value for e in self.entries)
 
     def to_json(self):
-        return {
-            "depth": self.depth,
-            "horizon": self.horizon,
-            "has_distal": self.has_distal,
-            "entries": [e.to_json() for e in self.entries],
-        }
+        entries = [dict(vars(e)) for e in self.entries]
+        return dict(vars(self), has_distal=self.has_distal, entries=entries)
 
     def table(self):
         header = f"{'pair':>10} {'level':>5} {'verdict':>12} {'prox':>6} {'sep':>6}"
@@ -135,7 +115,7 @@ class TowerReport:
         return "\n".join(lines)
 
 
-def verify_scrambled_S(depth, horizon, window=16):
+def verify_scrambled_S(depth, horizon):
     """Levelwise verdicts for all pairs of the first ``depth`` members of
     the distinguished family, with simulator evidence at ``horizon``.
 
@@ -157,7 +137,7 @@ def verify_scrambled_S(depth, horizon, window=16):
                 if pa == pb:
                     continue
                 verdict = classify_pair(pa, pb)
-                ev = empirical_class(pa, pb, horizon, window)
+                ev = empirical_class(pa, pb, horizon)
                 entries.append(
                     TowerMatrixEntry(
                         first=na,
@@ -200,8 +180,7 @@ def preimage_candidates(n, window_chr, core_radius=None):
     m = len(window_chr)
     found = set()
     for lead, u in _covering_words(upper, m):
-        # ρ drops the top letter n + 1 to n and keeps every other letter
-        projected = u.translate({n + 1: n})
+        projected = rho_chr(n, u)
         i = projected.find(window_chr, 0, lead + m - 1)
         while i >= 0:
             found.add(u[i : i + m])

@@ -73,6 +73,7 @@ BAACD = "a -> baacd\nb -> bbbcd\nc -> bcaba\nd -> bdabd"
 FOUR = "0 -> 0123\n1 -> 1032\n2 -> 1023\n3 -> 0132"
 SAME = "0 -> 01\n1 -> 01"
 PERIOD_TWO = "0 -> 010\n1 -> 101"
+FLIP = "0 -> 10\n1 -> 01"
 
 FIXTURE_SOURCES = {
     "morse": MORSE,
@@ -131,8 +132,19 @@ def point_corpus(fixtures):
             OdometerDigits(p, (), (p - 1,)),
             OdometerDigits(p, (1,), (0,)),
         ]:
-            pts.extend(enumerate_fiber(s, digits, radius=96))
+            pts.extend(enumerate_fiber(s, digits))
         corpus[name] = pts
+    # The first-letter map of every fixture has only fixed points, so a
+    # right seed stepped along it by the wrong number of levels would move
+    # no point above; here it is the 2-cycle 0 <-> 1.  The fiber 0^3 1^inf
+    # carries right seeds under a preperiod, the fiber 1^inf crosses the
+    # right end on its first shift.
+    flip = parse_substitution(FLIP)
+    corpus["flip"] = [
+        pt
+        for digits in [OdometerDigits(2, (0, 0, 0), (1,)), OdometerDigits(2, (), (1,))]
+        for pt in enumerate_fiber(flip, digits)
+    ]
     cp = construct_ly_pair(fixtures["ly_two"])
     corpus["ly_two"].extend([cp.x, cp.y])
     baacd = fixtures["baacd"]

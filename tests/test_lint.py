@@ -7,7 +7,9 @@ the test suite imports a name it never reads; no function of the
 package takes a parameter it never reads; and no module of the package
 asks the stdlib for indented JSON (``json.dump``, ``json.dumps`` or
 ``JSONEncoder`` with ``indent``), which takes its pure-Python encoder,
-so ``cli._emit`` stays the one writer of stdout documents."""
+so ``cli._emit`` stays the one writer of stdout documents; and no module
+of the package uses ``dataclasses.asdict``, which deep-copies every leaf
+of a record (``vars`` gives the fields as they are)."""
 
 import ast
 import sys
@@ -286,3 +288,28 @@ def test_no_indented_json_outside_the_writer():
         "json.loads(s)\n"
     )
     assert list(_indented_json_calls(probe)) == [4, 5, 6, 7]
+
+
+def _asdict_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name == "asdict" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, (ast.Name, ast.Attribute)) and _tail(node) == "asdict":
+            yield node.lineno
+
+
+def test_no_dataclasses_asdict():
+    found = []
+    for module in CHECKED_MODULES:
+        found += [f"{module}:{line}" for line in _asdict_uses(_tree(PACKAGE_DIR / module))]
+    assert found == []
+    probe = ast.parse(
+        "import dataclasses\nfrom dataclasses import asdict, dataclass\n"
+        "dataclasses.asdict(r)\n"
+        "asdict(r)\n"
+        "dict(vars(r))\n"
+        "list(map(asdict, rs))\n"
+        "dataclasses.astuple(r)\n"
+    )
+    assert sorted(set(_asdict_uses(probe))) == [2, 3, 4, 6]

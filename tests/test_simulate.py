@@ -175,9 +175,9 @@ def _synthetic_pairs():
     return cases
 
 
-def test_evidence_matches_stepwise_on_fixture_pairs(fixtures, point_corpus):
+def test_evidence_matches_stepwise_on_fixture_pairs(point_corpus):
     for name, points in point_corpus.items():
-        p = fixtures[name].constant_length
+        p = points[0].subst.constant_length
         horizons = [p**k for k in range(8) if p**k <= 729]
         for i, x in enumerate(points):
             for y in points[i + 1 :]:
