@@ -815,14 +815,10 @@ def build_scrambled_set(size_parameter):
         raise PreconditionError("size parameter must be >= 1")
     n = size_parameter
     alphabet = tuple(str(i) for i in range(n + 1))
-    rules = {}
-    for a in range(n + 1):
-        succ = (a + 1) % (n + 1)
-        rules[str(a)] = [str(0), str(a), str(a), str(succ), str(0)]
-    s = Substitution.from_rules(rules, alphabet)
-    points = []
-    for a in range(n + 1):
-        succ = (a + 1) % (n + 1)
-        entry = StreamEntry(chr(0), chr(a), chr(a) + chr(succ) + chr(0))
-        points.append(RepresentedPoint(s, (), (entry,), None, None))
+    images = tuple(chr(0) + chr(a) * 2 + chr((a + 1) % (n + 1)) + chr(0) for a in range(n + 1))
+    s = Substitution(alphabet, images)
+    points = [
+        RepresentedPoint(s, (), (StreamEntry(img[:1], img[1], img[2:]),), None, None)
+        for img in images
+    ]
     return s, points

@@ -166,7 +166,7 @@ def count_occurrences(haystack, needle):
     return count
 
 
-def recurrence_check(x, y, letters, depth, budget=DEFAULT_WORD_BUDGET):
+def recurrence_check(x, y, letters, depth):
     """For every radius up to ``depth``, look for the centered pair window
     inside the aligned even-power images of the reference letters; true
     when every radius succeeds.
@@ -183,11 +183,11 @@ def recurrence_check(x, y, letters, depth, budget=DEFAULT_WORD_BUDGET):
     bc = chr(s.index(b))
     pair_images = []
     for m in range(1, depth + 1):
-        wa = iterate_chr(s, ac, 2 * m, budget)
-        wb = iterate_chr(s, bc, 2 * m, budget)
+        wa = iterate_chr(s, ac, 2 * m)
+        wb = iterate_chr(s, bc, 2 * m)
         pair_images.append(zip_pair_word(s, wa, wb))
     for n in range(1, depth + 1):
-        needle = zip_pair_word(s, x.expand(n, budget), y.expand(n, budget))
+        needle = zip_pair_word(s, x.expand(n), y.expand(n))
         if not any(count_occurrences(w, needle) >= 2 for w in pair_images):
             return False
     return True

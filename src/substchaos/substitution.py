@@ -546,10 +546,6 @@ def in_language(subst, chrword):
 # the substitution on letter-pairs
 
 
-def pair_token(subst, i, j):
-    return f"({subst.alphabet[i]},{subst.alphabet[j]})"
-
-
 def pair_substitution(subst):
     """The induced substitution on the alphabet of letter-pairs: the image
     of ``(a, b)`` zips the images of ``a`` and ``b`` position by position.
@@ -558,7 +554,7 @@ def pair_substitution(subst):
     if p is None:
         raise PreconditionError("the pair substitution needs constant length")
     n = subst.size
-    alphabet = tuple(pair_token(subst, i, j) for i in range(n) for j in range(n))
+    alphabet = tuple(f"({a},{b})" for a in subst.alphabet for b in subst.alphabet)
     images = []
     for i in range(n):
         for j in range(n):

@@ -25,11 +25,8 @@ def tower_substitution(n):
     if n < 1:
         raise PreconditionError("tower levels start at 1")
     alphabet = tuple(str(a) for a in range(n + 1))
-    rules = {}
-    for a in range(n + 1):
-        succ = a + 1 if a != n else n
-        rules[str(a)] = [str(a), "0", str(succ)]
-    s = Substitution.from_rules(rules, alphabet)
+    images = tuple(chr(a) + chr(0) + chr(min(a + 1, n)) for a in range(n + 1))
+    s = Substitution(alphabet, images)
     if not is_primitive(s):
         raise PreconditionError(f"tower level {n} is not primitive")
     if not decide_infinite(s):

@@ -9,7 +9,8 @@ asks the stdlib for indented JSON (``json.dump``, ``json.dumps`` or
 ``JSONEncoder`` with ``indent``), which takes its pure-Python encoder,
 so ``cli._emit`` stays the one writer of stdout documents; and no module
 of the package uses ``dataclasses.asdict``, which deep-copies every leaf
-of a record (``vars`` gives the fields as they are)."""
+of a record (``vars`` gives the fields as they are).  Only the two parsers
+of source text call ``Substitution.from_rules``."""
 
 import ast
 import sys
@@ -18,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import substchaos
+
+from code_lines import code_lines
 
 PACKAGE_DIR = Path(substchaos.__file__).parent
 CHECKED_MODULES = sorted(path.name for path in PACKAGE_DIR.glob("*.py"))
@@ -313,3 +316,62 @@ def test_no_dataclasses_asdict():
         "dataclasses.astuple(r)\n"
     )
     assert sorted(set(_asdict_uses(probe))) == [2, 3, 4, 6]
+
+
+# ``Substitution.from_rules`` reads decimal or text tokens back into letter
+# codes; only the two parsers of source text need that.  Code that builds
+# a substitution from its own letter codes calls ``Substitution`` on the
+# chr-coded images.
+FROM_RULES_CALLERS = {("substitution.py", "parse_substitution"), ("substitution.py", "_parse_json")}
+
+
+def _from_rules_calls(tree):
+    """(line, enclosing function) for every call of ``*.from_rules``; the
+    function is None at module level."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and _tail(node.func) == "from_rules":
+            yield node.lineno, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(tree, None))
+
+
+def test_only_the_parsers_call_from_rules():
+    found = []
+    for module in CHECKED_MODULES:
+        for line, function in _from_rules_calls(_tree(PACKAGE_DIR / module)):
+            if (module, function) not in FROM_RULES_CALLERS:
+                found.append(f"{module}:{line}")
+    assert found == []
+    probe = ast.parse(
+        "s = Substitution.from_rules(r)\n"
+        "def parse_substitution(t):\n    return Substitution.from_rules(r, a)\n"
+        "class C:\n    def build(self):\n        return Substitution(a, images)\n"
+        "def tower(n):\n    return substitution.Substitution.from_rules(r)\n"
+    )
+    assert _from_rules_calls(probe) == [(1, None), (3, "parse_substitution"), (8, "tower")]
+
+
+def test_code_line_count_probe():
+    # the counter that the code-line figures of the project documents use
+    probe = (
+        '"""Module docstring,\n\nover three lines."""\n'
+        "# a comment\n"
+        "\n"
+        "import os\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        '        x = """a string\n'
+        'over two lines"""\n'
+        "        return x  # a trailing comment\n"
+    )
+    # import, class, def, both lines of the string, return
+    assert code_lines(probe) == 6

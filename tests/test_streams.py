@@ -231,14 +231,27 @@ def test_shift_matches_window_slide(point_corpus):
                 assert pt.expand(32) == base[400 - 32 + n : 400 + 33 + n], (name, n)
 
 
+def odometer_successor(d):
+    """The exact +1 of an odometer value: the carry runs through the first
+    pass (preperiod and one period) and the same period follows it; if
+    every digit is p-1, the value is -1 and its successor is 0."""
+    first_pass = list(d.preperiod + d.period)
+    if all(digit == d.base - 1 for digit in first_pass):
+        return OdometerDigits(d.base, (), (0,))
+    return OdometerDigits(d.base, tuple(successor_of_digit_list(first_pass, d.base)), d.period)
+
+
 def test_shift_digit_successor_law(point_corpus):
+    # The shift acts on the odometer factor as +1 with carry, exactly.
     for points in point_corpus.values():
         for x in points:
             pt = x
             for _ in range(40):
                 digits = pt.pi_digits(32)
+                value = pt.odometer_digits()
                 pt = pt.shift()
                 assert pt.pi_digits(32) == successor_of_digit_list(digits, pt.subst.constant_length)
+                assert pt.odometer_digits() == odometer_successor(value)
 
 
 def test_shift_across_carry(fixtures):
