@@ -19,6 +19,14 @@ built.  L_2 itself is the closure of the two-letter factors of the
 images under the boundary pairs ``last(σ(c)) first(σ(d))``, and a
 listing goes back to public form through one ``decode`` of its words
 joined, cut every N letters.
+
+A slice of an iterate (``iterate_slice``, the expansion of every point
+window) is built top-down on bytes when the alphabet has at most 256
+letters: the word is latin-1 once, a level is p ``bytes.translate``
+passes through the byte columns of the images (letter j of every image,
+one 256-byte table per j), each written to every p-th byte, and the
+window is decoded to a chr-coded string once.  A larger alphabet does not
+fit a byte and keeps the per-letter ``str.translate`` of ``apply``.
 """
 
 from __future__ import annotations
@@ -281,11 +289,12 @@ def _parse_json(text):
     rules = doc["rules"]
     if not isinstance(rules, dict) or not all(is_public_word(img) for img in rules.values()):
         raise ParseError("'rules' must map each letter to a string or a list of letters", 1, 1)
-    alphabet = doc.get("alphabet") or list(rules.keys())
-    if not is_public_word(alphabet):
+    # a missing, null or empty alphabet is the rule order
+    alphabet = doc.get("alphabet")
+    if alphabet is not None and not (isinstance(alphabet, list) and is_public_word(alphabet)):
         raise ParseError("'alphabet' must be a list of letters", 1, 1)
     try:
-        return Substitution.from_rules(rules, tuple(alphabet))
+        return Substitution.from_rules(rules, tuple(alphabet or rules))
     except InvariantError as exc:
         raise ParseError(str(exc), 1, 1)
 
@@ -335,21 +344,52 @@ def iterate_slice(subst, chrword, count, start, stop):
     positions of the result, so before each application only the letters
     whose images reach ``[start, stop)`` are kept.  At most
     ``(stop - start) / p^m + 2`` letters survive a level, so the letters
-    produced total about ``(stop - start) * p / (p - 1) + 2 * p * count``."""
+    produced total about ``(stop - start) * p / (p - 1) + 2 * p * count``.
+
+    On at most 256 letters the word is latin-1 bytes from the start and a
+    level is p ``bytes.translate`` passes through ``_byte_columns``, each
+    written to every p-th byte, instead of the per-letter ``str.translate``
+    of ``apply``; the result is decoded once.  Larger alphabets keep
+    ``apply``."""
     p = subst.constant_length
     if p is None:
         raise PreconditionError("slicing an iterate needs constant length")
     if count < 0 or not 0 <= start <= stop:
         raise PreconditionError("slicing an iterate needs count >= 0 and 0 <= start <= stop")
-    w = chrword
+    columns = _byte_columns(subst)
+    w = chrword.encode("latin-1") if columns else chrword
     block = p**count
     for _ in range(count):
         lo = start // block
-        w = subst.apply(w[lo : -(-stop // block)])
+        w = w[lo : -(-stop // block)]
+        if columns:
+            # letter j of every image is one translate into every p-th byte
+            out = bytearray(len(w) * p)
+            for j, column in enumerate(columns):
+                out[j::p] = w.translate(column)
+            w = out
+        else:
+            w = subst.apply(w)
         start -= lo * block
         stop -= lo * block
         block //= p
+    if columns:
+        # decoded from a view, so the slice is not copied first
+        return str(memoryview(w)[start:stop], "latin-1")
     return w[start:stop]
+
+
+@memoised
+def _byte_columns(subst):
+    """For a constant-length substitution, one 256-byte ``bytes.translate``
+    table per image position ``j``, mapping each letter to letter ``j`` of
+    its image; None past 256 letters, which do not fit a byte."""
+    if subst.size > 256:
+        return None
+    pad = bytes(256 - subst.size)
+    return tuple(
+        bytes(ord(img[j]) for img in subst.images) + pad for j in range(subst.constant_length)
+    )
 
 
 # ---------------------------------------------------------------------------

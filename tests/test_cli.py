@@ -445,6 +445,10 @@ GOOD_POINT = json.dumps({"kind": "fixed_point", "left": "1", "right": "0"})
     [
         pytest.param(json.dumps({"rules": ["a"]}).encode(), id="rules-list"),
         pytest.param(json.dumps({"rules": {"a": 5}}).encode(), id="image-number"),
+        pytest.param(
+            json.dumps({"rules": {"a": "ab", "b": "ba"}, "alphabet": "ab"}).encode(),
+            id="alphabet-string",
+        ),
         pytest.param(b"\xff\xfe0 -> 01\n", id="not-utf8"),
     ],
 )

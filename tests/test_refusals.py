@@ -125,6 +125,18 @@ REFUSALS = {
         lambda: parse_substitution('{"rules": {"a": "a"}, "alphabet": 5}'),
         ParseError, "line 1, column 1: 'alphabet' must be a list of letters",
     ),
+    "json_alphabet_string": (
+        lambda: parse_substitution('{"rules": {"a": "ab", "b": "ba"}, "alphabet": "ab"}'),
+        ParseError, "line 1, column 1: 'alphabet' must be a list of letters",
+    ),
+    "json_alphabet_empty_string": (
+        lambda: parse_substitution('{"rules": {"a": "a"}, "alphabet": ""}'),
+        ParseError, "line 1, column 1: 'alphabet' must be a list of letters",
+    ),
+    "json_alphabet_false": (
+        lambda: parse_substitution('{"rules": {"a": "a"}, "alphabet": false}'),
+        ParseError, "line 1, column 1: 'alphabet' must be a list of letters",
+    ),
     "stream_without_period": (
         stream_literal,
         PreconditionError, "stream point literal lacks period",

@@ -1,8 +1,10 @@
 """Finite-horizon orbit evidence and its consistency with the exact
 verdicts."""
 
+import operator
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -18,7 +20,7 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos.errors import PreconditionError
-from substchaos.simulate import EVENT_CAP, count_occurrences
+from substchaos.simulate import EVENT_CAP, _difference_flags, count_occurrences
 from substchaos.substitution import iterate_chr, zip_pair_word
 
 from conftest import agreement_radius, radius_samples, stepwise_empirical_class
@@ -173,6 +175,46 @@ def _synthetic_pairs():
             y = "".join(f if rng.random() < density else c for c, f in zip(x, flipped))
             cases.append((x, y, horizon, window))
     return cases
+
+
+@pytest.mark.parametrize("top", [2, 256, 257, 0x10000])
+def test_difference_flags_match_per_symbol_comparison(top):
+    # codes below ``top``: the XOR kernel while every code is below 256,
+    # the per-symbol comparison once a window does not encode as latin-1
+    rng = random.Random(top)
+    for horizon, window in [(0, 1), (3, 2), (100, 16), (2000, 5)]:
+        size = 2 * (horizon + window) + 1
+        x = "".join(chr(rng.randrange(top)) for _ in range(size))
+        for density in (0.0, 0.1, 1.0):
+            y = "".join(
+                chr(rng.randrange(top)) if rng.random() < density else c for c in x
+            )
+            flags = _difference_flags(WindowPoint(x), WindowPoint(y), horizon, window, None)
+            assert flags == bytes(map(operator.ne, x, y)), (horizon, window, density)
+    # one window past latin-1, the other inside it
+    x = "ab\u0100"
+    assert _difference_flags(WindowPoint(x), WindowPoint("abc"), 0, 1, None) == b"\0\0\1"
+    assert _difference_flags(WindowPoint("abc"), WindowPoint(x), 0, 1, None) == b"\0\0\1"
+
+
+def test_difference_flags_memory_stays_linear(fixtures):
+    # About 2^22 symbols: the tracemalloc peak stays under 6 bytes per
+    # window symbol (the two windows, their encodings and the flags).
+    morse = fixtures["morse"]
+    x = stream_from_fixed_point(morse, "0", "0")
+    y = stream_from_fixed_point(morse, "1", "0")
+    window = 16
+    horizon = (1 << 21) - window
+    size = 2 * (horizon + window) + 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        flags = _difference_flags(x, y, horizon, window, 1 << 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(flags) == size
+    assert (peak - before) / size < 6
 
 
 def test_evidence_matches_stepwise_on_fixture_pairs(point_corpus):

@@ -21,6 +21,7 @@ from substchaos import (
 )
 from substchaos.errors import BudgetExceededError, InvariantError, PreconditionError
 from substchaos.substitution import (
+    _byte_columns,
     _two_letter_words,
     in_language,
     iterate_chr,
@@ -65,6 +66,17 @@ def test_parse_comments_blanks_and_backticks():
 def test_parse_json_document():
     s = parse_substitution('{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "10"}}')
     assert s == parse_substitution("0 -> 01\n1 -> 10")
+
+
+def test_parse_json_alphabet_is_a_list_or_the_rule_order():
+    # a missing, null or empty-list alphabet takes the order of the rules;
+    # any other value that is not a list of letters, a string among them,
+    # is refused (tests/test_refusals.py)
+    expected = parse_substitution("b -> ab\na -> ba")
+    rules = '"rules": {"b": "ab", "a": "ba"}'
+    for alphabet in ("", ', "alphabet": null', ', "alphabet": []'):
+        assert parse_substitution("{" + rules + alphabet + "}") == expected
+    assert parse_substitution("{" + rules + ', "alphabet": ["a", "b"]}').alphabet == ("a", "b")
 
 
 @pytest.mark.parametrize(
@@ -396,6 +408,48 @@ def test_iterate_slice_matches_full():
         iterate_slice(parse_substitution("a -> ab\nb -> a"), "\x00", 2, 0, 1)
     with pytest.raises(PreconditionError):
         iterate_slice(s, word, 2, 5, 4)
+
+
+def _slices(rng, n):
+    """Edge slices of a word of length ``n`` (empty, at the end, past the
+    end) plus seeded random ones."""
+    cases = [(0, 0), (0, n), (n, n), (n - 1, n), (max(n - 3, 0), n + 4), (n + 2, n + 9)]
+    for _ in range(12):
+        start = rng.randrange(n + 3)
+        cases.append((start, start + rng.randrange(n + 3)))
+    return cases
+
+
+def test_iterate_slice_matches_full_on_random_constant_length_inputs():
+    # the byte-column kernel, |A| 2..8 and p 2..6, against whole iterates
+    rng = random.Random(25)
+    for _ in range(60):
+        size, p = rng.randint(2, 8), rng.randint(2, 6)
+        images = tuple("".join(chr(rng.randrange(size)) for _ in range(p)) for _ in range(size))
+        s = Substitution(tuple(f"t{i}" for i in range(size)), images)
+        assert len(_byte_columns(s)) == p
+        word = "".join(chr(rng.randrange(size)) for _ in range(rng.randint(1, 3)))
+        for count in range(5 if p < 5 else 4):
+            full = iterate_chr(s, word, count)
+            for start, stop in _slices(rng, len(full)):
+                assert iterate_slice(s, word, count, start, stop) == full[start:stop], (
+                    images, word, count, start, stop)
+
+
+@pytest.mark.parametrize("size", [256, 300])
+def test_iterate_slice_on_the_byte_limit_and_past_it(size):
+    # i -> (i+1) 0 (i+2): primitive, since 0 maps to itself and i to i+1;
+    # 256 letters still take the byte kernel, more keep ``apply``
+    images = tuple(chr((i + 1) % size) + chr(0) + chr((i + 2) % size) for i in range(size))
+    s = Substitution(tuple(map(str, range(size))), images)
+    assert (_byte_columns(s) is None) == (size > 256)
+    rng = random.Random(size)
+    word = chr(size - 1) + chr(size - 2)
+    for count in range(6):
+        full = iterate_chr(s, word, count)
+        for start, stop in _slices(rng, len(full)):
+            assert iterate_slice(s, word, count, start, stop) == full[start:stop], (count, start)
+    assert is_primitive(s)
 
 
 # -- structural invariants ---------------------------------------------------
