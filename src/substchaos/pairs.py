@@ -623,18 +623,25 @@ class ConstructedPair:
 
 def _chain_entries(subst, top_letters, positions):
     """Entries of the level chain of an occurrence, cut by the digit list
-    of the position under ``top_letters``, which the chain must reach
-    again at the bottom; returns the entries low..high for each side."""
-    ex, ey = (_entries_below(subst, c, positions) for c in top_letters)
-    if (ex[0].center, ey[0].center) != tuple(top_letters):
-        raise InvariantError("occurrence chain does not return to its letters")
-    return ex, ey
+    of the position under ``top_letters``; returns the entries low..high
+    for each side.  The chain must reach its top letters again at the
+    bottom.  On the one-to-one domain of every caller that is exactly the
+    chain check of the ``RepresentedPoint`` constructor at the period's
+    end (the image of the bottom center is the top block), so a chain
+    that does not return is refused there with ``StreamChainError``."""
+    return tuple(_entries_below(subst, c, positions) for c in top_letters)
 
 
 def _lambda_periodic_predecessor(subst, letter_chr, power):
     """A letter c on a cycle of the last-letter map with ``c letter`` in
     the language: follow the last-letter map of the iterated substitution
-    from any predecessor until it lands on a cycle."""
+    from any predecessor until it lands on a cycle.
+
+    The letter heads its own ``power``-fold image (its chain has all
+    digits zero), and the boundary map B(c d) = last(σ(c)) first(σ(d))
+    keeps L_2, so B^power(c letter) = λ^power(c) letter stays in the
+    language at every step; the seed-junction check of the
+    ``RepresentedPoint`` constructor refuses any seed that does not."""
     s = subst
     lang2 = language_chr(s, 2)
     lam = last_letter_map(s)
@@ -644,8 +651,6 @@ def _lambda_periodic_predecessor(subst, letter_chr, power):
     c = preds[0]
     for _ in range(2 * s.size):
         if cycle_length(lam, ord(c)) is not None:
-            if c + letter_chr not in lang2:
-                raise InvariantError("periodic predecessor left the language")
             return c
         for _ in range(power):
             c = chr(lam[ord(c)])

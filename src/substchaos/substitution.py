@@ -20,6 +20,14 @@ images under the boundary pairs ``last(σ(c)) first(σ(d))``, and a
 listing goes back to public form through one ``decode`` of its words
 joined, cut every N letters.
 
+Primitivity is read from the letter graph, a -> b for each letter b of
+σ(a): σ is primitive exactly when that graph is strongly connected with
+period 1 (Perron–Frobenius), and both are decided by breadth-first
+search, the period as a gcd over the edges of the search levels
+(``is_primitive``).  The work is linear in the total image length, where
+a walk through the powers of σ could take up to the Wielandt bound
+(n-1)^2 + 1 of them.
+
 A slice of an iterate (``iterate_slice``, the expansion of every point
 window) is built top-down on bytes when the alphabet has at most 256
 letters: the word is latin-1 once, a level is p ``bytes.translate``
@@ -32,6 +40,7 @@ fit a byte and keeps the per-letter ``str.translate`` of ``apply``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -403,23 +412,48 @@ def incidence_matrix(subst):
     return [[subst.images[b].count(chr(a)) for b in range(n)] for a in range(n)]
 
 
-def wielandt_bound(n):
-    return (n - 1) * (n - 1) + 1
+def _bfs_levels(edges):
+    """Breadth-first levels from letter 0 along ``edges`` (``edges[a]``
+    the letters a points to); None for a letter not reached."""
+    level = [0] + [None] * (len(edges) - 1)
+    queue = [0]
+    for a in queue:
+        for b in edges[a]:
+            if level[b] is None:
+                level[b] = level[a] + 1
+                queue.append(b)
+    return level
 
 
 @memoised
 def is_primitive(subst):
     """True when some power maps every letter to a word containing every
-    letter.  Powers are searched up to the Wielandt bound (n-1)^2 + 1."""
-    n = subst.size
-    base = [frozenset(ord(ch) for ch in img) for img in subst.images]
-    full = frozenset(range(n))
-    cur = base
-    for _ in range(wielandt_bound(n)):
-        if all(col == full for col in cur):
-            return True
-        cur = [frozenset().union(*(base[c] for c in col)) for col in cur]
-    return False
+    letter, decided on the letter graph in time linear in its edges.
+
+    The graph has an edge a -> b for each letter b of σ(a); its adjacency
+    matrix is the transposed incidence matrix, which is primitive exactly
+    when the incidence matrix is.  A nonnegative matrix is primitive iff
+    it is irreducible and aperiodic (Perron–Frobenius): the graph is
+    strongly connected, which one breadth-first search from letter 0
+    along the edges and one along the reversed edges decide, and its
+    period, the gcd of its closed-walk lengths, is 1.  With the levels of
+    the forward search, the period is the gcd over the edges a -> b of
+    level(a) + 1 - level(b) (Denardo 1977, Math. Oper. Res. 2; Brualdi
+    and Ryser 1991, §3.4): each such value is the difference of two
+    closed walks through 0, the tree paths to a then the edge, and to b,
+    each closed by one path back to 0; and around any closed walk the
+    values sum to its length, the levels cancelling.
+    """
+    out = [set(map(ord, img)) for img in subst.images]
+    back = [[] for _ in out]
+    for a, targets in enumerate(out):
+        for b in targets:
+            back[b].append(a)
+    level = _bfs_levels(out)
+    if None in level or None in _bfs_levels(back):
+        return False
+    steps = (level[a] + 1 - level[b] for a, targets in enumerate(out) for b in targets)
+    return math.gcd(*steps) == 1
 
 
 # ---------------------------------------------------------------------------

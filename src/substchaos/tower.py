@@ -5,33 +5,49 @@ desk-scale verification that the distinguished family is scrambled.
 The inverse-limit space itself is never materialized; every claim is
 checked levelwise on finite windows, which is sound for finite-horizon
 evidence because the product topology is determined coordinatewise.
+
+Level n is σ_n on the letters 0..n, a ↦ a 0 min(a+1, n).  Three facts
+hold at every level n >= 1, so nothing here checks them at run time
+(``classify_pair`` and the ``RepresentedPoint`` constructor still do):
+
+1. σ_n is primitive.  Its letter graph, a -> b for each b in σ_n(a), has
+   the edges a -> 0 and a -> min(a+1, n), so 0 reaches every letter and
+   every letter reaches 0: it is strongly connected.  The self-loop
+   0 -> 0 (0 ↦ 0 0 1) makes its period 1, and a letter graph that is
+   strongly connected with period 1 is that of a primitive substitution
+   (Perron–Frobenius; see ``substitution.is_primitive``).
+2. The subshift is infinite.  The images are pairwise distinct (σ_n(a)
+   starts with a), so σ_n is its own one-to-one reduction, and 0 has the
+   two followers 0 and 1 in σ_n(0) = 0 0 1: a letter with two right
+   extensions in L_2 (``reduction.decide_infinite``).
+3. Every two-letter word is in L_2.  "0 d" is a factor of σ_n(d-1) for
+   d >= 1 and of σ_n(0) for d = 0, and the boundary map
+   B(c d) = last(σ_n(c)) first(σ_n(d)), which keeps L_2, sends "k d" to
+   "min(k+1, n) d".  So "k d" is in L_2 for all k and d; in particular
+   the companion seed junction "m (n-1)" of ``tower_point_y``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .pairs import PairClass, classify_pair
-from .reduction import decide_infinite
 from .simulate import empirical_class
 from .streams import RepresentedPoint, StreamEntry
-from .substitution import Substitution, _covering_words, is_primitive, language_chr
+from .substitution import Substitution, _covering_words
 
 
 def tower_substitution(n):
     """Level ``n``: alphabet 0..n, each letter maps to itself, zero, then
-    its successor (capped at the top letter)."""
+    its successor (capped at the top letter).  Primitive with an infinite
+    subshift at every level (module docstring)."""
     if n < 1:
         raise PreconditionError("tower levels start at 1")
     alphabet = tuple(str(a) for a in range(n + 1))
     images = tuple(chr(a) + chr(0) + chr(min(a + 1, n)) for a in range(n + 1))
-    s = Substitution(alphabet, images)
-    if not is_primitive(s):
-        raise PreconditionError(f"tower level {n} is not primitive")
-    if not decide_infinite(s):
-        raise PreconditionError(f"tower level {n} generates a finite subshift")
-    return s
+    return Substitution(alphabet, images)
 
 
 def rho(n, word):
@@ -57,14 +73,12 @@ def tower_point_x(n):
 
 def tower_point_y(m, n):
     """The level-``m`` companion point: letter ``n-1`` at the origin,
-    the same ``0 n`` suffix data, and the top-letter left tail."""
+    the same ``0 n`` suffix data, and the top-letter left tail (its seed
+    junction ``m (n-1)`` is in L_2 by the module docstring)."""
     if not (m >= n >= 1):
         raise PreconditionError("companion points need m >= n >= 1")
-    s = tower_substitution(m)
-    if chr(m) + chr(n - 1) not in language_chr(s, 2):
-        raise PreconditionError("companion seed junction is not admissible")
     entry = StreamEntry("", chr(n - 1), chr(0) + chr(n))
-    return RepresentedPoint(s, (), (entry,), chr(m), None)
+    return RepresentedPoint(tower_substitution(m), (), (entry,), chr(m), None)
 
 
 def element_component(n, level):
@@ -119,34 +133,34 @@ def verify_scrambled_S(depth, horizon):
     Every level substitution has overall coincidences, so the exact
     classifier applies throughout; the expected pattern is asymptotic at
     the level where the two members branch and Li-Yorke at every other
-    level where they differ.
+    level where they differ.  Each member's component is built once per
+    level, depth·(depth+2) points in all.
     """
     if depth < 2:
         raise PreconditionError("depth must be >= 2")
-    members = list(range(2, depth + 2))
+    members = range(2, depth + 2)
+    levels = range(1, depth + 3)
+    points = {(n, level): element_component(n, level) for n in members for level in levels}
     entries = []
-    for ai in range(len(members)):
-        for bi in range(ai + 1, len(members)):
-            na, nb = members[ai], members[bi]
-            for level in range(1, depth + 3):
-                pa = element_component(na, level)
-                pb = element_component(nb, level)
-                if pa == pb:
-                    continue
-                verdict = classify_pair(pa, pb)
-                ev = empirical_class(pa, pb, horizon)
-                entries.append(
-                    TowerMatrixEntry(
-                        first=na,
-                        second=nb,
-                        level=level,
-                        verdict=verdict.kind.value,
-                        rule=verdict.rule,
-                        proximality_count=ev.proximality_count,
-                        separation_count=ev.separation_count,
-                        max_last_difference=ev.max_last_difference,
-                    )
+    for na, nb in itertools.combinations(members, 2):
+        for level in levels:
+            pa, pb = points[na, level], points[nb, level]
+            if pa == pb:
+                continue
+            verdict = classify_pair(pa, pb)
+            ev = empirical_class(pa, pb, horizon)
+            entries.append(
+                TowerMatrixEntry(
+                    first=na,
+                    second=nb,
+                    level=level,
+                    verdict=verdict.kind.value,
+                    rule=verdict.rule,
+                    proximality_count=ev.proximality_count,
+                    separation_count=ev.separation_count,
+                    max_last_difference=ev.max_last_difference,
                 )
+            )
     return TowerReport(depth, horizon, tuple(entries))
 
 

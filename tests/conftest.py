@@ -156,6 +156,26 @@ def point_corpus(fixtures):
 
 
 # ---------------------------------------------------------------------------
+# reference primitivity: a walk through the powers of the substitution
+
+
+def primitive_by_powers(subst):
+    """True when some power maps every letter to a word containing every
+    letter: the letter sets of the iterated images, walked up to the
+    Wielandt bound (n-1)^2 + 1 on the exponent of a primitive n x n
+    matrix."""
+    n = subst.size
+    base = [frozenset(map(ord, img)) for img in subst.images]
+    full = frozenset(range(n))
+    cur = base
+    for _ in range((n - 1) * (n - 1) + 1):
+        if all(col == full for col in cur):
+            return True
+        cur = [frozenset().union(*(base[c] for c in col)) for col in cur]
+    return False
+
+
+# ---------------------------------------------------------------------------
 # reference language: a fixpoint of one application of the substitution,
 # run separately for every length
 

@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -525,6 +526,39 @@ def test_usage_error_exit_code_from_the_command_line():
     assert res.returncode == 1
     assert res.stdout == ""
     assert_one_error_line(res.stderr, "ParseError")
+
+
+@pytest.fixture()
+def slow_mixing_file(tmp_path):
+    """200 letters, letter i -> (i+1)(i+1) and the last -> 0 1: primitive,
+    with an exponent near the Wielandt bound (n-1)^2 + 1."""
+    n = 200
+    lines = [f"`{i}` -> `{i + 1}` `{i + 1}`" for i in range(n - 1)]
+    lines.append(f"`{n - 1}` -> `0` `1`")
+    path = tmp_path / "slow.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_slow_mixing_family_answers_within_seconds(slow_mixing_file):
+    # each command exits 0-3 with one JSON error line or none, well within
+    # a generous wall time; decide runs first and decides primitivity cold
+    for argv, expected in (
+        (["decide", slow_mixing_file], 0),
+        (["reduce", slow_mixing_file], 0),
+        (["language", slow_mixing_file, "3"], 0),
+        (["analyze", slow_mixing_file, "--json"], 3),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_main(argv)
+        assert time.perf_counter() - start < 10, argv
+        assert code == expected, (argv, err)
+        if expected:
+            assert out == ""
+            assert_one_error_line(err, "BudgetExceededError")
+            assert "exceed the word cap" in json.loads(err)["message"]
+        else:
+            assert out and err == ""
 
 
 def test_help_and_version_still_print_and_exit_zero(capsys):

@@ -11,6 +11,7 @@ import pytest
 from substchaos import (
     Coincidence,
     PairClass,
+    RepresentedPoint,
     Substitution,
     analyze,
     build_scrambled_set,
@@ -28,17 +29,18 @@ from substchaos import (
     stream_from_fixed_point,
     uncountable_certificate,
 )
-from substchaos.errors import PreconditionError
+from substchaos.errors import InvariantError, PreconditionError, StreamChainError
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import (
     _aligned_entries,
+    _chain_entries,
     _ly_levels,
     _pair_layer,
     _past_finite_forward_data,
     ly_witness,
 )
 from substchaos.report import _brute_scan
-from substchaos.substitution import is_primitive, iterate_chr
+from substchaos.substitution import is_primitive, iterate_chr, language_chr
 
 from conftest import (
     CORPUS_SEED,
@@ -257,6 +259,32 @@ def test_classify_constructed_ly_pair(fixtures):
 def test_classify_aba_construction(fixtures):
     cp = construct_ly_pair(fixtures["aba"])
     assert classify_pair(cp.x, cp.y).kind is PairClass.LI_YORKE
+
+
+def test_point_constructor_refuses_a_chain_that_does_not_return(fixtures):
+    # 0 -> 010: cut at digit 1, the chain under 0 ends on 1 and under 1
+    # (1 -> 100) on 0, so neither returns to its top letter
+    s = fixtures["ly_two"]
+    top = (chr(0), chr(1))
+    for letter, ex in zip(top, _chain_entries(s, top, [1])):
+        assert ex[0].center != letter
+        with pytest.raises(StreamChainError, match="image of the upper center"):
+            RepresentedPoint(s, (), ex, None, None)
+
+
+def test_point_constructor_refuses_a_forged_periodic_predecessor(monkeypatch):
+    # the witness sits at position zero, so the left seeds come from
+    # _lambda_periodic_predecessor; 2 is on a cycle of the last-letter
+    # map, but "2 2" is not a word of the language
+    import substchaos.pairs
+
+    s = parse_substitution("0 -> 001\n1 -> 020\n2 -> 202")
+    cp = construct_ly_pair(s)
+    assert (cp.x.left_seed, cp.y.left_seed) == (chr(0), chr(0))
+    assert chr(2) * 2 not in language_chr(s, 2)
+    monkeypatch.setattr(substchaos.pairs, "_lambda_periodic_predecessor", lambda *a: chr(2))
+    with pytest.raises(InvariantError, match="left seed junction word is not in the language"):
+        construct_ly_pair(s)
 
 
 def test_construct_rejects_when_no_pairs(fixtures):

@@ -27,13 +27,13 @@ from substchaos.substitution import (
     iterate_chr,
     iterate_slice,
     language_chr,
-    wielandt_bound,
 )
 
 from conftest import (
     CORPUS_SEED,
     closure_language_chr,
     desubstitute,
+    primitive_by_powers,
     recursive_in_language,
     round_two_letter_words,
 )
@@ -133,7 +133,53 @@ def test_primitivity():
     assert is_primitive(parse_substitution("0 -> 01\n1 -> 10"))
     assert not is_primitive(parse_substitution("0 -> 00\n1 -> 11"))
     assert is_primitive(parse_substitution("a -> aba\nb -> bca\nc -> cca"))
-    assert wielandt_bound(3) == 5
+    # strongly connected with period 2, and not strongly connected
+    assert not is_primitive(parse_substitution("0 -> 11\n1 -> 00"))
+    assert not is_primitive(parse_substitution("0 -> 01\n1 -> 11"))
+    assert is_primitive(parse_substitution("0 -> 0"))
+
+
+def random_images(rng, n):
+    """Images over n letters of lengths 1-4; half the time each image
+    draws from one or two letters only, so that the letter graph is
+    often not strongly connected or periodic."""
+    sparse = rng.random() < 0.5
+    images = []
+    for _ in range(n):
+        pool = rng.sample(range(n), min(n, rng.randint(1, 2))) if sparse else range(n)
+        images.append("".join(chr(rng.choice(pool)) for _ in range(rng.randint(1, 4))))
+    return tuple(images)
+
+
+def test_is_primitive_matches_the_power_walk_on_random_inputs():
+    rng = random.Random(CORPUS_SEED + 26)
+    verdicts = set()
+    for _ in range(4000):
+        n = rng.randint(1, 7)
+        s = Substitution(tuple(map(str, range(n))), random_images(rng, n))
+        expected = primitive_by_powers(s)
+        assert is_primitive(s) is expected, s.rules()
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def slow_mixing(n):
+    """Letter i -> (i+1)(i+1), the last letter -> 0 1: primitive, with an
+    exponent near the Wielandt bound, so the power walk takes about n^2
+    steps over n letter sets."""
+    images = tuple(chr(i + 1) * 2 for i in range(n - 1)) + (chr(0) + chr(1),)
+    return Substitution(tuple(map(str, range(n))), images)
+
+
+def test_is_primitive_on_the_slow_mixing_family():
+    assert is_primitive(slow_mixing(25)) and primitive_by_powers(slow_mixing(25))
+    assert is_primitive(slow_mixing(2000))
+    # the last letter -> 0 0 instead: one cycle through every letter,
+    # strongly connected with period 2000; -> itself twice: 0 is reached
+    # from no letter
+    s = slow_mixing(2000)
+    for last in (chr(0) * 2, chr(1999) * 2):
+        assert not is_primitive(Substitution(s.alphabet, s.images[:-1] + (last,)))
 
 
 def test_language_morse():

@@ -15,11 +15,12 @@ from substchaos import (
     tower_substitution,
     verify_scrambled_S,
 )
+from substchaos import tower
 from substchaos.errors import PreconditionError
 from substchaos.substitution import language_chr
 from substchaos.tower import element_component, rho_chr
 
-from conftest import recursive_preimage_candidates
+from conftest import primitive_by_powers, recursive_preimage_candidates
 
 
 def test_level_one_rules():
@@ -38,6 +39,40 @@ def test_levels_primitive_and_infinite(n):
     assert s.constant_length == 3
     assert is_primitive(s)
     assert decide_infinite(s)
+
+
+def test_levels_up_to_60_are_primitive_with_an_infinite_subshift():
+    # the facts the module docstring proves for every level, which
+    # tower_substitution no longer checks at run time
+    for n in range(1, 61):
+        s = tower_substitution(n)
+        assert s.is_injective()
+        assert is_primitive(s) and primitive_by_powers(s), n
+        assert decide_infinite(s), n
+
+
+def test_every_two_letter_word_is_in_the_language_up_to_level_40():
+    # so every companion seed junction "m (n-1)" is admissible
+    for m in range(1, 41):
+        words = language_chr(tower_substitution(m), 2)
+        assert len(words) == (m + 1) ** 2, m
+        for n in range(1, m + 1):
+            assert chr(m) + chr(n - 1) in words, (m, n)
+
+
+def test_verify_builds_each_member_component_once_per_level(monkeypatch):
+    calls = []
+
+    def counted(n, level):
+        calls.append((n, level))
+        return element_component(n, level)
+
+    monkeypatch.setattr(tower, "element_component", counted)
+    for depth in (2, 3):
+        calls.clear()
+        verify_scrambled_S(depth, 3**4)
+        assert len(calls) == len(set(calls)) == depth * (depth + 2)
+    assert len(calls) == 15
 
 
 def test_rho_letterwise():
