@@ -43,7 +43,7 @@ def test_levels_primitive_and_infinite(n):
 
 def test_levels_up_to_60_are_primitive_with_an_infinite_subshift():
     # the facts the module docstring proves for every level, which
-    # tower_substitution no longer checks at run time
+    # tower_substitution does not check at run time
     for n in range(1, 61):
         s = tower_substitution(n)
         assert s.is_injective()
