@@ -67,7 +67,6 @@ from .pairs import (
 from .simulate import (
     EvidenceReport,
     empirical_class,
-    recurrence_check,
 )
 from .tower import (
     TowerReport,

@@ -59,6 +59,10 @@ def _load_point(subst, literal):
         doc = json.loads(literal)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid point literal: {exc.msg}")
+    except ValueError:
+        # the one other ValueError: an integer past the conversion limit
+        digits = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid point literal: an integer has more than {digits} digits")
     except RecursionError:
         raise ParseError("invalid point literal: nested too deeply")
     return point_from_literal(subst, doc)

@@ -40,6 +40,7 @@ from .streams import (
 )
 from .substitution import (
     Substitution,
+    _charge_pair_positions,
     cycle_length,
     iterate_chr,
     json_word,
@@ -146,8 +147,10 @@ def _pair_layer(subst):
     included, so a component and its mirror carry the same flags.
     Tarjan's algorithm runs on an explicit stack: a pair is open while it
     is visited and not yet in a finished component, and the open pairs
-    sit on the stack in the order of their visits.
+    sit on the stack in the order of their visits.  The n²·p positions
+    are charged against the word budget before anything is built.
     """
+    _charge_pair_positions(subst)
     n = subst.size
     nn = n * n
     letters = [list(map(ord, w)) for w in subst.images]
@@ -683,10 +686,27 @@ def construct_ly_pair(subst):
 def construct_recurrent_ly_pair(subst):
     """The recurrent Li-Yorke pair from the double-occurrence witness.
 
-    The witness is squared if needed so both occurrences have nonempty
-    words on each side; the points then alternate between the two
-    occurrence positions, which makes every centered window reappear in
-    the iterated images of the witness letters."""
+    The witness, (a, b) at j1 < j2 in σ^m(a) × σ^m(b), is squared if
+    needed so both occurrences have nonempty words on each side: then
+    j1 != 0 and j2 != p^m - 1.  The period of x is the level chain of j1
+    at levels 0..m-1, then the chain of j2 at levels m..2m-1, so its
+    digits over one period have the value V = j1 + j2·p^m and the center
+    at every level 2mk is a; y has the same digits with b in place of a.
+
+    Return times.  Let t_k = (j2 - j1)·p^(2mk) and r_k = min(D_k,
+    p^(2mk) - 1 - D_k), with D_k = V·(p^(2mk) - 1)/(p^(2m) - 1) the
+    digit value of the first 2mk levels.  Then S^(t_k) x agrees with x on
+    [-r_k, r_k], and S^(t_k) y with y.  The level-2mk block σ^(2mk)(a)
+    of x covers [-D_k, p^(2mk) - D_k).  The pair (a, b) occurs in
+    σ^(2m)(a) × σ^(2m)(b) at V (the chain of the period) and at
+    R = j2 + j2·p^m (the chain of j2 twice), R - V = j2 - j1 > 0.  So
+    the level-2m(k+1) block, σ^(2mk) of σ^(2m)(a), holds the level-2mk
+    block at V·p^(2mk), around the origin (D_(k+1) = D_k + V·p^(2mk)),
+    and a second copy at R·p^(2mk), t_k to the right of it; the same
+    positions hold σ^(2mk)(b) in y.  Both copies cover [-r_k, r_k]
+    around their origins.  Since 0 < V < p^(2m) - 1, r_k grows without
+    bound, so the pair is recurrent; the test suite checks these return
+    times on the windows (``tests/conftest.py:check_recurrent_return_times``)."""
     if not has_uncountable_ly(subst):
         raise PreconditionError("recurrent pair needs the double-occurrence condition")
     cert = uncountable_certificate(subst)

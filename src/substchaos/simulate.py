@@ -1,6 +1,6 @@
 """Finite-horizon orbit oracle: expands represented points to long
 windows, tracks the agreement radius along forward iteration of the
-shift, and reports proximality/separation/recurrence evidence.
+shift, and reports proximality and separation evidence.
 
 Everything here is evidence, never a decision: reports carry their
 horizon and window so claims read "at horizon H".  The metric is
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 from .errors import PreconditionError
-from .substitution import DEFAULT_WORD_BUDGET, iterate_chr, zip_pair_word
+from .substitution import DEFAULT_WORD_BUDGET
 
 EVENT_CAP = 512
 
@@ -172,40 +172,3 @@ def _radii(flags, horizon, window):
             range(1, up + 1), repeat(window, size - up - down), range(down, 0, -1)
         )
     return list(enumerate(radii[window : window + horizon + 1]))
-
-
-def count_occurrences(haystack, needle):
-    """Occurrences of ``needle`` in ``haystack`` (overlaps allowed)."""
-    count = 0
-    i = haystack.find(needle)
-    while i >= 0:
-        count += 1
-        i = haystack.find(needle, i + 1)
-    return count
-
-
-def recurrence_check(x, y, letters, depth):
-    """For every radius up to ``depth``, look for the centered pair window
-    inside the aligned even-power images of the reference letters; true
-    when every radius succeeds.
-
-    One occurrence is always the window's own image (the iterated image of
-    the central column reproduces it), so recurrence evidence demands a
-    second, genuinely different occurrence.
-    """
-    if depth < 1:
-        raise PreconditionError("depth must be >= 1")
-    s = x.subst
-    a, b = letters
-    ac = chr(s.index(a))
-    bc = chr(s.index(b))
-    pair_images = []
-    for m in range(1, depth + 1):
-        wa = iterate_chr(s, ac, 2 * m)
-        wb = iterate_chr(s, bc, 2 * m)
-        pair_images.append(zip_pair_word(s, wa, wb))
-    for n in range(1, depth + 1):
-        needle = zip_pair_word(s, x.expand(n), y.expand(n))
-        if not any(count_occurrences(w, needle) >= 2 for w in pair_images):
-            return False
-    return True

@@ -491,21 +491,21 @@ def point_from_literal(subst, doc):
     if not isinstance(doc, dict):
         raise PreconditionError("a point literal must be a JSON object")
     kind = doc.get("kind")
-    required = {"fixed_point": ("left", "right"), "stream": ("period",)}.get(kind, ())
-    missing = [key for key in required if key not in doc]
+    required = {"fixed_point": ("left", "right"), "stream": ("period",)}
+    if not isinstance(kind, str) or kind not in required:
+        raise PreconditionError(f"unknown point literal kind {kind!r}")
+    missing = [key for key in required[kind] if key not in doc]
     if missing:
         raise PreconditionError(f"{kind} point literal lacks {', '.join(missing)}")
     if kind == "fixed_point":
         return stream_from_fixed_point(subst, doc["left"], doc["right"])
-    if kind == "stream":
-        return stream_from_entries(
-            subst,
-            doc.get("preperiod", []),
-            doc["period"],
-            doc.get("left_seed"),
-            doc.get("right_seed"),
-        )
-    raise PreconditionError(f"unknown point literal kind {kind!r}")
+    return stream_from_entries(
+        subst,
+        doc.get("preperiod", []),
+        doc["period"],
+        doc.get("left_seed"),
+        doc.get("right_seed"),
+    )
 
 
 # ---------------------------------------------------------------------------

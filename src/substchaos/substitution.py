@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 
@@ -225,8 +226,8 @@ def parse_substitution(text):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_json(text)
-    alphabet = []
     rules = {}
+    lines = {}  # letter -> the line of its rule
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens, arrow_col = _tokenize_rule_line(raw, lineno)
         if tokens is None:
@@ -236,16 +237,17 @@ def parse_substitution(text):
             raise ParseError(f"duplicate definition of letter {letter!r}", lineno, 1)
         if not image:
             raise ParseError(f"empty image for letter {letter!r}", lineno, arrow_col)
-        alphabet.append(letter)
         rules[letter] = image
-    if not alphabet:
+        lines[letter] = lineno
+    if not rules:
         raise ParseError("no rules found", 1, 1)
     for letter, image in rules.items():
         for tok in image:
             if tok not in rules:
-                lineno = alphabet.index(letter) + 1
-                raise ParseError(f"image of {letter!r} uses unknown letter {tok!r}", lineno, 1)
-    return Substitution.from_rules({a: rules[a] for a in alphabet}, alphabet)
+                raise ParseError(
+                    f"image of {letter!r} uses unknown letter {tok!r}", lines[letter], 1
+                )
+    return Substitution.from_rules(rules, tuple(rules))
 
 
 def _tokenize_rule_line(raw, lineno):
@@ -291,6 +293,10 @@ def _parse_json(text):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+    except ValueError:
+        # the one other ValueError: an integer past the conversion limit
+        digits = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: an integer has more than {digits} digits", 1, 1)
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", 1, 1)
     if not isinstance(doc, dict) or "rules" not in doc:
@@ -627,6 +633,7 @@ def pair_substitution(subst):
     p = subst.constant_length
     if p is None:
         raise PreconditionError("the pair substitution needs constant length")
+    _charge_pair_positions(subst)
     n = subst.size
     alphabet = tuple(f"({a},{b})" for a in subst.alphabet for b in subst.alphabet)
     images = []
@@ -638,12 +645,15 @@ def pair_substitution(subst):
     return Substitution(alphabet, tuple(images))
 
 
-def zip_pair_word(subst, left, right):
-    """Encode two equal-length internal words as one internal pair-word."""
-    if len(left) != len(right):
-        raise PreconditionError("pair words need equal projections")
-    n = subst.size
-    return "".join(chr(ord(a) * n + ord(b)) for a, b in zip(left, right))
+def _charge_pair_positions(subst):
+    """Refuse letter-pair images whose n²·p positions exceed the word
+    budget, before any of them is built (the pair substitution and the
+    pair layer of ``pairs``)."""
+    positions = subst.size**2 * subst.constant_length
+    if positions > DEFAULT_WORD_BUDGET:
+        raise BudgetExceededError(
+            f"{positions} letter-pair positions exceed the word budget {DEFAULT_WORD_BUDGET}"
+        )
 
 
 # ---------------------------------------------------------------------------

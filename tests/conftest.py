@@ -92,6 +92,14 @@ COUNTABLE_CLASSES = json.loads(
 )
 
 
+def cyclic_document(n, p):
+    """The JSON rule document of the cyclic family: letter i maps to i,
+    i+1, ..., i+p-1 (mod n), with the tokens l0 .. l(n-1)."""
+    tokens = [f"l{i}" for i in range(n)]
+    rules = {tokens[i]: [tokens[(i + k) % n] for k in range(p)] for i in range(n)}
+    return json.dumps({"alphabet": tokens, "rules": rules})
+
+
 @pytest.fixture(scope="session")
 def fixtures():
     return {name: parse_substitution(src) for name, src in FIXTURE_SOURCES.items()}
@@ -481,6 +489,93 @@ def right_end_jump(x):
     p = x.subst.constant_length
     k = len(x.preperiod)
     return p**k - sum(x.digit(i) * p**i for i in range(k))
+
+
+# ---------------------------------------------------------------------------
+# recurrence of the constructed pair: the proven return times, and the
+# window scan they replaced
+
+
+def check_recurrent_return_times(rp, levels=(1, 2)):
+    """Check the return times of ``construct_recurrent_ly_pair`` proven in
+    its docstring, on the expanded windows: for each k in ``levels``,
+    S^(t_k) x agrees with x on [-r_k, r_k], and likewise y.  The witness
+    (m, j1, j2) is squared here by the same rule; the period digits, the
+    level-2m center and the second occurrence R are checked against it.
+    Returns whether the witness was squared."""
+    s = rp.x.subst
+    p = s.constant_length
+    cert = rp.certificate
+    a, b = chr(s.index(cert.a)), chr(s.index(cert.b))
+    m, j1, j2 = cert.power, cert.first, cert.second
+    squared = j1 == 0 or j2 == p**m - 1
+    if squared:
+        m, j1, j2 = 2 * m, j1 * p**m + j2, j2 * p**m + j1
+    V = j1 + j2 * p**m
+    R = j2 + j2 * p**m
+    for z, letter in ((rp.x, a), (rp.y, b)):
+        assert z.preperiod == () and len(z.period) == 2 * m
+        assert sum(z.digit(i) * p**i for i in range(2 * m)) == V
+        assert z.period[0].center == letter
+        assert iterate_chr(s, letter, 2 * m)[R] == letter
+    last = 0
+    for k in levels:
+        block = p ** (2 * m * k)
+        D = V * (block - 1) // (p ** (2 * m) - 1)
+        t = (j2 - j1) * block
+        r = min(D, block - 1 - D)
+        assert r > last
+        last = r
+        for z in (rp.x, rp.y):
+            w = z.expand(t + r)
+            # x(-r .. r) sits at t + r in the window, x(t - r .. t + r) at 2t + r
+            assert w[t : t + 2 * r + 1] == w[2 * t : 2 * t + 2 * r + 1], (s.rules(), k)
+    return squared
+
+
+def zip_pair_word(subst, left, right):
+    """Encode two equal-length internal words as one internal pair-word."""
+    if len(left) != len(right):
+        raise PreconditionError("pair words need equal projections")
+    n = subst.size
+    return "".join(chr(ord(a) * n + ord(b)) for a, b in zip(left, right))
+
+
+def count_occurrences(haystack, needle):
+    """Occurrences of ``needle`` in ``haystack`` (overlaps allowed)."""
+    count = 0
+    i = haystack.find(needle)
+    while i >= 0:
+        count += 1
+        i = haystack.find(needle, i + 1)
+    return count
+
+
+def recurrence_check(x, y, letters, depth):
+    """For every radius up to ``depth``, look for the centered pair window
+    inside the aligned even-power images of the reference letters; true
+    when every radius succeeds.
+
+    One occurrence is always the window's own image (the iterated image of
+    the central column reproduces it), so recurrence evidence demands a
+    second, genuinely different occurrence.
+    """
+    if depth < 1:
+        raise PreconditionError("depth must be >= 1")
+    s = x.subst
+    a, b = letters
+    ac = chr(s.index(a))
+    bc = chr(s.index(b))
+    pair_images = []
+    for m in range(1, depth + 1):
+        wa = iterate_chr(s, ac, 2 * m)
+        wb = iterate_chr(s, bc, 2 * m)
+        pair_images.append(zip_pair_word(s, wa, wb))
+    for n in range(1, depth + 1):
+        needle = zip_pair_word(s, x.expand(n), y.expand(n))
+        if not any(count_occurrences(w, needle) >= 2 for w in pair_images):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from substchaos import (
     is_primitive,
     one_to_one_reduction,
     parse_substitution,
-    recurrence_check,
     rho,
     stream_from_entries,
     tower_substitution,
@@ -32,11 +31,18 @@ from substchaos import (
 )
 from substchaos.pairs import ly_witness
 from substchaos.report import _brute_scan
-from substchaos.simulate import count_occurrences
-from substchaos.substitution import iterate_chr, zip_pair_word
+from substchaos.substitution import iterate_chr
 from substchaos.tower import preimage_candidates, tower_point_x, tower_point_y
 
-from conftest import FIXTURE_SOURCES, fixed_points, successor_of_digit_list
+from conftest import (
+    FIXTURE_SOURCES,
+    check_recurrent_return_times,
+    count_occurrences,
+    fixed_points,
+    recurrence_check,
+    successor_of_digit_list,
+    zip_pair_word,
+)
 from test_streams import sample_digit_sequences
 
 HORIZON = 3**10
@@ -77,7 +83,7 @@ def test_criterion_1_fixture_decisions(fixtures):
         data = analyze(baacd).data
         assert data["strong_li_yorke"] is data["uncountable_li_yorke"] is True
         rp = construct_recurrent_ly_pair(baacd)
-        assert recurrence_check(rp.x, rp.y, rp.letters, 4) is True
+        check_recurrent_return_times(rp)
         x = stream_from_entries(baacd, [], [["b", "c", "aba"]])
         y = stream_from_entries(baacd, [], [["b", "d", "abd"]])
         assert recurrence_check(x, y, ("c", "d"), 4) is False

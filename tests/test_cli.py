@@ -20,7 +20,15 @@ from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_litera
 from substchaos.errors import SubstitutionError
 from substchaos.substitution import DEFAULT_WORD_BUDGET, language_chr
 
-from conftest import ABA, COUNTABLE_CLASSES, FIXTURE_SOURCES, LY_TWO, MORSE, radius_samples
+from conftest import (
+    ABA,
+    COUNTABLE_CLASSES,
+    FIXTURE_SOURCES,
+    LY_TWO,
+    MORSE,
+    cyclic_document,
+    radius_samples,
+)
 
 
 def run_cli(*args):
@@ -439,6 +447,8 @@ def test_classify_invalid_literal_exit_code(morse_file):
 
 
 GOOD_POINT = json.dumps({"kind": "fixed_point", "left": "1", "right": "0"})
+# past the interpreter's limit on converting an integer string (4,300 digits)
+LONG_INTEGER = "9" * 5000
 
 
 @pytest.mark.parametrize(
@@ -451,6 +461,10 @@ GOOD_POINT = json.dumps({"kind": "fixed_point", "left": "1", "right": "0"})
             id="alphabet-string",
         ),
         pytest.param(b"\xff\xfe0 -> 01\n", id="not-utf8"),
+        pytest.param(
+            b'{"rules": {"a": "a"}, "x": %s}' % LONG_INTEGER.encode(), id="long-integer"
+        ),
+        pytest.param(b"a -> ab\n\n# c\nb -> bz\n", id="unknown-letter"),
     ],
 )
 def test_malformed_substitution_document_is_a_parse_error(tmp_path, content):
@@ -476,6 +490,13 @@ def test_malformed_substitution_document_is_a_parse_error(tmp_path, content):
             json.dumps({"kind": "fixed_point"}), 2, "PreconditionError", id="no-letters"
         ),
         pytest.param("@/nonexistent/point.json", 1, "ParseError", id="unreadable-file"),
+        pytest.param('{"kind": ["a"]}', 2, "PreconditionError", id="unhashable-kind"),
+        pytest.param(
+            '{"kind": "fixed_point", "left": %s}' % LONG_INTEGER,
+            1,
+            "ParseError",
+            id="long-integer",
+        ),
     ],
 )
 def test_malformed_point_literal_is_one_error_line(morse_file, literal, code, error):
@@ -559,6 +580,30 @@ def test_slow_mixing_family_answers_within_seconds(slow_mixing_file):
             assert "exceed the word cap" in json.loads(err)["message"]
         else:
             assert out and err == ""
+
+
+@pytest.fixture()
+def cyclic_file(tmp_path):
+    """1,100 letters, letter i -> i, i+1, ..., i+15 (mod n): 19,360,000
+    letter-pair positions, past the word budget."""
+    path = tmp_path / "cyclic.json"
+    path.write_text(cyclic_document(1100, 16))
+    return str(path)
+
+
+def test_pair_layer_over_the_budget_exits_3_within_seconds(cyclic_file):
+    # classify reaches the pair layer on two points of one fiber; built,
+    # its 19,360,000 positions would hold about 2 GB
+    x, y = ({"kind": "fixed_point", "left": f"l{i}", "right": f"l{i + 1}"} for i in (0, 1))
+    start = time.perf_counter()
+    argv = ["classify", cyclic_file, "--x", json.dumps(x), "--y", json.dumps(y)]
+    code, out, err = run_main(argv)
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert_one_error_line(err, "BudgetExceededError")
+    assert json.loads(err)["message"] == (
+        "19360000 letter-pair positions exceed the word budget 16777216"
+    )
 
 
 def test_help_and_version_still_print_and_exit_zero(capsys):
@@ -751,6 +796,13 @@ def test_every_subcommand_prints_what_the_stdlib_prints(tmp_path, name, text):
 
 LETTER_SETS = (("a", "b", "c"), ("`x1`", "`y2`", "`z3`"))
 NOISE_LINES = ("", "# comment", "not a rule", "a -> ", "q -> a")
+# any value json.loads returns, for the fields of documents and literals
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 def rule_text(draw, letters):
@@ -774,6 +826,8 @@ def rule_text(draw, letters):
         rules[a] = image
     if draw(st.integers(0, 5)) == 0:
         doc = {"rules": {a.strip("`"): [t.strip("`") for t in img] for a, img in rules.items()}}
+        if draw(st.integers(0, 2)) == 0:
+            doc[draw(st.sampled_from(["rules", "alphabet"]))] = draw(JSON_DATA)
         return json.dumps(doc)
     lines = [f"{a} -> {' '.join(img)}" for a, img in rules.items()]
     if draw(st.integers(0, 5)) == 0:
@@ -802,13 +856,22 @@ def long_rule_text(draw, letters):
 
 def point_literal(draw, letters):
     """A point literal: mostly a fixed point over ``letters``, sometimes a
-    stream with arbitrary triples (one unknown letter among them) or
+    stream with arbitrary triples (one unknown letter among them), a
+    literal whose kind, left letter or period is any JSON value, or
     malformed JSON."""
     letters = tuple(a.strip("`") for a in letters)
-    kind = draw(st.sampled_from(["fixed", "fixed", "fixed", "stream", "malformed"]))
+    kind = draw(st.sampled_from(["fixed", "fixed", "fixed", "stream", "any", "malformed"]))
     if kind == "fixed":
         left, right = (draw(st.sampled_from(letters)) for _ in range(2))
         return json.dumps({"kind": "fixed_point", "left": left, "right": right})
+    if kind == "any":
+        doc = {
+            "kind": draw(st.sampled_from(["fixed_point", "stream"]) | JSON_DATA),
+            "left": draw(st.sampled_from(letters) | JSON_DATA),
+            "right": draw(st.sampled_from(letters)),
+            "period": draw(JSON_DATA),
+        }
+        return json.dumps(doc)
     letters += ("w",)
     if kind == "stream":
         word = st.lists(st.sampled_from(letters), max_size=3)
@@ -876,6 +939,10 @@ def rule_dir(tmp_path_factory):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=cli_cases())
+@example(case=(MORSE, ["classify", "PATH", "--x", '{"kind": ["a"]}', "--y", GOOD_POINT]))
+@example(case=(MORSE, ["simulate", "PATH", "--x", GOOD_POINT, "--y", '{"kind": {"a": []}}']))
+@example(case=(MORSE, ["classify", "PATH", "--x", '{"kind": %s}' % LONG_INTEGER, "--y", "{}"]))
+@example(case=('{"rules": {"a": "a"}, "x": %s}' % LONG_INTEGER, ["decide", "PATH"]))
 def test_main_keeps_the_contract_on_generated_input(rule_dir, case):
     # many calls in one process share the parser and the caches: each keeps
     # the exit-code and JSON-error contract, prints what the stdlib prints

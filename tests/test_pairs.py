@@ -45,12 +45,14 @@ from substchaos.substitution import is_primitive, iterate_chr, language_chr
 from conftest import (
     CORPUS_SEED,
     COUNTABLE_CLASSES,
+    check_recurrent_return_times,
     classify_pair_two_letter,
     coincidence_chain,
     double_engine,
     engine_uncountable_certificate,
     fixed_points,
     pair_tables,
+    random_substitutions,
     reference_ly_levels,
     right_end_jump,
     stopped_ly_hit,
@@ -483,6 +485,24 @@ def test_recurrent_pair_with_boundary_witness(fixtures):
     digits = rp.x.pi_digits(8)
     assert digits == rp.y.pi_digits(8)
     assert rp.x.left_seed is None and rp.x.right_seed is None
+    # the squared witness has m = 4: the level-16 block of k = 2 holds 3^16 letters
+    assert check_recurrent_return_times(rp, levels=(1,)) is True
+
+
+def test_recurrent_pair_returns_at_the_proven_times():
+    # the return times of the construction (its docstring) for k = 1, 2 on
+    # the seeded uncountable inputs whose level-4m blocks hold at most
+    # 65,536 letters, so the windows stay under about 2^21 letters
+    checked = squared = 0
+    for s in random_substitutions(1000, seed=CORPUS_SEED + 5):
+        if not has_uncountable_ly(s):
+            continue
+        rp = construct_recurrent_ly_pair(s)
+        if s.constant_length ** (2 * len(rp.x.period)) > 1 << 16:
+            continue
+        squared += check_recurrent_return_times(rp)
+        checked += 1
+    assert checked >= 100 and squared >= 10, (checked, squared)
 
 
 def test_enumerate_orbits_aba(fixtures):

@@ -12,16 +12,15 @@ from substchaos import (
     enumerate_fiber,
     fiber_bound,
     iterate,
+    pair_substitution,
     parse_substitution,
     point_from_literal,
-    recurrence_check,
     stream_from_fixed_point,
     tower_substitution,
 )
-from substchaos.errors import InvariantError, ParseError, PreconditionError
-from substchaos.substitution import zip_pair_word
+from substchaos.errors import BudgetExceededError, InvariantError, ParseError, PreconditionError
 
-from conftest import MORSE
+from conftest import MORSE, cyclic_document
 
 NON_PRIMITIVE = "0 -> 01\n1 -> 11"
 VARIABLE_LENGTH = "0 -> 01\n1 -> 0"
@@ -37,6 +36,15 @@ def morse_point():
 
 def stream_literal(**fields):
     return point_from_literal(morse(), {"kind": "stream", **fields})
+
+
+def cyclic():
+    """1,100 letters of length 16: 19,360,000 letter-pair positions."""
+    return parse_substitution(cyclic_document(1100, 16))
+
+
+LONG_INTEGER = "9" * 5000
+PAIR_BUDGET = "19360000 letter-pair positions exceed the word budget 16777216"
 
 
 REFUSALS = {
@@ -67,14 +75,6 @@ REFUSALS = {
     "fiber_bound_variable_length": (
         lambda: fiber_bound(parse_substitution(VARIABLE_LENGTH)),
         PreconditionError, "fiber bound requires constant length",
-    ),
-    "recurrence_depth": (
-        lambda: recurrence_check(morse_point(), morse_point(), ("0", "1"), 0),
-        PreconditionError, "depth must be >= 1",
-    ),
-    "zip_pair_word": (
-        lambda: zip_pair_word(morse(), "\x00", "\x00\x01"),
-        PreconditionError, "pair words need equal projections",
     ),
     "odometer_base": (
         lambda: OdometerDigits(1, (), (0,)),
@@ -148,6 +148,42 @@ REFUSALS = {
     "stream_levels_not_a_list": (
         lambda: stream_literal(period="001"),
         PreconditionError, "stream levels must be a list of [prefix, center, suffix] triples",
+    ),
+    "point_kind_none": (
+        lambda: point_from_literal(morse(), {"kind": None}),
+        PreconditionError, "unknown point literal kind None",
+    ),
+    "point_kind_number": (
+        lambda: point_from_literal(morse(), {"kind": 5}),
+        PreconditionError, "unknown point literal kind 5",
+    ),
+    "point_kind_unknown_string": (
+        lambda: point_from_literal(morse(), {"kind": "fixed"}),
+        PreconditionError, "unknown point literal kind 'fixed'",
+    ),
+    "point_kind_list": (
+        lambda: point_from_literal(morse(), {"kind": ["fixed_point"]}),
+        PreconditionError, "unknown point literal kind ['fixed_point']",
+    ),
+    "point_kind_object": (
+        lambda: point_from_literal(morse(), {"kind": {"stream": 1}, "period": []}),
+        PreconditionError, "unknown point literal kind {'stream': 1}",
+    ),
+    "unknown_letter_line": (
+        lambda: parse_substitution("a -> ab\n\n# c\nb -> bz\n"),
+        ParseError, "line 4, column 1: image of 'b' uses unknown letter 'z'",
+    ),
+    "json_long_integer": (
+        lambda: parse_substitution('{"rules": {"a": "a"}, "x": %s}' % LONG_INTEGER),
+        ParseError, "line 1, column 1: invalid JSON: an integer has more than 4300 digits",
+    ),
+    "pair_substitution_budget": (
+        lambda: pair_substitution(cyclic()),
+        BudgetExceededError, PAIR_BUDGET,
+    ),
+    "pair_layer_budget": (
+        lambda: coincidence_class(cyclic()),
+        BudgetExceededError, PAIR_BUDGET,
     ),
     "stream_two_part_triple": (
         lambda: stream_literal(period=[["0", "1"]]),

@@ -15,15 +15,22 @@ from substchaos import (
     construct_ly_pair,
     construct_recurrent_ly_pair,
     empirical_class,
-    recurrence_check,
     stream_from_entries,
     stream_from_fixed_point,
 )
 from substchaos.errors import PreconditionError
-from substchaos.simulate import EVENT_CAP, _difference_flags, count_occurrences
-from substchaos.substitution import iterate_chr, zip_pair_word
+from substchaos.simulate import EVENT_CAP, _difference_flags
+from substchaos.substitution import iterate_chr
 
-from conftest import agreement_radius, radius_samples, stepwise_empirical_class
+from conftest import (
+    agreement_radius,
+    check_recurrent_return_times,
+    count_occurrences,
+    radius_samples,
+    recurrence_check,
+    stepwise_empirical_class,
+    zip_pair_word,
+)
 
 
 def test_agreement_radius_identical_windows():
@@ -96,8 +103,9 @@ def test_radius_shift_compatibility(fixtures):
 
 
 def test_recurrence_positive(fixtures):
+    # the exact return times of the construction, in place of the scan
     rp = construct_recurrent_ly_pair(fixtures["baacd"])
-    assert recurrence_check(rp.x, rp.y, rp.letters, 4)
+    check_recurrent_return_times(rp)
 
 
 def test_recurrence_negative_and_word_absence(fixtures):
