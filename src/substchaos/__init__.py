@@ -19,6 +19,7 @@ from .errors import (
 from .substitution import (
     Substitution,
     complexity,
+    in_language,
     incidence_matrix,
     is_primitive,
     iterate,

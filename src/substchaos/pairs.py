@@ -624,40 +624,28 @@ class ConstructedPair:
     certificate: object
 
 
-def _chain_entries(subst, top_letters, positions):
-    """Entries of the level chain of an occurrence, cut by the digit list
-    of the position under ``top_letters``; returns the entries low..high
-    for each side.  The chain must reach its top letters again at the
-    bottom.  On the one-to-one domain of every caller that is exactly the
-    chain check of the ``RepresentedPoint`` constructor at the period's
-    end (the image of the bottom center is the top block), so a chain
-    that does not return is refused there with ``StreamChainError``."""
-    return tuple(_entries_below(subst, c, positions) for c in top_letters)
-
-
 def _lambda_periodic_predecessor(subst, letter_chr, power):
-    """A letter c on a cycle of the last-letter map with ``c letter`` in
-    the language: follow the last-letter map of the iterated substitution
-    from any predecessor until it lands on a cycle.
+    """A letter c on a cycle of the last-letter map λ with ``c letter`` in
+    the language: the first predecessor of the letter in L_2, moved by
+    λ^power until it lands on a cycle.
 
-    The letter heads its own ``power``-fold image (its chain has all
-    digits zero), and the boundary map B(c d) = last(σ(c)) first(σ(d))
-    keeps L_2, so B^power(c letter) = λ^power(c) letter stays in the
-    language at every step; the seed-junction check of the
-    ``RepresentedPoint`` constructor refuses any seed that does not."""
+    Every letter has a predecessor: the subshift of a primitive σ is
+    minimal, so each of its letters has a left neighbour in L_2.  λ maps the n letters into
+    themselves, so n applications land on a cycle, and a witness level
+    ``power`` is at least 1, so the walk ends.  The letter heads its own
+    ``power``-fold image (its chain has all digits zero), and the boundary
+    map B(c d) = last(σ(c)) first(σ(d)) keeps L_2, so B^power(c letter) =
+    λ^power(c) letter stays in the language at every step; the
+    seed-junction check of the ``RepresentedPoint`` constructor refuses
+    any seed that does not."""
     s = subst
     lang2 = language_chr(s, 2)
     lam = last_letter_map(s)
-    preds = [chr(c) for c in range(s.size) if chr(c) + letter_chr in lang2]
-    if not preds:
-        raise PreconditionError("letter has no predecessor in the language")
-    c = preds[0]
-    for _ in range(2 * s.size):
-        if cycle_length(lam, ord(c)) is not None:
-            return c
+    c = next(chr(c) for c in range(s.size) if chr(c) + letter_chr in lang2)
+    while cycle_length(lam, ord(c)) is None:
         for _ in range(power):
             c = chr(lam[ord(c)])
-    raise InvariantError("no periodic predecessor found")
+    return c
 
 
 def construct_ly_pair(subst):
@@ -672,7 +660,7 @@ def construct_ly_pair(subst):
     s = subst
     a, b = chr(ai), chr(bi)
     cert = li_yorke_certificate(s)
-    ex, ey = _chain_entries(s, (a, b), positions)
+    ex, ey = _entries_below(s, a, positions), _entries_below(s, b, positions)
     if any(positions):
         cseed = dseed = None
     else:
@@ -707,9 +695,9 @@ def construct_recurrent_ly_pair(subst):
     around their origins.  Since 0 < V < p^(2m) - 1, r_k grows without
     bound, so the pair is recurrent; the test suite checks these return
     times on the windows (``tests/conftest.py:check_recurrent_return_times``)."""
-    if not has_uncountable_ly(subst):
-        raise PreconditionError("recurrent pair needs the double-occurrence condition")
     cert = uncountable_certificate(subst)
+    if cert is None:
+        raise PreconditionError("recurrent pair needs the double-occurrence condition")
     s = subst
     p = s.constant_length
     ai, bi = s.index(cert.a), s.index(cert.b)
@@ -722,10 +710,8 @@ def construct_recurrent_ly_pair(subst):
         m, j1, j2 = 2 * m, j1 * p**cert.power + j2, j2 * p**cert.power + j1
     digits1 = [(j1 // p**i) % p for i in range(m)]
     digits2 = [(j2 // p**i) % p for i in range(m)]
-    ex1, ey1 = _chain_entries(s, (a, b), digits1)
-    ex2, ey2 = _chain_entries(s, (a, b), digits2)
-    x = RepresentedPoint(s, (), ex1 + ex2, None, None)
-    y = RepresentedPoint(s, (), ey1 + ey2, None, None)
+    x = RepresentedPoint(s, (), _entries_below(s, a, digits1 + digits2), None, None)
+    y = RepresentedPoint(s, (), _entries_below(s, b, digits1 + digits2), None, None)
     return ConstructedPair(x, y, (cert.a, cert.b), cert)
 
 
@@ -817,8 +803,8 @@ def enumerate_ly_orbits(subst):
     results = []
     for chain in sorted(chains):
         positions = [t for _, t in chain]
-        top = divmod(chain[-1][0], n)
-        ex, ey = _chain_entries(s, tuple(map(chr, top)), positions)
+        a, b = divmod(chain[-1][0], n)
+        ex, ey = _entries_below(s, chr(a), positions), _entries_below(s, chr(b), positions)
         seeds_x = _seed_choices(s, positions, ex[0].center)
         seeds_y = _seed_choices(s, positions, ey[0].center)
         for (lx, rx), (ly_, ry) in itertools.product(seeds_x, seeds_y):

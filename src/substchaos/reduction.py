@@ -338,6 +338,14 @@ def decide_infinite_trace(subst):
     round reads the memoised ``_simplification``, so a cached
     substitution is searched at most once, also when the search runs out
     of budget.
+
+    Every composed substitution is primitive, so it is not checked again.
+    If σ = g . f is primitive, every dictionary word is used by some
+    segmentation (``_cover`` adds a word at its first use) and is
+    nonempty, so M_f has no zero row and M_g no zero column.  With M_σ^k >
+    0, (M_f M_g)^(k+1) = M_f (M_σ)^k M_g > 0, and ``f . g`` is primitive.
+    An elementary round's ``language_chr`` would refuse a non-primitive
+    input anyway.
     """
     if not is_primitive(subst):
         raise PreconditionError("finiteness decision requires a primitive substitution")
@@ -366,8 +374,6 @@ def decide_infinite_trace(subst):
             }
         )
         subst = _composed(simp)
-        if not is_primitive(subst):
-            raise PreconditionError("simplification produced a non-primitive substitution")
     trace.append({"alphabet_size": 1, "action": "singleton", "infinite": False})
     return False, trace
 

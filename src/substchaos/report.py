@@ -17,7 +17,8 @@ from .pairs import (
 )
 from .reduction import decide_infinite_trace, one_to_one_reduction
 from .streams import fiber_bound
-from .substitution import DEFAULT_WORD_BUDGET, is_primitive, json_word, pair_substitution
+from .substitution import DEFAULT_WORD_BUDGET, _charge_pair_letters, is_primitive, json_word
+from .substitution import pair_substitution
 
 
 REPORT_SCHEMA = {
@@ -128,7 +129,11 @@ def analyze(subst, brute_bound=None):
     Fields appear exactly when their preconditions hold: pair analysis
     requires a primitive constant-length substitution with an infinite
     subshift, and the orbit list additionally requires countably many
-    Li-Yorke pairs.
+    Li-Yorke pairs.  A brute-force bound is refused before anything is
+    built when it admits no word, passes the word budget, or comes with an
+    alphabet too large for the pair substitution of the scan (the input
+    alphabet bounds the reduced one, and the check precedes the finiteness
+    decision).
     """
     if not is_primitive(subst):
         raise PreconditionError("analysis requires a primitive substitution")
@@ -140,6 +145,8 @@ def analyze(subst, brute_bound=None):
         raise PreconditionError(f"brute-force bound {brute_bound} admits no word to scan")
     if brute_bound is not None and brute_bound > DEFAULT_WORD_BUDGET:
         raise BudgetExceededError(f"brute-force bound {brute_bound} exceeds the word budget")
+    if brute_bound is not None:
+        _charge_pair_letters(subst)
     data = {}
     data["tool_version"] = __version__
     data["input"] = {

@@ -160,10 +160,10 @@ class RepresentedPoint:
                 raise StreamChainError(
                     "image of the upper center does not match the block", i
                 )
+        # a block has p >= 2 letters and one center, so no entry has both
+        # an empty prefix and an empty suffix: at most one side collapses
         left_needed = all(e.prefix == "" for e in self.period)
         right_needed = all(e.suffix == "" for e in self.period)
-        if left_needed and right_needed:
-            raise InvariantError("period cannot have all-empty prefixes and suffixes")
         if left_needed != (self.left_seed is not None):
             raise InvariantError(
                 "left_seed required exactly when all period prefixes are empty"
@@ -286,17 +286,13 @@ class RepresentedPoint:
 
 
 def _step(mapping, letter, times):
-    """``letter`` moved ``times`` steps along the letter map ``mapping``."""
+    """``letter`` moved ``times`` steps along its cycle of the letter map
+    ``mapping``, backwards when ``times`` is negative; the letter must lie
+    on a cycle."""
     code = ord(letter)
-    for _ in range(times):
+    for _ in range(times % cycle_length(mapping, code)):
         code = mapping[code]
     return chr(code)
-
-
-def _step_back(mapping, letter, times):
-    """``letter`` stepped back ``times`` steps along its cycle of
-    ``mapping``."""
-    return _step(mapping, letter, -times % cycle_length(mapping, ord(letter)))
 
 
 def _expand(point, radius):
@@ -340,9 +336,9 @@ def _expand(point, radius):
         level += 1
     word = point.entry(level).center
     if left is not None:
-        word = _step_back(last_letter_map(s), left, level - k) + word
+        word = _step(last_letter_map(s), left, k - level) + word
     if right is not None:
-        word += _step_back(first_letter_map(s), right, level - k)
+        word += _step(first_letter_map(s), right, k - level)
     return iterate_slice(s, word, level, start - radius, start + radius + 1)
 
 
@@ -393,39 +389,40 @@ def _past_right_end(point):
 
 
 def _shifted_stream(point):
+    """The shifted point: the odometer carry on the levels.
+
+    The carry target ``istar`` is the first level whose digit is below
+    p - 1; with none, every digit is p - 1 and ``_past_right_end`` applies.
+    The levels 0 .. istar are cut again under the unchanged center of level
+    ``istar + 1``, with digit + 1 at ``istar`` and 0 below, and the old
+    preperiod levels past ``istar`` follow them.  When the carry reaches
+    into the period, its first ``moved = istar + 1 - k`` levels join the
+    preperiod (k the preperiod length), so the period rotates by ``moved``
+    and the seed anchor moves ``moved`` levels up: each seed steps back
+    ``moved`` along its cycle to keep the represented tails unchanged
+    (with ``moved`` 0 nothing steps, and no letter map is read).
+
+    This one rule covers both seeds.  A right seed means every period digit
+    is p - 1, so ``istar < k`` and ``moved`` is 0; a left seed means every
+    period digit is 0, so ``moved`` is at most 1.  The rule holds for any
+    ``moved``, and the constructor checks the seeds it receives.
+    """
     s = point.subst
     p = s.constant_length
     k = len(point.preperiod)
-    L = len(point.period)
-    istar = next((i for i in range(k + L) if point.digit(i) != p - 1), None)
+    istar = next((i for i in range(k + len(point.period)) if point.digit(i) != p - 1), None)
     if istar is None:
         return _past_right_end(point)
-
-    # The carry: digit + 1 at level istar and 0 below it, cut under the
-    # unchanged center of level istar + 1.
     digits = (0,) * istar + (point.digit(istar) + 1,)
-    new_entries = _entries_below(s, point.entry(istar + 1).center, digits)
-
-    if istar < k:
-        preperiod = new_entries + point.preperiod[istar + 1 :]
-        return RepresentedPoint(s, preperiod, point.period, point.left_seed, point.right_seed)
-
-    # The carry reached position j of the first period pass: the modified
-    # levels move into the preperiod and the period rotates accordingly.
-    j = istar - k
-    preperiod = new_entries
-    period = point.period[j + 1 :] + point.period[: j + 1]
-    left = point.left_seed
-    if left is not None:
-        # only reachable with j == 0 (an all-zero period makes the first
-        # period digit the carry target); the anchor moved one level up,
-        # so the seed letter steps backwards along its last-letter cycle
-        if j != 0:
-            raise InvariantError("left seed with a carry past the first period level")
-        left = _step_back(last_letter_map(s), left, 1)
-    if point.right_seed is not None:
-        raise InvariantError("right seed with a digit below p-1 in the period")
-    return RepresentedPoint(s, preperiod, period, left, None)
+    carried = _entries_below(s, point.entry(istar + 1).center, digits)
+    moved = max(0, istar + 1 - k)
+    period = point.period[moved:] + point.period[:moved]
+    left, right = point.left_seed, point.right_seed
+    if moved and left is not None:
+        left = _step(last_letter_map(s), left, -moved)
+    if moved and right is not None:
+        right = _step(first_letter_map(s), right, -moved)
+    return RepresentedPoint(s, carried + point.preperiod[istar + 1 :], period, left, right)
 
 
 # ---------------------------------------------------------------------------

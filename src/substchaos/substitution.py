@@ -634,6 +634,7 @@ def pair_substitution(subst):
     if p is None:
         raise PreconditionError("the pair substitution needs constant length")
     _charge_pair_positions(subst)
+    _charge_pair_letters(subst)
     n = subst.size
     alphabet = tuple(f"({a},{b})" for a in subst.alphabet for b in subst.alphabet)
     images = []
@@ -654,6 +655,15 @@ def _charge_pair_positions(subst):
         raise BudgetExceededError(
             f"{positions} letter-pair positions exceed the word budget {DEFAULT_WORD_BUDGET}"
         )
+
+
+def _charge_pair_letters(subst):
+    """Refuse a pair substitution whose letter codes ``i·n + j`` pass the
+    last character code, at n >= 1,056 letters, before anything is built.
+    The pair layer of ``pairs`` codes pairs as ints and has no such
+    limit."""
+    if subst.size**2 > sys.maxunicode + 1:
+        raise BudgetExceededError(f"{subst.size**2} letter pairs exceed the character codes")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from substchaos.pairs import (
     CERTIFICATE_WORD_CAP,
     DoubleCertificate,
     _aligned_entries,
-    _chain_entries,
     _past_finite_forward_data,
     _reconstruct_chain,
     _suffix_class,
@@ -54,7 +53,7 @@ from substchaos.simulate import (
     _difference_flags,
     _radii,
 )
-from substchaos.streams import _require_recognizable, _seed_choices
+from substchaos.streams import _entries_below, _require_recognizable, _seed_choices
 from substchaos.substitution import (
     DEFAULT_WORD_BUDGET,
     cycle_length,
@@ -1094,7 +1093,7 @@ def walked_ly_orbits(subst):
             continue
         positions = [t for _, t in chain]
         top = chain[-1][0]
-        ex, ey = _chain_entries(subst, (chr(top[0]), chr(top[1])), positions)
+        ex, ey = (_entries_below(subst, chr(c), positions) for c in top)
         seeds_x = _seed_choices(subst, positions, ex[0].center)
         seeds_y = _seed_choices(subst, positions, ey[0].center)
         for (lx, rx), (ly, ry) in itertools.product(seeds_x, seeds_y):

@@ -606,6 +606,21 @@ def test_pair_layer_over_the_budget_exits_3_within_seconds(cyclic_file):
     )
 
 
+def test_brute_scan_past_the_character_codes_exits_3_within_seconds(tmp_path):
+    # 1,101 letters of length 2: the pair layer fits the word budget, but
+    # the pair substitution of the scan would code 1,212,201 letter pairs
+    # as characters; the refusal comes before the finiteness decision,
+    # the slow part of a run that is not refused
+    path = tmp_path / "wide.json"
+    path.write_text(cyclic_document(1101, 2))
+    start = time.perf_counter()
+    code, out, err = run_main(["analyze", str(path), "--json", "--brute-bound", "4"])
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "")
+    assert_one_error_line(err, "BudgetExceededError")
+    assert json.loads(err)["message"] == "1212201 letter pairs exceed the character codes"
+
+
 def test_help_and_version_still_print_and_exit_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])

@@ -10,7 +10,9 @@ asks the stdlib for indented JSON (``json.dump``, ``json.dumps`` or
 so ``cli._emit`` stays the one writer of stdout documents; and no module
 of the package uses ``dataclasses.asdict``, which deep-copies every leaf
 of a record (``vars`` gives the fields as they are).  Only the two parsers
-of source text call ``Substitution.from_rules``."""
+of source text call ``Substitution.from_rules``, and every top-level
+function or class of the package is read by the package or exported by
+it, so no library code serves the tests alone."""
 
 import ast
 import sys
@@ -375,3 +377,55 @@ def test_code_line_count_probe():
     )
     # import, class, def, both lines of the string, return
     assert code_lines(probe) == 6
+
+
+def _unreferenced_definitions(trees, exported):
+    """(module, name) for every top-level function or class of ``trees``
+    (module name -> tree) that no code of the modules reads outside its
+    own definition and that is not in ``exported``.  A read is a name or
+    an attribute; docstrings hold neither."""
+    definitions = {
+        (module, node.name): node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    inside = {
+        id(child): key for key, node in definitions.items() for child in ast.walk(node)
+    }
+    readers = {}  # name -> the definitions (None: module level) that read it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                readers.setdefault(node.id, set()).add(inside.get(id(node)))
+            elif isinstance(node, ast.Attribute):
+                readers.setdefault(node.attr, set()).add(inside.get(id(node)))
+    return sorted(
+        key
+        for key in definitions
+        if key[1] not in exported and not readers.get(key[1], set()) - {key}
+    )
+
+
+def test_no_library_code_that_only_the_tests_call():
+    # a test-only oracle belongs in tests/, so every top-level function or
+    # class of the package is read by the package or exported by it
+    init = _tree(PACKAGE_DIR / "__init__.py")
+    exported = {
+        alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    trees = {
+        module: _tree(PACKAGE_DIR / module) for module in CHECKED_MODULES if module != "__init__.py"
+    }
+    assert _unreferenced_definitions(trees, exported) == []
+    probe = {
+        "a.py": ast.parse(
+            "def f(n):\n    '''g and h'''\n    return f(n - 1)\n"
+            "def g():\n    return h\n"
+            "def h():\n    return g()\n"
+            "class C:\n    pass\n"
+            "def e():\n    pass\n"
+        ),
+        "b.py": ast.parse("import a\nx = a.C\n"),
+    }
+    assert _unreferenced_definitions(probe, {"e"}) == [("a.py", "f")]

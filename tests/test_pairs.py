@@ -33,13 +33,13 @@ from substchaos.errors import InvariantError, PreconditionError, StreamChainErro
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import (
     _aligned_entries,
-    _chain_entries,
     _ly_levels,
     _pair_layer,
     _past_finite_forward_data,
     ly_witness,
 )
 from substchaos.report import _brute_scan
+from substchaos.streams import _entries_below
 from substchaos.substitution import is_primitive, iterate_chr, language_chr
 
 from conftest import (
@@ -267,8 +267,8 @@ def test_point_constructor_refuses_a_chain_that_does_not_return(fixtures):
     # 0 -> 010: cut at digit 1, the chain under 0 ends on 1 and under 1
     # (1 -> 100) on 0, so neither returns to its top letter
     s = fixtures["ly_two"]
-    top = (chr(0), chr(1))
-    for letter, ex in zip(top, _chain_entries(s, top, [1])):
+    for letter in (chr(0), chr(1)):
+        ex = _entries_below(s, letter, [1])
         assert ex[0].center != letter
         with pytest.raises(StreamChainError, match="image of the upper center"):
             RepresentedPoint(s, (), ex, None, None)

@@ -17,8 +17,8 @@ from substchaos import (
     stream_from_fixed_point,
 )
 from substchaos.errors import PreconditionError, SearchBudgetError
-from substchaos.reduction import biprolongeable_letters
-from substchaos.substitution import is_primitive
+from substchaos.reduction import _composed, _simplification, biprolongeable_letters
+from substchaos.substitution import is_primitive, language_chr
 
 from conftest import (
     ComplexityVerdict,
@@ -413,6 +413,28 @@ def test_criterion_agrees_with_the_trace(fixtures, random_corpus_any, variable_c
         verdicts.add(infinite)
     assert not any(decide_infinite(s) for s in finite)
     assert verdicts == {False, True}
+
+
+def test_the_proofs_behind_the_unchecked_steps_hold(
+    fixtures, random_corpus, random_corpus_any, variable_corpus
+):
+    # every letter of a primitive input has a left neighbour in L_2, where
+    # pairs._lambda_periodic_predecessor starts its walk, and every
+    # substitution that the trace composes is primitive, which
+    # decide_infinite_trace does not check again
+    corpus = list(fixtures.values()) + random_corpus + random_corpus_any + variable_corpus
+    corpus += [s for s in composed_substitutions(1000) if is_primitive(s)]
+    composed = set()
+    for s in corpus:
+        letters = {chr(i) for i in range(s.size)}
+        assert {w[1] for w in language_chr(s, 2)} == letters, s.rules()
+        simp, _ = _simplification(s)
+        while simp is not None:
+            s = _composed(simp)
+            assert is_primitive(s), s.rules()
+            composed.add(s)
+            simp, _ = _simplification(s)
+    assert len(composed) > 50
 
 
 def test_decision_paths_never_search(fixtures, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from substchaos import (
     OdometerDigits,
     Substitution,
+    analyze,
     coincidence_class,
     decide_infinite,
     enumerate_fiber,
@@ -41,6 +42,13 @@ def stream_literal(**fields):
 def cyclic():
     """1,100 letters of length 16: 19,360,000 letter-pair positions."""
     return parse_substitution(cyclic_document(1100, 16))
+
+
+def wide_cyclic():
+    """1,101 letters of length 2: 2,424,402 letter-pair positions, within
+    the budget, but 1,212,201 letter pairs, past the 1,114,112 character
+    codes of the pair substitution."""
+    return parse_substitution(cyclic_document(1101, 2))
 
 
 LONG_INTEGER = "9" * 5000
@@ -180,6 +188,14 @@ REFUSALS = {
     "pair_substitution_budget": (
         lambda: pair_substitution(cyclic()),
         BudgetExceededError, PAIR_BUDGET,
+    ),
+    "pair_substitution_letters": (
+        lambda: pair_substitution(wide_cyclic()),
+        BudgetExceededError, "1212201 letter pairs exceed the character codes",
+    ),
+    "analyze_brute_bound_letters": (
+        lambda: analyze(wide_cyclic(), brute_bound=4),
+        BudgetExceededError, "1212201 letter pairs exceed the character codes",
     ),
     "pair_layer_budget": (
         lambda: coincidence_class(cyclic()),
