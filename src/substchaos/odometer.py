@@ -10,7 +10,7 @@ odometer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantError
 
@@ -31,20 +31,18 @@ def _canonical(preperiod, period):
     return tuple(preperiod), _primitive_root(period)
 
 
-@dataclass(frozen=True)
-class OdometerDigits:
-    base: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
+class OdometerDigits(namedtuple("OdometerDigits", "base preperiod period")):
+    """A digit sequence in canonical form; the constructor checks the
+    digits and canonicalises the preperiod and period."""
 
-    def __post_init__(self):
-        if self.base < 2:
+    __slots__ = ()
+
+    def __new__(cls, base, preperiod, period):
+        if base < 2:
             raise InvariantError("odometer base must be >= 2")
-        if not self.period:
+        if not period:
             raise InvariantError("period must be nonempty")
-        for d in self.preperiod + self.period:
-            if not 0 <= d < self.base:
-                raise InvariantError(f"digit {d} out of range for base {self.base}")
-        pre, per = _canonical(self.preperiod, self.period)
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        for d in preperiod + period:
+            if not 0 <= d < base:
+                raise InvariantError(f"digit {d} out of range for base {base}")
+        return super().__new__(cls, base, *_canonical(preperiod, period))

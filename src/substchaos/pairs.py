@@ -25,7 +25,6 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from operator import add
 
@@ -58,9 +57,7 @@ class Coincidence(Enum):
     OVERALL = "overall"
 
 
-@dataclass(frozen=True)
-class CoincidenceClass:
-    kind: Coincidence
+CoincidenceClass = namedtuple("CoincidenceClass", "kind")
 
 
 # ---------------------------------------------------------------------------
@@ -72,22 +69,25 @@ _Component.__doc__ = """A strongly connected component of the pair graph:
 its number of pairs and the flags of ``_pair_layer``."""
 
 
-@dataclass(frozen=True)
-class _PairLayer:
-    """The letter pairs of one substitution, built by ``_pair_layer``.
-    The pair (i, j) is the code q = i·n + j (n = |A|), so the order of
-    the codes is the alphabet order of the pairs; every list is indexed
-    by code and only read."""
+_PairLayer = namedtuple(
+    "_PairLayer", "n image occurrences depth deepest last_off component components first"
+)
+_PairLayer.__doc__ = """The letter pairs of one substitution, built by ``_pair_layer``.
+The pair (i, j) is the code q = i·n + j (n = |A|), so the order of the
+codes is the alphabet order of the pairs; every list is indexed by code
+and only read.
 
-    n: int
-    image: list  # q -> its pair image, a list of codes
-    occurrences: list  # q -> the (P, t) with image[P][t] == q, in (P, t) order
-    depth: list  # q -> the least m with q in coin_m, or n·n off C∞
-    deepest: int  # the largest depth below n·n
-    last_off: list  # P -> the last position of an off-diagonal pair in image[P], or -1
-    component: list  # off-diagonal q -> the index of its component; diagonal q -> -1
-    components: list  # index -> _Component
-    first: dict  # "ly" / "unc" -> the least code (i, j), i < j, whose component has it, or None
+- ``image``: q -> its pair image, a list of codes;
+- ``occurrences``: q -> the (P, t) with image[P][t] == q, in (P, t) order;
+- ``depth``: q -> the least m with q in coin_m, or n·n off C∞;
+- ``deepest``: the largest depth below n·n;
+- ``last_off``: P -> the last position of an off-diagonal pair in
+  image[P], or -1;
+- ``component``: off-diagonal q -> the index of its component, diagonal
+  q -> -1;
+- ``components``: index -> ``_Component``;
+- ``first``: "ly" / "unc" -> the least code (i, j), i < j, whose
+  component has it, or None."""
 
 
 @memoised
@@ -399,20 +399,12 @@ STRONG_EQUIVALENCE_CHAIN = (
 # certificates
 
 
-@dataclass(frozen=True)
-class LyCertificate:
+class LyCertificate(namedtuple("LyCertificate", "power a b position u v u2 v2")):
     """Witness for the existence criterion: at ``power`` applications the
     letters ``a`` and ``b`` reoccur aligned at position ``position`` with
     suffix words ``v``/``v2`` that differ and share a coincidence."""
 
-    power: int
-    a: str
-    b: str
-    position: int
-    u: str
-    v: str
-    u2: str
-    v2: str
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -452,17 +444,10 @@ def li_yorke_certificate(subst):
     )
 
 
-@dataclass(frozen=True)
-class DoubleCertificate:
-    """Witness for the uncountability condition: two aligned occurrences
-    of (a, b) at ``first``/``second`` inside the ``power``-fold images,
-    with a coincidence after the first."""
-
-    power: int
-    a: str
-    b: str
-    first: int
-    second: int
+DoubleCertificate = namedtuple("DoubleCertificate", "power a b first second")
+DoubleCertificate.__doc__ = """Witness for the uncountability condition:
+two aligned occurrences of (a, b) at ``first``/``second`` inside the
+``power``-fold images, with a coincidence after the first."""
 
 
 def uncountable_certificate(subst):
@@ -504,11 +489,8 @@ class PairClass(Enum):
     LI_YORKE = "LiYorke"
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    kind: PairClass
-    rule: str
-    strong: bool | None = None
+class PairVerdict(namedtuple("PairVerdict", "kind rule strong", defaults=(None,))):
+    __slots__ = ()
 
     def to_json(self):
         # every verdict is exact: the "evidence" key stays, always null
@@ -616,12 +598,7 @@ def classify_pair(x, y):
 # constructions
 
 
-@dataclass(frozen=True)
-class ConstructedPair:
-    x: RepresentedPoint
-    y: RepresentedPoint
-    letters: tuple[str, str]
-    certificate: object
+ConstructedPair = namedtuple("ConstructedPair", "x y letters certificate")
 
 
 def _lambda_periodic_predecessor(subst, letter_chr, power):

@@ -28,7 +28,7 @@ drawn from it is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvariantError, PreconditionError, SearchBudgetError
 from .substitution import (
@@ -45,13 +45,11 @@ SIMPLIFIABILITY_BUDGET = 10**6
 _RANK_PRIME = (1 << 61) - 1
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    """Outcome of repeatedly merging letters with identical images."""
-
-    reduced: Substitution
-    letter_map: tuple[tuple[str, str], ...]  # (original token, reduced token)
-    steps: int  # merge rounds until the images are pairwise distinct
+ReductionResult = namedtuple("ReductionResult", "reduced letter_map steps")
+ReductionResult.__doc__ = """Outcome of repeatedly merging letters with
+identical images: the ``reduced`` substitution, the ``letter_map`` of
+(original token, reduced token) pairs and the merge ``steps`` until the
+images are pairwise distinct."""
 
 
 def one_to_one_reduction(subst):
@@ -78,13 +76,11 @@ def one_to_one_reduction(subst):
 # simplifiability
 
 
-@dataclass(frozen=True)
-class Simplification:
-    """A factorization ``subst = g . f`` through a smaller alphabet."""
-
-    target_alphabet: tuple[str, ...]
-    f: tuple[tuple[str, ...], ...]  # per source letter, word over target_alphabet
-    g: tuple[str, ...]  # per target letter, internal word over the source alphabet
+Simplification = namedtuple("Simplification", "target_alphabet f g")
+Simplification.__doc__ = """A factorization ``subst = g . f`` through a
+smaller alphabet: ``f`` holds per source letter a word over
+``target_alphabet``, ``g`` per target letter an internal word over the
+source alphabet."""
 
 
 class _Budget:
@@ -312,13 +308,16 @@ def _cover(images, size, counter, basis):
 # finiteness of the subshift
 
 
+@memoised
 def biprolongeable_letters(subst):
-    """Letters with at least two distinct one-letter right extensions in
-    the language."""
+    """The letters with at least two distinct one-letter right extensions
+    in the language, as a tuple in alphabet order.  One pass over L_2 per
+    cached substitution: the trace's elementary round and ``decide_infinite``
+    read the same L_2 on a one-to-one input."""
     followers = {i: set() for i in range(subst.size)}
     for w in language_chr(subst, 2):
         followers[ord(w[0])].add(w[1])
-    return [subst.alphabet[i] for i in sorted(followers) if len(followers[i]) >= 2]
+    return tuple(subst.alphabet[i] for i in sorted(followers) if len(followers[i]) >= 2)
 
 
 def _composed(simp):
@@ -360,7 +359,7 @@ def decide_infinite_trace(subst):
                 {
                     "alphabet_size": subst.size,
                     "action": "elementary",
-                    "biprolongeable": bip,
+                    "biprolongeable": list(bip),
                     "infinite": bool(bip),
                 }
             )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from . import __version__
 from .errors import BudgetExceededError, InvariantError, PreconditionError
@@ -69,9 +68,16 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass
 class AnalysisReport:
-    data: dict = field(default_factory=dict)
+    """The analysis of one substitution; ``data`` is its JSON document."""
+
+    def __init__(self, data=None):
+        self.data = {} if data is None else data
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.data == other.data
 
     def to_json_dict(self):
         return self.data

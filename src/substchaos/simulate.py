@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, repeat
 
 from .errors import PreconditionError
@@ -43,21 +43,17 @@ def default_horizon(subst):
     return min(subst.constant_length ** 10, 10**6)
 
 
-@dataclass(frozen=True)
-class EvidenceReport:
-    horizon: int
-    window: int
-    proximality_events: tuple[int, ...]
-    proximality_count: int
-    separation_events: tuple[int, ...]
-    separation_count: int
-    last_separation: int | None
-    max_last_difference: int | None
-    min_distance: float
-    max_distance: float
+class EvidenceReport(
+    namedtuple(
+        "EvidenceReport",
+        "horizon window proximality_events proximality_count separation_events"
+        " separation_count last_separation max_last_difference min_distance max_distance",
+    )
+):
+    __slots__ = ()
 
     def to_json(self):
-        return dict(vars(self))
+        return self._asdict()
 
 
 def _difference_flags(x, y, horizon, window, budget):

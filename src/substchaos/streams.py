@@ -27,7 +27,7 @@ and only a window larger than the word budget is refused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BudgetExceededError,
@@ -39,7 +39,7 @@ from .odometer import OdometerDigits, _canonical
 from .reduction import decide_infinite
 from .substitution import (
     DEFAULT_WORD_BUDGET,
-    Substitution,
+    _read_only,
     cycle_length,
     first_letter_map,
     is_primitive,
@@ -53,14 +53,12 @@ from .substitution import (
 SHIFT_BUDGET = 10**6
 
 
-@dataclass(frozen=True, order=True)
-class StreamEntry:
+class StreamEntry(namedtuple("StreamEntry", "prefix center suffix")):
     """One desubstitution level: the image block of the next level's
-    center, split around this level's center (all chr-coded)."""
+    center, split around this level's center (all chr-coded).  Entries
+    order as their field tuples, which ``enumerate_fiber`` sorts by."""
 
-    prefix: str
-    center: str
-    suffix: str
+    __slots__ = ()
 
     @property
     def digit(self):
@@ -122,7 +120,6 @@ def _require_recognizable(subst):
         raise PreconditionError("Li-Yorke analysis needs an infinite subshift")
 
 
-@dataclass(frozen=True, slots=True)
 class RepresentedPoint:
     """A subshift point given by its desubstitution levels; immutable.
 
@@ -132,72 +129,86 @@ class RepresentedPoint:
     moves the seed anchor one level down, so seed letters follow their
     letter maps forward to keep the represented tails unchanged, and the
     checks run again on the moved form.  Equal fields mean equal points
-    (``_require_recognizable``), so the dataclass equality and hash are
-    those of points."""
+    (``_require_recognizable``), so equality and the hash over the fields
+    are those of points.  Pickling and copying rebuild a point through the
+    constructor."""
 
-    subst: Substitution
-    preperiod: tuple[StreamEntry, ...]
-    period: tuple[StreamEntry, ...]
-    left_seed: str | None
-    right_seed: str | None
+    __slots__ = ("subst", "preperiod", "period", "left_seed", "right_seed")
 
-    def __post_init__(self):
-        s = self.subst
+    def __init__(self, subst, preperiod, period, left_seed, right_seed):
+        s = subst
         p = s.constant_length
         if p is None or p < 2:
             raise PreconditionError("streams require constant length >= 2")
-        if not self.period:
+        if not period:
             raise InvariantError("period must be nonempty")
-        entries = list(self.preperiod) + list(self.period)
+        entries = list(preperiod) + list(period)
         for i, e in enumerate(entries):
             if len(e.center) != 1 or len(e.block) != p:
                 raise StreamChainError("entry has wrong block size", i)
-        k = len(self.preperiod)
-        L = len(self.period)
+        k = len(preperiod)
+        L = len(period)
         for i in range(k + L):
-            nxt = entries[i + 1] if i + 1 < k + L else self.period[0]
+            nxt = entries[i + 1] if i + 1 < k + L else period[0]
             if s.images[ord(nxt.center)] != entries[i].block:
                 raise StreamChainError(
                     "image of the upper center does not match the block", i
                 )
         # a block has p >= 2 letters and one center, so no entry has both
         # an empty prefix and an empty suffix: at most one side collapses
-        left_needed = all(e.prefix == "" for e in self.period)
-        right_needed = all(e.suffix == "" for e in self.period)
-        if left_needed != (self.left_seed is not None):
+        left_needed = all(e.prefix == "" for e in period)
+        right_needed = all(e.suffix == "" for e in period)
+        if left_needed != (left_seed is not None):
             raise InvariantError(
                 "left_seed required exactly when all period prefixes are empty"
             )
-        if right_needed != (self.right_seed is not None):
+        if right_needed != (right_seed is not None):
             raise InvariantError(
                 "right_seed required exactly when all period suffixes are empty"
             )
-        anchor = self.period[0].center
-        if self.left_seed is not None:
-            c = self.left_seed
+        anchor = period[0].center
+        if left_seed is not None:
+            c = left_seed
             if cycle_length(last_letter_map(s), ord(c)) is None:
                 raise InvariantError("left seed is not on a cycle of the last-letter map")
             if c + anchor not in language_chr(s, 2):
                 raise InvariantError("left seed junction word is not in the language")
-        if self.right_seed is not None:
-            d = self.right_seed
+        if right_seed is not None:
+            d = right_seed
             if cycle_length(first_letter_map(s), ord(d)) is None:
                 raise InvariantError("right seed is not on a cycle of the first-letter map")
             if anchor + d not in language_chr(s, 2):
                 raise InvariantError("right seed junction word is not in the language")
-        pre, per = _canonical(self.preperiod, self.period)
-        if (pre, per) == (self.preperiod, self.period):
+        pre, per = _canonical(preperiod, period)
+        if (pre, per) != (preperiod, period):
+            moved = k - len(pre)
+            if left_seed is not None:
+                left_seed = _step(last_letter_map(s), left_seed, moved)
+            if right_seed is not None:
+                right_seed = _step(first_letter_map(s), right_seed, moved)
+            self.__init__(s, pre, per, left_seed, right_seed)
             return
-        moved = k - len(pre)
-        left, right = self.left_seed, self.right_seed
-        if left is not None:
-            left = _step(last_letter_map(s), left, moved)
-        if right is not None:
-            right = _step(first_letter_map(s), right, moved)
-        canonical = {"preperiod": pre, "period": per, "left_seed": left, "right_seed": right}
-        for name, value in canonical.items():
-            object.__setattr__(self, name, value)
-        self.__post_init__()
+        object.__setattr__(self, "subst", s)
+        object.__setattr__(self, "preperiod", preperiod)
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "left_seed", left_seed)
+        object.__setattr__(self, "right_seed", right_seed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.subst, self.preperiod, self.period, self.left_seed, self.right_seed) == (
+            other.subst, other.preperiod, other.period, other.left_seed, other.right_seed
+        )
+
+    def __hash__(self):
+        return hash((self.subst, self.preperiod, self.period, self.left_seed, self.right_seed))
+
+    def __reduce__(self):
+        fields = (self.subst, self.preperiod, self.period, self.left_seed, self.right_seed)
+        return RepresentedPoint, fields
+
+    __setattr__ = __delattr__ = _read_only
 
     # -- digits -----------------------------------------------------------
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 
 from .errors import ParseError, InvariantError, PreconditionError, BudgetExceededError
@@ -52,51 +51,67 @@ DEFAULT_WORD_BUDGET = 1 << 24
 TABLE_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
+def _read_only(self, *args):
+    """``__setattr__`` and ``__delattr__`` of the immutable classes: no
+    attribute can be assigned or deleted after construction."""
+    raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{args[0]}")
+
+
 class Substitution:
     """A map from letters to nonempty words over the same alphabet.
 
     ``alphabet`` fixes the letter order used for every tie-break in the
     package; ``images`` holds the image of letter ``i`` as an internal
-    chr-coded string.  ``constant_length`` is the common image length
-    ``p``, or None for variable length.  It, the hash and the letter
-    index are computed once, at construction, since every table-cache and
-    language lookup hashes the substitution and every encoded word reads
-    the index; the hash stays ``hash((alphabet, images))``.
+    chr-coded string.  Equality, the hash and the ``repr`` are over
+    ``(alphabet, images)``, and no attribute can be assigned or deleted.
+    ``constant_length`` is the common image length ``p``, or None for
+    variable length.  It, the hash and the letter index are computed once,
+    at construction, since every table-cache and language lookup hashes
+    the substitution and every encoded word reads the index.
     """
 
-    alphabet: tuple[str, ...]
-    images: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.alphabet:
+    def __init__(self, alphabet, images):
+        if not alphabet:
             raise InvariantError("alphabet must contain at least one letter")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise InvariantError("duplicate alphabet tokens")
-        if len(self.images) != len(self.alphabet):
+        if len(images) != len(alphabet):
             raise InvariantError("one image per letter required")
-        n = len(self.alphabet)
-        for tok, img in zip(self.alphabet, self.images):
+        n = len(alphabet)
+        # translate table that deletes every known letter code
+        known = dict.fromkeys(range(n))
+        for tok, img in zip(alphabet, images):
             if not img:
                 raise InvariantError(f"empty image for letter {tok!r}")
-            for ch in img:
-                if ord(ch) >= n:
-                    raise InvariantError(f"image of {tok!r} uses an unknown letter")
-        # plain instance attributes, not fields, so eq and repr are unchanged
-        lengths = set(map(len, self.images))
-        p = lengths.pop() if len(lengths) == 1 else None
-        object.__setattr__(self, "constant_length", p)
-        object.__setattr__(self, "_hash", hash((self.alphabet, self.images)))
-        object.__setattr__(self, "_one_char_tokens", all(len(t) == 1 for t in self.alphabet))
+            if img.translate(known):
+                raise InvariantError(f"image of {tok!r} uses an unknown letter")
+        lengths = set(map(len, images))
         # token -> alphabet index; encode also reads an int index as itself
-        index = {tok: i for i, tok in enumerate(self.alphabet)}
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_codes", {**index, **{i: i for i in range(n)}})
-        # translate table that deletes every known letter code
-        object.__setattr__(self, "_known", dict.fromkeys(range(n)))
+        index = {tok: i for i, tok in enumerate(alphabet)}
+        # object.__setattr__, not __dict__: reading __dict__ gives up the
+        # instance layout that the interpreter's fast attribute reads need
+        set_ = object.__setattr__
+        set_(self, "alphabet", alphabet)
+        set_(self, "images", images)
+        set_(self, "constant_length", lengths.pop() if len(lengths) == 1 else None)
+        set_(self, "_hash", hash((alphabet, images)))
+        set_(self, "_one_char_tokens", all(len(t) == 1 for t in alphabet))
+        set_(self, "_index", index)
+        set_(self, "_codes", {**index, **{i: i for i in range(n)}})
+        set_(self, "_known", known)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.images) == (other.alphabet, other.images)
 
     def __hash__(self):
         return self._hash
+
+    def __repr__(self):
+        return f"Substitution(alphabet={self.alphabet!r}, images={self.images!r})"
+
+    __setattr__ = __delattr__ = _read_only
 
     # -- construction ------------------------------------------------
 

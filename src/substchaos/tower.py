@@ -30,7 +30,7 @@ hold at every level n >= 1, so nothing here checks them at run time
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionError
 from .pairs import PairClass, classify_pair
@@ -89,31 +89,22 @@ def element_component(n, level):
     return tower_point_y(level, n)
 
 
-@dataclass(frozen=True)
-class TowerMatrixEntry:
-    first: int
-    second: int
-    level: int
-    verdict: str
-    rule: str
-    proximality_count: int
-    separation_count: int
-    max_last_difference: int | None
+TowerMatrixEntry = namedtuple(
+    "TowerMatrixEntry",
+    "first second level verdict rule proximality_count separation_count max_last_difference",
+)
 
 
-@dataclass(frozen=True)
-class TowerReport:
-    depth: int
-    horizon: int
-    entries: tuple[TowerMatrixEntry, ...]
+class TowerReport(namedtuple("TowerReport", "depth horizon entries")):
+    __slots__ = ()
 
     @property
     def has_distal(self):
         return any(e.verdict == PairClass.DISTAL.value for e in self.entries)
 
     def to_json(self):
-        entries = [dict(vars(e)) for e in self.entries]
-        return dict(vars(self), has_distal=self.has_distal, entries=entries)
+        entries = [e._asdict() for e in self.entries]
+        return dict(self._asdict(), has_distal=self.has_distal, entries=entries)
 
     def table(self):
         header = f"{'pair':>10} {'level':>5} {'verdict':>12} {'prox':>6} {'sep':>6}"

@@ -7,14 +7,17 @@ the test suite imports a name it never reads; no function of the
 package takes a parameter it never reads; and no module of the package
 asks the stdlib for indented JSON (``json.dump``, ``json.dumps`` or
 ``JSONEncoder`` with ``indent``), which takes its pure-Python encoder,
-so ``cli._emit`` stays the one writer of stdout documents; and no module
-of the package uses ``dataclasses.asdict``, which deep-copies every leaf
-of a record (``vars`` gives the fields as they are).  Only the two parsers
-of source text call ``Substitution.from_rules``, and every top-level
-function or class of the package is read by the package or exported by
-it, so no library code serves the tests alone."""
+so ``cli._emit`` stays the one writer of stdout documents; no module of
+the package uses ``dataclasses.asdict``, which deep-copies every leaf of
+a record; and no module of the package imports ``dataclasses``, whose
+classes generate their methods at import and whose import loads
+``inspect``, so a fresh ``import substchaos.cli`` loads neither.  Only
+the two parsers of source text call ``Substitution.from_rules``, and
+every top-level function or class of the package is read by the package
+or exported by it, so no library code serves the tests alone."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -158,7 +161,7 @@ def test_no_unused_imports():
 # Decorators the package may use: ``memoised`` (the table cache) and a
 # bounded ``lru_cache`` are its only memos.
 ALLOWED_DECORATORS = {
-    "classmethod", "dataclass", "lru_cache", "memoised", "property", "staticmethod", "wraps",
+    "classmethod", "lru_cache", "memoised", "property", "staticmethod", "wraps",
 }
 UNBOUNDED_MEMOS = {"cache", "cached_property"}
 
@@ -318,6 +321,46 @@ def test_no_dataclasses_asdict():
         "dataclasses.astuple(r)\n"
     )
     assert sorted(set(_asdict_uses(probe))) == [2, 3, 4, 6]
+
+
+def _dataclasses_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            yield node.lineno
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for module in CHECKED_MODULES:
+        found += [f"{module}:{line}" for line in _dataclasses_imports(_tree(PACKAGE_DIR / module))]
+    assert found == []
+    probe = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "import json, dataclasses as dc\n"
+        "from collections import namedtuple\n"
+        "def f():\n    from dataclasses import field\n"
+    )
+    assert list(_dataclasses_imports(probe)) == [1, 2, 3, 6]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter without site, so only the package's own imports count
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE_DIR.parent)!r})\n"
+        "import substchaos.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 # ``Substitution.from_rules`` reads decimal or text tokens back into letter

@@ -294,7 +294,7 @@ def test_decide_infinite_requires_primitive():
 
 
 def test_morse_biprolongeable_letters(fixtures):
-    assert biprolongeable_letters(fixtures["morse"]) == ["0", "1"]
+    assert biprolongeable_letters(fixtures["morse"]) == ("0", "1")
 
 
 def test_decision_trace_shows_simplification():
@@ -314,6 +314,42 @@ def test_returned_trace_is_fresh():
     trace[0]["action"] = "elementary"
     trace.append({"action": "singleton"})
     assert decide_infinite_trace(s) == (infinite, before)
+
+
+def test_elementary_record_is_fresh(fixtures):
+    # the memoised letters are a tuple; each trace record holds its own list
+    morse = fixtures["morse"]
+    infinite, trace = decide_infinite_trace(morse)
+    assert trace[-1]["biprolongeable"] == ["0", "1"]
+    trace[-1]["biprolongeable"].append("2")
+    assert decide_infinite_trace(morse)[1][-1]["biprolongeable"] == ["0", "1"]
+    assert biprolongeable_letters(morse) == ("0", "1")
+
+
+def test_one_to_one_analyze_reads_the_followers_once(fixtures, monkeypatch):
+    # on a one-to-one input the trace's elementary round and
+    # ``decide_infinite``, reached through ``fiber_bound``, read the same
+    # memoised letters: one pass over L_2 per ``analyze``
+    from substchaos import analyze, reduction, substitution
+
+    passes = []
+
+    def counted(subst, length):
+        passes.append(length)
+        return language_chr(subst, length)
+
+    monkeypatch.setattr(reduction, "language_chr", counted)
+    substitution._tables.cache_clear()
+    try:
+        for name in ("morse", "ly_two", "baacd"):
+            s = fixtures[name]
+            assert s.is_injective()
+            passes.clear()
+            analyze(s)
+            assert passes == [2], name
+            substitution._tables.cache_clear()
+    finally:
+        substitution._tables.cache_clear()
 
 
 def test_oracle_examples(fixtures):
@@ -485,5 +521,5 @@ def test_right_special_letter_of_a_finite_variable_length_input():
     # subshift is finite, so variable length keeps the trace's verdict
     s = parse_substitution("a -> aab\nb -> aabaab")
     assert is_primitive(s)
-    assert biprolongeable_letters(s) == ["a"]
+    assert biprolongeable_letters(s) == ("a",)
     assert decide_infinite(s) is False

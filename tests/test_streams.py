@@ -1,13 +1,13 @@
 """Desubstitution streams: construction, expansion, the shift carry, and
 fiber enumeration."""
 
-import dataclasses
 import random
 
 import pytest
 
 from substchaos import (
     OdometerDigits,
+    RepresentedPoint,
     Substitution,
     enumerate_fiber,
     fiber_bound,
@@ -55,14 +55,24 @@ def test_fixed_point_seed_with_longer_cycle(fixtures):
     assert x.window(4) == "100110010"
 
 
-def test_point_is_one_frozen_canonical_dataclass(fixtures):
+def test_point_is_one_frozen_canonical_value(fixtures):
     morse = fixtures["morse"]
     x = stream_from_fixed_point(morse, "1", "0")
-    fields = [f.name for f in dataclasses.fields(x)]
-    assert fields == ["subst", "preperiod", "period", "left_seed", "right_seed"]
+    # the constructor takes the fields in this order, and equality and the
+    # hash are over them
+    fields = ["subst", "preperiod", "period", "left_seed", "right_seed"]
+    assert list(RepresentedPoint.__slots__) == fields
+    values = tuple(getattr(x, name) for name in fields)
+    twin = RepresentedPoint(*values)
+    assert twin == x and hash(twin) == hash(x) == hash(values) and twin is not x
+    assert x != values
     assert not hasattr(x, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        x.left_seed = "0"
+    for name in fields + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(x, name, "0")
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, name) for name in fields) == values
     # a doubled period, or a period level copied into the preperiod with
     # the left seed one step back along the last-letter map (0 -> 1), is
     # stored in the canonical form of x

@@ -2,7 +2,6 @@
 language generation, the pair substitution."""
 
 import random
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -510,14 +509,33 @@ def test_substitution_invariants_rejected():
         Substitution(("0",), ("\x01",))
 
 
+def test_unknown_letter_check_order_and_message():
+    # the images are checked in alphabet order, each for emptiness and then
+    # for codes past the alphabet; in the first case only the second image
+    # holds a bad code
+    with pytest.raises(InvariantError, match=r"^image of 'b' uses an unknown letter$"):
+        Substitution(("a", "b"), ("\x00\x01", "\x01\x02\x00"))
+    with pytest.raises(InvariantError, match=r"^image of 'a' uses an unknown letter$"):
+        Substitution(("a", "b"), ("\x00\U0010ffff", ""))
+    with pytest.raises(InvariantError, match=r"^empty image for letter 'a'$"):
+        Substitution(("a", "b"), ("", "\x05"))
+
+
 def test_derived_attributes_are_computed_once():
     # constant_length, the hash, the one-character-token flag and the
-    # letter index are plain attributes set at construction; fields, eq,
-    # repr and the hash value are those of the dataclass over (alphabet,
-    # images)
+    # letter index are plain attributes set at construction, after the
+    # fields (alphabet, images); equality, repr and the hash value are over
+    # the fields, and no attribute can be assigned or deleted
     s = parse_substitution("a -> aba\nb -> bca\nc -> cca")
     assert {"constant_length", "_hash", "_one_char_tokens", "_index"} <= set(vars(s))
-    assert [f.name for f in fields(s)] == ["alphabet", "images"]
+    assert list(vars(s))[:2] == ["alphabet", "images"]
+    for name in ("alphabet", "images", "constant_length", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, None)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert s != (s.alphabet, s.images)
+    assert s != Substitution(s.alphabet, s.images[::-1])
     assert s.constant_length == 3
     assert parse_substitution("0 -> 01\n1 -> 0").constant_length is None
     assert hash(s) == hash((s.alphabet, s.images))
