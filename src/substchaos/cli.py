@@ -40,16 +40,12 @@ EXIT_BUDGET = 3
 
 def _read_text(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
-
-
-def _load_substitution(path):
-    return parse_substitution(_read_text(path))
 
 
 def _load_point(subst, literal):
@@ -134,7 +130,7 @@ def _word_str(word):
 
 
 def cmd_analyze(args):
-    subst = _load_substitution(args.path)
+    subst = parse_substitution(_read_text(args.path))
     report = analyze(subst, brute_bound=args.brute_bound)
     if args.json:
         _emit(report.to_json_dict())
@@ -144,7 +140,7 @@ def cmd_analyze(args):
 
 
 def cmd_reduce(args):
-    subst = _load_substitution(args.path)
+    subst = parse_substitution(_read_text(args.path))
     red = one_to_one_reduction(subst)
     _emit(
         {
@@ -158,14 +154,14 @@ def cmd_reduce(args):
 
 
 def cmd_decide(args):
-    subst = _load_substitution(args.path)
+    subst = parse_substitution(_read_text(args.path))
     infinite, trace = decide_infinite_trace(subst)
     _emit({"x_tau_infinite": infinite, "decision_trace": trace})
     return EXIT_OK
 
 
 def cmd_language(args):
-    subst = _load_substitution(args.path)
+    subst = parse_substitution(_read_text(args.path))
     words = sorted_language(subst, args.length)
     if words and isinstance(words[0], tuple):
         # multi-character tokens decode to token tuples; print them space-joined
@@ -175,7 +171,7 @@ def cmd_language(args):
 
 
 def cmd_classify(args):
-    subst = _load_substitution(args.path)
+    subst = parse_substitution(_read_text(args.path))
     x = _load_point(subst, args.x)
     y = _load_point(subst, args.y)
     verdict = classify_pair(x, y)
@@ -184,7 +180,7 @@ def cmd_classify(args):
 
 
 def cmd_simulate(args):
-    subst = _load_substitution(args.path)
+    subst = parse_substitution(_read_text(args.path))
     x = _load_point(subst, args.x)
     y = _load_point(subst, args.y)
     horizon = args.horizon if args.horizon is not None else default_horizon(subst)

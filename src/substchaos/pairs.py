@@ -418,18 +418,21 @@ class LyCertificate(namedtuple("LyCertificate", "power a b position u v u2 v2"))
         }
 
 
+def _certificate_words(subst, a, b, power):
+    """The ``power``-fold images of the internal letters ``a`` and ``b``;
+    a power whose words exceed ``CERTIFICATE_WORD_CAP`` is refused."""
+    if subst.constant_length**power > CERTIFICATE_WORD_CAP:
+        raise BudgetExceededError(f"certificate words at power {power} exceed the word cap")
+    return iterate_chr(subst, a, power), iterate_chr(subst, b, power)
+
+
 def li_yorke_certificate(subst):
     wit = ly_witness(subst)
     if wit is None:
         return None
     (ai, bi), level, chain = wit
     p = subst.constant_length
-    if p**level > CERTIFICATE_WORD_CAP:
-        raise BudgetExceededError(
-            f"certificate words at power {level} exceed the word cap"
-        )
-    ua = iterate_chr(subst, chr(ai), level)
-    ub = iterate_chr(subst, chr(bi), level)
+    ua, ub = _certificate_words(subst, chr(ai), chr(bi), level)
     position = sum(t * p**i for i, (_, t) in enumerate(chain))
     dec = subst.decode
     return LyCertificate(
@@ -462,12 +465,8 @@ def uncountable_certificate(subst):
         return None
     ai, bi = divmod(target, subst.size)
     a, b = chr(ai), chr(bi)
-    p = subst.constant_length
     for m in itertools.count(1):
-        if p**m > CERTIFICATE_WORD_CAP:
-            raise BudgetExceededError(f"certificate words at power {m} exceed the word cap")
-        ua = iterate_chr(subst, a, m)
-        ub = iterate_chr(subst, b, m)
+        ua, ub = _certificate_words(subst, a, b, m)
         hits = [t for t in range(len(ua)) if ua[t] == a and ub[t] == b]
         if len(hits) >= 2 and any(map(str.__eq__, ua[hits[0] + 1 :], ub[hits[0] + 1 :])):
             return DoubleCertificate(

@@ -123,15 +123,30 @@ def _require_recognizable(subst):
 class RepresentedPoint:
     """A subshift point given by its desubstitution levels; immutable.
 
-    The constructor checks the level chain and the seeds, then stores the
-    canonical form: the shortest preperiod and a primitive period of the
-    entries (``odometer._canonical``).  Each entry absorbed into the period
-    moves the seed anchor one level down, so seed letters follow their
-    letter maps forward to keep the represented tails unchanged, and the
-    checks run again on the moved form.  Equal fields mean equal points
-    (``_require_recognizable``), so equality and the hash over the fields
-    are those of points.  Pickling and copying rebuild a point through the
-    constructor."""
+    The constructor checks the level chain and the seeds once, then stores
+    the canonical form: the shortest preperiod and a primitive period of
+    the entries (``odometer._canonical``).  Each of the ``moved = k -
+    len(pre)`` entries absorbed into the period moves the seed anchor one
+    level down, so each seed steps ``moved`` forward along its cycle to
+    keep the represented tails unchanged.  The checks hold for the stored
+    form without running again:
+
+    - The canonical form is the same infinite sequence of entries, so the
+      block checks and the chain checks still hold.
+    - The new period is a rotation of a root of the old one, so "all
+      prefixes empty" and "all suffixes empty" keep their values.
+    - A seed on a cycle stays on that cycle.
+    - Left seed ``c`` at anchor ``a``: every period digit is 0, and so is
+      every popped level, which repeats a period level.  So the new anchor
+      is ``phi^moved(a)`` (``phi``, ``lambda`` the first- and last-letter
+      maps), and the new junction ``lambda^moved(c) phi^moved(a)`` is the
+      middle of ``image^moved(c a)``, so it is in L_2.
+    - Right seed: the same argument with ``lambda`` and ``phi`` swapped
+      (every digit p - 1).
+
+    Equal fields mean equal points (``_require_recognizable``), so equality
+    and the hash over the fields are those of points.  Pickling and copying
+    rebuild a point through the constructor."""
 
     __slots__ = ("subst", "preperiod", "period", "left_seed", "right_seed")
 
@@ -180,17 +195,14 @@ class RepresentedPoint:
             if anchor + d not in language_chr(s, 2):
                 raise InvariantError("right seed junction word is not in the language")
         pre, per = _canonical(preperiod, period)
-        if (pre, per) != (preperiod, period):
-            moved = k - len(pre)
-            if left_seed is not None:
-                left_seed = _step(last_letter_map(s), left_seed, moved)
-            if right_seed is not None:
-                right_seed = _step(first_letter_map(s), right_seed, moved)
-            self.__init__(s, pre, per, left_seed, right_seed)
-            return
+        moved = k - len(pre)
+        if moved and left_seed is not None:
+            left_seed = _step(last_letter_map(s), left_seed, moved)
+        if moved and right_seed is not None:
+            right_seed = _step(first_letter_map(s), right_seed, moved)
         object.__setattr__(self, "subst", s)
-        object.__setattr__(self, "preperiod", preperiod)
-        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", per)
         object.__setattr__(self, "left_seed", left_seed)
         object.__setattr__(self, "right_seed", right_seed)
 
@@ -357,12 +369,12 @@ def _expand(point, radius):
 # the odometer carry on streams
 
 
-def _first_letter_period(subst, d):
-    """The all-zero-digit period along the first-letter cycle of ``d``: its
-    right side is the limit of the iterated images of ``d``, with ``d`` at
-    the origin."""
+def _fixed_point(subst, c, d):
+    """The all-zero-digit point with left seed ``c`` and the first-letter
+    period of ``d``: its right side is the limit of the iterated images of
+    ``d``, with ``d`` at the origin."""
     cyc = cycle_length(first_letter_map(subst), ord(d))
-    return _entries_below(subst, d, (0,) * cyc)
+    return RepresentedPoint(subst, (), _entries_below(subst, d, (0,) * cyc), c, None)
 
 
 def _past_right_end(point):
@@ -396,7 +408,7 @@ def _past_right_end(point):
     k = len(point.preperiod)
     left = _step(last_letter_map(s), point.period[0].center, k)
     right = _step(first_letter_map(s), point.right_seed, k)
-    return RepresentedPoint(s, (), _first_letter_period(s, right), left, None)
+    return _fixed_point(s, left, right)
 
 
 def _shifted_stream(point):
@@ -489,7 +501,7 @@ def stream_from_fixed_point(subst, left, right):
         raise PreconditionError(
             f"no power up to the alphabet size fixes the first letter for {right!r}"
         )
-    return RepresentedPoint(s, (), _first_letter_period(s, rc), lc, None)
+    return _fixed_point(s, lc, rc)
 
 
 def point_from_literal(subst, doc):

@@ -625,12 +625,11 @@ def in_language(subst, chrword):
     """Exact membership of an internal word in the subshift language: a
     word of length N is in L_N exactly when it occurs in a covering word
     ``σ^m(c)σ^m(d)`` (``_covering_words``) starting inside ``σ^m(c)``.
-    The work is at most ``|L_2| · 2 max_a |σ^m(a)|`` symbols, with
-    ``p^m < p (N - 1)``.  Requires a primitive injective constant-length
-    substitution.
+    The work is at most ``|L_2| · 2 max_a |σ^m(a)|`` symbols, where
+    ``max_a |σ^m(a)|`` grows linearly in N for a primitive σ (below
+    ``p (N - 1)`` at constant length p).  Requires a primitive
+    substitution, of any length and not necessarily one-to-one.
     """
-    if subst.constant_length is None or not subst.is_injective():
-        raise PreconditionError("membership test needs an injective constant-length substitution")
     if not chrword:
         return True
     length = len(chrword)

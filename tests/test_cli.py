@@ -524,6 +524,51 @@ def assert_one_error_line(err, error=None):
     assert error is None or doc["error"] == error
 
 
+# the UTF-8 byte-order mark
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        pytest.param("rules.txt", b"0 -> 01\n1 -> 10\n", id="rules"),
+        pytest.param("rules.json", b'{"rules": {"0": "01", "1": "10"}}', id="document"),
+        pytest.param(
+            "point.json", b'{"kind": "fixed_point", "left": "1", "right": "0"}', id="point"
+        ),
+    ],
+)
+def test_a_byte_order_mark_reads_as_without_it(morse_file, tmp_path, name, content):
+    runs = []
+    for prefix in (b"", BOM):
+        path = tmp_path / name
+        path.write_bytes(prefix + content)
+        if name == "point.json":
+            argv = ["classify", morse_file, "--x", f"@{path}", "--y", GOOD_POINT]
+        else:
+            argv = ["decide", str(path)]
+        code, out, err = run_main(argv)
+        assert (code, err) == (0, ""), err
+        runs.append((code, out))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"\xff0 -> 01\n", "invalid start byte"),
+        (b"0 -> 0\xc3", "unexpected end of data"),
+        (BOM + b"\xff0 -> 01\n", "invalid start byte"),
+    ],
+)
+def test_undecodable_file_names_the_decoding_fault(tmp_path, content, reason):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    code, out, err = run_main(["decide", str(path)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == f"cannot read {path}: not UTF-8 text ({reason})"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

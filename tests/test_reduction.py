@@ -455,9 +455,10 @@ def test_the_proofs_behind_the_unchecked_steps_hold(
     fixtures, random_corpus, random_corpus_any, variable_corpus
 ):
     # every letter of a primitive input has a left neighbour in L_2, where
-    # pairs._lambda_periodic_predecessor starts its walk, and every
-    # substitution that the trace composes is primitive, which
-    # decide_infinite_trace does not check again
+    # pairs._lambda_periodic_predecessor starts its walk, every
+    # simplification rebuilds each image, which is_simplifiable does not
+    # check, and every substitution that the trace composes is primitive,
+    # which decide_infinite_trace does not check again
     corpus = list(fixtures.values()) + random_corpus + random_corpus_any + variable_corpus
     corpus += [s for s in composed_substitutions(1000) if is_primitive(s)]
     composed = set()
@@ -466,6 +467,8 @@ def test_the_proofs_behind_the_unchecked_steps_hold(
         assert {w[1] for w in language_chr(s, 2)} == letters, s.rules()
         simp, _ = _simplification(s)
         while simp is not None:
+            for a, word in enumerate(simp.f):
+                assert "".join(simp.g[int(t)] for t in word) == s.images[a], s.rules()
             s = _composed(simp)
             assert is_primitive(s), s.rules()
             composed.add(s)

@@ -23,7 +23,8 @@ from substchaos.errors import (
     StreamChainError,
 )
 from substchaos.simulate import empirical_class
-from substchaos.streams import _past_right_end
+from substchaos.streams import _past_right_end, _step
+from substchaos.substitution import first_letter_map, last_letter_map
 
 from conftest import (
     CORPUS_SEED,
@@ -84,6 +85,48 @@ def test_point_is_one_frozen_canonical_value(fixtures):
         y = point_from_literal(morse, variant)
         assert (y, hash(y), y.to_literal()) == (x, hash(x), lit)
         assert y.expand(40) == x.expand(40)
+
+
+def test_constructor_canonicalises_in_one_pass(point_corpus, monkeypatch):
+    # the proof in the RepresentedPoint docstring: the checks on the given
+    # form hold for the canonical one, so each construction runs __init__
+    # once.  Variants: the period doubled, one period level moved into the
+    # preperiod, and a whole period copied into it, with the seeds stepped
+    # back the levels their anchor moved up.
+    calls = []
+    init = RepresentedPoint.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(RepresentedPoint, "__init__", counted)
+    built = 0
+    for points in point_corpus.values():
+        for x in points:
+            s, pre, per = x.subst, x.preperiod, x.period
+
+            def back(levels):
+                left, right = x.left_seed, x.right_seed
+                if left is not None:
+                    left = _step(last_letter_map(s), left, -levels)
+                if right is not None:
+                    right = _step(first_letter_map(s), right, -levels)
+                return left, right
+
+            for variant in (
+                (pre, per * 2, *back(0)),
+                (pre + per[:1], per[1:] + per[:1], *back(1)),
+                (pre + per, per, *back(len(per))),
+            ):
+                calls.clear()
+                y = RepresentedPoint(s, *variant)
+                assert len(calls) == 1
+                assert [getattr(y, f) for f in RepresentedPoint.__slots__] == [
+                    getattr(x, f) for f in RepresentedPoint.__slots__
+                ], variant
+                built += 1
+    assert built > 200
 
 
 def test_fixed_point_rejections(fixtures):

@@ -1,6 +1,7 @@
 """Core substitution operations: parsing, iteration, primitivity,
 language generation, the pair substitution."""
 
+import itertools
 import random
 
 import pytest
@@ -317,13 +318,27 @@ def test_in_language_matches_the_recursive_reference(fixtures):
             assert in_language(s, v) == recursive_in_language(s, v), (s, v)
 
 
-@pytest.mark.parametrize("rules", ["0 -> 01\n1 -> 0", "0 -> 01\n1 -> 01", "0 -> 00\n1 -> 11",
-                                   "0 -> 1\n1 -> 0"])
+@pytest.mark.parametrize("rules", ["0 -> 00\n1 -> 11", "0 -> 1\n1 -> 0"])
 def test_in_language_refuses_outside_its_domain(rules):
-    # variable length, a repeated image, and two inputs that are not
-    # primitive, one of them never growing
+    # two inputs that are not primitive, one of them never growing
     with pytest.raises(PreconditionError):
         in_language(parse_substitution(rules), chr(0) * 9)
+
+
+@pytest.mark.parametrize(
+    "rules",
+    ["0 -> 01\n1 -> 0", "0 -> 01\n1 -> 01", "a -> ab\nb -> ca\nc -> a", "a -> aab\nb -> ba"],
+)
+def test_in_language_of_any_primitive_input(rules):
+    # variable length and a repeated image: the covering words are proved
+    # for every primitive input, so membership is every word against the
+    # listing
+    s = parse_substitution(rules)
+    letters = [chr(i) for i in range(s.size)]
+    for n in range(1, 9):
+        listed = set(language_chr(s, n))
+        for w in map("".join, itertools.product(letters, repeat=n)):
+            assert in_language(s, w) == (w in listed), (rules, w)
 
 
 def test_in_language_of_the_empty_word_and_of_one_letter(fixtures):
