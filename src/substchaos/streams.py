@@ -50,9 +50,6 @@ from .substitution import (
     last_letter_map,
 )
 
-SHIFT_BUDGET = 10**6
-
-
 class StreamEntry(namedtuple("StreamEntry", "prefix center suffix")):
     """One desubstitution level: the image block of the next level's
     center, split around this level's center (all chr-coded).  Entries
@@ -265,17 +262,13 @@ class RepresentedPoint:
 
     def shift(self):
         """The image under the shift map (the odometer carry on digits)."""
-        return _shifted_stream(self)
+        return _shifted_stream(self, 1)
 
-    def shift_by(self, count, budget=SHIFT_BUDGET):
+    def shift_by(self, count):
+        """The image under ``count`` shifts, in one odometer carry."""
         if count < 0:
             raise PreconditionError("shift count must be >= 0")
-        if count > budget:
-            raise BudgetExceededError(f"shift count {count} exceeds budget {budget}")
-        point = self
-        for _ in range(count):
-            point = point.shift()
-        return point
+        return _shifted_stream(self, count)
 
     # -- literals -------------------------------------------------------------
 
@@ -411,41 +404,57 @@ def _past_right_end(point):
     return _fixed_point(s, left, right)
 
 
-def _shifted_stream(point):
-    """The shifted point: the odometer carry on the levels.
+def _shifted_stream(point, count):
+    """The point shifted ``count >= 0`` times: ``count`` added on the
+    odometer, in one carry on the levels.
 
-    The carry target ``istar`` is the first level whose digit is below
-    p - 1; with none, every digit is p - 1 and ``_past_right_end`` applies.
-    The levels 0 .. istar are cut again under the unchanged center of level
-    ``istar + 1``, with digit + 1 at ``istar`` and 0 below, and the old
-    preperiod levels past ``istar`` follow them.  When the carry reaches
-    into the period, its first ``moved = istar + 1 - k`` levels join the
-    preperiod (k the preperiod length), so the period rotates by ``moved``
-    and the seed anchor moves ``moved`` levels up: each seed steps back
-    ``moved`` along its cycle to keep the represented tails unchanged
-    (with ``moved`` 0 nothing steps, and no letter map is read).
+    Let ``D_K = sum(digit_i * p^i, i < K)``, so that the block
+    ``image^K(c_K)`` of the level-``K`` center covers ``[-D_K, p^K -
+    D_K)`` (see ``_expand``), and let ``K`` be the least level with ``D_K +
+    count < p^K``: the shifted origin still lies in that block.  The
+    levels 0 .. K - 1 are cut again under the unchanged center of level
+    ``K``, with the ``K`` base-p digits of ``D_K + count``, and the old
+    preperiod levels past ``K`` follow them.  Those digits come from
+    adding ``count`` to the digits with carry, low level first: after
+    ``i`` levels, ``D_i + count`` is the value of the new digits plus
+    ``rest * p^i``, so ``K`` is the first level where ``rest`` is 0.
+    When ``K`` reaches into the period, its first ``moved = K - k`` levels
+    join the preperiod (k the preperiod length), so the period rotates by
+    ``moved`` and the seed anchor moves ``moved`` levels up: the left seed
+    steps back ``moved`` along its cycle to keep its tail unchanged, as in
+    ``_expand``.
 
-    This one rule covers both seeds.  A right seed means every period digit
-    is p - 1, so ``istar < k`` and ``moved`` is 0; a left seed means every
-    period digit is 0, so ``moved`` is at most 1.  The rule holds for any
-    ``moved``, and the constructor checks the seeds it receives.
+    ``K`` exists.  Without a right seed some period digit is below p - 1,
+    so ``p^K - D_K`` grows without bound.  A right seed means every period
+    digit is p - 1; past ``jump = p^k - D_k`` shifts the point leaves its
+    finite right side, so ``_past_right_end`` takes it there, and the
+    remaining ``count - jump`` is carried on that point, which has a left
+    seed and no right one.  Below the jump ``D_k + count < p^k``, so ``K
+    <= k``, ``moved`` is 0 and a right seed never steps.  With ``moved`` 0
+    nothing steps and no letter map is read; the constructor checks the
+    seeds it receives.  The work is linear in ``K``, about
+    ``log_p(count) + k``, plus the constructor's pass over the levels.
     """
     s = point.subst
     p = s.constant_length
     k = len(point.preperiod)
-    istar = next((i for i in range(k + len(point.period)) if point.digit(i) != p - 1), None)
-    if istar is None:
-        return _past_right_end(point)
-    digits = (0,) * istar + (point.digit(istar) + 1,)
-    carried = _entries_below(s, point.entry(istar + 1).center, digits)
-    moved = max(0, istar + 1 - k)
-    period = point.period[moved:] + point.period[:moved]
-    left, right = point.left_seed, point.right_seed
+    if point.right_seed is not None:
+        jump = p**k - sum(point.digit(i) * p**i for i in range(k))
+        if count >= jump:
+            return _shifted_stream(_past_right_end(point), count - jump)
+    digits, rest = [], count
+    while rest:
+        rest, d = divmod(rest + point.digit(len(digits)), p)
+        digits.append(d)
+    level = len(digits)
+    carried = _entries_below(s, point.entry(level).center, digits)
+    moved = max(0, level - k)
+    turn = moved % len(point.period)
+    period = point.period[turn:] + point.period[:turn]
+    left = point.left_seed
     if moved and left is not None:
         left = _step(last_letter_map(s), left, -moved)
-    if moved and right is not None:
-        right = _step(first_letter_map(s), right, -moved)
-    return RepresentedPoint(s, carried + point.preperiod[istar + 1 :], period, left, right)
+    return RepresentedPoint(s, carried + point.preperiod[level:], period, left, point.right_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -628,8 +628,10 @@ def in_language(subst, chrword):
     The work is at most ``|L_2| · 2 max_a |σ^m(a)|`` symbols, where
     ``max_a |σ^m(a)|`` grows linearly in N for a primitive σ (below
     ``p (N - 1)`` at constant length p).  Requires a primitive
-    substitution, of any length and not necessarily one-to-one.
+    substitution, of any length and not necessarily one-to-one; the
+    empty word is refused on the same domain.
     """
+    language_chr(subst, 2)  # the primitivity refusal, for every word alike
     if not chrword:
         return True
     length = len(chrword)

@@ -53,7 +53,13 @@ from substchaos.simulate import (
     _difference_flags,
     _radii,
 )
-from substchaos.streams import _entries_below, _require_recognizable, _seed_choices
+from substchaos.streams import (
+    _entries_below,
+    _past_right_end,
+    _require_recognizable,
+    _seed_choices,
+    _step,
+)
 from substchaos.substitution import (
     DEFAULT_WORD_BUDGET,
     cycle_length,
@@ -477,6 +483,42 @@ def successor_of_digit_list(digits, base):
             return out
         out[i] = 0
     return out
+
+
+def stepwise_shift(point):
+    """One shift by the one-step odometer carry, the reference for the
+    one-carry ``shift_by``.  The carry target ``istar`` is the first level
+    whose digit is below p - 1; with none, every digit is p - 1 and the
+    point jumps past its right end.  The levels 0 .. istar are cut again
+    under the center of level ``istar + 1``, with digit + 1 at ``istar``
+    and 0 below; when the carry reaches into the period, its first
+    ``moved = istar + 1 - k`` levels join the preperiod, the period
+    rotates by ``moved`` and each seed steps back ``moved`` along its
+    cycle."""
+    s = point.subst
+    p = s.constant_length
+    k = len(point.preperiod)
+    istar = next((i for i in range(k + len(point.period)) if point.digit(i) != p - 1), None)
+    if istar is None:
+        return _past_right_end(point)
+    digits = (0,) * istar + (point.digit(istar) + 1,)
+    carried = _entries_below(s, point.entry(istar + 1).center, digits)
+    moved = max(0, istar + 1 - k)
+    period = point.period[moved:] + point.period[:moved]
+    left, right = point.left_seed, point.right_seed
+    if moved and left is not None:
+        left = _step(last_letter_map(s), left, -moved)
+    if moved and right is not None:
+        right = _step(first_letter_map(s), right, -moved)
+    return RepresentedPoint(s, carried + point.preperiod[istar + 1 :], period, left, right)
+
+
+def stepwise_orbit(point, count):
+    """``point`` and its first ``count`` shifts, by ``stepwise_shift``."""
+    orbit = [point]
+    for _ in range(count):
+        orbit.append(stepwise_shift(orbit[-1]))
+    return orbit
 
 
 def right_end_jump(x):

@@ -29,10 +29,17 @@ from substchaos import (
     stream_from_fixed_point,
     uncountable_certificate,
 )
-from substchaos.errors import InvariantError, PreconditionError, StreamChainError
+from substchaos.errors import (
+    BudgetExceededError,
+    InvariantError,
+    PreconditionError,
+    StreamChainError,
+)
 from substchaos.odometer import OdometerDigits
 from substchaos.pairs import (
+    CERTIFICATE_WORD_CAP,
     _aligned_entries,
+    _certificate_words,
     _ly_levels,
     _pair_layer,
     _past_finite_forward_data,
@@ -136,6 +143,17 @@ def test_certificate_words_satisfy_criterion(fixtures):
     for name in ("ly_two", "aba", "baacd"):
         s = fixtures[name]
         _assert_certificate_words(s, li_yorke_certificate(s))
+
+
+def test_certificate_words_stop_at_the_word_cap():
+    # p^m = 10^6 is the cap itself, and p^3 = 10^9 is past it
+    s = Substitution.from_rules({"a": "ab" * 500, "b": "ba" * 500}, ("a", "b"))
+    ua, ub = _certificate_words(s, chr(0), chr(1), 2)
+    assert len(ua) == len(ub) == 1000**2 == CERTIFICATE_WORD_CAP
+    assert (ua, ub) == (s.apply(s.images[0]), s.apply(s.images[1]))
+    with pytest.raises(BudgetExceededError) as info:
+        _certificate_words(s, chr(0), chr(1), 3)
+    assert str(info.value) == "certificate words at power 3 exceed the word cap"
 
 
 def _large_input(n, p, seed):

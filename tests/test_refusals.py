@@ -12,6 +12,7 @@ from substchaos import (
     decide_infinite,
     enumerate_fiber,
     fiber_bound,
+    in_language,
     iterate,
     pair_substitution,
     parse_substitution,
@@ -103,6 +104,10 @@ REFUSALS = {
     "coincidence_variable_length": (
         lambda: coincidence_class(parse_substitution(VARIABLE_LENGTH)),
         PreconditionError, "coincidence structure needs constant length",
+    ),
+    "in_language_empty_word_non_primitive": (
+        lambda: in_language(parse_substitution("0 -> 00\n1 -> 11"), ""),
+        PreconditionError, "language generation requires a primitive substitution",
     ),
     "decide_infinite_non_primitive": (
         lambda: decide_infinite(parse_substitution(NON_PRIMITIVE)),

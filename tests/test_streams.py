@@ -2,6 +2,7 @@
 fiber enumeration."""
 
 import random
+import time
 
 import pytest
 
@@ -31,6 +32,7 @@ from conftest import (
     fixed_points,
     random_substitutions,
     right_end_jump,
+    stepwise_orbit,
     stepwise_window,
     successor_of_digit_list,
 )
@@ -435,15 +437,61 @@ def test_jump_past_the_right_end_is_the_shift_loop(fixtures):
         for pre in ((), (0,), (0, 0, 1), tuple(rng.randrange(p) for _ in range(4))):
             for x in enumerate_fiber(s, OdometerDigits(p, pre, (p - 1,))):
                 jump = right_end_jump(x)
-                assert _past_right_end(x) == x.shift_by(jump)
+                assert _past_right_end(x) == stepwise_orbit(x, jump)[-1]
 
 
-def test_shift_by_budget(fixtures):
-    from substchaos.errors import BudgetExceededError
+def non_injective_fixed_points():
+    """The fixed points of the non-injective inputs among 300 seeded
+    primitive constant-length substitutions (|A| <= 4, p <= 4)."""
+    inputs = random_substitutions(
+        300, seed=CORPUS_SEED + 6, one_to_one=False, require_infinite=False
+    )
+    return [x for s in inputs if not s.is_injective() for x in fixed_points(s)]
 
-    x = stream_from_fixed_point(fixtures["morse"], "1", "0")
-    with pytest.raises(BudgetExceededError):
-        x.shift_by(10, budget=5)
+
+def test_shift_by_is_the_stepwise_carry(point_corpus):
+    points = [x for pts in point_corpus.values() for x in pts]
+    extra = non_injective_fixed_points()
+    assert len(extra) >= 40
+    for x in points + extra:
+        for n, expected in enumerate(stepwise_orbit(x, 63)):
+            assert x.shift_by(n) == expected, (x, n)
+
+
+def test_shift_by_slides_the_window(point_corpus):
+    for points in point_corpus.values():
+        for x in points:
+            for n in (0, 1, 5, 64, 333, 1000, 4097):
+                for r in (0, 16):
+                    assert x.shift_by(n).expand(r) == x.expand(r + n)[2 * n : 2 * n + 2 * r + 1]
+
+
+def test_shift_by_adds_counts(point_corpus):
+    rng = random.Random(CORPUS_SEED + 7)
+    counts = [0, 1, 2**64, 3**40, 10**30]
+    for points in point_corpus.values():
+        for x in points:
+            for a, b in [(a, b) for a in counts for b in counts] + [
+                (rng.randrange(10**30), rng.randrange(10**30)) for _ in range(10)
+            ]:
+                assert x.shift_by(a + b) == x.shift_by(a).shift_by(b), (x, a, b)
+
+
+def test_shift_by_huge_counts_answers_fast(fixtures):
+    morse = fixtures["morse"]
+    points = [
+        stream_from_fixed_point(morse, "1", "0"),
+        enumerate_fiber(morse, OdometerDigits(2, (0, 1), (1,)))[0],
+    ]
+    for x in points:
+        for n in (10**6, 10**100):
+            start = time.perf_counter()
+            y = x.shift_by(n)
+            assert time.perf_counter() - start < 1.0, n
+            # the shift is +n on the odometer: the first digits are those of
+            # the old value plus n
+            value = sum(d * 2**i for i, d in enumerate(x.pi_digits(400)))
+            assert y.pi_digits(400) == [(value + n) >> i & 1 for i in range(400)]
 
 
 def test_point_literal_unknown_kind(fixtures):
