@@ -18,18 +18,9 @@ from .errors import BudgetExceededError, ParseError, SubstitutionError
 from .pairs import classify_pair
 from .report import analyze
 from .reduction import decide_infinite_trace, one_to_one_reduction
-from .simulate import (
-    DEFAULT_WINDOW,
-    _evidence_and_radii,
-    default_horizon,
-    empirical_class,
-)
+from .simulate import DEFAULT_WINDOW, _evidence_and_radii, default_horizon, empirical_class
 from .streams import point_from_literal
-from .substitution import (
-    DEFAULT_WORD_BUDGET,
-    parse_substitution,
-    sorted_language,
-)
+from .substitution import parse_substitution, sorted_language
 from .tower import verify_scrambled_S
 
 EXIT_OK = 0
@@ -185,7 +176,7 @@ def cmd_simulate(args):
     y = _load_point(subst, args.y)
     horizon = args.horizon if args.horizon is not None else default_horizon(subst)
     if args.csv:
-        report, samples = _evidence_and_radii(x, y, horizon, args.window, args.max_word)
+        report, samples = _evidence_and_radii(x, y, horizon, args.window)
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write("n,radius\n")
@@ -194,7 +185,7 @@ def cmd_simulate(args):
         except OSError as exc:
             raise ParseError(f"cannot write {args.csv}: {exc.strerror}")
     else:
-        report = empirical_class(x, y, horizon, args.window, args.max_word)
+        report = empirical_class(x, y, horizon, args.window)
     _emit(report.to_json())
     return EXIT_OK
 
@@ -262,7 +253,6 @@ def build_parser():
     ps.add_argument("--y", required=True)
     ps.add_argument("--horizon", type=int, default=None)
     ps.add_argument("--window", type=int, default=DEFAULT_WINDOW)
-    ps.add_argument("--max-word", type=int, default=DEFAULT_WORD_BUDGET)
     ps.add_argument("--csv", default=None, help="write (n, radius) samples to a CSV file")
     ps.set_defaults(func=cmd_simulate)
 

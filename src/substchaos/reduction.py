@@ -40,6 +40,8 @@ from .substitution import (
     memoised,
 )
 
+# The most candidates the simplification search spends: a fixed limit,
+# not a default that a caller can raise.
 SIMPLIFIABILITY_BUDGET = 10**6
 # The prime modulus of the rank arithmetic (see the module docstring).
 _RANK_PRIME = (1 << 61) - 1
@@ -97,7 +99,7 @@ class _Budget:
             )
 
 
-def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
+def is_simplifiable(subst):
     """Search for morphisms ``f: A -> B+`` and ``g: B -> A+`` with
     ``g(f(a))`` equal to every image and ``|B| < |A|``.
 
@@ -126,7 +128,7 @@ def is_simplifiable(subst, budget=SIMPLIFIABILITY_BUDGET):
     n = subst.size
     images = list(subst.images)
     basis = _echelon(zip(*incidence_matrix(subst)))
-    counter = _Budget(budget)
+    counter = _Budget(SIMPLIFIABILITY_BUDGET)
     for size in range(max(1, len(basis)), n):
         found = _cover(images, size, counter, basis)
         if found is not None:

@@ -26,7 +26,6 @@ from collections import namedtuple
 from itertools import chain, islice, repeat
 
 from .errors import PreconditionError
-from .substitution import DEFAULT_WORD_BUDGET
 
 EVENT_CAP = 512
 
@@ -56,14 +55,14 @@ class EvidenceReport(
         return self._asdict()
 
 
-def _difference_flags(x, y, horizon, window, budget):
+def _difference_flags(x, y, horizon, window):
     """Expand both points to radius ``horizon + window`` and return one
     byte per coordinate: 1 where the windows differ, 0 where they agree.
     Time 0 sits at index ``horizon + window``."""
     if horizon < 0 or window < 1:
         raise PreconditionError("horizon must be >= 0 and window >= 1")
     radius = horizon + window
-    left, right = x.expand(radius, budget), y.expand(radius, budget)
+    left, right = x.expand(radius), y.expand(radius)
     try:
         left, right = left.encode("latin-1"), right.encode("latin-1")
     except UnicodeEncodeError:
@@ -78,10 +77,10 @@ def _difference_flags(x, y, horizon, window, budget):
     return left.to_bytes(2 * radius + 1, "big").translate(_NONZERO)
 
 
-def empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
+def empirical_class(x, y, horizon, window=DEFAULT_WINDOW):
     """Report the observed metric behavior of the pair at forward times
     0..horizon; makes no exact claim."""
-    return _evidence(_difference_flags(x, y, horizon, window, budget), horizon, window)
+    return _evidence(_difference_flags(x, y, horizon, window), horizon, window)
 
 
 def _evidence(flags, horizon, window):
@@ -142,11 +141,11 @@ def _evidence(flags, horizon, window):
     )
 
 
-def _evidence_and_radii(x, y, horizon, window, budget):
+def _evidence_and_radii(x, y, horizon, window):
     """``empirical_class`` of the pair and its ``(time, agreement
     radius)`` samples for CSV export, from one expansion and comparison of
     the two windows."""
-    flags = _difference_flags(x, y, horizon, window, budget)
+    flags = _difference_flags(x, y, horizon, window)
     return _evidence(flags, horizon, window), _radii(flags, horizon, window)
 
 

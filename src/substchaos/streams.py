@@ -245,12 +245,12 @@ class RepresentedPoint:
 
     # -- expansion ----------------------------------------------------------
 
-    def expand(self, radius, budget=DEFAULT_WORD_BUDGET):
+    def expand(self, radius):
         """The centered window ``x(-radius .. radius)`` as an internal
         chr-coded string of length ``2*radius + 1``."""
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
-        if 2 * radius + 1 > budget:
+        if 2 * radius + 1 > DEFAULT_WORD_BUDGET:
             raise BudgetExceededError("expansion exceeds the word budget")
         return _expand(self, radius)
 

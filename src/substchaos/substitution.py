@@ -46,6 +46,8 @@ from functools import lru_cache, wraps
 
 from .errors import ParseError, InvariantError, PreconditionError, BudgetExceededError
 
+# The longest word, window or listing any stage builds: a fixed limit that
+# every check reads at call time, not a default that a caller can raise.
 DEFAULT_WORD_BUDGET = 1 << 24
 # Substitutions whose derived tables (and language listings) stay cached.
 TABLE_CACHE_SIZE = 128
@@ -124,8 +126,8 @@ class Substitution:
         alphabet = tuple(alphabet)
         index = {tok: i for i, tok in enumerate(alphabet)}
         if set(rules) != set(alphabet):
-            missing = set(alphabet) - set(rules)
-            extra = set(rules) - set(alphabet)
+            missing = _letter_set(set(alphabet) - set(rules))
+            extra = _letter_set(set(rules) - set(alphabet))
             raise InvariantError(f"rules/alphabet mismatch (missing {missing}, extra {extra})")
         images = []
         for tok in alphabet:
@@ -303,9 +305,25 @@ def _tokenize_rule_line(raw, lineno):
     return (tokens[0], tokens[1:]), col
 
 
+def _letter_set(letters):
+    """A set of letters as Python prints it, but in sorted order, so the
+    text does not follow string hashing."""
+    return "{" + ", ".join(sorted(map(repr, letters))) + "}" if letters else "set()"
+
+
+def _unique_keys(pairs):
+    """The ``object_pairs_hook`` of ``_parse_json``: a key repeated in one
+    object is refused, where ``json.loads`` would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ParseError(f"invalid JSON: duplicate key {key!r}", 1, 1)
+    return obj
+
+
 def _parse_json(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
     except ValueError:
@@ -347,20 +365,20 @@ def json_word(word):
 # iteration
 
 
-def iterate(subst, word, count, budget=DEFAULT_WORD_BUDGET):
+def iterate(subst, word, count):
     """The ``count``-fold image of ``word``; public word in, public word out."""
-    return subst.decode(iterate_chr(subst, subst.encode(word), count, budget))
+    return subst.decode(iterate_chr(subst, subst.encode(word), count))
 
 
-def iterate_chr(subst, chrword, count, budget=DEFAULT_WORD_BUDGET):
+def iterate_chr(subst, chrword, count):
     if count < 0:
         raise PreconditionError("iteration count must be >= 0")
     w = chrword
     for _ in range(count):
         grown = len(w) * max(len(img) for img in subst.images)
-        if grown > budget:
+        if grown > DEFAULT_WORD_BUDGET:
             raise BudgetExceededError(
-                f"iteration would exceed the word budget ({grown} > {budget})"
+                f"iteration would exceed the word budget ({grown} > {DEFAULT_WORD_BUDGET})"
             )
         w = subst.apply(w)
     return w

@@ -623,15 +623,15 @@ def recurrence_check(x, y, letters, depth):
 # per-step reference for the simulator
 
 
-def stepwise_empirical_class(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
+def stepwise_empirical_class(x, y, horizon, window=DEFAULT_WINDOW):
     """Reference for ``simulate.empirical_class``: scan forward times
     0..horizon one by one and report the observed metric behavior of the
     pair."""
     if horizon < 0 or window < 1:
         raise PreconditionError("horizon must be >= 0 and window >= 1")
     radius = horizon + window
-    xw = x.expand(radius, budget)
-    yw = y.expand(radius, budget)
+    xw = x.expand(radius)
+    yw = y.expand(radius)
     mid = radius
     diffs = [i - mid for i in range(len(xw)) if xw[i] != yw[i]]
     prox = []
@@ -700,9 +700,9 @@ def agreement_radius(x_window, y_window, time, window_cap, center=None):
     return window_cap
 
 
-def radius_samples(x, y, horizon, window=DEFAULT_WINDOW, budget=DEFAULT_WORD_BUDGET):
+def radius_samples(x, y, horizon, window=DEFAULT_WINDOW):
     """(time, agreement radius) samples for CSV export."""
-    return _radii(_difference_flags(x, y, horizon, window, budget), horizon, window)
+    return _radii(_difference_flags(x, y, horizon, window), horizon, window)
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +765,7 @@ def _stepwise_right(point, need, budget):
                 total = len(suffix) * (s.constant_length**i)
                 if total > budget:
                     raise BudgetExceededError("right expansion exceeds the word budget")
-                out.append(iterate_chr(s, suffix, i, budget))
+                out.append(iterate_chr(s, suffix, i))
                 have += total
         rest = need - have
         if rest > 0:
@@ -803,7 +803,7 @@ def _stepwise_left(point, need, budget):
                 total = len(prefix) * (s.constant_length**i)
                 if total > budget:
                     raise BudgetExceededError("left expansion exceeds the word budget")
-                out.append(iterate_chr(s, prefix, i, budget))
+                out.append(iterate_chr(s, prefix, i))
                 have += total
         rest = need - have
         if rest > 0:
@@ -879,9 +879,8 @@ def unpruned_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
     return None, spent
 
 
-def counted_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
-    """``is_simplifiable(subst, budget)`` and the number of candidates it
-    spent."""
+def counted_simplification(subst):
+    """``is_simplifiable(subst)`` and the number of candidates it spent."""
     budgets = []
 
     class CountingBudget(reduction._Budget):
@@ -898,7 +897,7 @@ def counted_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_Budget", CountingBudget)
-        result = reduction.is_simplifiable(subst, budget)
+        result = reduction.is_simplifiable(subst)
     (counter,) = budgets
     return result, counter.spent
 

@@ -6,6 +6,7 @@ import enum
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -187,11 +188,47 @@ def test_nonprimitive_exit_code(tmp_path):
 
 def test_budget_exit_code(morse_file, tmp_path):
     x = json.dumps({"kind": "fixed_point", "left": "1", "right": "0"})
-    res = run_cli(
-        "simulate", morse_file, "--x", x, "--y", x, "--horizon", "100000", "--max-word", "1000"
-    )
+    res = run_cli("simulate", morse_file, "--x", x, "--y", x, "--horizon", "9000000")
     assert res.returncode == 3
     assert json.loads(res.stderr)["error"] == "BudgetExceededError"
+
+
+def test_simulate_has_no_word_budget_option(morse_file, capsys):
+    # the word budget is a package constant: --max-word is a usage error
+    x = json.dumps({"kind": "fixed_point", "left": "1", "right": "0"})
+    code = cli.main(["simulate", morse_file, "--x", x, "--y", x, "--max-word", "20"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "ParseError"
+
+
+def test_alphabet_mismatch_refusal_is_the_same_under_every_hash_seed(tmp_path):
+    # the missing and extra letters print sorted, not in string-hash order
+    path = tmp_path / "mismatch.json"
+    path.write_text(
+        json.dumps({"rules": {"a": "ab", "b": "ba"}, "alphabet": ["a", "b", "c", "d", "e", "f"]})
+    )
+    errors = set()
+    for seed in "012":
+        res = subprocess.run(
+            [sys.executable, "-m", "substchaos.cli", "analyze", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert res.returncode == 1
+        errors.add(res.stderr)
+    assert errors == {
+        json.dumps(
+            {
+                "error": "ParseError",
+                "message": "line 1, column 1: rules/alphabet mismatch"
+                " (missing {'c', 'd', 'e', 'f'}, extra set())",
+            }
+        )
+        + "\n"
+    }
 
 
 def test_reduce_command(tmp_path):
@@ -465,6 +502,7 @@ LONG_INTEGER = "9" * 5000
             b'{"rules": {"a": "a"}, "x": %s}' % LONG_INTEGER.encode(), id="long-integer"
         ),
         pytest.param(b"a -> ab\n\n# c\nb -> bz\n", id="unknown-letter"),
+        pytest.param(b'{"rules": {"a": "ab", "a": "ba", "b": "ba"}}', id="duplicate-key"),
     ],
 )
 def test_malformed_substitution_document_is_a_parse_error(tmp_path, content):
@@ -979,9 +1017,9 @@ def cli_cases(draw):
         x, y = point_literal(draw, letters), point_literal(draw, letters)
         argv = [command, "PATH", "--x", x, "--y", y]
         if command == "simulate":
-            argv += ["--horizon", draw(st.sampled_from(["0", "9", "40", "-1", HUGE_INT]))]
+            horizon = draw(st.sampled_from(["0", "9", "40", "-1", "9000000", HUGE_INT]))
+            argv += ["--horizon", horizon]
             argv += ["--window", draw(st.sampled_from(["1", "3", "0", HUGE_INT]))]
-            argv += draw(st.sampled_from([[], ["--max-word", "20"]]))
         return text, argv
     if command == "tower":
         return text, [

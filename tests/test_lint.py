@@ -4,7 +4,8 @@ the CLI's JSON error contract, so no module of the package uses an
 the standard library only; every cache of the package is bounded; no
 decision module imports the simulator; no module of the package or of
 the test suite imports a name it never reads; no function of the
-package takes a parameter it never reads; and no module of the package
+package takes a parameter it never reads or one named ``budget`` (the
+budgets are package constants); and no module of the package
 asks the stdlib for indented JSON (``json.dump``, ``json.dumps`` or
 ``JSONEncoder`` with ``indent``), which takes its pure-Python encoder,
 so ``cli._emit`` stays the one writer of stdout documents; no module of
@@ -231,15 +232,20 @@ UNREAD_PARAMETERS_ALLOWED = {("substitution.py", "_tables", "subst"),
                              ("streams.py", "enumerate_fiber", "radius")}
 
 
+def _functions(tree):
+    """Every function, method and lambda of ``tree`` with its parameter names."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            yield node, params
+
+
 def _unread_parameters(tree):
     """(line, function, parameter) for every parameter that its function,
     nested functions included, never reads."""
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        args = node.args
-        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    for node, params in _functions(tree):
         body = node.body if isinstance(node.body, list) else [node.body]
         read = {
             name.id
@@ -268,6 +274,35 @@ def test_no_unread_parameters():
     assert sorted(_unread_parameters(probe)) == [
         (1, "f", "b"), (1, "f", "c"), (1, "f", "e"), (4, "h", "y"),
         (7, "<lambda>", "v"), (9, "m", "w"),
+    ]
+
+
+def _budget_parameters(tree):
+    """(line, function) for every function, method or lambda of ``tree``
+    that takes a parameter named ``budget``."""
+    for node, params in _functions(tree):
+        if "budget" in params:
+            yield node.lineno, getattr(node, "name", "<lambda>")
+
+
+def test_no_budget_parameters():
+    # the budgets are package constants that each check reads at call
+    # time, so no caller can raise or lower one
+    found = []
+    for module in CHECKED_MODULES:
+        for line, func in _budget_parameters(_tree(PACKAGE_DIR / module)):
+            found.append(f"{module}:{line}: {func}(budget)")
+    assert found == []
+    probe = ast.parse(
+        "def f(a, budget=10):\n    return a\n"
+        "def g(*, budget):\n    return budget\n"
+        "def h(*budget):\n    return budget\n"
+        "k = lambda budget: budget\n"
+        "class C:\n    def m(self, budgets, budget_left):\n        return self\n"
+        "    def n(self, **budget):\n        return self\n"
+    )
+    assert sorted(_budget_parameters(probe)) == [
+        (1, "f"), (3, "g"), (5, "h"), (7, "<lambda>"), (11, "n"),
     ]
 
 

@@ -14,6 +14,7 @@ from substchaos import (
     is_simplifiable,
     one_to_one_reduction,
     parse_substitution,
+    reduction,
     stream_from_fixed_point,
 )
 from substchaos.errors import PreconditionError, SearchBudgetError
@@ -99,12 +100,17 @@ def test_simplifiable_negative_cases(fixtures):
     assert is_simplifiable(parse_substitution("a -> a")) is None
 
 
-def test_simplifiability_budget():
+def test_simplifiability_budget(monkeypatch):
     # rank 2 and elementary: the search runs through sizes 2 and 3 and
-    # spends 13 candidates, so a budget of 3 runs out
+    # spends 13 candidates, so a budget of 3 or 12 runs out and 13 does not
     s = parse_substitution("a -> aabcd\nb -> abacd\nc -> cdabd\nd -> dcbda")
-    with pytest.raises(SearchBudgetError):
-        is_simplifiable(s, budget=3)
+    with monkeypatch.context() as mp:
+        for budget in (3, 12):
+            mp.setattr(reduction, "SIMPLIFIABILITY_BUDGET", budget)
+            with pytest.raises(SearchBudgetError):
+                is_simplifiable(s)
+        mp.setattr(reduction, "SIMPLIFIABILITY_BUDGET", 13)
+        assert is_simplifiable(s) is None
     assert is_simplifiable(s) is None
 
 
@@ -241,7 +247,7 @@ def test_budget_outcome_is_memoised(monkeypatch):
     # a value: a second trace raises afresh without a second search
     import traceback
 
-    from substchaos import reduction, substitution
+    from substchaos import substitution
 
     searched = []
 

@@ -14,6 +14,7 @@ from substchaos import (
     fiber_bound,
     in_language,
     iterate,
+    language,
     pair_substitution,
     parse_substitution,
     point_from_literal,
@@ -101,6 +102,10 @@ REFUSALS = {
         lambda: Substitution.from_rules({"a": "a"}, ("a", "b")),
         InvariantError, "rules/alphabet mismatch (missing {'b'}, extra set())",
     ),
+    "from_rules_mismatch_sorted": (
+        lambda: Substitution.from_rules({"a": "a", "z": "z", "y": "y"}, ("a", "c", "b")),
+        InvariantError, "rules/alphabet mismatch (missing {'b', 'c'}, extra {'y', 'z'})",
+    ),
     "coincidence_variable_length": (
         lambda: coincidence_class(parse_substitution(VARIABLE_LENGTH)),
         PreconditionError, "coincidence structure needs constant length",
@@ -121,6 +126,10 @@ REFUSALS = {
         lambda: parse_substitution("# nothing\n"),
         ParseError, "line 1, column 1: no rules found",
     ),
+    "empty_image": (
+        lambda: parse_substitution("a -> ab\n  b   ->  # none\n"),
+        ParseError, "line 2, column 7: empty image for letter 'b'",
+    ),
     "empty_backtick": (
         lambda: parse_substitution("0 -> 0``"),
         ParseError, "line 1, column 7: empty backtick token",
@@ -133,6 +142,10 @@ REFUSALS = {
         lambda: parse_substitution('{"rules": {"a": 5}}'),
         ParseError,
         "line 1, column 1: 'rules' must map each letter to a string or a list of letters",
+    ),
+    "json_duplicate_key": (
+        lambda: parse_substitution('{"rules": {"a": "ab", "a": "ba", "b": "ba"}}'),
+        ParseError, "line 1, column 1: invalid JSON: duplicate key 'a'",
     ),
     "json_alphabet_not_a_word": (
         lambda: parse_substitution('{"rules": {"a": "a"}, "alphabet": 5}'),
@@ -189,6 +202,13 @@ REFUSALS = {
     "json_long_integer": (
         lambda: parse_substitution('{"rules": {"a": "a"}, "x": %s}' % LONG_INTEGER),
         ParseError, "line 1, column 1: invalid JSON: an integer has more than 4300 digits",
+    ),
+    "language_budget": (
+        # 4 two-letter words, each covered at power 11 (2^11 >= 2048):
+        # 4 * 2^11 * 2049 symbols, 8,192 past the word budget
+        lambda: language(morse(), 2049),
+        BudgetExceededError,
+        "the length-2049 listing would slice 16785408 symbols, more than the word budget 16777216",
     ),
     "pair_substitution_budget": (
         lambda: pair_substitution(cyclic()),

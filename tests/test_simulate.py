@@ -156,7 +156,7 @@ class WindowPoint:
     def __init__(self, window):
         self.window = window
 
-    def expand(self, radius, budget=None):
+    def expand(self, radius):
         mid = (len(self.window) - 1) // 2
         return self.window[mid - radius : mid + radius + 1]
 
@@ -197,12 +197,12 @@ def test_difference_flags_match_per_symbol_comparison(top):
             y = "".join(
                 chr(rng.randrange(top)) if rng.random() < density else c for c in x
             )
-            flags = _difference_flags(WindowPoint(x), WindowPoint(y), horizon, window, None)
+            flags = _difference_flags(WindowPoint(x), WindowPoint(y), horizon, window)
             assert flags == bytes(map(operator.ne, x, y)), (horizon, window, density)
     # one window past latin-1, the other inside it
     x = "ab\u0100"
-    assert _difference_flags(WindowPoint(x), WindowPoint("abc"), 0, 1, None) == b"\0\0\1"
-    assert _difference_flags(WindowPoint("abc"), WindowPoint(x), 0, 1, None) == b"\0\0\1"
+    assert _difference_flags(WindowPoint(x), WindowPoint("abc"), 0, 1) == b"\0\0\1"
+    assert _difference_flags(WindowPoint("abc"), WindowPoint(x), 0, 1) == b"\0\0\1"
 
 
 def test_difference_flags_memory_stays_linear(fixtures):
@@ -217,7 +217,7 @@ def test_difference_flags_memory_stays_linear(fixtures):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        flags = _difference_flags(x, y, horizon, window, 1 << 23)
+        flags = _difference_flags(x, y, horizon, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -18,6 +18,7 @@ from substchaos import (
     pair_substitution,
     parse_substitution,
     sorted_language,
+    substitution,
 )
 from substchaos.errors import BudgetExceededError, InvariantError, PreconditionError
 from substchaos.substitution import (
@@ -116,10 +117,11 @@ def test_iterate_rejects_out_of_range_letter_indices():
         iterate(s, [-1], 1)
 
 
-def test_iterate_budget():
+def test_iterate_budget(monkeypatch):
     s = parse_substitution("0 -> 01\n1 -> 10")
+    monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 2**20)
     with pytest.raises(BudgetExceededError):
-        iterate(s, "0", 30, budget=2**20)
+        iterate(s, "0", 30)
 
 
 def test_incidence_matrix_columns_sum_to_lengths():
