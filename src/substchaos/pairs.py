@@ -285,62 +285,54 @@ def _right_depths(depth, img):
 def _ly_levels(subst, target):
     """The levels of the existence search started at the target code.
 
-    Level 0 is ``{(target, False, False): None}``; every later level maps
-    each reached ``(pair code, coincidence flag, difference flag)`` state
-    to its back pointer ``(state one level down, position)``, the first
-    found in sorted order.  A state at level m is a walk of length m in
-    the pair graph from the target; the coincidence flag says that the
-    label of some step l holds a pair of ``coin_l``, and the difference
-    flag that some label holds an off-diagonal pair.  The label of step l
-    holds a pair of ``coin_l`` exactly when its least depth, computed once
-    per parent (``_right_depths``), is at most min(l, ``deepest``).  The
-    m-fold pair image of a pair holds an off-diagonal pair exactly when
-    the pair is off-diagonal, at every m: the images are pairwise
-    distinct.  The levels never end; ``ly_witness`` stops reading them.
+    Level 0 is ``{(target, False, False): 0}``; level l + 1 maps each
+    reached ``(pair code, coincidence flag, difference flag)`` state to
+    the position of the target inside the (l + 1)-fold pair image of its
+    pair: a step into ``parent`` at digit t from a state at position j
+    gives t·p^l + j, the first found in sorted order.  A state at level m
+    is a walk of length m in the pair graph from the target; the
+    coincidence flag says that the label of some step l holds a pair of
+    ``coin_l``, and the difference flag that some label holds an
+    off-diagonal pair.  The label of step l holds a pair of ``coin_l``
+    exactly when its least depth, computed once per parent
+    (``_right_depths``), is at most min(l, ``deepest``).  The m-fold pair
+    image of a pair holds an off-diagonal pair exactly when the pair is
+    off-diagonal, at every m: the images are pairwise distinct.  The
+    levels never end; ``ly_witness`` stops reading them.
     """
     layer = _pair_layer(subst)
     depth, image, occurrences = layer.depth, layer.image, layer.occurrences
     last_off = layer.last_off
     least = [None] * len(depth)
-    state = {(target, False, False): None}
+    p = subst.constant_length
+    state = {(target, False, False): 0}
     yield state
+    scale = 1
     for level in itertools.count():
         cap = min(level, layer.deepest)
         new_state = {}
-        for key in sorted(state):
-            q, fc, fd = key
+        for (q, fc, fd), position in sorted(state.items()):
             for parent, t in occurrences[q]:
                 right = least[parent]
                 if right is None:
                     right = least[parent] = _right_depths(depth, image[parent])
                 new_state.setdefault(
-                    (parent, fc or right[t] <= cap, fd or t < last_off[parent]), (key, t)
+                    (parent, fc or right[t] <= cap, fd or t < last_off[parent]),
+                    t * scale + position,
                 )
         yield new_state
         state = new_state
-
-
-def _reconstruct_chain(levels, key):
-    """Walk back pointers from the realized key at the top level down to
-    the seeded bottom; returns ((parent, position), ...) per level, bottom
-    transition first."""
-    chain = []
-    for level in range(len(levels) - 1, 0, -1):
-        prev, t = levels[level][key]
-        chain.append((key[0], t))
-        key = prev
-    return tuple(reversed(chain))
+        scale *= p
 
 
 @memoised
 def ly_witness(subst):
     """First (in alphabet order of targets) minimal witness for the
-    Li-Yorke existence criterion, or None: the target pair, the minimal
-    level at which it occurs inside its own iterated pair image with both
-    a coincidence and a difference after it, and the chain of that
-    occurrence, read from the back pointers of the search.  The pairs are
-    given as letter-index tuples and the chain is a tuple, so the memoised
-    witness is shared read-only.
+    Li-Yorke existence criterion, or None: the target pair (a, b) as
+    letter indices, the minimal level m at which it occurs inside its own
+    m-fold pair image with both a coincidence and a difference after it,
+    and the position of that occurrence in σ^m(a) × σ^m(b), carried by the
+    search.
 
     A target hits exactly when its component is ``ly`` (``_pair_layer``),
     so the search starts at the first such target only.  A hit is a
@@ -359,13 +351,10 @@ def ly_witness(subst):
     layer = _pair_layer(subst)
     bound = 3 * layer.components[layer.component[target]].size * (layer.deepest + 1)
     hit = (target, True, True)
-    levels = []
-    for state in _ly_levels(subst, target):
-        levels.append(state)
+    for level, state in enumerate(_ly_levels(subst, target)):
         if hit in state:
-            chain = tuple((divmod(P, layer.n), t) for P, t in _reconstruct_chain(levels, hit))
-            return divmod(target, layer.n), len(levels) - 1, chain
-        if len(levels) > bound:
+            return divmod(target, layer.n), level, state[hit]
+        if level >= bound:
             raise InvariantError("Li-Yorke search passed its proven level bound")
 
 
@@ -430,10 +419,8 @@ def li_yorke_certificate(subst):
     wit = ly_witness(subst)
     if wit is None:
         return None
-    (ai, bi), level, chain = wit
-    p = subst.constant_length
+    (ai, bi), level, position = wit
     ua, ub = _certificate_words(subst, chr(ai), chr(bi), level)
-    position = sum(t * p**i for i, (_, t) in enumerate(chain))
     dec = subst.decode
     return LyCertificate(
         power=level,
@@ -624,27 +611,32 @@ def _lambda_periodic_predecessor(subst, letter_chr, power):
     return c
 
 
+def _digits(position, p, count):
+    """The ``count`` lowest base-``p`` digits of ``position``, least
+    significant first: the level chain of that position."""
+    return [position // p**i % p for i in range(count)]
+
+
 def construct_ly_pair(subst):
-    """The explicit Li-Yorke pair built from the existence witness: both
-    points repeat the witness chain; when the occurrence sits at position
-    zero the left tails come from periodic predecessor letters."""
-    wit = ly_witness(subst)
-    if wit is None:
+    """The explicit Li-Yorke pair built from the existence certificate:
+    both points repeat the level chain of its position; when the
+    occurrence sits at position zero the left tails come from periodic
+    predecessor letters."""
+    cert = li_yorke_certificate(subst)
+    if cert is None:
         raise PreconditionError("the substitution has no Li-Yorke pairs")
-    (ai, bi), level, chain = wit
-    positions = [t for _, t in chain]
     s = subst
-    a, b = chr(ai), chr(bi)
-    cert = li_yorke_certificate(s)
-    ex, ey = _entries_below(s, a, positions), _entries_below(s, b, positions)
-    if any(positions):
+    a, b = chr(s.index(cert.a)), chr(s.index(cert.b))
+    digits = _digits(cert.position, s.constant_length, cert.power)
+    ex, ey = _entries_below(s, a, digits), _entries_below(s, b, digits)
+    if cert.position:
         cseed = dseed = None
     else:
-        cseed = _lambda_periodic_predecessor(s, a, level)
-        dseed = _lambda_periodic_predecessor(s, b, level)
+        cseed = _lambda_periodic_predecessor(s, a, cert.power)
+        dseed = _lambda_periodic_predecessor(s, b, cert.power)
     x = RepresentedPoint(s, (), ex, cseed, None)
     y = RepresentedPoint(s, (), ey, dseed, None)
-    return ConstructedPair(x, y, (s.alphabet[ai], s.alphabet[bi]), cert)
+    return ConstructedPair(x, y, (cert.a, cert.b), cert)
 
 
 def construct_recurrent_ly_pair(subst):
@@ -684,10 +676,9 @@ def construct_recurrent_ly_pair(subst):
         # the first copy within the second block and vice versa are both
         # interior, and a coincidence still follows the first of them
         m, j1, j2 = 2 * m, j1 * p**cert.power + j2, j2 * p**cert.power + j1
-    digits1 = [(j1 // p**i) % p for i in range(m)]
-    digits2 = [(j2 // p**i) % p for i in range(m)]
-    x = RepresentedPoint(s, (), _entries_below(s, a, digits1 + digits2), None, None)
-    y = RepresentedPoint(s, (), _entries_below(s, b, digits1 + digits2), None, None)
+    digits = _digits(j1, p, m) + _digits(j2, p, m)
+    x = RepresentedPoint(s, (), _entries_below(s, a, digits), None, None)
+    y = RepresentedPoint(s, (), _entries_below(s, b, digits), None, None)
     return ConstructedPair(x, y, (cert.a, cert.b), cert)
 
 

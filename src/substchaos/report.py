@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from . import __version__
+from . import __version__, substitution
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .pairs import (
     STRONG_EQUIVALENCE_CHAIN,
@@ -16,7 +16,7 @@ from .pairs import (
 )
 from .reduction import decide_infinite_trace, one_to_one_reduction
 from .streams import fiber_bound
-from .substitution import DEFAULT_WORD_BUDGET, _charge_pair_letters, is_primitive, json_word
+from .substitution import _charge_pair_letters, is_primitive, json_word
 from .substitution import pair_substitution
 
 
@@ -149,7 +149,7 @@ def analyze(subst, brute_bound=None):
         raise PreconditionError("analysis requires a constant length of at least 2")
     if brute_bound is not None and brute_bound < subst.constant_length:
         raise PreconditionError(f"brute-force bound {brute_bound} admits no word to scan")
-    if brute_bound is not None and brute_bound > DEFAULT_WORD_BUDGET:
+    if brute_bound is not None and brute_bound > substitution.DEFAULT_WORD_BUDGET:
         raise BudgetExceededError(f"brute-force bound {brute_bound} exceeds the word budget")
     if brute_bound is not None:
         _charge_pair_letters(subst)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import substitution
 from .errors import (
     BudgetExceededError,
     InvariantError,
@@ -38,7 +39,6 @@ from .errors import (
 from .odometer import OdometerDigits, _canonical
 from .reduction import decide_infinite
 from .substitution import (
-    DEFAULT_WORD_BUDGET,
     _read_only,
     cycle_length,
     first_letter_map,
@@ -250,7 +250,7 @@ class RepresentedPoint:
         chr-coded string of length ``2*radius + 1``."""
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
-        if 2 * radius + 1 > DEFAULT_WORD_BUDGET:
+        if 2 * radius + 1 > substitution.DEFAULT_WORD_BUDGET:
             raise BudgetExceededError("expansion exceeds the word budget")
         return _expand(self, radius)
 

@@ -311,19 +311,25 @@ def _letter_set(letters):
     return "{" + ", ".join(sorted(map(repr, letters))) + "}" if letters else "set()"
 
 
-def _unique_keys(pairs):
-    """The ``object_pairs_hook`` of ``_parse_json``: a key repeated in one
-    object is refused, where ``json.loads`` would keep its last value."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
-        raise ParseError(f"invalid JSON: duplicate key {key!r}", 1, 1)
-    return obj
+def _unique_keys(prefix, *position):
+    """An ``object_pairs_hook`` for ``json.loads`` that refuses a key
+    repeated in one object, where ``json.loads`` would keep its last value:
+    a ``ParseError`` with ``prefix`` and the optional line and column."""
+
+    def hook(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            first = {}  # key -> the index of its first occurrence
+            key = next(k for i, (k, _) in enumerate(pairs) if first.setdefault(k, i) != i)
+            raise ParseError(f"{prefix}: duplicate key {key!r}", *position)
+        return obj
+
+    return hook
 
 
 def _parse_json(text):
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_unique_keys("invalid JSON", 1, 1))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
     except ValueError:

@@ -43,7 +43,6 @@ from substchaos.pairs import (
     DoubleCertificate,
     _aligned_entries,
     _past_finite_forward_data,
-    _reconstruct_chain,
     _suffix_class,
 )
 from substchaos.simulate import (
@@ -1021,6 +1020,18 @@ def reference_ly_levels(subst, target):
                 new_state.setdefault((parent, nfc, nfd), (key, t))
         yield new_state
         state = new_state
+
+
+def _reconstruct_chain(levels, key):
+    """Walk back pointers from the realized key at the top level down to
+    the seeded bottom; returns ((parent, position), ...) per level, bottom
+    transition first."""
+    chain = []
+    for level in range(len(levels) - 1, 0, -1):
+        prev, t = levels[level][key]
+        chain.append((key[0], t))
+        key = prev
+    return tuple(reversed(chain))
 
 
 def stopped_ly_hit(subst, target):

@@ -422,6 +422,24 @@ def test_deeply_nested_point_literal_is_a_parse_error(morse_file, tmp_path):
     }
 
 
+def test_point_literal_with_a_repeated_key_is_a_parse_error(morse_file):
+    # json.loads alone would keep the last value of a repeated key
+    fixed = '{"kind": "fixed_point", "left": "1", "right": "0"}'
+    cases = [
+        ('{"kind": "stream", "kind": "fixed_point", "left": "1", "right": "0"}', fixed, "kind"),
+        (fixed, '{"kind": "fixed_point", "left": "0", "left": "1", "right": "0"}', "left"),
+    ]
+    for x, y, key in cases:
+        res = run_cli("classify", morse_file, "--x", x, "--y", y)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        (line,) = res.stderr.splitlines()
+        assert json.loads(line) == {
+            "error": "ParseError",
+            "message": f"invalid point literal: duplicate key {key!r}",
+        }
+
+
 def test_simulate_csv_compares_the_windows_once(ly_file, tmp_path, monkeypatch, capsys):
     # the report and the CSV radii are read off one difference-flag string,
     # and match the separate empirical_class and radius_samples outputs

@@ -5,7 +5,8 @@ the standard library only; every cache of the package is bounded; no
 decision module imports the simulator; no module of the package or of
 the test suite imports a name it never reads; no function of the
 package takes a parameter it never reads or one named ``budget`` (the
-budgets are package constants); and no module of the package
+budgets are package constants), and no module imports a budget constant
+by name, so every check reads the one binding at call time; and no module of the package
 asks the stdlib for indented JSON (``json.dump``, ``json.dumps`` or
 ``JSONEncoder`` with ``indent``), which takes its pure-Python encoder,
 so ``cli._emit`` stays the one writer of stdout documents; no module of
@@ -303,6 +304,42 @@ def test_no_budget_parameters():
     )
     assert sorted(_budget_parameters(probe)) == [
         (1, "f"), (3, "g"), (5, "h"), (7, "<lambda>"), (11, "n"),
+    ]
+
+
+BUDGETS = {"DEFAULT_WORD_BUDGET", "SIMPLIFIABILITY_BUDGET", "CERTIFICATE_WORD_CAP"}
+
+
+def _budget_imports(tree):
+    """(line, name) for every budget constant, or ``*``, that ``tree``
+    imports by name from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name in BUDGETS or alias.name == "*":
+                    yield node.lineno, alias.name
+
+
+def test_budgets_are_read_from_their_module():
+    # a name imported from another module is a copy bound at import, so a
+    # check that read it would not see the module's constant change
+    found = []
+    for module in CHECKED_MODULES:
+        for line, name in _budget_imports(_tree(PACKAGE_DIR / module)):
+            found.append(f"{module}:{line}: {name}")
+    assert found == []
+    probe = ast.parse(
+        "from .substitution import DEFAULT_WORD_BUDGET, iterate\n"
+        "from . import substitution\n"
+        "from .reduction import SIMPLIFIABILITY_BUDGET as budget\n"
+        "def f():\n    from .pairs import CERTIFICATE_WORD_CAP\n"
+        "x = substitution.DEFAULT_WORD_BUDGET\n"
+        "from .substitution import *\n"
+        "import substchaos.substitution\n"
+    )
+    assert sorted(_budget_imports(probe)) == [
+        (1, "DEFAULT_WORD_BUDGET"), (3, "SIMPLIFIABILITY_BUDGET"), (5, "CERTIFICATE_WORD_CAP"),
+        (7, "*"),
     ]
 
 

@@ -565,6 +565,11 @@ FOUR_LETTER_PARTIAL = "a -> dc\nb -> ba\nc -> ca\nd -> ab"
 # edges that holds no Li-Yorke cycle
 DENSE = "a -> bed\nb -> bea\nc -> edc\nd -> dea\ne -> cac"
 
+# (a, b) lies in C∞ and on a one-pair cycle whose label holds only (c, d),
+# off-diagonal and outside C∞, so its component is not ``ly``; the pair
+# (a, b) itself is the last C∞ pair of its image
+LAST_MEET = "a -> eac\nb -> ebd\nc -> eaa\nd -> bdd\ne -> bea"
+
 
 def _random_countable(count, kind, seed=20261018):
     """Seeded one-to-one primitive inputs, |A| 3-4 and p 2-3, of the
@@ -720,6 +725,7 @@ def test_pair_graph_matches_the_reference_engines(fixtures, random_corpus):
         *_all_classes(),
         parse_substitution(FOUR_LETTER_PARTIAL),
         parse_substitution(DENSE),
+        parse_substitution(LAST_MEET),
         *random_corpus,
     ]
     flags = Counter()
@@ -734,6 +740,10 @@ def test_pair_graph_matches_the_reference_engines(fixtures, random_corpus):
             assert component.unc is (double_engine(s, q) is not None), (s.rules(), q)
             flags[component.ly, component.unc] += 1
         first = next(((q, *hit) for q, hit in hits.items() if q[0] < q[1] and hit), None)
+        if first is not None:
+            q, level, chain = first
+            p = s.constant_length
+            first = q, level, sum(t * p**i for i, (_, t) in enumerate(chain))
         assert ly_witness(s) == first, s.rules()
         assert uncountable_certificate(s) == engine_uncountable_certificate(s), s.rules()
         if has_ly_pairs(s) and not has_uncountable_ly(s):

@@ -8,6 +8,7 @@ from substchaos import (
     OdometerDigits,
     Substitution,
     analyze,
+    cli,
     coincidence_class,
     decide_infinite,
     enumerate_fiber,
@@ -174,6 +175,12 @@ REFUSALS = {
     "stream_levels_not_a_list": (
         lambda: stream_literal(period="001"),
         PreconditionError, "stream levels must be a list of [prefix, center, suffix] triples",
+    ),
+    "point_literal_duplicate_key": (
+        lambda: cli._load_point(
+            morse(), '{"kind": "stream", "kind": "fixed_point", "left": "1", "right": "0"}'
+        ),
+        ParseError, "invalid point literal: duplicate key 'kind'",
     ),
     "point_kind_none": (
         lambda: point_from_literal(morse(), {"kind": None}),

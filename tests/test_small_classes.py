@@ -52,8 +52,12 @@ TIERS = {
 def classes(n, p):
     """The image tuple of each class, least among its renamings."""
     letters = "".join(map(chr, range(n)))
-    renamings = [dict(zip(range(n), perm)) for perm in itertools.permutations(letters)]
-    renamings = [(table, [ord(table[c]) for c in range(n)]) for table in renamings[1:]]
+    # each renaming but the identity: its translate table and the new code
+    # of each letter
+    renamings = [
+        (dict(enumerate(perm)), list(map(ord, perm)))
+        for perm in itertools.islice(itertools.permutations(letters), 1, None)
+    ]
     words = ["".join(w) for w in itertools.product(letters, repeat=p)]
     for images in itertools.product(words, repeat=n):
         for table, codes in renamings:

@@ -17,6 +17,7 @@ from substchaos import (
     stream_from_entries,
     stream_from_fixed_point,
 )
+from substchaos import streams
 from substchaos.errors import (
     BudgetExceededError,
     InvariantError,
@@ -25,7 +26,7 @@ from substchaos.errors import (
 )
 from substchaos.simulate import empirical_class
 from substchaos.streams import _past_right_end, _step
-from substchaos.substitution import first_letter_map, last_letter_map
+from substchaos.substitution import first_letter_map, iterate_slice, last_letter_map
 
 from conftest import (
     CORPUS_SEED,
@@ -255,6 +256,41 @@ def test_expand_produces_letters_linear_in_the_window(expansion_points, monkeypa
             produced = 0
             point.expand(radius)
             assert produced <= 4 * (2 * radius + 1), (point, radius, produced)
+
+
+def least_covering_level(point, radius):
+    """The least level K >= k (the preperiod length) whose word covers the
+    window of ``radius``, by the formula of ``streams._expand``: the block
+    at level K covers [-D_K, p^K - D_K), with D_K the value of the first K
+    digits, and a left or right seed adds p^K letters on its side."""
+    p = point.subst.constant_length
+    level = len(point.preperiod)
+    while True:
+        size = p**level
+        value = sum(d * p**i for i, d in enumerate(point.pi_digits(level)))
+        first = -value - (size if point.left_seed is not None else 0)
+        end = size - value + (size if point.right_seed is not None else 0)
+        if first <= -radius and radius < end:
+            return level
+        level += 1
+
+
+def test_expand_starts_at_the_least_covering_level(point_corpus, monkeypatch):
+    # a window read from a higher level holds the same letters at p times
+    # the work, so the level passed to iterate_slice is checked itself
+    levels = []
+
+    def recording(subst, chrword, count, start, stop):
+        levels.append(count)
+        return iterate_slice(subst, chrword, count, start, stop)
+
+    monkeypatch.setattr(streams, "iterate_slice", recording)
+    for points in point_corpus.values():
+        for point in points:
+            for radius in range(51):
+                levels.clear()
+                point.expand(radius)
+                assert levels == [least_covering_level(point, radius)], (point, radius)
 
 
 def test_expand_deep_preperiod_without_budget_error(fixtures):

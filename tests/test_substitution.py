@@ -3,6 +3,7 @@ language generation, the pair substitution."""
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from substchaos import (
     ParseError,
     Substitution,
+    analyze,
     complexity,
     incidence_matrix,
     is_primitive,
@@ -18,6 +20,7 @@ from substchaos import (
     pair_substitution,
     parse_substitution,
     sorted_language,
+    stream_from_fixed_point,
     substitution,
 )
 from substchaos.errors import BudgetExceededError, InvariantError, PreconditionError
@@ -67,6 +70,17 @@ def test_parse_comments_blanks_and_backticks():
 def test_parse_json_document():
     s = parse_substitution('{"alphabet": ["0", "1"], "rules": {"0": "01", "1": "10"}}')
     assert s == parse_substitution("0 -> 01\n1 -> 10")
+
+
+def test_a_repeated_key_is_found_in_time_linear_in_the_keys():
+    # 20,000 rules with the first key repeated last; a search that builds
+    # the keys before each position anew takes seconds at this size
+    rules = ", ".join(f'"x{i}": "x0"' for i in range(20000))
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as info:
+        parse_substitution('{"rules": {' + rules + ', "x0": "x0"}}')
+    assert time.perf_counter() - start < 2
+    assert str(info.value) == "line 1, column 1: invalid JSON: duplicate key 'x0'"
 
 
 def test_parse_json_alphabet_is_a_list_or_the_rule_order():
@@ -122,6 +136,19 @@ def test_iterate_budget(monkeypatch):
     monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 2**20)
     with pytest.raises(BudgetExceededError):
         iterate(s, "0", 30)
+
+
+def test_every_word_check_reads_the_one_budget(fixtures, monkeypatch):
+    # the window and the brute-force bound are checked against the budget
+    # of the substitution module as it is at call time
+    monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 1000)
+    point = stream_from_fixed_point(fixtures["morse"], "1", "0")
+    with pytest.raises(BudgetExceededError) as info:
+        point.expand(5000)
+    assert str(info.value) == "expansion exceeds the word budget"
+    with pytest.raises(BudgetExceededError) as info:
+        analyze(fixtures["ly_two"], brute_bound=5000)
+    assert str(info.value) == "brute-force bound 5000 exceeds the word budget"
 
 
 def test_incidence_matrix_columns_sum_to_lengths():
