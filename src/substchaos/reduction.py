@@ -24,16 +24,24 @@ rank is taken over GF(q), q = 2^61 - 1 (``_RANK_PRIME``), so the
 entries of the elimination stay below q; a minor that is nonzero modulo q
 is nonzero, so this rank never exceeds the rational one and every bound
 drawn from it is exact.
+
+Below full rank each search builds one word table (``_WordTable``) that
+every dictionary size reads: the images each prefix and suffix of an
+image starts and ends, and prefix sums, over the images' letters, of a
+basis of the vectors orthogonal to the images' count vectors.  A word's
+counts lie outside the span of the images' counts exactly when one of
+these sums differs at the word's two ends (proof in ``_cover``), so a
+candidate of the search costs a few dict reads and comparisons.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 
 from .errors import PreconditionError, SearchBudgetError
 from .substitution import (
     Substitution,
-    incidence_matrix,
     is_primitive,
     json_word,
     language_chr,
@@ -115,10 +123,12 @@ def is_simplifiable(subst):
     vectors over GF(q) is at most their rational rank, which is at most
     the size of any dictionary (``M_s = M_g . M_f``, module docstring), so
     the sizes below ``r`` hold no dictionary and the search starts at
-    ``max(1, r)``; at full rank it spends no candidate.  Within a size,
-    ``_cover`` skips only subtrees without a dictionary.  The walk order is
-    unchanged, so the result is the one the unpruned walk finds wherever
-    that walk finishes, and no more candidates are spent.
+    ``max(1, r)``; at full rank it spends no candidate and builds nothing
+    more.  Within a size, ``_cover`` skips only subtrees without a
+    dictionary.  The walk order is unchanged, so the result is the one the
+    unpruned walk finds wherever that walk finishes, and no more
+    candidates are spent.  What the walk reads of a word is built once per
+    call in a ``_WordTable`` and shared by every size searched.
 
     The segmentation is returned as ``_cover`` built it, which rebuilds
     every image: ``_cover`` places a word only where the image continues
@@ -126,11 +136,14 @@ def is_simplifiable(subst):
     the next image only when ``pos`` reaches the end of the current one.
     """
     n = subst.size
-    images = list(subst.images)
-    basis = _echelon(zip(*incidence_matrix(subst)))
+    basis = _echelon([image.count(chr(a)) for a in range(n)] for image in subst.images)
     counter = _Budget(SIMPLIFIABILITY_BUDGET)
-    for size in range(max(1, len(basis)), n):
-        found = _cover(images, size, counter, basis)
+    sizes = range(max(1, len(basis)), n)
+    if not sizes:
+        return None
+    table = _WordTable(subst.images, basis)
+    for size in sizes:
+        found = _cover(table, size, counter)
         if found is not None:
             dictionary, segmentations = found
             target = tuple(str(i) for i in range(len(dictionary)))
@@ -139,11 +152,6 @@ def is_simplifiable(subst):
             )
             return Simplification(target, f, tuple(dictionary))
     return None
-
-
-def _counts(word, n):
-    """The count vector of a chr-coded word over ``n`` letters."""
-    return [word.count(chr(i)) for i in range(n)]
 
 
 def _residue(basis, vector):
@@ -170,9 +178,96 @@ def _echelon(vectors):
     return basis
 
 
-def _cover(images, size, counter, basis):
+def _kernel(basis, n):
+    """A basis over GF(q) of the vectors ``k`` of length ``n`` with
+    ``v . k = 0`` for every ``v`` in the span of the echelon ``basis``:
+    one per column that is no pivot.
+
+    Each row is reduced by the rows after it, last row first, so every row
+    is 1 at its pivot and 0 at every other pivot.  For a free column
+    ``c``, ``k`` is 1 at ``c``, ``-row[c]`` at the pivot of each row and 0
+    elsewhere; then ``row . k = row[c] - row[c] = 0`` for every row."""
+    reduced = []
+    for pivot, row in reversed(basis):
+        reduced.append((pivot, _residue(reduced, row)))
+    pivots = {pivot for pivot, _ in basis}
+    kernel = []
+    for c in range(n):
+        if c not in pivots:
+            k = [0] * n
+            k[c] = 1
+            for pivot, row in reduced:
+                k[pivot] = -row[c] % _RANK_PRIME
+            kernel.append(k)
+    return kernel
+
+
+class _WordTable:
+    """What the search reads of the images and their words, built once per
+    ``is_simplifiable`` call below full rank, so from ``basis`` of fewer
+    vectors than letters, and shared by every size it searches.
+
+    - ``starts[w]`` and ``ends[w]``: bit masks of the images that the word
+      ``w`` starts and ends, from one pass over every image's prefixes and
+      suffixes; a word missing from them starts or ends no image.  The
+      pass copies a number of letters quadratic in each image's length,
+      as the walk does when it tries every word at the start of an image.
+    - ``sums[j][t]``: for each vector ``k`` of ``_kernel``, the sum over
+      GF(q) of ``k`` at the first ``t`` letters of image ``j``.  The slice
+      ``image[pos:stop]`` has counts outside the span of the images'
+      counts exactly when ``sums[j][pos] != sums[j][stop]`` (``_cover``).
+    - ``firsts(started)`` and ``lasts(ended)``: the first letters of the
+      images outside the mask ``started``, and the number of distinct last
+      letters of those outside ``ended``, each computed once per mask.
+    """
+
+    __slots__ = ("images", "rank", "starts", "ends", "sums", "_firsts", "_lasts")
+
+    def __init__(self, images, basis):
+        self.images = images
+        self.rank = len(basis)
+        self.starts, self.ends = {}, {}
+        for j, image in enumerate(images):
+            bit = 1 << j
+            for t in range(1, len(image) + 1):
+                prefix, suffix = image[:t], image[-t:]
+                self.starts[prefix] = self.starts.get(prefix, 0) | bit
+                self.ends[suffix] = self.ends.get(suffix, 0) | bit
+        kernel = _kernel(basis, len(images))
+        # the prefix sums of each kernel vector over all images in a row;
+        # image ``j`` reads its own stretch of them
+        codes = [ord(ch) for image in images for ch in image]
+        columns = [
+            [s % _RANK_PRIME for s in accumulate([k[c] for c in codes], initial=0)]
+            for k in kernel
+        ]
+        sums = list(zip(*columns))
+        self.sums = []
+        offset = 0
+        for image in images:
+            self.sums.append(sums[offset : offset + len(image) + 1])
+            offset += len(image)
+        self._firsts, self._lasts = {}, {}
+
+    def firsts(self, started):
+        if started not in self._firsts:
+            self._firsts[started] = {
+                image[0] for j, image in enumerate(self.images) if not started >> j & 1
+            }
+        return self._firsts[started]
+
+    def lasts(self, ended):
+        if ended not in self._lasts:
+            self._lasts[ended] = len(
+                {image[-1] for j, image in enumerate(self.images) if not ended >> j & 1}
+            )
+        return self._lasts[ended]
+
+
+def _cover(table, size, counter):
     """Depth-first search for a dictionary of at most ``size`` words
-    segmenting every image; returns (dictionary, segmentations) or None.
+    segmenting every image of ``table``; returns (dictionary,
+    segmentations) or None.
 
     A node is a partial segmentation: images before ``img_idx`` are
     segmented, the current one up to ``pos``, with the dictionary ``D``.
@@ -193,13 +288,27 @@ def _cover(images, size, counter, basis):
     letters.  When that exceeds ``size`` the subtree holds no dictionary
     and is skipped.
 
-    ``basis`` is an echelon basis over GF(q) of the images' count vectors,
-    of rank ``r``.  Every image and every word of ``D'`` lies in ``D'*``,
-    so the count vectors of the images and of ``D`` lie in the span of the
+    Let ``V`` be the span over GF(q) of the images' count vectors, of
+    rank ``r``.  Every image and every word of ``D'`` lies in ``D'*``, so
+    the count vectors of the images and of ``D`` lie in the span of the
     ``|D'|`` count vectors of ``D'``, and their GF(q) rank is at most their
-    rational rank, at most ``|D'|``.  A word of ``D`` outside the span of
-    the images raises that rank to ``r + 1``, so when ``r + 1 > size`` the
-    subtree is skipped as well.
+    rational rank, at most ``|D'|``.  A word of ``D`` outside ``V`` raises
+    that rank to ``r + 1``, so when ``r + 1 > size`` the subtree is
+    skipped as well.
+
+    A word is outside ``V`` exactly when ``c . k != 0`` for some vector
+    ``k`` of the kernel basis ``K`` (``_kernel``), ``c`` its count vector.
+    Every ``k`` is orthogonal to ``V``, so a ``c`` in ``V`` gives 0 for
+    all of them.  Conversely, ``V^⊥`` is the null space of ``r``
+    independent rows, of dimension ``n - r`` over a field (rank-nullity),
+    and the ``n - r`` vectors of ``K`` in it are independent (each is 1
+    at its own free column and 0 at the other free columns), so
+    ``K`` spans ``V^⊥``.  The same count gives ``dim (V^⊥)^⊥ = r``, and
+    ``V`` lies in ``(V^⊥)^⊥``, so the two are equal: a ``c`` orthogonal to
+    all of ``K`` lies in ``V``.  For the slice ``image[pos:stop]``,
+    ``c . k`` is the difference of two prefix sums of ``k`` over the
+    image's letters, so the test compares ``table.sums`` at ``pos`` and at
+    ``stop``.
 
     A skipped node is still charged to the budget, so the walk visits a
     subsequence of the unpruned walk's candidates in the same order and
@@ -210,48 +319,22 @@ def _cover(images, size, counter, basis):
     once ``pos > 0``, so the letters may be collected over all images that
     no word of ``D`` starts or ends.  They depend on ``D`` alone and are
     kept per dictionary size on the current path, with the sets of images
-    that words of ``D`` start and end as bit masks; the masks of each word
-    are computed once, and the letters are collected again only when a
-    pushed word starts or ends an image no earlier word did.  Whether a
-    word lies outside the span of the images is likewise computed once
-    per word, and whether ``D`` holds such a word is kept along the path.
+    that words of ``D`` start and end as bit masks (``table.starts`` and
+    ``table.ends``); the letters are read again only when a pushed word
+    starts or ends an image no earlier word did.  Whether ``D`` holds a
+    word outside ``V`` is kept along the path.
     """
+    images = table.images
     n = len(images)
     dictionary = []
+    words = set()  # the words of ``dictionary``
     segs = [[] for _ in images]
-    rank = len(basis)
-    # word -> (mask of images it starts, mask of images it ends, whether
-    # it lies outside the span of the images)
-    marks = {}
+    starts, ends, sums, rank = table.starts, table.ends, table.sums, table.rank
     # per dictionary size on the current path: the images words start and
     # end, the first letters of the images no word starts, the number of
     # distinct last letters of the images no word ends, and whether a word
     # lies outside the span of the images
-    unmet = [
-        (0, 0, {image[0] for image in images}, len({image[-1] for image in images}), False)
-    ]
-
-    def push(w):
-        dictionary.append(w)
-        if w not in marks:
-            marks[w] = (
-                sum(1 << j for j, image in enumerate(images) if image.startswith(w)),
-                sum(1 << j for j, image in enumerate(images) if image.endswith(w)),
-                any(_residue(basis, _counts(w, n))),
-            )
-        started, ended, firsts, lasts, outside = unmet[-1]
-        w_starts, w_ends, w_outside = marks[w]
-        if w_starts & ~started:
-            started |= w_starts
-            firsts = {image[0] for j, image in enumerate(images) if not started >> j & 1}
-        if w_ends & ~ended:
-            ended |= w_ends
-            lasts = len({image[-1] for j, image in enumerate(images) if not ended >> j & 1})
-        unmet.append((started, ended, firsts, lasts, outside or w_outside))
-
-    def pop():
-        dictionary.pop()
-        unmet.pop()
+    unmet = [(0, 0, table.firsts(0), table.lasts(0), False)]
 
     def moves(img_idx, pos):
         """The children of a node in walk order, none when it is skipped:
@@ -274,15 +357,34 @@ def _cover(images, size, counter, basis):
                 yield img_idx, pos + len(w)
                 seg.pop()
         if len(dictionary) < size:
+            # place each new word ``w``, extending the path's entry of
+            # ``unmet`` by what ``w`` starts, ends and adds to the span
+            seg.append(len(dictionary))
+            started, ended, _, _, _ = unmet[-1]
+            image_sums = sums[img_idx]
+            at_pos = image_sums[pos]
             for stop in range(pos + 1, len(image) + 1):
                 w = image[pos:stop]
-                if w in dictionary:
+                if w in words:
                     continue
-                seg.append(len(dictionary))
-                push(w)
+                w_started = started | starts.get(w, 0)
+                w_ended = ended | ends.get(w, 0)
+                unmet.append(
+                    (
+                        w_started,
+                        w_ended,
+                        firsts if w_started == started else table.firsts(w_started),
+                        lasts if w_ended == ended else table.lasts(w_ended),
+                        outside or image_sums[stop] != at_pos,
+                    )
+                )
+                dictionary.append(w)
+                words.add(w)
                 yield img_idx, stop
-                pop()
-                seg.pop()
+                words.remove(w)
+                dictionary.pop()
+                unmet.pop()
+            seg.pop()
 
     # the current path as a stack of move generators, not of Python frames:
     # a path places one word per level, over a thousand on long images

@@ -100,6 +100,18 @@ def test_simplifiable_negative_cases(fixtures):
     assert is_simplifiable(parse_substitution("a -> a")) is None
 
 
+def test_rank_modulus_is_prime():
+    # the rank bounds hold over a field, so q = 2^61 - 1 must be prime:
+    # by Lucas-Lehmer, 2^p - 1 (p an odd prime) is prime exactly when
+    # s_(p-2) = 0 modulo it, with s_0 = 4 and s_(i+1) = s_i^2 - 2
+    q = reduction._RANK_PRIME
+    assert q == 2**61 - 1
+    s = 4
+    for _ in range(61 - 2):
+        s = (s * s - 2) % q
+    assert s == 0
+
+
 def test_simplifiability_budget(monkeypatch):
     # rank 2 and elementary: the search runs through sizes 2 and 3 and
     # spends 13 candidates, so a budget of 3 or 12 runs out and 13 does not
@@ -168,6 +180,18 @@ def test_rank_bound_prunes_below_the_root():
     s = parse_substitution("a -> bdb\nb -> bca\nc -> adb\nd -> dbb")
     assert rational_rank(s) == 3
     assert counted_simplification(s) == (None, 5)
+
+
+def test_duplicate_images_are_not_the_first_dictionary():
+    # b and c share an image, yet the first dictionary the search finds is
+    # not the three distinct images: shorter words come first in the walk
+    s = parse_substitution("a -> ccba\nb -> abdc\nc -> abdc\nd -> cbac")
+    assert is_primitive(s) and rational_rank(s) == 2
+    _, trace = decide_infinite_trace(s)
+    assert trace[0]["dictionary"] == ["c", "ba", "abd"]
+    found, spent = counted_simplification(s)
+    assert spent == 28
+    assert unpruned_simplification(s) == (found, 55)
 
 
 def _random_substitutions(count, letters, length, seed):

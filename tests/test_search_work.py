@@ -1,15 +1,22 @@
-"""The simplification search's work, pinned: for each input of two
-corpora, the simplification that ``is_simplifiable`` returns (or the
-message of its budget refusal) and the candidates it spends, hashed into
-one sha256 per corpus in ``tests/data/search_work.json``.  Candidate
-counts are deterministic, so a change that only makes each candidate
-cheaper keeps both digests.
+"""The simplification search's work, pinned, and its span test checked.
+
+For each input of two corpora, the simplification that
+``is_simplifiable`` returns and the candidates it spends (no input runs
+out of budget) are hashed into one sha256 per corpus in
+``tests/data/search_work.json``.  Candidate counts are deterministic, so
+a change that only makes each candidate cheaper keeps both digests.
 
 - ``classes``: every class of ``test_small_classes.TIERS`` whose images'
   count vectors have rank below |A|, primitive or not.
 - ``tiers``: seeded primitive inputs shaped like the benchmark's larger
   tiers, (6,5), (8,6) and (10,8), in which one to three images repeat or
   rearrange an earlier image, so the rank is below |A|.
+
+The search tells whether a slice of an image has letter counts outside
+the span of the images' counts by comparing prefix sums of a kernel
+basis (``reduction._WordTable``); ``test_kernel_test_matches_the_residue``
+checks it on every slice against the reduction of the counts by the
+echelon basis.
 
 Regenerate the digests only when the search is meant to change:
 
@@ -24,8 +31,8 @@ from pathlib import Path
 
 import pytest
 
-from substchaos import Substitution, is_primitive, reduction
-from substchaos.errors import SearchBudgetError
+from substchaos import Substitution, is_primitive
+from substchaos.reduction import _echelon, _residue, _WordTable
 
 from conftest import counted_simplification, rational_rank
 from test_small_classes import TIERS, classes
@@ -79,19 +86,10 @@ def tier_corpus():
 CORPORA = {"classes": class_corpus, "tiers": tier_corpus}
 
 
-def search_work(s):
-    """The images, the simplification or refusal, and the candidates
-    spent; a refusal spends one charge past the budget."""
-    try:
-        found, spent = counted_simplification(s)
-    except SearchBudgetError as exc:
-        return [list(s.images), f"SearchBudgetError: {exc}", reduction.SIMPLIFIABILITY_BUDGET + 1]
-    return [list(s.images), found, spent]
-
-
 def corpus_work(name):
-    """(inputs, candidates spent, digest) of one corpus."""
-    records = [search_work(s) for s in CORPORA[name]()]
+    """(inputs, candidates spent, digest) of one corpus; a record holds
+    the images, the simplification or None, and the candidates spent."""
+    records = [[list(s.images), *counted_simplification(s)] for s in CORPORA[name]()]
     text = json.dumps(records)
     spent = sum(record[2] for record in records)
     return len(records), spent, hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -103,6 +101,31 @@ def test_search_work_matches_its_digest(name):
     inputs, spent, digest = corpus_work(name)
     assert (inputs, spent) == SIZES[name]
     assert digest == expected
+
+
+def test_kernel_test_matches_the_residue(fixtures):
+    # for every slice of every image, the prefix sums of the kernel basis
+    # differ exactly when the slice's counts reduce to a nonzero residue
+    # by the echelon basis; the search builds the table only below full
+    # rank, which the fixtures morse, ly_two and four and the corpus are,
+    # at ranks |A| - 1, |A| - 2 and |A| - 3
+    deficits = set()
+    for s in list(fixtures.values()) + tier_corpus():
+        n = s.size
+        vectors = [[image.count(chr(a)) for a in range(n)] for image in s.images]
+        basis = _echelon(vectors)
+        assert len(basis) == rational_rank(s), s.rules()
+        deficits.add(n - len(basis))
+        if len(basis) == n:
+            continue
+        table = _WordTable(s.images, basis)
+        for image, sums in zip(s.images, table.sums):
+            for pos in range(len(image)):
+                for stop in range(pos + 1, len(image) + 1):
+                    counts = [image.count(chr(a), pos, stop) for a in range(n)]
+                    outside = sums[stop] != sums[pos]
+                    assert outside == any(_residue(basis, counts)), (s.rules(), pos, stop)
+    assert {0, 1, 2, 3} <= deficits
 
 
 if __name__ == "__main__":
