@@ -26,12 +26,13 @@ is nonzero, so this rank never exceeds the rational one and every bound
 drawn from it is exact.
 
 Below full rank each search builds one word table (``_WordTable``) that
-every dictionary size reads: the images each prefix and suffix of an
-image starts and ends, and prefix sums, over the images' letters, of a
-basis of the vectors orthogonal to the images' count vectors.  A word's
-counts lie outside the span of the images' counts exactly when one of
-these sums differs at the word's two ends (proof in ``_cover``), so a
-candidate of the search costs a few dict reads and comparisons.
+every dictionary size reads: prefix sums, over the images' letters, of a
+basis of the vectors orthogonal to the images' count vectors, and the
+images each word the walk places starts and ends, stored the first time
+it is placed.  A word's counts lie outside the span of the images'
+counts exactly when one of these sums differs at the word's two ends
+(proof in ``_cover``), so a candidate of the search costs a few dict
+reads and comparisons.
 """
 
 from __future__ import annotations
@@ -127,8 +128,9 @@ def is_simplifiable(subst):
     more.  Within a size, ``_cover`` skips only subtrees without a
     dictionary.  The walk order is unchanged, so the result is the one the
     unpruned walk finds wherever that walk finishes, and no more
-    candidates are spent.  What the walk reads of a word is built once per
-    call in a ``_WordTable`` and shared by every size searched.
+    candidates are spent.  What the walk reads of a word is computed at
+    most once per call and kept in a ``_WordTable`` that every size
+    searched reads.
 
     The segmentation is returned as ``_cover`` built it, which rebuilds
     every image: ``_cover`` places a word only where the image continues
@@ -136,7 +138,8 @@ def is_simplifiable(subst):
     the next image only when ``pos`` reaches the end of the current one.
     """
     n = subst.size
-    basis = _echelon([image.count(chr(a)) for a in range(n)] for image in subst.images)
+    letters = [chr(a) for a in range(n)]
+    basis = _echelon([image.count(ch) for ch in letters] for image in subst.images)
     counter = _Budget(SIMPLIFIABILITY_BUDGET)
     sizes = range(max(1, len(basis)), n)
     if not sizes:
@@ -207,32 +210,28 @@ class _WordTable:
     ``is_simplifiable`` call below full rank, so from ``basis`` of fewer
     vectors than letters, and shared by every size it searches.
 
-    - ``starts[w]`` and ``ends[w]``: bit masks of the images that the word
-      ``w`` starts and ends, from one pass over every image's prefixes and
-      suffixes; a word missing from them starts or ends no image.  The
-      pass copies a number of letters quadratic in each image's length,
-      as the walk does when it tries every word at the start of an image.
     - ``sums[j][t]``: for each vector ``k`` of ``_kernel``, the sum over
       GF(q) of ``k`` at the first ``t`` letters of image ``j``.  The slice
       ``image[pos:stop]`` has counts outside the span of the images'
       counts exactly when ``sums[j][pos] != sums[j][stop]`` (``_cover``).
+    - ``marks[w]``: the bit masks of the images that the word ``w`` starts
+      and ends, filled by ``mark`` the first time the walk places ``w``,
+      so the table holds only the words the walk visits.
     - ``firsts(started)`` and ``lasts(ended)``: the first letters of the
       images outside the mask ``started``, and the number of distinct last
       letters of those outside ``ended``, each computed once per mask.
+
+    So the table grows with the images' letters times ``|A| - rank`` and
+    with the words the walk places, as the walk itself does.
     """
 
-    __slots__ = ("images", "rank", "starts", "ends", "sums", "_firsts", "_lasts")
+    __slots__ = (
+        "images", "rank", "sums", "marks", "_by_first", "_by_last", "_firsts", "_lasts"
+    )
 
     def __init__(self, images, basis):
         self.images = images
         self.rank = len(basis)
-        self.starts, self.ends = {}, {}
-        for j, image in enumerate(images):
-            bit = 1 << j
-            for t in range(1, len(image) + 1):
-                prefix, suffix = image[:t], image[-t:]
-                self.starts[prefix] = self.starts.get(prefix, 0) | bit
-                self.ends[suffix] = self.ends.get(suffix, 0) | bit
         kernel = _kernel(basis, len(images))
         # the prefix sums of each kernel vector over all images in a row;
         # image ``j`` reads its own stretch of them
@@ -247,7 +246,25 @@ class _WordTable:
         for image in images:
             self.sums.append(sums[offset : offset + len(image) + 1])
             offset += len(image)
-        self._firsts, self._lasts = {}, {}
+        self.marks, self._firsts, self._lasts = {}, {}, {}
+        # first letter -> (bit, image) of the images it starts; likewise last
+        self._by_first, self._by_last = {}, {}
+        for j, image in enumerate(images):
+            self._by_first.setdefault(image[0], []).append((1 << j, image))
+            self._by_last.setdefault(image[-1], []).append((1 << j, image))
+
+    def mark(self, w):
+        """``marks[w]``, computed and stored; only the images that begin
+        (end) with the first (last) letter of ``w`` are compared."""
+        started = ended = 0
+        for bit, image in self._by_first.get(w[0], ()):
+            if image.startswith(w):
+                started |= bit
+        for bit, image in self._by_last.get(w[-1], ()):
+            if image.endswith(w):
+                ended |= bit
+        self.marks[w] = started, ended
+        return started, ended
 
     def firsts(self, started):
         if started not in self._firsts:
@@ -319,17 +336,16 @@ def _cover(table, size, counter):
     once ``pos > 0``, so the letters may be collected over all images that
     no word of ``D`` starts or ends.  They depend on ``D`` alone and are
     kept per dictionary size on the current path, with the sets of images
-    that words of ``D`` start and end as bit masks (``table.starts`` and
-    ``table.ends``); the letters are read again only when a pushed word
-    starts or ends an image no earlier word did.  Whether ``D`` holds a
+    that words of ``D`` start and end as bit masks (``table.marks``); the
+    letters are read again only when a placed word starts or ends an
+    image no earlier word did.  Whether ``D`` holds a
     word outside ``V`` is kept along the path.
     """
     images = table.images
     n = len(images)
     dictionary = []
-    words = set()  # the words of ``dictionary``
     segs = [[] for _ in images]
-    starts, ends, sums, rank = table.starts, table.ends, table.sums, table.rank
+    marked, sums, rank = table.marks.get, table.sums, table.rank
     # per dictionary size on the current path: the images words start and
     # end, the first letters of the images no word starts, the number of
     # distinct last letters of the images no word ends, and whether a word
@@ -365,10 +381,11 @@ def _cover(table, size, counter):
             at_pos = image_sums[pos]
             for stop in range(pos + 1, len(image) + 1):
                 w = image[pos:stop]
-                if w in words:
+                if w in dictionary:
                     continue
-                w_started = started | starts.get(w, 0)
-                w_ended = ended | ends.get(w, 0)
+                w_starts, w_ends = marked(w) or table.mark(w)
+                w_started = started | w_starts
+                w_ended = ended | w_ends
                 unmet.append(
                     (
                         w_started,
@@ -379,9 +396,7 @@ def _cover(table, size, counter):
                     )
                 )
                 dictionary.append(w)
-                words.add(w)
                 yield img_idx, stop
-                words.remove(w)
                 dictionary.pop()
                 unmet.pop()
             seg.pop()

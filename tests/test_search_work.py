@@ -27,12 +27,13 @@ import hashlib
 import json
 import random
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from substchaos import Substitution, is_primitive
-from substchaos.reduction import _echelon, _residue, _WordTable
+from substchaos import Substitution, is_primitive, parse_substitution
+from substchaos.reduction import _echelon, _residue, _WordTable, is_simplifiable
 
 from conftest import counted_simplification, rational_rank
 from test_small_classes import TIERS, classes
@@ -126,6 +127,32 @@ def test_kernel_test_matches_the_residue(fixtures):
                     outside = sums[stop] != sums[pos]
                     assert outside == any(_residue(basis, counts)), (s.rules(), pos, stop)
     assert {0, 1, 2, 3} <= deficits
+
+
+def _long_search_peak(k):
+    # the shape of ``test_cli.DEEP_COMPOSED`` with images of 2k letters:
+    # rank 2, and the search finds {ab, c} walking every image once
+    s = parse_substitution(
+        f"a -> {'ab' * (k - 1)}cc\nb -> c{'ab' * (k - 1)}c\nc -> {'ab' * k}\n"
+    )
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        simp = is_simplifiable(s)
+        return simp, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_search_memory_grows_linearly_with_the_images():
+    # the word table keeps only the words the walk places, not every
+    # prefix and suffix of every image: four times the letters takes about
+    # four times the memory (3.9x), where a table of all prefixes and
+    # suffixes, quadratic in the image length, took 11x (4.1 -> 46 MB)
+    short, short_peak = _long_search_peak(500)
+    long, long_peak = _long_search_peak(2000)
+    assert short.g == long.g == ("\0\1", "\2")
+    assert long_peak < 6 * short_peak
 
 
 if __name__ == "__main__":
