@@ -57,17 +57,21 @@ def _load_point(subst, literal):
 
 _quote = json.encoder.encode_basestring
 _compact = json.JSONEncoder(ensure_ascii=False).encode
-_JOIN = {str: _quote, int: int.__repr__}
+_NAMES = {True: "true", False: "false", None: "null"}.__getitem__
+# the text of a value of exactly one of these types, keyed by the type
+_ATOMS = {str: _quote, int: int.__repr__, bool: _NAMES, type(None): _NAMES}
 
 
 def _write(value, out, pad):
     """Append the pieces of ``value`` as ``json.dumps`` writes it with
     ``sort_keys=True, indent=2, ensure_ascii=False``; ``pad`` is a newline
     and the indent of the enclosing line.  The stdlib takes its pure-Python
-    encoder whenever ``indent`` is set; here a list whose items are all
-    exactly ``str`` or exactly ``int`` is written in one C-speed join, and
-    any other scalar goes through the compact C encoder, so floats, NaN
-    and int or str subclasses read as before.  A key that is not a string
+    encoder whenever ``indent`` is set.  Here a value of exact type
+    ``str``, ``int``, ``bool`` or ``None`` inside a dict or list is written
+    in place, with no call of ``_write`` of its own; a list whose items
+    all have the same one of these exact types is written in one C-speed
+    join; and any other scalar goes through the compact C encoder, so
+    floats, NaN and int or str subclasses read as before.  A key that is not a string
     is refused with ``TypeError``."""
     if isinstance(value, dict):
         if not value:
@@ -76,8 +80,13 @@ def _write(value, out, pad):
         inner = pad + "  "
         lead = "{" + inner
         for key in sorted(value):
-            out.append(lead + _quote(key) + ": ")
-            _write(value[key], out, inner)
+            item = value[key]
+            atom = _ATOMS.get(type(item))
+            if atom is None:
+                out.append(lead + _quote(key) + ": ")
+                _write(item, out, inner)
+            else:
+                out.append(lead + _quote(key) + ": " + atom(item))
             lead = "," + inner
         out.append(pad + "}")
     elif isinstance(value, (list, tuple)):
@@ -86,22 +95,20 @@ def _write(value, out, pad):
             return
         inner = pad + "  "
         kinds = set(map(type, value))
-        join = _JOIN.get(kinds.pop()) if len(kinds) == 1 else None
-        if join is not None:
-            out.append("[" + inner + ("," + inner).join(map(join, value)) + pad + "]")
+        atom = _ATOMS.get(kinds.pop()) if len(kinds) == 1 else None
+        if atom is not None:
+            out.append("[" + inner + ("," + inner).join(map(atom, value)) + pad + "]")
             return
         lead = "[" + inner
         for item in value:
-            out.append(lead)
-            _write(item, out, inner)
+            atom = _ATOMS.get(type(item))
+            if atom is None:
+                out.append(lead)
+                _write(item, out, inner)
+            else:
+                out.append(lead + atom(item))
             lead = "," + inner
         out.append(pad + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
     else:
         out.append(_compact(value))
 
@@ -203,7 +210,8 @@ class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors are ``ParseError``s, so malformed argv
     meets the JSON error contract (exit 1) like any other malformed input.
     Subparsers are built from the same class.  ``--help`` and ``--version``
-    still print and exit 0."""
+    still print and exit 0.  ``build_parser`` sets ``commands`` on the
+    top-level parser: each subcommand's name and its parser."""
 
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
@@ -262,23 +270,45 @@ def build_parser():
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_tower)
 
+    parser.commands = sub.choices
     return parser
 
 
 @lru_cache(maxsize=1)
 def _parser():
-    """The parser of ``main``, built on first use rather than at import and
-    then shared by every call in the process.  Only a process that calls
-    ``main`` more than once (a test suite, a benchmark) saves anything: the
-    ``substchaos`` command runs one call per process and builds the parser
-    once either way.  Sharing is safe, also across threads: ``parse_args``
-    only reads the parser."""
+    """The top-level parser of ``main``, built with its subparsers on first
+    use rather than at import and then shared by every call in the
+    process.  Only a process that calls ``main`` more than once (a test
+    suite, a benchmark) saves anything: the ``substchaos`` command runs one
+    call per process and builds the parser once either way.  Sharing is
+    safe, also across threads: parsing only reads the parsers."""
     return build_parser()
+
+
+def _parse(argv):
+    """``_parser().parse_args(argv)``, in one pass of argparse where
+    ``argv`` starts with a subcommand's name: the rest goes straight to
+    that subcommand's parser, which is what the top-level parser hands it
+    to, and arguments left over are refused with the top-level parser's
+    own message.  Every other ``argv`` goes through the top-level parser.
+    So does one with an argument that starts with ``--=``: the top-level
+    parser refuses it as an ambiguous abbreviation of ``--help`` and
+    ``--version`` before the subcommand's parser sees anything."""
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None or any(arg.startswith("--=") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
         return args.func(args)
     except ParseError as exc:
         _error(exc)

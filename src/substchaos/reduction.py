@@ -40,7 +40,8 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import accumulate
 
-from .errors import PreconditionError, SearchBudgetError
+from . import substitution
+from .errors import BudgetExceededError, PreconditionError, SearchBudgetError
 from .substitution import (
     Substitution,
     is_primitive,
@@ -222,7 +223,10 @@ class _WordTable:
       letters of those outside ``ended``, each computed once per mask.
 
     So the table grows with the images' letters times ``|A| - rank`` and
-    with the words the walk places, as the walk itself does.
+    with the words the walk places, as the walk itself does.  That product
+    is charged against ``substitution.DEFAULT_WORD_BUDGET`` before the
+    sums are built; past it the table is refused with
+    ``BudgetExceededError``.
     """
 
     __slots__ = (
@@ -230,6 +234,12 @@ class _WordTable:
     )
 
     def __init__(self, images, basis):
+        cells = sum(map(len, images)) * (len(images) - len(basis))
+        if cells > substitution.DEFAULT_WORD_BUDGET:
+            raise BudgetExceededError(
+                f"the simplification search would hold {cells} kernel sums, "
+                f"more than the word budget {substitution.DEFAULT_WORD_BUDGET}"
+            )
         self.images = images
         self.rank = len(basis)
         kernel = _kernel(basis, len(images))
