@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from substchaos import REPORT_SCHEMA, cli, parse_substitution, point_from_literal, report, simulate
-from substchaos.errors import SubstitutionError
+from substchaos.errors import ParseError, SubstitutionError
 from substchaos.substitution import DEFAULT_WORD_BUDGET, language_chr
 
 from conftest import (
@@ -625,17 +625,17 @@ def test_undecodable_file_names_the_decoding_fault(tmp_path, content, reason):
     assert json.loads(err)["message"] == f"cannot read {path}: not UTF-8 text ({reason})"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param([], id="no-command"),
-        pytest.param(["bogus"], id="unknown-command"),
-        pytest.param(["language"], id="missing-arguments"),
-        pytest.param(["language", "MORSE", "notint"], id="length-not-int"),
-        pytest.param(["analyze", "MORSE", "--bogus"], id="unknown-option"),
-        pytest.param(["tower", "--depth"], id="option-without-value"),
-    ],
-)
+USAGE_ERRORS = [
+    pytest.param([], id="no-command"),
+    pytest.param(["bogus"], id="unknown-command"),
+    pytest.param(["language"], id="missing-arguments"),
+    pytest.param(["language", "MORSE", "notint"], id="length-not-int"),
+    pytest.param(["analyze", "MORSE", "--bogus"], id="unknown-option"),
+    pytest.param(["tower", "--depth"], id="option-without-value"),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_error_is_one_json_line(morse_file, argv):
     code, out, err = run_main([morse_file if a == "MORSE" else a for a in argv])
     assert code == 1
@@ -782,10 +782,142 @@ def test_shared_parser_across_threads(morse_file):
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             got = list(pool.map(parser.parse_args, jobs, timeout=60))
+            # main's own path: each argv straight to its subcommand's parser
+            got_by_main = list(pool.map(cli._parse, jobs, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
+    assert got_by_main == expected
     assert cli._parser() is parser
+
+
+# -- one pass of argparse per call -------------------------------------------
+
+POINT = json.dumps({"kind": "fixed_point", "left": "1", "right": "0"})
+OTHER_POINT = json.dumps({"kind": "fixed_point", "left": "0", "right": "1"})
+VALID_FORMS = [
+    pytest.param(["analyze", "MORSE"], id="analyze"),
+    pytest.param(["analyze", "MORSE", "--json", "--brute-bound", "3"], id="analyze-options"),
+    pytest.param(["analyze", "--brute-bound=2", "--json", "MORSE"], id="analyze-options-first"),
+    pytest.param(["analyze", "MORSE", "--brute", "3", "--js"], id="analyze-abbreviations"),
+    pytest.param(["reduce", "MORSE"], id="reduce"),
+    pytest.param(["decide", "MORSE"], id="decide"),
+    pytest.param(["language", "MORSE", "3"], id="language"),
+    pytest.param(["classify", "MORSE", "--x", POINT, "--y", OTHER_POINT], id="classify"),
+    pytest.param(["classify", "MORSE", f"--y={OTHER_POINT}", f"--x={POINT}"], id="classify-equals"),
+    pytest.param(["simulate", "MORSE", "--x", POINT, "--y", OTHER_POINT], id="simulate"),
+    pytest.param(
+        ["simulate", "MORSE", "--x", POINT, "--y", POINT, "--horizon", "27", "--window", "2"],
+        id="simulate-options",
+    ),
+    pytest.param(
+        ["simulate", "MORSE", "--x", POINT, "--y", POINT, "--hor", "9", "--win=1"],
+        id="simulate-abbreviations",
+    ),
+    pytest.param(["tower", "--depth", "2", "--horizon", "9", "--json"], id="tower"),
+    pytest.param(["tower", "--dep=2", "--hor=9", "--js"], id="tower-abbreviations"),
+    pytest.param(["analyze", "--", "MORSE"], id="separator-before-path"),
+]
+DISPATCH = [
+    *VALID_FORMS,
+    *USAGE_ERRORS,
+    pytest.param(["analyze", "MORSE", "--version"], id="version-after-command"),
+    pytest.param(["--", "analyze", "MORSE"], id="leading-separator"),
+    pytest.param(["analyze", "MORSE", "--", "--json"], id="option-after-separator"),
+    pytest.param(["analyze", "MORSE", "extra", "more"], id="extra-arguments"),
+    pytest.param(["tower", "--h", "3"], id="ambiguous-subcommand-option"),
+    # the top-level parser refuses "--=..." as ambiguous between --help and
+    # --version; a subcommand's parser would read it otherwise
+    pytest.param(["analyze", "MORSE", "--=x"], id="ambiguous-top-level-option"),
+    pytest.param(["reduce", "MORSE", "--=x"], id="top-level-ambiguity-or-help-argument"),
+    pytest.param(["reduce", "-h", "--=x"], id="top-level-ambiguity-before-help"),
+]
+
+
+def parsed_by_main(argv, monkeypatch):
+    """The namespace ``cli.main`` parses from ``argv``, or the message of the
+    usage error it prints."""
+    parsed = []
+    parse = cli._parse
+
+    def recorded(argv):
+        parsed.append(parse(argv))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "_parse", recorded)
+    code, out, err = run_main(argv)
+    if parsed:
+        return parsed[0]
+    assert (code, out) == (1, "")
+    assert_one_error_line(err, "ParseError")
+    return json.loads(err)["message"]
+
+
+def parsed_by_the_top_level_parser(argv):
+    try:
+        return cli.build_parser().parse_args(argv)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("argv", DISPATCH)
+def test_main_parses_as_the_top_level_parser(morse_file, monkeypatch, argv):
+    # main hands a subcommand's argv straight to its parser; it must parse
+    # what the top-level parser parses, or refuse it with the same message
+    argv = [morse_file if a == "MORSE" else a for a in argv]
+    assert parsed_by_main(argv, monkeypatch) == parsed_by_the_top_level_parser(argv)
+
+
+@pytest.fixture()
+def parse_passes(monkeypatch):
+    """The ``prog`` of every parser whose ``parse_known_args`` runs, in
+    order: ``substchaos`` for the top-level parser, ``substchaos NAME``
+    for a subcommand's."""
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return passes
+
+
+@pytest.mark.parametrize("argv", VALID_FORMS)
+def test_a_command_parses_its_argv_in_one_pass(morse_file, parse_passes, argv):
+    argv = [morse_file if a == "MORSE" else a for a in argv]
+    code, _, err = run_main(argv)
+    assert code == 0, err
+    assert parse_passes == [f"substchaos {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, passes",
+    [
+        (["--version"], 0, ["substchaos"]),
+        (["--help"], 0, ["substchaos"]),
+        ([], 1, ["substchaos"]),
+        (["bogus"], 1, ["substchaos"]),
+        (["--", "analyze", "MORSE"], 1, ["substchaos"]),
+        (["analyze", "MORSE", "--=x"], 1, ["substchaos"]),
+        # a subcommand's own help and usage errors, as before, and what its
+        # parser leaves over, refused in the top-level parser's name
+        (["language", "--help"], 0, ["substchaos language"]),
+        (["language"], 1, ["substchaos language"]),
+        (["tower", "--depth"], 1, ["substchaos tower"]),
+        (["analyze", "MORSE", "--bogus"], 1, ["substchaos analyze"]),
+    ],
+)
+def test_help_version_and_usage_errors_reach_the_parser_they_did(
+    morse_file, parse_passes, capsys, argv, code, passes
+):
+    argv = [morse_file if a == "MORSE" else a for a in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, parse_passes) == (code, passes)
 
 
 # -- the stdout writer -------------------------------------------------------
@@ -854,6 +986,11 @@ JSON_VALUES = st.recursive(
 @example((-(10**30), 0, 7))
 @example([float("nan"), -float("inf"), -0.0, 5e-324])
 @example({"z": {"y": {"x": [None, False]}}})
+# exact atoms, written in place, beside their subclasses and floats
+@example({"a": True, "b": Level.HIGH, "c": Tag("x"), "d": None, "e": 1.5, "f": 0, "g": "y"})
+@example([True, 1, Level.LOW, None, "x", Tag("y"), -0.0, False])
+@example([False, True, False])
+@example([None, None])
 def test_writer_matches_the_stdlib(value):
     assert emitted(value) == dumps(value)
 

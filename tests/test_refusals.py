@@ -20,9 +20,11 @@ from substchaos import (
     parse_substitution,
     point_from_literal,
     stream_from_fixed_point,
+    substitution,
     tower_substitution,
 )
 from substchaos.errors import BudgetExceededError, InvariantError, ParseError, PreconditionError
+from substchaos.reduction import is_simplifiable
 
 from conftest import MORSE, cyclic_document
 
@@ -247,3 +249,18 @@ def test_refusal_names_its_domain(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_search_table_past_the_word_budget_is_refused(monkeypatch):
+    # morse has rank 1 of 2: its table would hold 4 image letters times one
+    # kernel vector; at a budget of 4 the search runs and finds morse
+    # elementary, below it the table is refused before any sum is taken
+    monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 4)
+    assert is_simplifiable(morse()) is None
+    monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 3)
+    with pytest.raises(BudgetExceededError) as info:
+        is_simplifiable(morse())
+    assert type(info.value) is BudgetExceededError
+    assert str(info.value) == (
+        "the simplification search would hold 4 kernel sums, more than the word budget 3"
+    )
