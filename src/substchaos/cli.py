@@ -20,7 +20,7 @@ from .report import analyze
 from .reduction import decide_infinite_trace, one_to_one_reduction
 from .simulate import DEFAULT_WINDOW, _evidence_and_radii, default_horizon, empirical_class
 from .streams import point_from_literal
-from .substitution import _unique_keys, parse_substitution, sorted_language
+from .substitution import parse_substitution, read_json, sorted_language
 from .tower import verify_scrambled_S
 
 EXIT_OK = 0
@@ -42,17 +42,7 @@ def _read_text(path):
 def _load_point(subst, literal):
     if literal.startswith("@"):
         literal = _read_text(literal[1:])
-    try:
-        doc = json.loads(literal, object_pairs_hook=_unique_keys("invalid point literal"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid point literal: {exc.msg}")
-    except ValueError:
-        # the one other ValueError: an integer past the conversion limit
-        digits = sys.get_int_max_str_digits()
-        raise ParseError(f"invalid point literal: an integer has more than {digits} digits")
-    except RecursionError:
-        raise ParseError("invalid point literal: nested too deeply")
-    return point_from_literal(subst, doc)
+    return point_from_literal(subst, read_json(literal, "invalid point literal"))
 
 
 _quote = json.encoder.encode_basestring

@@ -41,6 +41,16 @@ class SearchBudgetError(BudgetExceededError):
     a definite 'elementary' answer)."""
 
 
+def charge(amount, limit, message, error=BudgetExceededError):
+    """The one budget gate of the package: refuse ``amount`` past
+    ``limit`` (an amount equal to the limit is allowed) with
+    ``error(message.format(amount, limit))``.  Every size check calls it
+    with its own limit and message, so no other code raises a budget
+    error."""
+    if amount > limit:
+        raise error(message.format(amount, limit))
+
+
 class SeparationBoundError(BudgetExceededError):
     """Points could not be separated at a window radius; carries the number
     found as a lower bound.  Kept for callers that catch it: fiber

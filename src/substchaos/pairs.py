@@ -28,7 +28,7 @@ from collections import namedtuple
 from enum import Enum
 from operator import add
 
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, charge
 from .streams import (
     RepresentedPoint,
     StreamEntry,
@@ -410,8 +410,8 @@ class LyCertificate(namedtuple("LyCertificate", "power a b position u v u2 v2"))
 def _certificate_words(subst, a, b, power):
     """The ``power``-fold images of the internal letters ``a`` and ``b``;
     a power whose words exceed ``CERTIFICATE_WORD_CAP`` is refused."""
-    if subst.constant_length**power > CERTIFICATE_WORD_CAP:
-        raise BudgetExceededError(f"certificate words at power {power} exceed the word cap")
+    message = f"certificate words at power {power} exceed the word cap"
+    charge(subst.constant_length**power, CERTIFICATE_WORD_CAP, message)
     return iterate_chr(subst, a, power), iterate_chr(subst, b, power)
 
 

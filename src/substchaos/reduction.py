@@ -41,7 +41,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from . import substitution
-from .errors import BudgetExceededError, PreconditionError, SearchBudgetError
+from .errors import PreconditionError, SearchBudgetError, charge
 from .substitution import (
     Substitution,
     is_primitive,
@@ -53,6 +53,8 @@ from .substitution import (
 # The most candidates the simplification search spends: a fixed limit,
 # not a default that a caller can raise.
 SIMPLIFIABILITY_BUDGET = 10**6
+# The refusal of a search that runs out of it.
+_EXHAUSTED = "simplifiability search exceeded its candidate budget"
 # The prime modulus of the rank arithmetic (see the module docstring).
 _RANK_PRIME = (1 << 61) - 1
 
@@ -95,20 +97,6 @@ smaller alphabet: ``f`` holds per source letter a word over
 source alphabet."""
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, left):
-        self.left = left
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise SearchBudgetError(
-                "simplifiability search exceeded its candidate budget"
-            )
-
-
 def is_simplifiable(subst):
     """Search for morphisms ``f: A -> B+`` and ``g: B -> A+`` with
     ``g(f(a))`` equal to every image and ``|B| < |A|``.
@@ -138,24 +126,31 @@ def is_simplifiable(subst):
     with it at ``pos``, advances ``pos`` by the word's length, and moves to
     the next image only when ``pos`` reaches the end of the current one.
     """
+    return _search(subst)[0]
+
+
+def _search(subst):
+    """``(is_simplifiable(subst), candidates spent)``; the sizes searched
+    share one count of candidates, charged against
+    ``SIMPLIFIABILITY_BUDGET`` at every node."""
     n = subst.size
     letters = [chr(a) for a in range(n)]
     basis = _echelon([image.count(ch) for ch in letters] for image in subst.images)
-    counter = _Budget(SIMPLIFIABILITY_BUDGET)
     sizes = range(max(1, len(basis)), n)
     if not sizes:
-        return None
+        return None, 0
     table = _WordTable(subst.images, basis)
+    spent = 0
     for size in sizes:
-        found = _cover(table, size, counter)
+        found, spent = _cover(table, size, spent)
         if found is not None:
             dictionary, segmentations = found
             target = tuple(str(i) for i in range(len(dictionary)))
             f = tuple(
                 tuple(target[idx] for idx in seg) for seg in segmentations
             )
-            return Simplification(target, f, tuple(dictionary))
-    return None
+            return Simplification(target, f, tuple(dictionary)), spent
+    return None, spent
 
 
 def _residue(basis, vector):
@@ -234,12 +229,11 @@ class _WordTable:
     )
 
     def __init__(self, images, basis):
-        cells = sum(map(len, images)) * (len(images) - len(basis))
-        if cells > substitution.DEFAULT_WORD_BUDGET:
-            raise BudgetExceededError(
-                f"the simplification search would hold {cells} kernel sums, "
-                f"more than the word budget {substitution.DEFAULT_WORD_BUDGET}"
-            )
+        charge(
+            sum(map(len, images)) * (len(images) - len(basis)),
+            substitution.DEFAULT_WORD_BUDGET,
+            "the simplification search would hold {} kernel sums, more than the word budget {}",
+        )
         self.images = images
         self.rank = len(basis)
         kernel = _kernel(basis, len(images))
@@ -291,10 +285,10 @@ class _WordTable:
         return self._lasts[ended]
 
 
-def _cover(table, size, counter):
+def _cover(table, size, spent):
     """Depth-first search for a dictionary of at most ``size`` words
     segmenting every image of ``table``; returns (dictionary,
-    segmentations) or None.
+    segmentations) or None, with the candidates ``spent`` so far.
 
     A node is a partial segmentation: images before ``img_idx`` are
     segmented, the current one up to ``pos``, with the dictionary ``D``.
@@ -419,15 +413,16 @@ def _cover(table, size, counter):
         if node is None:
             stack.pop()
             continue
-        counter.spend()
+        spent += 1
+        charge(spent, SIMPLIFIABILITY_BUDGET, _EXHAUSTED, SearchBudgetError)
         img_idx, pos = node
         if img_idx == n:
-            return dictionary, segs
+            return (dictionary, segs), spent
         if pos == len(images[img_idx]):
             stack.append(iter([(img_idx + 1, 0)]))
         else:
             stack.append(moves(img_idx, pos))
-    return None
+    return None, spent
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +471,8 @@ def decide_infinite_trace(subst):
         raise PreconditionError("finiteness decision requires a primitive substitution")
     trace = []
     while subst.size > 1:
-        simp, budget_message = _simplification(subst)
-        if budget_message is not None:
-            raise SearchBudgetError(budget_message)
+        simp, overruns = _simplification(subst)
+        charge(overruns, 0, _EXHAUSTED, SearchBudgetError)
         if simp is None:
             bip = biprolongeable_letters(subst)
             trace.append(
@@ -543,12 +537,12 @@ def decide_infinite(subst):
 
 @memoised
 def _simplification(subst):
-    """``(is_simplifiable(subst), None)``, or ``(None, message)`` when the
-    search runs out of budget.  The table cache keeps no exceptions, so
-    the budget outcome is memoised as a value and raised afresh by the
-    caller (a stored exception object would grow its traceback on every
-    raise)."""
+    """``(is_simplifiable(subst), 0)``, or ``(None, 1)`` when the search
+    runs out of budget.  The table cache keeps no exceptions, so the
+    overrun is memoised as a count, which the caller charges afresh
+    against an allowance of none (a stored exception object would grow its
+    traceback on every raise)."""
     try:
-        return is_simplifiable(subst), None
-    except SearchBudgetError as exc:
-        return None, str(exc)
+        return is_simplifiable(subst), 0
+    except SearchBudgetError:
+        return None, 1

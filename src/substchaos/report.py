@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from . import __version__, substitution
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, charge
 from .pairs import (
     STRONG_EQUIVALENCE_CHAIN,
     coincidence_class,
@@ -149,9 +149,9 @@ def analyze(subst, brute_bound=None):
         raise PreconditionError("analysis requires a constant length of at least 2")
     if brute_bound is not None and brute_bound < subst.constant_length:
         raise PreconditionError(f"brute-force bound {brute_bound} admits no word to scan")
-    if brute_bound is not None and brute_bound > substitution.DEFAULT_WORD_BUDGET:
-        raise BudgetExceededError(f"brute-force bound {brute_bound} exceeds the word budget")
     if brute_bound is not None:
+        message = "brute-force bound {} exceeds the word budget"
+        charge(brute_bound, substitution.DEFAULT_WORD_BUDGET, message)
         _charge_pair_letters(subst)
     data = {}
     data["tool_version"] = __version__

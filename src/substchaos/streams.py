@@ -30,12 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from . import substitution
-from .errors import (
-    BudgetExceededError,
-    InvariantError,
-    PreconditionError,
-    StreamChainError,
-)
+from .errors import InvariantError, PreconditionError, StreamChainError, charge
 from .odometer import OdometerDigits, _canonical
 from .reduction import decide_infinite
 from .substitution import (
@@ -250,8 +245,8 @@ class RepresentedPoint:
         chr-coded string of length ``2*radius + 1``."""
         if radius < 0:
             raise PreconditionError("radius must be >= 0")
-        if 2 * radius + 1 > substitution.DEFAULT_WORD_BUDGET:
-            raise BudgetExceededError("expansion exceeds the word budget")
+        window = 2 * radius + 1
+        charge(window, substitution.DEFAULT_WORD_BUDGET, "expansion exceeds the word budget")
         return _expand(self, radius)
 
     def window(self, radius):

@@ -44,7 +44,7 @@ import math
 import sys
 from functools import lru_cache, wraps
 
-from .errors import ParseError, InvariantError, PreconditionError, BudgetExceededError
+from .errors import ParseError, InvariantError, PreconditionError, charge
 
 # The longest word, window or listing any stage builds: a fixed limit that
 # every check reads at call time, not a default that a caller can raise.
@@ -311,12 +311,14 @@ def _letter_set(letters):
     return "{" + ", ".join(sorted(map(repr, letters))) + "}" if letters else "set()"
 
 
-def _unique_keys(prefix, *position):
-    """An ``object_pairs_hook`` for ``json.loads`` that refuses a key
-    repeated in one object, where ``json.loads`` would keep its last value:
-    a ``ParseError`` with ``prefix`` and the optional line and column."""
+def read_json(text, prefix, *position):
+    """``json.loads(text)`` with each of its failures a ``ParseError``
+    whose message starts with ``prefix``: malformed text (at its own line
+    and column when a ``position`` is given), a key repeated in one
+    object, where ``json.loads`` would keep its last value, an integer past
+    the conversion limit, and nesting too deep (each at ``position``)."""
 
-    def hook(pairs):
+    def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
             first = {}  # key -> the index of its first occurrence
@@ -324,20 +326,20 @@ def _unique_keys(prefix, *position):
             raise ParseError(f"{prefix}: duplicate key {key!r}", *position)
         return obj
 
-    return hook
-
-
-def _parse_json(text):
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys("invalid JSON", 1, 1))
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno)
+        raise ParseError(f"{prefix}: {exc.msg}", *(position and (exc.lineno, exc.colno)))
     except ValueError:
         # the one other ValueError: an integer past the conversion limit
         digits = sys.get_int_max_str_digits()
-        raise ParseError(f"invalid JSON: an integer has more than {digits} digits", 1, 1)
+        raise ParseError(f"{prefix}: an integer has more than {digits} digits", *position)
     except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", 1, 1)
+        raise ParseError(f"{prefix}: nested too deeply", *position)
+
+
+def _parse_json(text):
+    doc = read_json(text, "invalid JSON", 1, 1)
     if not isinstance(doc, dict) or "rules" not in doc:
         raise ParseError("JSON document must contain a 'rules' object", 1, 1)
     rules = doc["rules"]
@@ -376,16 +378,16 @@ def iterate(subst, word, count):
     return subst.decode(iterate_chr(subst, subst.encode(word), count))
 
 
+_ITERATION = "iteration would exceed the word budget ({} > {})"
+
+
 def iterate_chr(subst, chrword, count):
     if count < 0:
         raise PreconditionError("iteration count must be >= 0")
     w = chrword
+    longest = max(map(len, subst.images))
     for _ in range(count):
-        grown = len(w) * max(len(img) for img in subst.images)
-        if grown > DEFAULT_WORD_BUDGET:
-            raise BudgetExceededError(
-                f"iteration would exceed the word budget ({grown} > {DEFAULT_WORD_BUDGET})"
-            )
+        charge(len(w) * longest, DEFAULT_WORD_BUDGET, _ITERATION)
         w = subst.apply(w)
     return w
 
@@ -527,15 +529,18 @@ def language_chr(subst, length):
     if not is_primitive(subst):
         raise PreconditionError("language generation requires a primitive substitution")
     n = subst.size
+    listing = (
+        f"the length-{length} listing would slice {{}} symbols, more than the word budget {{}}"
+    )
     if n == 1:
-        _charge_listing(length, length)
+        charge(length, DEFAULT_WORD_BUDGET, listing)
         return frozenset({chr(0) * length})
     if length == 2:
         return _two_letter_words(subst)
     sizes = [1] * n
     while min(sizes) < length - 1:
         sizes = [sum(sizes[ord(c)] for c in img) for img in subst.images]
-    _charge_listing(len(language_chr(subst, 2)) * max(sizes) * length, length)
+    charge(len(language_chr(subst, 2)) * max(sizes) * length, DEFAULT_WORD_BUDGET, listing)
     words = {u[i : i + length] for lead, u in _covering_words(subst, length) for i in range(lead)}
     # copied from a set, a frozenset is sized to its words; grown from an
     # iterator it keeps the slack of its growth, up to twice the table
@@ -579,14 +584,6 @@ def _covering_words(subst, length):
     for c, d in pairs:
         left = images[ord(c)]
         yield len(left), left + images[ord(d)]
-
-
-def _charge_listing(symbols, length):
-    if symbols > DEFAULT_WORD_BUDGET:
-        raise BudgetExceededError(
-            f"the length-{length} listing would slice {symbols} symbols, "
-            f"more than the word budget {DEFAULT_WORD_BUDGET}"
-        )
 
 
 def _two_letter_words(subst):
@@ -691,10 +688,7 @@ def _charge_pair_positions(subst):
     budget, before any of them is built (the pair substitution and the
     pair layer of ``pairs``)."""
     positions = subst.size**2 * subst.constant_length
-    if positions > DEFAULT_WORD_BUDGET:
-        raise BudgetExceededError(
-            f"{positions} letter-pair positions exceed the word budget {DEFAULT_WORD_BUDGET}"
-        )
+    charge(positions, DEFAULT_WORD_BUDGET, "{} letter-pair positions exceed the word budget {}")
 
 
 def _charge_pair_letters(subst):
@@ -702,8 +696,7 @@ def _charge_pair_letters(subst):
     last character code, at n >= 1,056 letters, before anything is built.
     The pair layer of ``pairs`` codes pairs as ints and has no such
     limit."""
-    if subst.size**2 > sys.maxunicode + 1:
-        raise BudgetExceededError(f"{subst.size**2} letter pairs exceed the character codes")
+    charge(subst.size**2, sys.maxunicode + 1, "{} letter pairs exceed the character codes")
 
 
 # ---------------------------------------------------------------------------

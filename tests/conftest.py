@@ -880,25 +880,7 @@ def unpruned_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
 
 def counted_simplification(subst):
     """``is_simplifiable(subst)`` and the number of candidates it spent."""
-    budgets = []
-
-    class CountingBudget(reduction._Budget):
-        __slots__ = ("spent",)
-
-        def __init__(self, left):
-            super().__init__(left)
-            self.spent = 0
-            budgets.append(self)
-
-        def spend(self):
-            self.spent += 1
-            super().spend()
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reduction, "_Budget", CountingBudget)
-        result = reduction.is_simplifiable(subst)
-    (counter,) = budgets
-    return result, counter.spent
+    return reduction._search(subst)
 
 
 def rational_rank(subst):

@@ -177,6 +177,8 @@ def test_brute_bound_limits(aba_file, monkeypatch, bound, code, error):
     else:
         assert (err, scanned) == ("", [bound])
         assert json.loads(out)["brute_check"] == "agree"
+    if code == 3:
+        assert json.loads(err)["message"] == f"brute-force bound {bound} exceeds the word budget"
 
 
 def test_nonprimitive_exit_code(tmp_path):
@@ -521,6 +523,7 @@ LONG_INTEGER = "9" * 5000
         ),
         pytest.param(b"a -> ab\n\n# c\nb -> bz\n", id="unknown-letter"),
         pytest.param(b'{"rules": {"a": "ab", "a": "ba", "b": "ba"}}', id="duplicate-key"),
+        pytest.param(b'{"rules": {"a": "a", "b": "q"}}', id="json-unknown-letter"),
     ],
 )
 def test_malformed_substitution_document_is_a_parse_error(tmp_path, content):
@@ -890,6 +893,29 @@ def test_a_command_parses_its_argv_in_one_pass(morse_file, parse_passes, argv):
     code, _, err = run_main(argv)
     assert code == 0, err
     assert parse_passes == [f"substchaos {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["analyze", "CONSTANT"], "analysis requires a constant length of at least 2",
+            id="analyze-length-one",
+        ),
+        pytest.param(
+            ["simulate", "MORSE", "--x", POINT, "--y", POINT, "--window", "0"],
+            "horizon must be >= 0 and window >= 1",
+            id="simulate-window-zero",
+        ),
+    ],
+)
+def test_precondition_failure_exits_2(morse_file, tmp_path, argv, message):
+    constant = tmp_path / "constant.txt"
+    constant.write_text("a -> a\n")
+    files = {"MORSE": morse_file, "CONSTANT": str(constant)}
+    code, out, err = run_main([files.get(a, a) for a in argv])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "PreconditionError", "message": message}
 
 
 @pytest.mark.parametrize(

@@ -14,9 +14,10 @@ the package uses ``dataclasses.asdict``, which deep-copies every leaf of
 a record; and no module of the package imports ``dataclasses``, whose
 classes generate their methods at import and whose import loads
 ``inspect``, so a fresh ``import substchaos.cli`` loads neither.  Only
-the two parsers of source text call ``Substitution.from_rules``, and
+the two parsers of source text call ``Substitution.from_rules``;
 every top-level function or class of the package is read by the package
-or exported by it, so no library code serves the tests alone."""
+or exported by it, so no library code serves the tests alone; and no code
+but ``errors.charge`` raises a budget error."""
 
 import ast
 import subprocess
@@ -341,6 +342,51 @@ def test_budgets_are_read_from_their_module():
         (1, "DEFAULT_WORD_BUDGET"), (3, "SIMPLIFIABILITY_BUDGET"), (5, "CERTIFICATE_WORD_CAP"),
         (7, "*"),
     ]
+
+
+BUDGET_ERRORS = {"BudgetExceededError", "SearchBudgetError"}
+# the one function that may raise a budget error
+GATE = ("errors.py", "charge")
+
+
+def _budget_raises(tree):
+    """(line, enclosing function) for every ``raise`` of a budget error
+    class in ``tree``; the function is None at module level."""
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if _tail(exc) in BUDGET_ERRORS:
+                yield node.lineno, function
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, function)
+
+    return list(visit(tree, None))
+
+
+def test_budget_errors_are_raised_by_the_gate_alone():
+    # every size check calls errors.charge, so the rule (a size equal to
+    # its limit is allowed) and the error classes live in one place
+    found = []
+    for module in CHECKED_MODULES:
+        for line, function in _budget_raises(_tree(PACKAGE_DIR / module)):
+            if (module, function) != GATE:
+                found.append(f"{module}:{line}")
+    assert found == []
+    probe = ast.parse(
+        "raise BudgetExceededError\n"
+        "def charge(amount, limit, message, error=BudgetExceededError):\n"
+        "    raise error(message)\n"
+        "class C:\n"
+        "    def spend(self):\n"
+        "        raise errors.SearchBudgetError('m')\n"
+        "def f():\n"
+        "    raise PreconditionError('m')\n"
+        "def g():\n"
+        "    raise BudgetExceededError('m') from None\n"
+    )
+    assert _budget_raises(probe) == [(1, None), (6, "spend"), (10, "g")]
 
 
 INDENTING_CALLS = {"dump", "dumps", "JSONEncoder"}

@@ -145,7 +145,9 @@ def test_certificate_words_satisfy_criterion(fixtures):
         _assert_certificate_words(s, li_yorke_certificate(s))
 
 
-def test_certificate_words_stop_at_the_word_cap():
+def test_certificate_words_stop_at_the_word_cap(monkeypatch):
+    import substchaos.pairs
+
     # p^m = 10^6 is the cap itself, and p^3 = 10^9 is past it
     s = Substitution.from_rules({"a": "ab" * 500, "b": "ba" * 500}, ("a", "b"))
     ua, ub = _certificate_words(s, chr(0), chr(1), 2)
@@ -154,6 +156,12 @@ def test_certificate_words_stop_at_the_word_cap():
     with pytest.raises(BudgetExceededError) as info:
         _certificate_words(s, chr(0), chr(1), 3)
     assert str(info.value) == "certificate words at power 3 exceed the word cap"
+    # the cap is read at call time: one below the words' length refuses them
+    monkeypatch.setattr(substchaos.pairs, "CERTIFICATE_WORD_CAP", 1000**2 - 1)
+    with pytest.raises(BudgetExceededError) as info:
+        _certificate_words(s, chr(0), chr(1), 2)
+    assert type(info.value) is BudgetExceededError
+    assert str(info.value) == "certificate words at power 2 exceed the word cap"
 
 
 def _large_input(n, p, seed):

@@ -19,12 +19,20 @@ from substchaos import (
     pair_substitution,
     parse_substitution,
     point_from_literal,
+    reduction,
     stream_from_fixed_point,
     substitution,
     tower_substitution,
 )
-from substchaos.errors import BudgetExceededError, InvariantError, ParseError, PreconditionError
+from substchaos.errors import (
+    BudgetExceededError,
+    InvariantError,
+    ParseError,
+    PreconditionError,
+    SearchBudgetError,
+)
 from substchaos.reduction import is_simplifiable
+from substchaos.substitution import language_chr
 
 from conftest import MORSE, cyclic_document
 
@@ -178,6 +186,14 @@ REFUSALS = {
         lambda: stream_literal(period="001"),
         PreconditionError, "stream levels must be a list of [prefix, center, suffix] triples",
     ),
+    "point_literal_malformed": (
+        lambda: cli._load_point(morse(), "{broken"),
+        ParseError, "invalid point literal: Expecting property name enclosed in double quotes",
+    ),
+    "point_literal_long_integer": (
+        lambda: cli._load_point(morse(), '{"kind": "fixed_point", "left": %s}' % LONG_INTEGER),
+        ParseError, "invalid point literal: an integer has more than 4300 digits",
+    ),
     "point_literal_duplicate_key": (
         lambda: cli._load_point(
             morse(), '{"kind": "stream", "kind": "fixed_point", "left": "1", "right": "0"}'
@@ -207,6 +223,10 @@ REFUSALS = {
     "unknown_letter_line": (
         lambda: parse_substitution("a -> ab\n\n# c\nb -> bz\n"),
         ParseError, "line 4, column 1: image of 'b' uses unknown letter 'z'",
+    ),
+    "json_unknown_letter": (
+        lambda: parse_substitution('{"rules": {"a": "a", "b": "q"}}'),
+        ParseError, "line 1, column 1: image of 'b' uses unknown letter 'q'",
     ),
     "json_long_integer": (
         lambda: parse_substitution('{"rules": {"a": "a"}, "x": %s}' % LONG_INTEGER),
@@ -251,16 +271,62 @@ def test_refusal_names_its_domain(case):
     assert str(info.value) == message
 
 
-def test_search_table_past_the_word_budget_is_refused(monkeypatch):
-    # morse has rank 1 of 2: its table would hold 4 image letters times one
-    # kernel vector; at a budget of 4 the search runs and finds morse
-    # elementary, below it the table is refused before any sum is taken
-    monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 4)
-    assert is_simplifiable(morse()) is None
-    monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 3)
-    with pytest.raises(BudgetExceededError) as info:
-        is_simplifiable(morse())
-    assert type(info.value) is BudgetExceededError
-    assert str(info.value) == (
-        "the simplification search would hold 4 kernel sums, more than the word budget 3"
-    )
+# rank 2 and elementary: the search spends 13 candidates at sizes 2 and 3
+RANK_TWO = "a -> aabcd\nb -> abacd\nc -> cdabd\nd -> dcbda"
+
+
+# Every budget check of the package, at a lowered limit: (the module
+# that holds the limit, its name, the amount the call charges, the call,
+# the error class and the message at a limit one below that amount).  A
+# limit equal to the amount answers; one less refuses.
+BOUNDARIES = {
+    # three images of one morse letter charge 2, 4 and 8 letters
+    "iterate": (
+        substitution, "DEFAULT_WORD_BUDGET", 8, lambda: iterate(morse(), "0", 3),
+        BudgetExceededError, "iteration would exceed the word budget (8 > 7)",
+    ),
+    # 4 two-letter words covered by images of 4 letters, times the length
+    "listing": (
+        substitution, "DEFAULT_WORD_BUDGET", 80, lambda: language(morse(), 5),
+        BudgetExceededError,
+        "the length-5 listing would slice 80 symbols, more than the word budget 79",
+    ),
+    "listing_one_letter": (
+        substitution, "DEFAULT_WORD_BUDGET", 6, lambda: language(parse_substitution("a -> aa"), 6),
+        BudgetExceededError,
+        "the length-6 listing would slice 6 symbols, more than the word budget 5",
+    ),
+    "pair_positions": (
+        substitution, "DEFAULT_WORD_BUDGET", 8, lambda: pair_substitution(morse()),
+        BudgetExceededError, "8 letter-pair positions exceed the word budget 7",
+    ),
+    # morse has rank 1 of 2: 4 image letters times one kernel vector
+    "word_table": (
+        substitution, "DEFAULT_WORD_BUDGET", 4, lambda: is_simplifiable(morse()),
+        BudgetExceededError,
+        "the simplification search would hold 4 kernel sums, more than the word budget 3",
+    ),
+    "expand": (
+        substitution, "DEFAULT_WORD_BUDGET", 7, lambda: morse_point().expand(3),
+        BudgetExceededError, "expansion exceeds the word budget",
+    ),
+    "search_candidates": (
+        reduction, "SIMPLIFIABILITY_BUDGET", 13,
+        lambda: is_simplifiable(parse_substitution(RANK_TWO)),
+        SearchBudgetError, "simplifiability search exceeded its candidate budget",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARIES))
+def test_budget_boundary(case, monkeypatch):
+    module, name, amount, call, error, message = BOUNDARIES[case]
+    # no listing of an earlier test may answer from the cache
+    language_chr.cache_clear()
+    monkeypatch.setattr(module, name, amount - 1)
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+    monkeypatch.setattr(module, name, amount)
+    call()

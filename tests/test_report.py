@@ -5,7 +5,14 @@ of the brute-force scan."""
 import tracemalloc
 from collections import Counter
 
-from substchaos import analyze, is_simplifiable, parse_substitution, reduction, substitution
+from substchaos import (
+    AnalysisReport,
+    analyze,
+    is_simplifiable,
+    parse_substitution,
+    reduction,
+    substitution,
+)
 from substchaos.report import _brute_scan
 
 NON_INJECTIVE = "0 -> 021\n1 -> 021\n2 -> 201"
@@ -32,6 +39,14 @@ def test_is_elementary_matches_the_search(fixtures, random_corpus_any):
     for s in list(fixtures.values()) + random_corpus_any:
         report = analyze(s)
         assert report.data["is_elementary"] == (is_simplifiable(s) is None), s.rules()
+
+
+def test_reports_are_equal_by_their_data(fixtures):
+    report = analyze(fixtures["morse"])
+    assert report == AnalysisReport(dict(report.data))
+    # a report leaves the comparison with anything else to the other side
+    assert report.__eq__(report.data) is NotImplemented
+    assert report != report.data
 
 
 def _scan_peak(text, bound):

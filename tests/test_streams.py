@@ -77,6 +77,7 @@ def test_point_is_one_frozen_canonical_value(fixtures):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert tuple(getattr(x, name) for name in fields) == values
+    assert repr(x) == "RepresentedPoint(pre=[], per=[['', '0', '1']], seeds=(1, None))"
     # a doubled period, or a period level copied into the preperiod with
     # the left seed one step back along the last-letter map (0 -> 1), is
     # stored in the canonical form of x

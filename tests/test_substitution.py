@@ -229,6 +229,7 @@ def test_language_toeplitz_two():
 def test_complexity_morse():
     s = parse_substitution("0 -> 01\n1 -> 10")
     assert complexity(s, 4) == [2, 4, 6, 10]
+    assert complexity(s, 0) == []
 
 
 def test_complexity_toeplitz():
