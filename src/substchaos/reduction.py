@@ -118,39 +118,44 @@ def is_simplifiable(subst):
     dictionary.  The walk order is unchanged, so the result is the one the
     unpruned walk finds wherever that walk finishes, and no more
     candidates are spent.  What the walk reads of a word is computed at
-    most once per call and kept in a ``_WordTable`` that every size
+    most once per search and kept in a ``_WordTable`` that every size
     searched reads.
 
     The segmentation is returned as ``_cover`` built it, which rebuilds
     every image: ``_cover`` places a word only where the image continues
     with it at ``pos``, advances ``pos`` by the word's length, and moves to
     the next image only when ``pos`` reaches the end of the current one.
+
+    The outcome of the search is memoised (``_search``) with the
+    candidates it spent, which are charged here, once per call, against
+    ``SIMPLIFIABILITY_BUDGET``: a search that ran out of budget raises a
+    fresh ``SearchBudgetError`` on every call and is walked once.
     """
-    return _search(subst)[0]
+    found, spent = _search(subst)
+    charge(spent, SIMPLIFIABILITY_BUDGET, _EXHAUSTED, SearchBudgetError)
+    return found
 
 
+@memoised
 def _search(subst):
-    """``(is_simplifiable(subst), candidates spent)``; the sizes searched
-    share one count of candidates, charged against
-    ``SIMPLIFIABILITY_BUDGET`` at every node."""
+    """``(simplification or None, candidates spent)``, kept in the table
+    of ``subst``; the sizes searched share one count of candidates, and a
+    search that passes ``SIMPLIFIABILITY_BUDGET`` stops with None and a
+    count one past the budget.  The table cache keeps no exceptions, so
+    the count is the value, and ``is_simplifiable`` charges it."""
     n = subst.size
     letters = [chr(a) for a in range(n)]
     basis = _echelon([image.count(ch) for ch in letters] for image in subst.images)
     sizes = range(max(1, len(basis)), n)
     if not sizes:
         return None, 0
-    table = _WordTable(subst.images, basis)
-    spent = 0
-    for size in sizes:
-        found, spent = _cover(table, size, spent)
-        if found is not None:
-            dictionary, segmentations = found
-            target = tuple(str(i) for i in range(len(dictionary)))
-            f = tuple(
-                tuple(target[idx] for idx in seg) for seg in segmentations
-            )
-            return Simplification(target, f, tuple(dictionary)), spent
-    return None, spent
+    found, spent = _cover(_WordTable(subst.images, basis), sizes)
+    if found is None:
+        return None, spent
+    dictionary, segmentations = found
+    target = tuple(str(i) for i in range(len(dictionary)))
+    f = tuple(tuple(target[idx] for idx in seg) for seg in segmentations)
+    return Simplification(target, f, tuple(dictionary)), spent
 
 
 def _residue(basis, vector):
@@ -203,8 +208,8 @@ def _kernel(basis, n):
 
 class _WordTable:
     """What the search reads of the images and their words, built once per
-    ``is_simplifiable`` call below full rank, so from ``basis`` of fewer
-    vectors than letters, and shared by every size it searches.
+    search below full rank, so from ``basis`` of fewer vectors than
+    letters, and shared by every size it searches.
 
     - ``sums[j][t]``: for each vector ``k`` of ``_kernel``, the sum over
       GF(q) of ``k`` at the first ``t`` letters of image ``j``.  The slice
@@ -285,10 +290,12 @@ class _WordTable:
         return self._lasts[ended]
 
 
-def _cover(table, size, spent):
-    """Depth-first search for a dictionary of at most ``size`` words
-    segmenting every image of ``table``; returns (dictionary,
-    segmentations) or None, with the candidates ``spent`` so far.
+def _cover(table, sizes):
+    """Depth-first search, for each ``size`` of ``sizes`` in turn, for a
+    dictionary of at most ``size`` words segmenting every image of
+    ``table``; returns (dictionary, segmentations) or None, with the
+    candidates spent over all sizes walked.  The walk stops with None at
+    the first candidate past ``SIMPLIFIABILITY_BUDGET``.
 
     A node is a partial segmentation: images before ``img_idx`` are
     segmented, the current one up to ``pos``, with the dictionary ``D``.
@@ -331,9 +338,9 @@ def _cover(table, size, spent):
     image's letters, so the test compares ``table.sums`` at ``pos`` and at
     ``stop``.
 
-    A skipped node is still charged to the budget, so the walk visits a
-    subsequence of the unpruned walk's candidates in the same order and
-    finds the same first dictionary.
+    A skipped node is still counted, so the walk visits a subsequence of
+    the unpruned walk's candidates in the same order and finds the same
+    first dictionary.
 
     Every image before the current one is started and ended by words of
     ``D`` (its first and last segments), and the current one is started
@@ -344,6 +351,9 @@ def _cover(table, size, spent):
     letters are read again only when a placed word starts or ends an
     image no earlier word did.  Whether ``D`` holds a
     word outside ``V`` is kept along the path.
+
+    A walk that exhausts a size undoes every move it made, so the next
+    size starts from the empty dictionary and segmentations.
     """
     images = table.images
     n = len(images)
@@ -355,6 +365,7 @@ def _cover(table, size, spent):
     # distinct last letters of the images no word ends, and whether a word
     # lies outside the span of the images
     unmet = [(0, 0, table.firsts(0), table.lasts(0), False)]
+    spent = 0
 
     def moves(img_idx, pos):
         """The children of a node in walk order, none when it is skipped:
@@ -405,23 +416,26 @@ def _cover(table, size, spent):
                 unmet.pop()
             seg.pop()
 
-    # the current path as a stack of move generators, not of Python frames:
-    # a path places one word per level, over a thousand on long images
-    stack = [iter([(0, 0)])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        spent += 1
-        charge(spent, SIMPLIFIABILITY_BUDGET, _EXHAUSTED, SearchBudgetError)
-        img_idx, pos = node
-        if img_idx == n:
-            return (dictionary, segs), spent
-        if pos == len(images[img_idx]):
-            stack.append(iter([(img_idx + 1, 0)]))
-        else:
-            stack.append(moves(img_idx, pos))
+    for size in sizes:
+        # the current path as a stack of move generators, not of Python
+        # frames: a path places one word per level, over a thousand on
+        # long images
+        stack = [iter([(0, 0)])]
+        while stack:
+            node = next(stack[-1], None)
+            if node is None:
+                stack.pop()
+                continue
+            spent += 1
+            if spent > SIMPLIFIABILITY_BUDGET:
+                return None, spent
+            img_idx, pos = node
+            if img_idx == n:
+                return (dictionary, segs), spent
+            if pos == len(images[img_idx]):
+                stack.append(iter([(img_idx + 1, 0)]))
+            else:
+                stack.append(moves(img_idx, pos))
     return None, spent
 
 
@@ -455,9 +469,9 @@ def decide_infinite_trace(subst):
 
     Returns ``(infinite, trace)`` where the trace lists one record per
     round of the simplification loop, built afresh on every call.  Each
-    round reads the memoised ``_simplification``, so a cached
-    substitution is searched at most once, also when the search runs out
-    of budget.
+    round calls ``is_simplifiable``, which reads the memoised search, so a
+    cached substitution is searched at most once, also when the search
+    runs out of budget.
 
     Every composed substitution is primitive, so it is not checked again.
     If σ = g . f is primitive, every dictionary word is used by some
@@ -471,8 +485,7 @@ def decide_infinite_trace(subst):
         raise PreconditionError("finiteness decision requires a primitive substitution")
     trace = []
     while subst.size > 1:
-        simp, overruns = _simplification(subst)
-        charge(overruns, 0, _EXHAUSTED, SearchBudgetError)
+        simp = is_simplifiable(subst)
         if simp is None:
             bip = biprolongeable_letters(subst)
             trace.append(
@@ -534,15 +547,3 @@ def decide_infinite(subst):
         return decide_infinite_trace(subst)[0]
     return bool(biprolongeable_letters(one_to_one_reduction(subst).reduced))
 
-
-@memoised
-def _simplification(subst):
-    """``(is_simplifiable(subst), 0)``, or ``(None, 1)`` when the search
-    runs out of budget.  The table cache keeps no exceptions, so the
-    overrun is memoised as a count, which the caller charges afresh
-    against an allowance of none (a stored exception object would grow its
-    traceback on every raise)."""
-    try:
-        return is_simplifiable(subst), 0
-    except SearchBudgetError:
-        return None, 1

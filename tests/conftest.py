@@ -78,6 +78,9 @@ FOUR = "0 -> 0123\n1 -> 1032\n2 -> 1023\n3 -> 0132"
 SAME = "0 -> 01\n1 -> 01"
 PERIOD_TWO = "0 -> 010\n1 -> 101"
 FLIP = "0 -> 10\n1 -> 01"
+# rank 2 and elementary: the simplification search spends 1 candidate at
+# size 2 and 12 at size 3
+RANK_TWO = "a -> aabcd\nb -> abacd\nc -> cdabd\nd -> dcbda"
 
 FIXTURE_SOURCES = {
     "morse": MORSE,
@@ -835,7 +838,7 @@ def stepwise_window(point, radius, budget=DEFAULT_WORD_BUDGET):
 def unpruned_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
     """``(simplification or None, candidates spent)`` from the plain
     depth-first walk over dictionaries of at most 1, 2, ..., |A| - 1 words,
-    charging one candidate per node as ``reduction.is_simplifiable`` does;
+    counting one candidate per node as ``reduction._search`` does;
     raises ``SearchBudgetError`` past ``budget`` candidates."""
     images = subst.images
     spent = 0
@@ -876,11 +879,6 @@ def unpruned_simplification(subst, budget=reduction.SIMPLIFIABILITY_BUDGET):
             f = tuple(tuple(target[idx] for idx in seg) for seg in segs)
             return reduction.Simplification(target, f, tuple(dictionary)), spent
     return None, spent
-
-
-def counted_simplification(subst):
-    """``is_simplifiable(subst)`` and the number of candidates it spent."""
-    return reduction._search(subst)
 
 
 def rational_rank(subst):

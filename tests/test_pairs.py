@@ -164,6 +164,31 @@ def test_certificate_words_stop_at_the_word_cap(monkeypatch):
     assert str(info.value) == "certificate words at power 2 exceed the word cap"
 
 
+def test_ly_witness_refuses_a_search_past_its_level_bound(fixtures, monkeypatch):
+    import substchaos.pairs
+    from substchaos import substitution
+
+    # levels that never hit, forever: the proof puts a hit at a level <=
+    # 3Vk, 12 on ly_two (a component of V = 2 pairs, k = deepest + 1 = 2),
+    # so the search reads levels 0 to 12 and then refuses
+    read = []
+
+    def hit_free(subst, target):
+        for level in itertools.count():
+            read.append(level)
+            yield {}
+
+    monkeypatch.setattr(substchaos.pairs, "_ly_levels", hit_free)
+    substitution._tables.cache_clear()
+    try:
+        with pytest.raises(InvariantError) as info:
+            ly_witness(fixtures["ly_two"])
+    finally:
+        substitution._tables.cache_clear()
+    assert str(info.value) == "Li-Yorke search passed its proven level bound"
+    assert len(read) == 12 + 1
+
+
 def _large_input(n, p, seed):
     """A seeded primitive one-to-one substitution on n letters of length
     p with an infinite subshift."""

@@ -16,16 +16,17 @@ from substchaos import (
     parse_substitution,
     reduction,
     stream_from_fixed_point,
+    substitution,
 )
 from substchaos.errors import PreconditionError, SearchBudgetError
-from substchaos.reduction import _composed, _simplification, biprolongeable_letters
+from substchaos.reduction import _composed, biprolongeable_letters
 from substchaos.substitution import is_primitive, language_chr
 
 from conftest import (
+    RANK_TWO,
     ComplexityVerdict,
     anagram_substitutions,
     composed_substitutions,
-    counted_simplification,
     oracle_infinite_via_complexity,
     rational_rank,
     unpruned_simplification,
@@ -114,15 +115,21 @@ def test_rank_modulus_is_prime():
 
 def test_simplifiability_budget(monkeypatch):
     # rank 2 and elementary: the search runs through sizes 2 and 3 and
-    # spends 13 candidates, so a budget of 3 or 12 runs out and 13 does not
-    s = parse_substitution("a -> aabcd\nb -> abacd\nc -> cdabd\nd -> dcbda")
+    # spends 13 candidates, so a budget of 3 or 12 runs out and 13 does
+    # not.  The memoised outcome assumes the package's budget, so the
+    # table cache is cleared at every change of it: (None, 4) from budget
+    # 3 would read as elementary under budget 12.
+    s = parse_substitution(RANK_TWO)
     with monkeypatch.context() as mp:
         for budget in (3, 12):
             mp.setattr(reduction, "SIMPLIFIABILITY_BUDGET", budget)
+            substitution._tables.cache_clear()
             with pytest.raises(SearchBudgetError):
                 is_simplifiable(s)
         mp.setattr(reduction, "SIMPLIFIABILITY_BUDGET", 13)
+        substitution._tables.cache_clear()
         assert is_simplifiable(s) is None
+    substitution._tables.cache_clear()
     assert is_simplifiable(s) is None
 
 
@@ -136,7 +143,7 @@ def test_pruned_search_matches_unpruned(fixtures, random_corpus_any):
     corpus += [(s, True) for s in composed_substitutions(1000)]
     sizes = {}
     for s, composed in corpus:
-        found, spent = counted_simplification(s)
+        found, spent = reduction._search(s)
         expected, oracle_spent = unpruned_simplification(s)
         assert found == expected, s.rules()
         assert spent <= oracle_spent, s.rules()
@@ -168,7 +175,7 @@ def test_bound_prunes_at_the_root(source):
     # dictionary of 2-3 words: each size is refused at its root candidate
     s = parse_substitution(source)
     spent = ROOT_PRUNED[source]
-    assert counted_simplification(s) == (None, spent)
+    assert reduction._search(s) == (None, spent)
     assert unpruned_simplification(s)[1] > spent
 
 
@@ -179,7 +186,7 @@ def test_rank_bound_prunes_below_the_root():
     # spends 18
     s = parse_substitution("a -> bdb\nb -> bca\nc -> adb\nd -> dbb")
     assert rational_rank(s) == 3
-    assert counted_simplification(s) == (None, 5)
+    assert reduction._search(s) == (None, 5)
 
 
 def test_duplicate_images_are_not_the_first_dictionary():
@@ -189,7 +196,7 @@ def test_duplicate_images_are_not_the_first_dictionary():
     assert is_primitive(s) and rational_rank(s) == 2
     _, trace = decide_infinite_trace(s)
     assert trace[0]["dictionary"] == ["c", "ba", "abd"]
-    found, spent = counted_simplification(s)
+    found, spent = reduction._search(s)
     assert spent == 28
     assert unpruned_simplification(s) == (found, 55)
 
@@ -213,7 +220,7 @@ def test_large_random_inputs_decide(letters, length):
     # no candidate spent
     for s in _random_substitutions(4, letters, length, seed=letters * 100 + length):
         assert rational_rank(s) == s.size
-        assert counted_simplification(s) == (None, 0)
+        assert reduction._search(s) == (None, 0)
         _, trace = decide_infinite_trace(s)
         assert [record["action"] for record in trace] == ["elementary"]
 
@@ -232,7 +239,7 @@ def composed_rules(draw):
 @settings(max_examples=200, deadline=None)
 @given(composed_rules())
 def test_simplification_is_at_least_the_rank(s):
-    found, spent = counted_simplification(s)
+    found, spent = reduction._search(s)
     assert found is not None
     assert len(found.g) >= rational_rank(s)
     expected, oracle_spent = unpruned_simplification(s)
@@ -242,7 +249,7 @@ def test_simplification_is_at_least_the_rank(s):
 
 def test_budget_tier_input_is_decided():
     s = parse_substitution(TIER_TEN_EIGHT)
-    found, spent = counted_simplification(s)
+    found, spent = reduction._search(s)
     assert found is None
     assert spent < 10**5
     infinite, trace = decide_infinite_trace(s)
@@ -258,7 +265,7 @@ def test_rank_deficient_tier_input_is_decided():
     source = TIER_TEN_EIGHT.replace("i -> behiagfg", "i -> cahbafbj")
     s = parse_substitution(source.replace("j -> cdfdcgec", "j -> bahfbjca"))
     assert rational_rank(s) == 8
-    found, spent = counted_simplification(s)
+    found, spent = reduction._search(s)
     assert found is None
     assert spent < 10**5
     infinite, trace = decide_infinite_trace(s)
@@ -266,21 +273,29 @@ def test_rank_deficient_tier_input_is_decided():
     assert [record["action"] for record in trace] == ["elementary"]
 
 
+def _counting_walks(monkeypatch):
+    """The images of every search walked from now on: ``_cover`` is
+    called once per walk."""
+    walks = []
+    cover = reduction._cover
+
+    def counting(table, sizes):
+        walks.append(table.images)
+        return cover(table, sizes)
+
+    monkeypatch.setattr(reduction, "_cover", counting)
+    return walks
+
+
 def test_budget_outcome_is_memoised(monkeypatch):
     # the table cache keeps no exceptions, so the budget outcome is kept as
-    # a value: a second trace raises afresh without a second search
+    # a value: a second trace raises afresh without a second walk
     import traceback
 
-    from substchaos import substitution
-
-    searched = []
-
-    def out_of_budget(subst, *args, **kwargs):
-        searched.append(subst)
-        raise SearchBudgetError("simplifiability search exceeded its candidate budget")
-
+    # rank 2, and the search spends 1 candidate, past a budget of 0
     s = parse_substitution("a -> abcb\nb -> bcab\nc -> cabc")
-    monkeypatch.setattr(reduction, "is_simplifiable", out_of_budget)
+    walks = _counting_walks(monkeypatch)
+    monkeypatch.setattr(reduction, "SIMPLIFIABILITY_BUDGET", 0)
     substitution._tables.cache_clear()
     errors = []
     try:
@@ -290,7 +305,7 @@ def test_budget_outcome_is_memoised(monkeypatch):
             errors.append(err.value)
     finally:
         substitution._tables.cache_clear()
-    assert searched == [s]
+    assert walks == [s.images]
     first, second = errors
     assert first is not second
     # raised outside the cache's miss handler: no KeyError in the chain
@@ -299,6 +314,32 @@ def test_budget_outcome_is_memoised(monkeypatch):
     assert len(traceback.extract_tb(second.__traceback__)) == len(
         traceback.extract_tb(first.__traceback__)
     )
+
+
+@pytest.mark.parametrize("budget", [0, 7])
+def test_exhausted_search_is_a_value(budget, monkeypatch):
+    # RANK_TWO spends 1 candidate at size 2 and 12 at size 3: a budget of
+    # 0 runs out at size 2 and 7 at size 3.  The search stops at the first
+    # candidate past the budget, with no further size, and returns its
+    # count; each asker charges that count afresh, over one walk.
+    s = parse_substitution(RANK_TWO)
+    walks = _counting_walks(monkeypatch)
+    monkeypatch.setattr(reduction, "SIMPLIFIABILITY_BUDGET", budget)
+    substitution._tables.cache_clear()
+    errors = []
+    try:
+        assert reduction._search(s) == (None, budget + 1)
+        for ask in (decide_infinite_trace, decide_infinite_trace, is_simplifiable, is_simplifiable):
+            with pytest.raises(SearchBudgetError) as err:
+                ask(s)
+            errors.append(err.value)
+    finally:
+        substitution._tables.cache_clear()
+    assert walks == [s.images]
+    assert len({id(error) for error in errors}) == 4
+    assert {str(error) for error in errors} == {
+        "simplifiability search exceeded its candidate budget"
+    }
 
 
 @pytest.mark.parametrize(
@@ -495,14 +536,14 @@ def test_the_proofs_behind_the_unchecked_steps_hold(
     for s in corpus:
         letters = {chr(i) for i in range(s.size)}
         assert {w[1] for w in language_chr(s, 2)} == letters, s.rules()
-        simp, _ = _simplification(s)
+        simp = is_simplifiable(s)
         while simp is not None:
             for a, word in enumerate(simp.f):
                 assert "".join(simp.g[int(t)] for t in word) == s.images[a], s.rules()
             s = _composed(simp)
             assert is_primitive(s), s.rules()
             composed.add(s)
-            simp, _ = _simplification(s)
+            simp = is_simplifiable(s)
     assert len(composed) > 50
 
 

@@ -34,7 +34,7 @@ from substchaos.errors import (
 from substchaos.reduction import is_simplifiable
 from substchaos.substitution import language_chr
 
-from conftest import MORSE, cyclic_document
+from conftest import MORSE, RANK_TWO, cyclic_document
 
 NON_PRIMITIVE = "0 -> 01\n1 -> 11"
 VARIABLE_LENGTH = "0 -> 01\n1 -> 0"
@@ -271,10 +271,6 @@ def test_refusal_names_its_domain(case):
     assert str(info.value) == message
 
 
-# rank 2 and elementary: the search spends 13 candidates at sizes 2 and 3
-RANK_TWO = "a -> aabcd\nb -> abacd\nc -> cdabd\nd -> dcbda"
-
-
 # Every budget check of the package, at a lowered limit: (the module
 # that holds the limit, its name, the amount the call charges, the call,
 # the error class and the message at a limit one below that amount).  A
@@ -321,12 +317,15 @@ BOUNDARIES = {
 @pytest.mark.parametrize("case", sorted(BOUNDARIES))
 def test_budget_boundary(case, monkeypatch):
     module, name, amount, call, error, message = BOUNDARIES[case]
-    # no listing of an earlier test may answer from the cache
+    # no listing or search outcome of an earlier test, or of the other
+    # limit, may answer from a cache: both assume the package's budgets
     language_chr.cache_clear()
     monkeypatch.setattr(module, name, amount - 1)
+    substitution._tables.cache_clear()
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error
     assert str(info.value) == message
     monkeypatch.setattr(module, name, amount)
+    substitution._tables.cache_clear()
     call()

@@ -19,20 +19,28 @@ NON_INJECTIVE = "0 -> 021\n1 -> 021\n2 -> 201"
 
 
 def test_analyze_searches_each_substitution_once(fixtures, monkeypatch):
-    searched = Counter()
-    original = reduction.is_simplifiable
+    # every input is asked, and every search below full rank is walked
+    # once (one ``_cover`` call), though a substitution that recurs as a
+    # composed round is asked again and answered from the memo
+    asked, walked = Counter(), Counter()
+    original, cover = reduction.is_simplifiable, reduction._cover
 
-    def counting(subst, *args, **kwargs):
-        searched[subst] += 1
-        return original(subst, *args, **kwargs)
+    def asking(subst):
+        asked[subst] += 1
+        return original(subst)
 
-    monkeypatch.setattr(reduction, "is_simplifiable", counting)
+    def walking(table, sizes):
+        walked[table.images] += 1
+        return cover(table, sizes)
+
+    monkeypatch.setattr(reduction, "is_simplifiable", asking)
+    monkeypatch.setattr(reduction, "_cover", walking)
     substitution._tables.cache_clear()
     inputs = list(fixtures.values()) + [parse_substitution(NON_INJECTIVE)]
     for s in inputs:
         analyze(s)
-    assert set(inputs) <= set(searched)
-    assert {s: c for s, c in searched.items() if c != 1} == {}
+    assert set(inputs) <= set(asked)
+    assert walked and {images: c for images, c in walked.items() if c != 1} == {}
 
 
 def test_is_elementary_matches_the_search(fixtures, random_corpus_any):

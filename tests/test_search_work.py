@@ -33,9 +33,9 @@ from pathlib import Path
 import pytest
 
 from substchaos import Substitution, is_primitive, parse_substitution
-from substchaos.reduction import _echelon, _residue, _WordTable, is_simplifiable
+from substchaos.reduction import _echelon, _residue, _search, _WordTable, is_simplifiable
 
-from conftest import counted_simplification, rational_rank
+from conftest import rational_rank
 from test_small_classes import TIERS, classes
 
 DIGESTS = Path(__file__).parent / "data" / "search_work.json"
@@ -90,7 +90,7 @@ CORPORA = {"classes": class_corpus, "tiers": tier_corpus}
 def corpus_work(name):
     """(inputs, candidates spent, digest) of one corpus; a record holds
     the images, the simplification or None, and the candidates spent."""
-    records = [[list(s.images), *counted_simplification(s)] for s in CORPORA[name]()]
+    records = [[list(s.images), *_search(s)] for s in CORPORA[name]()]
     text = json.dumps(records)
     spent = sum(record[2] for record in records)
     return len(records), spent, hashlib.sha256(text.encode("utf-8")).hexdigest()
