@@ -4,9 +4,10 @@ pairs, and the explicit pair/scrambled-set constructions.
 
 Every decision reads one int-coded layer on the letter pairs
 (``_pair_layer``), which codes the pair (i, j) as q = i·n + j.  It holds
-the pair images, the occurrences of each pair, and the coincidence depth
-of each pair from one breadth-first search, which gives C∞ and every set
-of the coincidence chain.  The existence and abundance decisions, and the
+the occurrences of each pair as two int tuples, the parent pairs and the
+positions, with no pair image kept, and the coincidence depth of each
+pair from one breadth-first search, which gives C∞ and every set of the
+coincidence chain.  The existence and abundance decisions, and the
 orbit list, read its graph on the off-diagonal letter pairs: an edge
 q -> P for each occurrence of q in the pair image of P, labelled by the
 letter pairs right of that occurrence.  A closed walk is an occurrence of
@@ -16,7 +17,8 @@ flags them all, with one comparison per inner edge in place of a label.
 The witness of the existence criterion comes from a level-synchronous
 search over ``(pair, coincidence flag, difference flag)`` states started
 at one pair of a flagged component; it ends within a bound proven in
-``ly_witness``.
+``ly_witness``, and reads each label as one comparison with a threshold
+(``_ly_levels``).
 """
 
 from __future__ import annotations
@@ -70,19 +72,24 @@ its number of pairs and the flags of ``_pair_layer``."""
 
 
 _PairLayer = namedtuple(
-    "_PairLayer", "n image occurrences depth deepest last_off component components first"
+    "_PairLayer",
+    "n parents positions depth deepest last_meet last_off component components first",
 )
 _PairLayer.__doc__ = """The letter pairs of one substitution, built by ``_pair_layer``.
 The pair (i, j) is the code q = i·n + j (n = |A|), so the order of the
-codes is the alphabet order of the pairs; every list is indexed by code
-and only read.
+codes is the alphabet order of the pairs; every sequence is indexed by
+code and only read.  The pair image of P = (i, j) is not stored: its
+position t is the pair of the letters at t of the images of i and j.
 
-- ``image``: q -> its pair image, a list of codes;
-- ``occurrences``: q -> the (P, t) with image[P][t] == q, in (P, t) order;
+- ``parents``, ``positions``: q -> the tuples of the P and t with q at
+  position t of the pair image of P, in (P, t) order, one slot of each
+  per letter-pair position;
 - ``depth``: q -> the least m with q in coin_m, or n·n off C∞;
 - ``deepest``: the largest depth below n·n;
-- ``last_off``: P -> the last position of an off-diagonal pair in
-  image[P], or -1;
+- ``last_meet``: P -> the last position of a C∞ pair in the pair image
+  of P, or -1;
+- ``last_off``: P -> the last position of an off-diagonal pair in the
+  pair image of P, or -1;
 - ``component``: off-diagonal q -> the index of its component, diagonal
   q -> -1;
 - ``components``: index -> ``_Component``;
@@ -93,7 +100,9 @@ and only read.
 @memoised
 def _pair_layer(subst):
     """The int-coded pair layer of a constant-length substitution, built
-    in passes linear in the n²·p letter pairs of the pair images.
+    in passes linear in the n²·p letter pairs of the pair images, which it
+    keeps as two int tuples per pair (``_PairLayer``): about 21 bytes per
+    letter-pair position, where a (P, t) tuple per position took 108.
 
     Depths.  coin_0 ⊂ coin_1 ⊂ ... ⊂ C∞: coin_0 is the diagonal and
     coin_(m+1) the pairs whose pair image holds a member of coin_m, so
@@ -110,14 +119,15 @@ def _pair_layer(subst):
     it is diagonal.
 
     The pair graph.  Its vertices are the off-diagonal letter pairs.  Each
-    occurrence ``(P, t)`` of q in the pair image of P is an edge q -> P
-    labelled ``image[P][t + 1:]``; P is off-diagonal, since diagonal pairs
-    map to diagonal pairs.  A walk q_0 -> ... -> q_m puts q_0 inside the
-    m-fold pair image of q_m, and the label of its step l expands l more
-    times into letter pairs right of that occurrence.  So a closed walk of
-    length m at q is an occurrence of q inside its own m-fold pair image,
-    all its edges lie inside the component of q, and distinct closed walks
-    are distinct occurrences.  A component is
+    occurrence of q at position t of the pair image of P is an edge
+    q -> P labelled by the pairs right of t in that image; P is
+    off-diagonal, since diagonal pairs map to diagonal pairs.  A walk
+    q_0 -> ... -> q_m puts q_0 inside the m-fold pair image of q_m, and
+    the label of its step l expands l more times into letter pairs right
+    of that occurrence.  So a closed walk of length m at q is an
+    occurrence of q inside its own m-fold pair image, all its edges lie
+    inside the component of q, and distinct closed walks are distinct
+    occurrences.  A component is
 
     - ``ly`` when the labels of its inner edges hold a pair of C∞ and an
       off-diagonal pair.  Exactly then the search of ``ly_witness`` from
@@ -138,30 +148,32 @@ def _pair_layer(subst):
       step >= k - 1 >= d, so the two occurrences at one level each have a
       diagonal pair after them.
 
-    No label is built: the label of ``(P, t)`` holds a pair of C∞ exactly
-    when t is below the last position of a C∞ pair in the image of P, and
-    an off-diagonal pair exactly when t < ``last_off[P]``, so each flag is
-    one comparison per inner edge.
+    No label is built: the label of an edge into P at t holds a pair of
+    C∞ exactly when t < ``last_meet[P]``, and an off-diagonal pair exactly
+    when t < ``last_off[P]``, so each flag is one comparison per inner
+    edge.
 
     The exchange (i, j) -> (j, i) maps the graph onto itself, labels
     included, so a component and its mirror carry the same flags.
-    Tarjan's algorithm runs on an explicit stack: a pair is open while it
-    is visited and not yet in a finished component, and the open pairs
-    sit on the stack in the order of their visits.  The n²·p positions
-    are charged against the word budget before anything is built.
+    Tarjan's algorithm runs on an explicit stack and reads only
+    ``parents``: a pair is open while it is visited and not yet in a
+    finished component, and the open pairs sit on the stack in the order
+    of their visits.  The n²·p positions are charged against the word
+    budget before anything is built.
     """
     _charge_pair_positions(subst)
     n = subst.size
     nn = n * n
     letters = [list(map(ord, w)) for w in subst.images]
-    image = []
-    for u in letters:
-        row = [a * n for a in u]
-        image.extend(list(map(add, row, v)) for v in letters)
-    occurrences = [[] for _ in range(nn)]
-    for P, img in enumerate(image):
-        for t, q in enumerate(img):
-            occurrences[q].append((P, t))
+    rows = [[a * n for a in u] for u in letters]
+    parents = [[] for _ in range(nn)]
+    positions = [[] for _ in range(nn)]
+    for P, (row, v) in enumerate(itertools.product(rows, letters)):
+        for t, q in enumerate(map(add, row, v)):
+            parents[q].append(P)
+            positions[q].append(t)
+    parents = tuple(map(tuple, parents))
+    positions = tuple(map(tuple, positions))
 
     # breadth-first from the diagonal; last_meet[P] ends as the last
     # position of a C∞ pair in the image of P
@@ -172,16 +184,16 @@ def _pair_layer(subst):
         depth[q] = 0
     for r in queue:
         d = depth[r] + 1
-        for P, t in occurrences[r]:
+        for P, t in zip(parents[r], positions[r]):
             if depth[P] == nn:
                 depth[P] = d
                 queue.append(P)
             if t > last_meet[P]:
                 last_meet[P] = t
     last_off = []
-    for img in image:
-        t = len(img) - 1
-        while t >= 0 and depth[img[t]] == 0:
+    for u, v in itertools.product(subst.images, repeat=2):
+        t = len(u) - 1
+        while t >= 0 and u[t] == v[t]:
             t -= 1
         last_off.append(t)
 
@@ -193,15 +205,15 @@ def _pair_layer(subst):
         order[root] = low[root] = visits
         visits += 1
         stack.append(root)
-        work = [(root, iter(occurrences[root]))]
+        work = [(root, iter(parents[root]))]
         while work:
             q, steps = work[-1]
-            for parent, _ in steps:
+            for parent in steps:
                 if order[parent] < 0:
                     order[parent] = low[parent] = visits
                     visits += 1
                     stack.append(parent)
-                    work.append((parent, iter(occurrences[parent])))
+                    work.append((parent, iter(parents[parent])))
                     break
                 if component[parent] < 0 and order[parent] < low[q]:
                     low[q] = order[parent]
@@ -216,7 +228,7 @@ def _pair_layer(subst):
                     for r in members:
                         component[r] = c
                     flags = _component_flags(
-                        members, c, component, occurrences, last_meet, last_off
+                        members, c, component, parents, positions, last_meet, last_off
                     )
                     components.append(_Component(len(members), *flags))
 
@@ -225,17 +237,18 @@ def _pair_layer(subst):
         flag: next((q for q in targets if getattr(components[component[q]], flag)), None)
         for flag in ("ly", "unc")
     }
+    deepest = depth[queue[-1]]
     return _PairLayer(
-        n, image, occurrences, depth, depth[queue[-1]], last_off, component, components, first
+        n, parents, positions, depth, deepest, last_meet, last_off, component, components, first
     )
 
 
-def _component_flags(members, c, component, occurrences, last_meet, last_off):
+def _component_flags(members, c, component, parents, positions, last_meet, last_off):
     """The ``ly`` and ``unc`` flags of component ``c`` from its inner edges
     (see ``_pair_layer``), read until both are settled."""
     edges, meets, differs = 0, False, False
     for r in members:
-        for P, t in occurrences[r]:
+        for P, t in zip(parents[r], positions[r]):
             if component[P] == c:
                 edges += 1
                 if t < last_meet[P]:
@@ -272,16 +285,6 @@ def _first_target(subst, flag):
     return _pair_layer(subst).first[flag]
 
 
-def _right_depths(depth, img):
-    """Per position t of a pair image, the least depth of a pair right of
-    t: ``len(depth)`` when none lies in C∞."""
-    from_right = map(depth.__getitem__, reversed(img))
-    least = list(itertools.accumulate(from_right, min, initial=len(depth)))
-    least.pop()
-    least.reverse()
-    return least
-
-
 def _ly_levels(subst, target):
     """The levels of the existence search started at the target code.
 
@@ -293,31 +296,41 @@ def _ly_levels(subst, target):
     is a walk of length m in the pair graph from the target; the
     coincidence flag says that the label of some step l holds a pair of
     ``coin_l``, and the difference flag that some label holds an
-    off-diagonal pair.  The label of step l holds a pair of ``coin_l``
-    exactly when its least depth, computed once per parent
-    (``_right_depths``), is at most min(l, ``deepest``).  The m-fold pair
-    image of a pair holds an off-diagonal pair exactly when the pair is
-    off-diagonal, at every m: the images are pairwise distinct.  The
-    levels never end; ``ly_witness`` stops reading them.
+    off-diagonal pair.  The m-fold pair image of a pair holds an
+    off-diagonal pair exactly when the pair is off-diagonal, at every m:
+    the images are pairwise distinct.  The levels never end;
+    ``ly_witness`` stops reading them.
+
+    The threshold.  With c = min(l, ``deepest``), the label of step l
+    holds a pair of ``coin_l`` = ``coin_c`` exactly when t < ``meet``, the
+    last position of the parent's pair image whose pair has depth <= c
+    (-1 if none): some position right of t has depth <= c exactly when the
+    last such position lies right of t.  From l = ``deepest`` on that is
+    ``last_meet[parent]``; below it, ``meet`` is found once per level and
+    parent by scanning the parent's two letter images from the right.
     """
     layer = _pair_layer(subst)
-    depth, image, occurrences = layer.depth, layer.image, layer.occurrences
-    last_off = layer.last_off
-    least = [None] * len(depth)
+    n, depth, deepest = layer.n, layer.depth, layer.deepest
+    parents, positions, last_off = layer.parents, layer.positions, layer.last_off
+    letters = [list(map(ord, w)) for w in subst.images]
     p = subst.constant_length
     state = {(target, False, False): 0}
     yield state
     scale = 1
     for level in itertools.count():
-        cap = min(level, layer.deepest)
+        below = level < deepest
+        meets = {} if below else layer.last_meet
         new_state = {}
         for (q, fc, fd), position in sorted(state.items()):
-            for parent, t in occurrences[q]:
-                right = least[parent]
-                if right is None:
-                    right = least[parent] = _right_depths(depth, image[parent])
+            for parent, t in zip(parents[q], positions[q]):
+                if below and parent not in meets:
+                    u, v = letters[parent // n], letters[parent % n]
+                    meet = p - 1
+                    while meet >= 0 and depth[u[meet] * n + v[meet]] > level:
+                        meet -= 1
+                    meets[parent] = meet
                 new_state.setdefault(
-                    (parent, fc or right[t] <= cap, fd or t < last_off[parent]),
+                    (parent, fc or t < meets[parent], fd or t < last_off[parent]),
                     t * scale + position,
                 )
         yield new_state
@@ -697,8 +710,8 @@ def enumerate_ly_orbits(subst):
     of each pair: the chain ``((q_1, t_0), ..., (q_L, t_(L-1)))`` with
     q_L = q_0 puts q_i at digit t_i inside the pair image of q_(i+1), and
     is the purely periodic level data of one pair (x, y) per seed choice,
-    with suffix letter pairs ``image[q_(i+1)][t_i + 1:]`` at level i, the
-    labels of the cycle.  Each seed choice is listed.  This lists exactly
+    with the letter pairs right of t_i in the pair image of q_(i+1) as
+    its suffix pairs at level i, the labels of the cycle.  Each seed choice is listed.  This lists exactly
     one pair per orbit of the Li-Yorke pairs with eventually periodic level
     data:
 
@@ -753,10 +766,11 @@ def enumerate_ly_orbits(subst):
         )
     s = subst
     layer = _pair_layer(s)
-    n, occurrences, component = layer.n, layer.occurrences, layer.component
+    n, parents, positions, component = layer.n, layer.parents, layer.positions, layer.component
 
     def inner(q):
-        return next(step for step in occurrences[q] if component[step[0]] == component[q])
+        steps = zip(parents[q], positions[q])
+        return next(step for step in steps if component[step[0]] == component[q])
 
     chains = []
     for start in range(n * n):
@@ -769,11 +783,11 @@ def enumerate_ly_orbits(subst):
 
     results = []
     for chain in sorted(chains):
-        positions = [t for _, t in chain]
+        digits = [t for _, t in chain]
         a, b = divmod(chain[-1][0], n)
-        ex, ey = _entries_below(s, chr(a), positions), _entries_below(s, chr(b), positions)
-        seeds_x = _seed_choices(s, positions, ex[0].center)
-        seeds_y = _seed_choices(s, positions, ey[0].center)
+        ex, ey = _entries_below(s, chr(a), digits), _entries_below(s, chr(b), digits)
+        seeds_x = _seed_choices(s, digits, ex[0].center)
+        seeds_y = _seed_choices(s, digits, ey[0].center)
         for (lx, rx), (ly_, ry) in itertools.product(seeds_x, seeds_y):
             x = RepresentedPoint(s, (), ex, lx, rx)
             y = RepresentedPoint(s, (), ey, ly_, ry)

@@ -43,6 +43,7 @@ from .substitution import (
     json_word,
     language_chr,
     last_letter_map,
+    memoised,
 )
 
 class StreamEntry(namedtuple("StreamEntry", "prefix center suffix")):
@@ -536,16 +537,19 @@ def point_from_literal(subst, doc):
 # fibers of the odometer factor map
 
 
+@memoised
 def fiber_bound(subst):
     """Upper bound for fiber sizes of the odometer factor map: the number
-    of length-3 words of the subshift."""
+    of length-3 words of the subshift.  The listing is counted past the
+    ``language_chr`` cache, so the table cache keeps this one number, not
+    the words, and ``analyze`` leaves no length-3 listing behind."""
     if not is_primitive(subst):
         raise PreconditionError("fiber bound requires a primitive substitution")
     if subst.constant_length is None:
         raise PreconditionError("fiber bound requires constant length")
     if not decide_infinite(subst):
         raise PreconditionError("fiber bound requires an infinite subshift")
-    return len(language_chr(subst, 3))
+    return len(language_chr.__wrapped__(subst, 3))
 
 
 def _seed_choices(subst, period_digits, anchor):

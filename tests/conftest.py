@@ -42,8 +42,11 @@ from substchaos.pairs import (
     CERTIFICATE_WORD_CAP,
     DoubleCertificate,
     _aligned_entries,
+    _ly_levels,
+    _pair_layer,
     _past_finite_forward_data,
     _suffix_class,
+    ly_witness,
 )
 from substchaos.simulate import (
     DEFAULT_WINDOW,
@@ -1133,3 +1136,32 @@ def walked_ly_orbits(subst):
             y = RepresentedPoint(subst, (), ey, ly, ry)
             results.append((x, y))
     return results, len(chains)
+
+
+# ---------------------------------------------------------------------------
+# work of the pair layer, counted from its tables and levels with no
+# library change (``tests/test_work.py`` pins the totals)
+
+
+PAIR_WORK = ("positions", "components", "component_size_squares", "ly_states")
+
+
+def pair_work(subst):
+    """The work counters of ``PAIR_WORK`` for one input of the pair
+    decisions' domain: the letter-pair positions the layer stores, its
+    components and the sum of their squared sizes, and the states of
+    ``_ly_levels`` at the Li-Yorke witness's target summed over the levels
+    0 .. its witness level (0 without a witness)."""
+    layer = _pair_layer(subst)
+    states = 0
+    witness = ly_witness(subst)
+    if witness is not None:
+        (a, b), level, _ = witness
+        levels = _ly_levels(subst, a * subst.size + b)
+        states = sum(map(len, itertools.islice(levels, level + 1)))
+    return (
+        sum(map(len, layer.parents)),
+        len(layer.components),
+        sum(c.size**2 for c in layer.components),
+        states,
+    )

@@ -40,6 +40,7 @@ from substchaos.pairs import (
     CERTIFICATE_WORD_CAP,
     _aligned_entries,
     _certificate_words,
+    _first_target,
     _ly_levels,
     _pair_layer,
     _past_finite_forward_data,
@@ -65,6 +66,7 @@ from conftest import (
     stopped_ly_hit,
     walked_ly_orbits,
 )
+from test_substitution import slow_mixing
 
 
 def test_coincidence_classes(fixtures):
@@ -790,6 +792,39 @@ def test_pair_graph_matches_the_reference_engines(fixtures, random_corpus):
     assert listed >= 120
 
 
+def _reference_witness(s):
+    """``ly_witness`` read off the reference search at the first target:
+    the target, the level of its first hit, and the position
+    Σ t_l·p^l over the steps of the hit's chain."""
+    target = _first_target(s, "ly")
+    if target is None:
+        return None
+    q = divmod(target, s.size)
+    hit = stopped_ly_hit(s, q)
+    assert hit is not None, s.rules()
+    level, chain = hit
+    p = s.constant_length
+    return q, level, sum(t * p**i for i, (_, t) in enumerate(chain))
+
+
+def test_witness_matches_the_reference_at_tier_sizes():
+    # seeded one-to-one inputs of the benchmark's larger tiers, and the
+    # slow-mixing family, whose witness level grows with n
+    cases = [
+        _large_input(n, p, CORPUS_SEED + 100 * n + k)
+        for n, p in ((6, 5), (8, 6), (10, 8))
+        for k in range(20)
+    ]
+    cases += [slow_mixing(n) for n in range(2, 13)]
+    levels = set()
+    for s in cases:
+        witness = ly_witness(s)
+        assert witness == _reference_witness(s), s.rules()
+        if witness is not None:
+            levels.add(witness[1])
+    assert max(levels) >= 12
+
+
 def test_orbit_list_reads_a_dense_component_once():
     # the reference walk visits every simple cycle of the dense component
     # and keeps none of them; the component pass lists the same 4 pairs
@@ -802,7 +837,7 @@ def test_orbit_list_reads_a_dense_component_once():
         c
         for q, c in enumerate(layer.component)
         if c >= 0
-        for parent, _ in layer.occurrences[q]
+        for parent in layer.parents[q]
         if layer.component[parent] == c
     )
     shapes = {(members[c], inner[c], component.ly) for c, component in enumerate(layer.components)}

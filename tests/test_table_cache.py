@@ -2,15 +2,18 @@
 and evicted tables are built again with the same answers, also when
 threads share the substitutions."""
 
+import itertools
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
-from substchaos import decide_infinite, has_ly_pairs, uncountable_certificate
-from substchaos.pairs import ly_witness
+from substchaos import analyze, decide_infinite, fiber_bound, has_ly_pairs, uncountable_certificate
+from substchaos.pairs import _pair_layer, ly_witness
 from substchaos.substitution import TABLE_CACHE_SIZE, _tables, language_chr
 
-from conftest import CORPUS_SEED, random_substitutions
+from conftest import CORPUS_SEED, random_substitutions, rational_rank
+from test_pairs import _large_input
 
 
 def distinct_substitutions(count, seed, **kwargs):
@@ -71,3 +74,41 @@ def test_tables_shared_across_threads_under_eviction():
     for k in (1, 2):
         answers = [w for (kind, _), w in zip(jobs, expected) if kind == k]
         assert None in answers and any(w is not None for w in answers)
+
+
+def test_pair_layer_holds_few_bytes_per_position():
+    # one tuple slot of a parent code and one of a digit per letter-pair
+    # position (the codes of one parent are one int object, the digits
+    # small ints), plus two tuples per pair: about 21 bytes per position,
+    # where a (parent, digit) tuple per position held about 108
+    n, p = 64, 32
+    s = _large_input(n, p, CORPUS_SEED + n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        layer = _pair_layer.__wrapped__(s)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    positions = n * n * p
+    assert sum(map(len, layer.parents)) == sum(map(len, layer.positions)) == positions
+    assert held <= 24 * positions
+
+
+def test_analyze_leaves_no_length_three_listing(monkeypatch):
+    # the fiber bound counts the length-3 words past the listing cache and
+    # keeps the count in the table cache: after ``analyze`` the listing
+    # cache holds L_2 alone, and asking the bound again lists nothing
+    s = next(
+        s
+        for k in itertools.count()
+        if rational_rank(s := _large_input(6, 5, CORPUS_SEED + k)) == s.size
+    )
+    _tables.cache_clear()
+    language_chr.cache_clear()
+    bound = analyze(s).to_json_dict()["fiber_bound"]
+    assert language_chr.cache_info().currsize == 1
+    listed = []
+    monkeypatch.setattr(language_chr, "__wrapped__", lambda *args: listed.append(args))
+    assert fiber_bound(s) == bound
+    assert listed == []
