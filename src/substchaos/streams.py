@@ -34,6 +34,7 @@ from .errors import InvariantError, PreconditionError, StreamChainError, charge
 from .odometer import OdometerDigits, _canonical
 from .reduction import decide_infinite
 from .substitution import (
+    _listing,
     _read_only,
     cycle_length,
     first_letter_map,
@@ -540,16 +541,17 @@ def point_from_literal(subst, doc):
 @memoised
 def fiber_bound(subst):
     """Upper bound for fiber sizes of the odometer factor map: the number
-    of length-3 words of the subshift.  The listing is counted past the
-    ``language_chr`` cache, so the table cache keeps this one number, not
-    the words, and ``analyze`` leaves no length-3 listing behind."""
+    of length-3 words of the subshift.  The listing is built by the
+    uncached ``_listing`` and dropped once counted, so the table cache
+    keeps this one number, not the words, and ``analyze`` leaves no
+    length-3 listing behind."""
     if not is_primitive(subst):
         raise PreconditionError("fiber bound requires a primitive substitution")
     if subst.constant_length is None:
         raise PreconditionError("fiber bound requires constant length")
     if not decide_infinite(subst):
         raise PreconditionError("fiber bound requires an infinite subshift")
-    return len(language_chr.__wrapped__(subst, 3))
+    return len(_listing(subst, 3))
 
 
 def _seed_choices(subst, period_digits, anchor):

@@ -11,14 +11,15 @@ The language is read from covering words: for each ``cd`` in L_2 the
 word ``σ^m(c)σ^m(d)``, where m is the least power with |σ^m(a)| >= N - 1
 for every letter a.  L_N is the set of their length-N factors that start
 inside ``σ^m(c)`` (proof in ``_covering_words``).  The listing
-``language_chr``, the membership test ``in_language`` and the tower's
+``_listing``, the membership test ``in_language`` and the tower's
 preimage search ``tower.preimage_candidates`` all read these words, so
 nothing is de-substituted.  A listing is O(|L_2| · max_a |σ^m(a)|)
 slices of length N, counted from the image lengths before any word is
-built.  L_2 itself is the closure of the two-letter factors of the
-images under the boundary pairs ``last(σ(c)) first(σ(d))``, and a
-listing goes back to public form through one ``decode`` of its words
-joined, cut every N letters.
+built.  Only L_2, which the decisions read, is cached (``language_chr``);
+a longer listing is built and counted on every call.  L_2 itself is
+the closure of the two-letter factors of the images under the boundary
+pairs ``last(σ(c)) first(σ(d))``, and a listing goes back to public
+form through one ``decode`` of its words joined, cut every N letters.
 
 Primitivity is read from the letter graph, a -> b for each letter b of
 σ(a): σ is primitive exactly when that graph is strongly connected with
@@ -49,7 +50,7 @@ from .errors import ParseError, InvariantError, PreconditionError, charge
 # The longest word, window or listing any stage builds: a fixed limit that
 # every check reads at call time, not a default that a caller can raise.
 DEFAULT_WORD_BUDGET = 1 << 24
-# Substitutions whose derived tables (and language listings) stay cached.
+# Substitutions whose derived tables (and L_2 listings) stay cached.
 TABLE_CACHE_SIZE = 128
 
 
@@ -509,8 +510,16 @@ def is_primitive(subst):
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def language_chr(subst, length):
+    """``_listing(subst, length)``, cached.  The library reads L_2 alone
+    through this cache, so it holds one listing per substitution; every
+    longer listing is a terminal output, built per call by ``_listing``
+    and charged against the word budget on every call."""
+    return _listing(subst, length)
+
+
+def _listing(subst, length):
     """All internal length-``length`` subwords of the subshift, as a
-    frozenset.  Requires a primitive substitution.
+    frozenset, built on every call.  Requires a primitive substitution.
 
     One pass, no fixpoint per length: L_N for N >= 3 is the set of
     length-N factors of the covering words ``σ^m(c)σ^m(d)`` that start
@@ -520,9 +529,9 @@ def language_chr(subst, length):
     ``_two_letter_words``); L_1, where ``m = 0``, is the set of first
     letters of L_2.  The work is ``|L_2| · max_a |σ^m(a)|`` slices of
     length N, and at constant length p, ``p^m < p (N - 1)``.  Those
-    symbols are counted from the image lengths first, and a listing
-    whose count exceeds ``DEFAULT_WORD_BUDGET`` is refused before any
-    word is built.
+    symbols are counted from the image lengths first, on every call, and
+    a listing whose count exceeds ``DEFAULT_WORD_BUDGET`` is refused
+    before any word is built.
     """
     if length < 1:
         raise PreconditionError("word length must be >= 1")
@@ -624,12 +633,12 @@ def _decoded(subst, words, length):
 
 def language(subst, length):
     """The set of length-``length`` words of the subshift, public form."""
-    return set(_decoded(subst, language_chr(subst, length), length))
+    return set(_decoded(subst, _listing(subst, length), length))
 
 
 def sorted_language(subst, length):
     """Language sorted by alphabet order (deterministic listings)."""
-    return _decoded(subst, sorted(language_chr(subst, length)), length)
+    return _decoded(subst, sorted(_listing(subst, length)), length)
 
 
 def complexity(subst, max_length):
@@ -638,7 +647,7 @@ def complexity(subst, max_length):
     the language of a subshift extends to the right."""
     if max_length < 1:
         return []
-    top = language_chr(subst, max_length)
+    top = _listing(subst, max_length)
     return [len({w[:k] for w in top}) for k in range(1, max_length + 1)]
 
 

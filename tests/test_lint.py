@@ -17,7 +17,8 @@ classes generate their methods at import and whose import loads
 the two parsers of source text call ``Substitution.from_rules``;
 every top-level function or class of the package is read by the package
 or exported by it, so no library code serves the tests alone; and no code
-but ``errors.charge`` raises a budget error."""
+but ``errors.charge`` raises a budget error; and no module of the
+package reads a cache's ``__wrapped__``."""
 
 import ast
 import subprocess
@@ -226,6 +227,34 @@ def test_caches_are_bounded():
         (15, "decorator remember"),
         (17, "lru_cache without a bound"),
     ]
+
+
+def _wrapped_reads(tree):
+    """Lines that read ``__wrapped__``, as an attribute or by its name
+    as a string (``getattr``)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "__wrapped__") or (
+            isinstance(node, ast.Constant) and node.value == "__wrapped__"
+        ):
+            yield node.lineno
+
+
+def test_no_module_reads_wrapped():
+    # a cache's ``__wrapped__`` is whatever its last wrapper says: once a
+    # wrapper installed from outside (a tracer) copies it with
+    # ``functools.wraps``, it is the cache itself, so an uncached builder
+    # is called by its own name
+    found = []
+    for module in CHECKED_MODULES:
+        found += [f"{module}:{line}" for line in _wrapped_reads(_tree(PACKAGE_DIR / module))]
+    assert found == []
+    probe = ast.parse(
+        "f.__wrapped__(s)\n"
+        "getattr(f, '__wrapped__')\n"
+        "'a docstring that names __wrapped__'\n"
+        "f.__wrapped_(s)\n"
+    )
+    assert list(_wrapped_reads(probe)) == [1, 2]
 
 
 # The parameters a function may leave unread: the key of the table cache

@@ -1,15 +1,15 @@
-"""Same subshift, same answers: a primitive σ and its square σ² generate
-the same subshift under the same shift (the factors of σ^(2n)(a) are the
-factors of σ^n(a)), so every answer about the subshift must agree for
-them.  Answers about σ itself, such as the decision trace, the
-coincidence class or the certificate powers, may differ and are not
-compared.
+"""Same subshift, same answers: a primitive σ and its powers σ^k
+generate the same subshift under the same shift (the factors of
+σ^(kn)(a) are the factors of σ^n(a)), so every answer about the subshift
+must agree for them.  Answers about σ itself, such as the decision
+trace, the coincidence class or the certificate powers, may differ and
+are not compared.
 
-Over every primitive class of ``test_small_classes.TIERS``, the
-one-to-one reductions of σ and of σ² must agree on finiteness, on
-``has_ly_pairs`` and ``has_uncountable_ly`` when the subshift is
-infinite, and on the number of Li-Yorke orbits when there are countably
-many Li-Yorke pairs.
+Over every primitive class of ``test_small_classes.TIERS`` for σ², and
+over those with image length p <= 3 for σ³, the one-to-one reductions of
+σ and of its power must agree on finiteness, on ``has_ly_pairs`` and
+``has_uncountable_ly`` when the subshift is infinite, and on the number
+of Li-Yorke orbits when there are countably many Li-Yorke pairs.
 """
 
 from substchaos import (
@@ -25,12 +25,13 @@ from substchaos import (
 from test_small_classes import TIERS, classes
 
 
-def square(subst):
-    """σ²: every letter of every image replaced by its own image."""
+def power(subst, k):
+    """σ^k: every letter of every image replaced by its image, k - 1 times."""
     images = subst.images
-    return Substitution(
-        subst.alphabet, tuple("".join(images[ord(ch)] for ch in image) for image in images)
-    )
+    powered = images
+    for _ in range(k - 1):
+        powered = tuple("".join(images[ord(ch)] for ch in image) for image in powered)
+    return Substitution(subst.alphabet, powered)
 
 
 def subshift_answers(subst):
@@ -45,9 +46,11 @@ def subshift_answers(subst):
     return True, ly, unc, None if unc else len(enumerate_ly_orbits(reduced))
 
 
-def test_square_has_the_same_answers():
+def compare_with_power(k, tiers):
+    """(primitive classes, countable ones, the rules of each class whose
+    answers differ from those of its k-th power) over ``tiers``."""
     primitive, countable, disagreements = 0, 0, []
-    for n, p in TIERS:
+    for n, p in tiers:
         alphabet = tuple("abcd"[:n])
         for images in classes(n, p):
             s = Substitution(alphabet, images)
@@ -55,9 +58,23 @@ def test_square_has_the_same_answers():
                 continue
             primitive += 1
             answers = subshift_answers(s)
-            if answers != subshift_answers(square(s)):
+            if answers != subshift_answers(power(s, k)):
                 disagreements.append(s.rules())
             countable += bool(answers[3])
+    return primitive, countable, disagreements
+
+
+def test_square_has_the_same_answers():
+    primitive, countable, disagreements = compare_with_power(2, TIERS)
     assert disagreements == []
     assert primitive == sum(prim for _, prim in TIERS.values()) == 5874
+    assert countable == 91
+
+
+def test_cube_has_the_same_answers():
+    # images of length p**3 <= 27; every countable class has p <= 3
+    tiers = [(n, p) for n, p in TIERS if p <= 3]
+    primitive, countable, disagreements = compare_with_power(3, tiers)
+    assert disagreements == []
+    assert primitive == sum(TIERS[tier][1] for tier in tiers) == 3245
     assert countable == 91

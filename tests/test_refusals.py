@@ -20,6 +20,7 @@ from substchaos import (
     parse_substitution,
     point_from_literal,
     reduction,
+    sorted_language,
     stream_from_fixed_point,
     substitution,
     tower_substitution,
@@ -329,3 +330,17 @@ def test_budget_boundary(case, monkeypatch):
     monkeypatch.setattr(module, name, amount)
     substitution._tables.cache_clear()
     call()
+
+
+def test_listing_is_charged_on_every_call(monkeypatch):
+    # a listing past L_2 is built and charged on every call, never read
+    # back from a cache: one answered at the package budget is refused
+    # once the budget is lowered, with the listing cache left as it is
+    assert len(sorted_language(morse(), 5)) == 12
+    monkeypatch.setattr(substitution, "DEFAULT_WORD_BUDGET", 79)
+    with pytest.raises(BudgetExceededError) as info:
+        sorted_language(morse(), 5)
+    assert type(info.value) is BudgetExceededError
+    assert str(info.value) == (
+        "the length-5 listing would slice 80 symbols, more than the word budget 79"
+    )

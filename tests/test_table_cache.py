@@ -3,16 +3,29 @@ and evicted tables are built again with the same answers, also when
 threads share the substitutions."""
 
 import itertools
+import json
 import random
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
-from substchaos import analyze, decide_infinite, fiber_bound, has_ly_pairs, uncountable_certificate
+from substchaos import (
+    analyze,
+    cli,
+    complexity,
+    decide_infinite,
+    fiber_bound,
+    has_ly_pairs,
+    language,
+    parse_substitution,
+    sorted_language,
+    streams,
+    uncountable_certificate,
+)
 from substchaos.pairs import _pair_layer, ly_witness
-from substchaos.substitution import TABLE_CACHE_SIZE, _tables, language_chr
+from substchaos.substitution import TABLE_CACHE_SIZE, _listing, _tables, language_chr
 
-from conftest import CORPUS_SEED, random_substitutions, rational_rank
+from conftest import CORPUS_SEED, MORSE, random_substitutions, rational_rank
 from test_pairs import _large_input
 
 
@@ -96,7 +109,7 @@ def test_pair_layer_holds_few_bytes_per_position():
 
 
 def test_analyze_leaves_no_length_three_listing(monkeypatch):
-    # the fiber bound counts the length-3 words past the listing cache and
+    # the fiber bound counts the length-3 words of the uncached builder and
     # keeps the count in the table cache: after ``analyze`` the listing
     # cache holds L_2 alone, and asking the bound again lists nothing
     s = next(
@@ -109,6 +122,54 @@ def test_analyze_leaves_no_length_three_listing(monkeypatch):
     bound = analyze(s).to_json_dict()["fiber_bound"]
     assert language_chr.cache_info().currsize == 1
     listed = []
-    monkeypatch.setattr(language_chr, "__wrapped__", lambda *args: listed.append(args))
+
+    def builder(*args):
+        listed.append(args)
+        return _listing(*args)
+
+    # the binding that ``fiber_bound`` reads: it lists L_3 once the table
+    # holding the bound is gone, and not while it is kept
+    monkeypatch.setattr(streams, "_listing", builder)
     assert fiber_bound(s) == bound
     assert listed == []
+    _tables.cache_clear()
+    assert fiber_bound(s) == bound
+    assert listed == [(s, 3)]
+    assert language_chr.cache_info().currsize == 1
+
+
+def test_listings_past_length_two_are_not_kept():
+    # a listing of length 3 or more is a terminal output, built on every
+    # call: after listing two inputs at every length up to 64, the listing
+    # cache holds their two L_2 and the process holds no longer listing.
+    # The inputs have one-character letters, so the public words are
+    # strings: freed token tuples would stay on the interpreter's free
+    # lists and read as held
+    four_by_four = next(s for s in random_substitutions(20) if s.size == s.constant_length == 4)
+    inputs = [parse_substitution(MORSE), four_by_four]
+    _tables.cache_clear()
+    language_chr.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for s in inputs:
+            for n in range(3, 65):
+                sorted_language(s, n)
+                language(s, n)
+            complexity(s, 64)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert language_chr.cache_info().currsize == 2
+    assert held < 64 * 1024
+
+
+def test_language_command_caches_only_its_two_letter_words(tmp_path, capsys):
+    path = tmp_path / "morse.txt"
+    path.write_text(MORSE, encoding="utf-8")
+    _tables.cache_clear()
+    language_chr.cache_clear()
+    assert cli.main(["language", str(path), "40"]) == 0
+    assert language_chr.cache_info().currsize == 1
+    words = json.loads(capsys.readouterr().out)["words"]
+    assert words == sorted_language(parse_substitution(MORSE), 40)
